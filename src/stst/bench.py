@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import measure_stop_error
-from .core import ConfidenceParams, Direction, StoppingRule, expected_stop_bound
+from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, expected_stop_bound
 from .data import Dataset
 from .errors import ParameterError, UndefinedRateError
 from .predictor import (
@@ -350,7 +350,7 @@ def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[Theory
         spec, config.stop_error_deltas, theta=0.0, trials=config.stop_error_trials
     )
     for delta, est in zip(config.stop_error_deltas, estimates):
-        tau = math.sqrt(-0.5 * math.log(delta))
+        tau = crossing_magnitude(ConfidenceParams(delta=delta, variance=spec.total_variance))
         ok = 0.5 * delta <= est.probability_hat <= 1.5 * delta
         results.append(
             (

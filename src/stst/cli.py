@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, calibration, data, simulator, trainer
-from .core import ConfidenceParams, Direction, StoppingRule, expected_stop_bound
+from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, expected_stop_bound
 from .errors import ParameterError, StstError
 from .predictor import (
     attentive_from_prefix,
@@ -276,18 +276,21 @@ def _cmd_simulate(args) -> int:
         ]
     elif args.experiment == "stop-error":
         est = simulator.empirical_stop_error(spec, delta=args.delta, theta=args.theta, trials=args.trials)
+        magnitude = crossing_magnitude(ConfidenceParams(delta=args.delta, variance=spec.total_variance))
         rows = [
             simulator.TheoryRow(
                 experiment="stop_error",
                 n=spec.n,
                 delta=args.delta,
-                tau=math.sqrt(-0.5 * math.log(args.delta) * spec.total_variance) + args.theta,
+                tau=args.theta + magnitude,
                 theta=args.theta,
                 trials=est.trials_used,
                 accepted=est.accepted,
                 estimate=est.probability_hat,
                 stderr=est.standard_error,
-                closed_form=args.delta,
+                # the reflection principle's rate under sign conditioning,
+                # 2*Phi(-2m/sd): what this pinned placement measures
+                closed_form=math.erfc(math.sqrt(2.0) * magnitude / math.sqrt(spec.total_variance)),
             )
         ]
     else:  # stopping-time

@@ -5,11 +5,13 @@ The on-disk format is the usual sparse labeled text: one example per line,
     <label> <index>:<value> <index>:<value> ...
 
 with 1-based, strictly ascending indices. Labels 0 and -1 map to -1 and
-positive labels to +1; anything else maps by sign with a warning. Values are
+positive labels to +1; any other finite label maps by sign with a warning.
+A NaN or infinite label or feature value is a ParseError. Values are
 written back with repr(), the shortest decimal that round-trips a double, so
 parse(serialize(d)) reproduces d exactly.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,6 +94,8 @@ def _map_label(token: str, line_no: int) -> int:
         return 1
     if value == -1.0 or value == 0.0:
         return -1
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite label {token!r}", line_no)
     mapped = 1 if value > 0 else -1
     warnings.warn(f"line {line_no}: label {token!r} mapped by sign to {mapped:+d}", stacklevel=3)
     return mapped
@@ -158,6 +162,13 @@ def parse_sparse(source, *, dim: int | None = None, name: str = "", strict_order
         data.extend(row_vals)
         indptr.append(len(col))
 
+    values = np.asarray(data, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        # one line per row: blank lines are rejected above
+        line_no = int(np.searchsorted(indptr, at, side="right"))
+        raise ParseError(f"non-finite feature value {float(values[at])!r}", line_no)
     if not labels:
         raise EmptyDatasetError("input contained no examples")
     if dim is None:
@@ -167,7 +178,7 @@ def parse_sparse(source, *, dim: int | None = None, name: str = "", strict_order
     if dim < 1:
         raise ParseError("cannot infer a positive dimension from featureless input; pass dim")
     X = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(col, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        (values, np.asarray(col, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
         shape=(len(labels), dim),
     )
     return Dataset(X=X, y=np.asarray(labels, dtype=np.int64), name=name)

@@ -14,12 +14,18 @@ Three experiments back the three analytic claims:
     positive-drift walk, against the (magnitude + k)/drift upper estimate and
     Wald's identity.
 
-Trials are processed in fixed-size batches, each driven by its own child of
-one seed sequence; aggregation is pure counting, so results are identical for
-any execution order or degree of parallelism over batches.
+Trials are processed in fixed-size batches of 4096, each driven by its own
+child of one seed sequence. The batches run on a thread pool with one worker
+per usable CPU; numpy's random fills, most of the cost, release the GIL and
+run in parallel. Each batch walks its trials in blocks of 256 rows through
+one buffer that is filled and summed in place, so the walks hold about
+workers * 256 * n * 8 bytes at a time. Results are gathered in trial order
+and are identical, bit for bit, for any number of workers.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +48,8 @@ __all__ = [
     "THEORY_COLUMNS",
 ]
 
-_BATCH = 4096
+_BATCH = 4096  # trials per seed child: fixes which stream draws which trial
+_BLOCK_ROWS = 256  # rows of prefix sums held at once by one worker
 
 _STEP_KINDS = ("gaussian", "rademacher", "uniform")
 
@@ -90,14 +97,33 @@ class WalkSpec:
         return abs(self.drift) + self.scale
 
 
-def _draw_steps(rng: np.random.Generator, spec: WalkSpec, size) -> np.ndarray:
+def _workers() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_steps(rng: np.random.Generator, spec: WalkSpec, out: np.ndarray) -> np.ndarray:
+    """Fill out with steps drift + noise, drawn in row-major order, in place.
+
+    The values equal drift + scale*noise drawn as one array, bit for bit:
+    the stream is consumed in the same order, and x*scale, x + drift are the
+    same products and sums.
+    """
     if spec.step == "gaussian":
-        noise = spec.scale * rng.standard_normal(size)
+        rng.standard_normal(out=out)
+        out *= spec.scale
     elif spec.step == "rademacher":
-        noise = spec.scale * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
+        out -= 1.0
+        out *= spec.scale
     else:
-        noise = rng.uniform(-spec.scale, spec.scale, size=size)
-    return spec.drift + noise
+        # drawn whole: numpy forms low + (high - low)*u in C, where a compiler
+        # may fuse the multiply-add and round once where ours would round twice
+        out[...] = rng.uniform(-spec.scale, spec.scale, size=out.shape)
+    out += spec.drift
+    return out
 
 
 def _batches(seed: int, trials: int):
@@ -110,10 +136,55 @@ def _batches(seed: int, trials: int):
         yield np.random.default_rng(child), count
 
 
+def _walk(spec: WalkSpec, trials: int, reduce) -> list:
+    """reduce() every block of prefix sums S_1..S_n of `trials` walks.
+
+    Each batch of _BATCH walks is drawn from its own seed child and walked in
+    blocks of _BLOCK_ROWS rows through one buffer, filled and summed in
+    place; the batches run on a thread pool. reduce may overwrite the block
+    it is given. The results come back in trial order and equal those of
+    whole-batch arrays bit for bit, since cumsum and every reduction work
+    per row.
+    """
+
+    def run(job):
+        rng, count = job
+        buf = np.empty((min(count, _BLOCK_ROWS), spec.n))
+        results = []
+        for start in range(0, count, _BLOCK_ROWS):
+            block = _fill_steps(rng, spec, buf[: count - start])
+            results.append(reduce(np.cumsum(block, axis=1, out=block)))
+        return results
+
+    jobs = list(_batches(spec.seed, trials))
+    pool = ThreadPoolExecutor(max_workers=min(_workers(), len(jobs)))
+    try:
+        return [result for batch in pool.map(run, jobs) for result in batch]
+    finally:
+        # after an error or an interrupt, batches not yet started never run
+        pool.shutdown(cancel_futures=True)
+
+
+def _kept_maxima(spec: WalkSpec, trials: int, accept) -> np.ndarray:
+    """max(S_1..S_{n-1}) of every accepted walk, in trial order.
+
+    accept(paths) returns the rows of a block to keep (a mask or a slice)
+    and may rewrite the block first. With n = 1 no index precedes the
+    endpoint, and the maximum is -inf.
+    """
+
+    def reduce(paths):
+        keep = accept(paths)
+        return paths[:, :-1].max(axis=1, initial=-np.inf)[keep]
+
+    return np.concatenate(_walk(spec, trials, reduce))
+
+
 def simulate_walk(spec: WalkSpec) -> np.ndarray:
     """One path of prefix sums S_1..S_n, deterministic given spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    return np.cumsum(_draw_steps(rng, spec, spec.n))
+    steps = _fill_steps(rng, spec, np.empty(spec.n))
+    return np.cumsum(steps, out=steps)
 
 
 @dataclass(frozen=True)
@@ -130,10 +201,16 @@ class CrossingEstimate:
             raise ParameterError("accepted cannot exceed trials_used")
 
 
-def _estimate(crossed: int, accepted: int, trials: int) -> CrossingEstimate:
-    p = crossed / accepted
-    se = math.sqrt(p * (1.0 - p) / accepted)
-    return CrossingEstimate(probability_hat=p, trials_used=trials, accepted=accepted, standard_error=se)
+def _estimates(maxima: np.ndarray, taus, trials: int) -> list[CrossingEstimate]:
+    accepted = maxima.size
+    estimates = []
+    for tau in taus:
+        p = int((maxima >= tau).sum()) / accepted
+        se = math.sqrt(p * (1.0 - p) / accepted)
+        estimates.append(
+            CrossingEstimate(probability_hat=p, trials_used=trials, accepted=accepted, standard_error=se)
+        )
+    return estimates
 
 
 def empirical_bridge_crossing_grid(
@@ -182,34 +259,25 @@ def empirical_bridge_crossing_grid(
     if mode == "rejection" and not band > 0.0:
         raise ParameterError(f"band must be positive, got {band!r}")
 
-    crossed = np.zeros(len(taus), dtype=np.int64)
-    accepted = 0
-    frac = None
-    for rng, count in _batches(spec.seed, trials):
-        steps = _draw_steps(rng, spec, (count, spec.n))
-        paths = np.cumsum(steps, axis=1)
-        if mode == "exact":
-            if frac is None or frac.shape[0] != spec.n:
-                frac = np.arange(1, spec.n + 1) / spec.n
-            paths = paths - frac * (paths[:, -1:] - theta)
-            kept = paths
-            accepted += count
-        else:
-            keep = np.abs(paths[:, -1] - theta) <= band
-            kept = paths[keep]
-            accepted += int(keep.sum())
-        if kept.shape[0] == 0:
-            continue
-        if spec.n == 1:
-            continue  # no index strictly before the endpoint
-        path_max = kept[:, :-1].max(axis=1)
-        for k, tau in enumerate(taus):
-            crossed[k] += int((path_max >= tau).sum())
-    if accepted == 0:
+    if mode == "exact":
+        frac = (np.arange(1, spec.n + 1) / spec.n)[:-1]
+
+        def accept(paths):
+            # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta)
+            paths[:, :-1] -= frac * (paths[:, -1:] - theta)
+            return slice(None)
+
+    else:
+
+        def accept(paths):
+            return np.abs(paths[:, -1] - theta) <= band
+
+    maxima = _kept_maxima(spec, trials, accept)
+    if maxima.size == 0:
         raise InsufficientAcceptanceError(
             f"no trials accepted out of {trials}; widen the band (={band!r}) or add trials"
         )
-    return [_estimate(int(c), accepted, trials) for c in crossed]
+    return _estimates(maxima, taus, trials)
 
 
 def empirical_bridge_crossing(
@@ -248,26 +316,16 @@ def empirical_stop_error_grid(
         raise ParameterError("stop-error calibration requires a driftless walk spec")
     if any(not 0.0 < d <= 1.0 for d in deltas):
         raise ParameterError("every delta must lie in (0, 1]")
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     taus = [
         theta + crossing_magnitude(ConfidenceParams(delta=d, variance=spec.total_variance), conditioning)
         for d in deltas
     ]
-    crossed = np.zeros(len(taus), dtype=np.int64)
-    accepted = 0
-    for rng, count in _batches(spec.seed, trials):
-        steps = _draw_steps(rng, spec, (count, spec.n))
-        paths = np.cumsum(steps, axis=1)
-        keep = paths[:, -1] < theta
-        kept = paths[keep]
-        accepted += int(keep.sum())
-        if kept.shape[0] == 0 or spec.n == 1:
-            continue
-        path_max = kept[:, :-1].max(axis=1)
-        for k, tau in enumerate(taus):
-            crossed[k] += int((path_max >= tau).sum())
-    if accepted == 0:
+    maxima = _kept_maxima(spec, trials, lambda paths: paths[:, -1] < theta)
+    if maxima.size == 0:
         raise InsufficientAcceptanceError(f"no trials with endpoint below theta out of {trials}")
-    return [_estimate(int(c), accepted, trials) for c in crossed]
+    return _estimates(maxima, taus, trials)
 
 
 def empirical_stop_error(
@@ -315,20 +373,19 @@ def empirical_stopping_time(spec: WalkSpec, delta: float, trials: int = 10_000) 
     if trials < 2:
         raise ParameterError("trials must be >= 2")
     tau = crossing_magnitude(ConfidenceParams(delta=delta, variance=spec.total_variance))
-    times = np.empty(trials, dtype=np.int64)
-    endpoints = np.empty(trials, dtype=np.float64)
-    censored = 0
-    done = 0
-    for rng, count in _batches(spec.seed, trials):
-        steps = _draw_steps(rng, spec, (count, spec.n))
-        paths = np.cumsum(steps, axis=1)
+
+    def reduce(paths):
+        rows = np.arange(paths.shape[0])
         hit = paths >= tau
-        any_hit = hit.any(axis=1)
-        t = np.where(any_hit, hit.argmax(axis=1) + 1, spec.n)
-        censored += int((~any_hit).sum())
-        times[done : done + count] = t
-        endpoints[done : done + count] = paths[np.arange(count), t - 1]
-        done += count
+        first = hit.argmax(axis=1)
+        t = np.where(hit[rows, first], first + 1, spec.n)
+        return t, paths[rows, t - 1]
+
+    results = _walk(spec, trials, reduce)
+    times = np.concatenate([t for t, _ in results])
+    endpoints = np.concatenate([e for _, e in results])
+    # a censored walk ends below tau; every other one stops at S_T >= tau
+    censored = int((endpoints < tau).sum())
     mean_t = float(times.mean())
     se_t = float(times.std(ddof=1) / math.sqrt(trials))
     residual = endpoints - times * spec.drift

@@ -1,4 +1,9 @@
+import csv
+import hashlib
+import math
+
 import pytest
+from scipy.stats import norm
 
 from stst.cli import main
 
@@ -147,6 +152,36 @@ def test_simulate_subcommand(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "experiment,n,delta,tau,theta,trials,accepted,estimate,stderr,closed_form"
     assert lines[1].startswith("stopping_time,200,0.1,")
+
+
+def test_simulate_stop_error_closed_form_is_sign_conditioned_rate(tmp_path):
+    # the pinned boundary measured under sign conditioning crosses at the
+    # reflection-principle rate 2*Phi(-2m/sd), not at delta
+    out = tmp_path / "stop.csv"
+    n, delta = 2000, 0.1
+    argv = ["simulate", "--experiment", "stop-error", "--n", str(n), "--scale", repr(math.sqrt(1.0 / n))]
+    argv += ["--delta", str(delta), "--trials", "20000", "--seed", "21", "-o", str(out)]
+    assert run(argv) == 0
+    with open(out, newline="") as handle:
+        (row,) = list(csv.DictReader(handle))
+    m = math.sqrt(-0.5 * math.log(delta))
+    assert float(row["tau"]) == m
+    closed = float(row["closed_form"])
+    assert closed == pytest.approx(2.0 * norm.sf(2.0 * m), rel=1e-12)
+    estimate, stderr = float(row["estimate"]), float(row["stderr"])
+    assert abs(estimate - closed) <= max(4.0 * stderr, 0.1 * closed)
+
+
+def test_theory_golden_digest(tmp_path):
+    # sha256 of the CSV the whole-batch walk loops wrote for these flags;
+    # any change to the walk streams, their order, or the row arithmetic
+    # changes it
+    out = tmp_path / "theory.csv"
+    argv = ["theory", "--n", "200", "--bridge-trials", "6000", "--stop-error-trials", "6000"]
+    argv += ["--stopping-trials", "3000", "--seed", "7", "-o", str(out)]
+    assert run(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "9f72bf816b7ea18c902ec969221e9b24cadffd93fc316fc63b07c5394a8f5211"
 
 
 def test_theory_subcommand_quick(tmp_path):

@@ -58,6 +58,21 @@ class TestParse:
         with pytest.raises(ParseError, match=fragment):
             parse_text("+1 1:1.0\n" + text)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_feature_value_rejected(self, token):
+        with pytest.raises(ParseError, match="line 3: non-finite feature value"):
+            parse_text(f"+1 1:1.0\n-1\n+1 1:2.0 4:{token}\n-1 2:1.0\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_label_rejected(self, token):
+        with pytest.raises(ParseError, match="line 2: non-finite label"):
+            parse_text(f"+1 1:1.0\n{token} 1:1.0\n")
+
+    def test_non_finite_value_rejected_when_reordered(self):
+        with pytest.warns(UserWarning, match="out-of-order"):
+            with pytest.raises(ParseError, match="line 2: non-finite feature value nan"):
+                parse_text("+1 1:1.0\n-1 3:nan 1:1.0\n", strict_order=False)
+
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_text("+1 1:1.0\n-1 1:2.0\n+1 0:9\n")

@@ -1,18 +1,24 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from stst import (
+    ConfidenceParams,
     WalkSpec,
+    crossing_magnitude,
     empirical_bridge_crossing,
     empirical_stop_error,
     empirical_stopping_time,
     simulate_walk,
+    simulator,
 )
 from stst.errors import InsufficientAcceptanceError, ParameterError
 from stst.simulator import (
+    CrossingEstimate,
+    StoppingTimeSummary,
     TheoryRow,
     empirical_bridge_crossing_grid,
     empirical_stop_error_grid,
@@ -165,6 +171,8 @@ class TestStopError:
             empirical_stop_error(WalkSpec(n=10, seed=0), delta=1.5, trials=100)
         with pytest.raises(ParameterError):
             empirical_stop_error_grid(WalkSpec(n=10, seed=0), [0.1], trials=100, conditioning="endpoint")
+        with pytest.raises(ParameterError):
+            empirical_stop_error(WalkSpec(n=10, seed=0), delta=0.1, trials=0)
 
 
 class TestStoppingTime:
@@ -199,6 +207,144 @@ class TestStoppingTime:
     def test_requires_positive_drift(self):
         with pytest.raises(ParameterError):
             empirical_stopping_time(WalkSpec(n=10, seed=0), delta=0.1, trials=100)
+
+
+# -- the blocked, threaded walk engine against whole-batch walks --------------
+
+BATCH = 4096  # trials per seed child in the simulator's seed layout
+TRIALS = BATCH + 300  # crosses a batch boundary and a 256-row block boundary
+
+
+def reference_steps(rng, spec, shape):
+    """drift + scale*noise drawn as one array."""
+    if spec.step == "gaussian":
+        noise = spec.scale * rng.standard_normal(shape)
+    elif spec.step == "rademacher":
+        noise = spec.scale * (2.0 * rng.integers(0, 2, size=shape) - 1.0)
+    else:
+        noise = rng.uniform(-spec.scale, spec.scale, size=shape)
+    return spec.drift + noise
+
+
+def reference_paths(spec, trials):
+    """Each batch's walks as one (count, n) array of prefix sums."""
+    children = np.random.SeedSequence(spec.seed).spawn(-(-trials // BATCH))
+    for k, child in enumerate(children):
+        shape = (min(BATCH, trials - k * BATCH), spec.n)
+        yield np.cumsum(reference_steps(np.random.default_rng(child), spec, shape), axis=1)
+
+
+def reference_estimates(spec, taus, trials, accept):
+    crossed = np.zeros(len(taus), dtype=np.int64)
+    accepted = 0
+    for paths in reference_paths(spec, trials):
+        kept = accept(paths)
+        accepted += kept.shape[0]
+        if spec.n > 1 and kept.shape[0]:
+            path_max = kept[:, :-1].max(axis=1)
+            crossed += [int((path_max >= tau).sum()) for tau in taus]
+    out = []
+    for c in crossed:
+        p = int(c) / accepted
+        out.append(CrossingEstimate(p, trials, accepted, math.sqrt(p * (1.0 - p) / accepted)))
+    return out
+
+
+def reference_stopping_time(spec, tau, trials):
+    times, endpoints = [], []
+    censored = 0
+    for paths in reference_paths(spec, trials):
+        hit = paths >= tau
+        any_hit = hit.any(axis=1)
+        t = np.where(any_hit, hit.argmax(axis=1) + 1, spec.n)
+        censored += int((~any_hit).sum())
+        times.append(t)
+        endpoints.append(paths[np.arange(paths.shape[0]), t - 1])
+    times, endpoints = np.concatenate(times), np.concatenate(endpoints)
+    residual = endpoints - times * spec.drift
+    return StoppingTimeSummary(
+        tau=tau,
+        mean_time=float(times.mean()),
+        se_time=float(times.std(ddof=1) / math.sqrt(trials)),
+        median_time=float(np.median(times)),
+        max_time=int(times.max()),
+        censored_fraction=censored / trials,
+        mean_endpoint=float(endpoints.mean()),
+        wald_gap=float(residual.mean()),
+        wald_gap_se=float(residual.std(ddof=1) / math.sqrt(trials)),
+        trials=trials,
+    )
+
+
+STEPS = [("gaussian", 0.3), ("rademacher", 0.3), ("uniform", 0.5)]
+
+
+class TestWalkEngine:
+    @pytest.mark.parametrize("n", [1, 37])
+    @pytest.mark.parametrize("step,scale", STEPS)
+    def test_rejection_bridge_matches_whole_batch(self, step, scale, n):
+        spec = WalkSpec(n=n, step=step, scale=scale, seed=101 + n)
+        theta, band, taus = 0.05, 0.9 * scale * math.sqrt(n), [0.1, 0.4, 1.0]
+        got = empirical_bridge_crossing_grid(spec, taus, theta=theta, band=band, trials=TRIALS)
+        want = reference_estimates(spec, taus, TRIALS, lambda p: p[np.abs(p[:, -1] - theta) <= band])
+        assert got == want
+
+    @pytest.mark.parametrize("n", [1, 37])
+    def test_exact_bridge_matches_whole_batch(self, n):
+        spec = WalkSpec(n=n, step="gaussian", scale=0.3, seed=103 + n)
+        theta, taus = -0.05, [0.1, 0.4, 1.0]
+        frac = np.arange(1, n + 1) / n
+        got = empirical_bridge_crossing_grid(spec, taus, theta=theta, trials=TRIALS, mode="exact")
+        want = reference_estimates(spec, taus, TRIALS, lambda p: p - frac * (p[:, -1:] - theta))
+        assert got == want
+
+    @pytest.mark.parametrize("conditioning", ["pinned", "sign"])
+    @pytest.mark.parametrize("n", [1, 37])
+    @pytest.mark.parametrize("step,scale", STEPS)
+    def test_stop_error_grid_matches_whole_batch(self, step, scale, n, conditioning):
+        spec = WalkSpec(n=n, step=step, scale=scale, seed=107 + n)
+        theta, deltas = 0.02, [0.05, 0.2, 1.0]
+        taus = [
+            theta + crossing_magnitude(ConfidenceParams(delta=d, variance=spec.total_variance), conditioning)
+            for d in deltas
+        ]
+        got = empirical_stop_error_grid(spec, deltas, theta=theta, trials=TRIALS, conditioning=conditioning)
+        want = reference_estimates(spec, taus, TRIALS, lambda p: p[p[:, -1] < theta])
+        assert got == want
+
+    @pytest.mark.parametrize("n", [1, 37])
+    @pytest.mark.parametrize("step,scale", STEPS)
+    def test_stopping_time_matches_whole_batch(self, step, scale, n):
+        spec = WalkSpec(n=n, step=step, scale=scale, drift=0.15, seed=109 + n)
+        tau = crossing_magnitude(ConfidenceParams(delta=0.2, variance=spec.total_variance))
+        got = empirical_stopping_time(spec, 0.2, trials=TRIALS)
+        assert got == reference_stopping_time(spec, tau, TRIALS)
+        assert 0.0 < got.censored_fraction < 1.0
+
+    @pytest.mark.parametrize("step,scale", STEPS)
+    def test_simulate_walk_matches_whole_array(self, step, scale):
+        spec = WalkSpec(n=300, step=step, scale=scale, drift=-0.25, seed=113)
+        steps = reference_steps(np.random.default_rng(spec.seed), spec, spec.n)
+        assert simulate_walk(spec).tobytes() == np.cumsum(steps).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_results_independent_of_worker_count(self, monkeypatch, workers):
+        def run():
+            drifting = WalkSpec(n=50, step="rademacher", scale=0.2, drift=0.05, seed=127)
+            return (
+                empirical_stopping_time(drifting, 0.1, trials=3 * BATCH),
+                empirical_stop_error(WalkSpec(n=50, seed=131), 0.1, trials=3 * BATCH),
+            )
+
+        default = run()
+        monkeypatch.setattr(simulator, "_workers", lambda: workers)
+        # frequent thread switches interleave the batches as finely as possible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run() == default
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTheoryRows:
