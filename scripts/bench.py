@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Per-example predictor layer benchmark at fixed sizes and seeds.
+
+Times one attentive_predict or full_predict call at a time on generated
+models, and writes the medians as one labelled row of a BENCH_*.json file
+(a row with the same label is replaced, other rows are kept):
+
+    python scripts/bench.py --label change --out BENCH_4.json
+    python scripts/bench.py --label parent --src ../parent/src --out BENCH_4.json
+
+Models: coordinate models at n = 1k / 4k / 16k / 64k (dim n, terms in a
+seeded random order) and RBF models at n = 0.5k / 2k / 8k (dim 64, sigma 8).
+Each is called three ways on the same 16 examples: attentive with the
+no-stop sentinel tau = -inf, attentive with the lowest finite tau (checked
+at every term, never crossed) and full_predict. No early stop happens, so
+every call evaluates all n terms and the rows compare evaluation cost alone.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COORDINATE_N = (1000, 4000, 16000, 64000)
+RBF_N = (500, 2000, 8000)
+RBF_DIM = 64
+EXAMPLES = 16
+REPEATS = 5
+SEED = 20_240_004
+
+
+def _models():
+    import numpy as np
+
+    from stst import predictor
+
+    rng = np.random.default_rng(SEED)
+    for n in COORDINATE_N:
+        model = predictor.coordinate_model(
+            rng.standard_normal(n), mu=0.1 * rng.standard_normal(n), indices=rng.permutation(n), dim=n
+        )
+        yield f"coordinate n={n}", model, rng.standard_normal((EXAMPLES, n))
+    for n in RBF_N:
+        model = predictor.kernel_model(
+            rng.standard_normal(n),
+            rng.standard_normal((n, RBF_DIM)),
+            predictor.KernelSpec.rbf(math.sqrt(RBF_DIM)),
+            mu=0.1 * rng.standard_normal(n),
+        )
+        yield f"rbf n={n}", model, rng.standard_normal((EXAMPLES, RBF_DIM))
+
+
+def _call_ms(fn, X) -> dict:
+    """Median and quartiles of single-call wall times over REPEATS passes of X."""
+    times = []
+    for _ in range(REPEATS):
+        for x in X:
+            t0 = time.perf_counter()
+            fn(x)
+            times.append(time.perf_counter() - t0)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3, "calls": len(times)}
+
+
+def measure() -> dict:
+    from stst import predictor
+    from stst.core import Direction, StoppingRule
+
+    no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
+    never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)
+    rows = {}
+    for name, model, X in _models():
+        predictor.full_predict(model, X[0])  # warm caches and lazy imports
+        rows[f"{name} attentive tau=-inf"] = _call_ms(lambda x: predictor.attentive_predict(model, x, no_stop), X)
+        rows[f"{name} attentive tau=finite"] = _call_ms(
+            lambda x: predictor.attentive_predict(model, x, never_crossed), X
+        )
+        rows[f"{name} full"] = _call_ms(lambda x: predictor.full_predict(model, x), X)
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True, help="row label, e.g. parent or change")
+    parser.add_argument("--out", required=True, help="BENCH_*.json file to update")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="source tree whose stst is measured")
+    args = parser.parse_args()
+
+    sys.path.insert(0, args.src)
+    import numpy
+    import scipy
+
+    row = {
+        "label": args.label,
+        "environment": {
+            "machine": platform.machine(),
+            "cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+        },
+        "results": measure(),
+    }
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {
+        "layer": "predictor (per-example)",
+        "method": f"single-call wall time, median and quartiles over {REPEATS} passes of {EXAMPLES} examples",
+        "rows": [],
+    }
+    doc["rows"] = [r for r in doc["rows"] if r["label"] != args.label] + [row]
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    for name, r in row["results"].items():
+        print(f"{name:40s} {r['median_ms']:10.3f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

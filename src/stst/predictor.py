@@ -11,6 +11,11 @@ sum strictly beyond the rule's stop threshold; budgeted prediction always
 evaluates a fixed count. All evaluation paths share one accumulation scheme
 (sequential cumulative sum over term values), so reduced forms agree with the
 full predictor bit for bit.
+
+The per-example predictors are one scan over chunks of 128, 512, 2048, ...
+terms (one chunk when it cannot stop), each cumsummed with the running sum
+carried in. terms_evaluated counts terms up to the stop; the terms computed
+run to the end of the stop's chunk.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ __all__ = [
     "load_model",
 ]
 
-# Terms evaluated per lazy chunk in the per-example predictors. Large enough
-# to amortize numpy dispatch, small enough that an early stop saves real work
-# on kernel models.
-_CHUNK = 64
+# Per-example scan chunks: _FIRST_CHUNK terms, then _GROWTH times the last.
+# Each chunk pays 10-20 us of dispatch, so sizes must grow; a small first
+# chunk bounds the terms computed past an early stop. Picked by timing.
+_FIRST_CHUNK = 128
+_GROWTH = 4
 
 MODEL_FORMAT_VERSION = 1
 
@@ -200,16 +206,19 @@ def _check_x(model: WeightedModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.dim:
         raise ParameterError(f"feature vector must have shape ({model.dim},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ParameterError("feature vector has a NaN or infinite value")
     return x
 
 
 def _raw_chunk(model: WeightedModel, x: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Raw evaluator values for terms [a, b) on one example."""
+    """Raw evaluator values for terms [a, b) on one example, whatever a and b."""
     if model.indices is not None:
         return x[model.indices[a:b]]
     sv = model.support_vectors[a:b]
     if model.kernel.kind == "linear":
-        return sv @ x
+        # a BLAS gemv rounds a row differently with other rows around it
+        return np.einsum("ij,j->i", sv, x)
     sq = cdist(sv, x[None, :], "sqeuclidean")[:, 0]
     return np.exp(-sq / (2.0 * model.kernel.sigma**2))
 
@@ -231,6 +240,36 @@ def _label_at(score: float, theta: float) -> int:
     return 1 if score >= theta else -1
 
 
+def _scan(model, x, cap: int, low=-math.inf, high=math.inf, stride: int = 1) -> tuple[int, float]:
+    """(i, S_i) at the first count i divisible by stride with S_i outside [low, high], else (cap, S_cap).
+
+    Chunks follow the schedule above, or are one chunk when nothing can
+    stop. Carrying the running sum into a chunk's first value makes its
+    cumsum the same additions, fl(S + v), as one whole-vector cumsum.
+    """
+    stops = low > -math.inf or high < math.inf
+    size = _FIRST_CHUNK if stops else cap
+    carry = -0.0  # the additive identity: -0.0 + v is v, even for v = -0.0
+    a = 0
+    while True:
+        b = min(a + size, cap)
+        seg = _term_chunk(model, x, a, b)
+        seg[0] += carry
+        np.cumsum(seg, out=seg)
+        if stops:
+            first = (-a - 1) % stride  # offset of the first count in the chunk divisible by stride
+            view = seg[first::stride]
+            crossed = (view < low) | (view > high)
+            if crossed.any():
+                k = first + int(crossed.argmax()) * stride
+                return a + k + 1, float(seg[k])
+        if b == cap:
+            return cap, float(seg[-1])
+        carry = seg[-1]
+        a = b
+        size *= _GROWTH
+
+
 def attentive_predict(
     model: WeightedModel,
     x,
@@ -245,42 +284,19 @@ def attentive_predict(
     at term counts divisible by c, which can only delay stopping. A crossing
     first seen at the final term is not an early stop: all terms were already
     evaluated, so the full score and sign label are reported.
+
+    terms_evaluated is the stop position, the paper's cost; up to one chunk
+    of terms past it may have been computed.
     """
     x = _check_x(model, x)
     if check_stride < 1:
         raise ParameterError(f"check_stride must be >= 1, got {check_stride}")
-    n = model.n
     below = rule.direction is Direction.REJECT_BELOW
-    values = np.empty(n, dtype=np.float64)
-    filled = 0
-    while filled < n:
-        b = min(filled + _CHUNK, n)
-        values[filled:b] = _term_chunk(model, x, filled, b)
-        if not rule.never_stops:
-            # prefix over everything so far keeps sequential summation order
-            prefix = np.cumsum(values[:b])
-            seg = prefix[filled:b]
-            crossed = seg < rule.tau if below else seg > rule.tau
-            # 1-based term counts for this segment; only i < n can stop early
-            counts = np.arange(filled + 1, b + 1)
-            crossed &= (counts % check_stride == 0) & (counts < n)
-            hit = np.nonzero(crossed)[0]
-            if hit.size:
-                i = int(counts[hit[0]])
-                return Prediction(
-                    label=-1 if below else 1,
-                    reported_score=rule.tau,
-                    terms_evaluated=i,
-                    stopped_early=True,
-                )
-        filled = b
-    score = float(np.cumsum(values)[-1])
-    return Prediction(
-        label=_label_at(score, rule.theta),
-        reported_score=score,
-        terms_evaluated=n,
-        stopped_early=False,
-    )
+    low, high = (rule.tau, math.inf) if below else (-math.inf, rule.tau)
+    i, score = _scan(model, x, model.n, low, high, check_stride)
+    if i < model.n:
+        return Prediction(-1 if below else 1, rule.tau, i, True)
+    return Prediction(_label_at(score, rule.theta), score, i, False)
 
 
 def two_sided_predict(
@@ -299,31 +315,11 @@ def two_sided_predict(
     if below.theta != above.theta:
         raise ParameterError("two-sided rules must share theta")
     x = _check_x(model, x)
-    n = model.n
-    values = np.empty(n, dtype=np.float64)
-    filled = 0
-    while filled < n:
-        b = min(filled + _CHUNK, n)
-        values[filled:b] = _term_chunk(model, x, filled, b)
-        prefix = np.cumsum(values[:b])
-        seg = prefix[filled:b]
-        counts = np.arange(filled + 1, b + 1)
-        live = counts < n
-        low = (seg < below.tau) & live
-        high = (seg > above.tau) & live
-        hit = np.nonzero(low | high)[0]
-        if hit.size:
-            k = hit[0]
-            stopped_low = bool(low[k])
-            return Prediction(
-                label=-1 if stopped_low else 1,
-                reported_score=below.tau if stopped_low else above.tau,
-                terms_evaluated=int(counts[k]),
-                stopped_early=True,
-            )
-        filled = b
-    score = float(np.cumsum(values)[-1])
-    return Prediction(_label_at(score, below.theta), score, n, False)
+    i, score = _scan(model, x, model.n, below.tau, above.tau)
+    if i < model.n:
+        stopped_low = score < below.tau
+        return Prediction(-1 if stopped_low else 1, below.tau if stopped_low else above.tau, i, True)
+    return Prediction(_label_at(score, below.theta), score, i, False)
 
 
 def budgeted_predict(model: WeightedModel, x, b: int, theta: float) -> Prediction:
@@ -332,19 +328,8 @@ def budgeted_predict(model: WeightedModel, x, b: int, theta: float) -> Predictio
     n = model.n
     if not 1 <= b <= n:
         raise ParameterError(f"budget must be in [1, {n}], got {b}")
-    values = np.empty(b, dtype=np.float64)
-    filled = 0
-    while filled < b:
-        hi = min(filled + _CHUNK, b)
-        values[filled:hi] = _term_chunk(model, x, filled, hi)
-        filled = hi
-    score = float(np.cumsum(values)[-1])
-    return Prediction(
-        label=_label_at(score, theta),
-        reported_score=score,
-        terms_evaluated=b,
-        stopped_early=b < n,
-    )
+    _, score = _scan(model, x, b)
+    return Prediction(_label_at(score, theta), score, b, b < n)
 
 
 def full_predict(model: WeightedModel, x, theta: float | None = None) -> Prediction:
@@ -378,6 +363,8 @@ def _check_X(model: WeightedModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ParameterError(f"feature matrix must have shape (m, {model.dim}), got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ParameterError("feature matrix has a NaN or infinite value")
     return X
 
 

@@ -25,6 +25,7 @@ and are identical, bit for bit, for any number of workers.
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,6 +51,9 @@ __all__ = [
 
 _BATCH = 4096  # trials per seed child: fixes which stream draws which trial
 _BLOCK_ROWS = 256  # rows of prefix sums held at once by one worker
+# rows the exact bridge shifts at once through a per-worker scratch; a
+# block-sized scratch would add a block per worker to the peak memory
+_SHIFT_ROWS = 32
 
 _STEP_KINDS = ("gaussian", "rademacher", "uniform")
 
@@ -261,10 +265,15 @@ def empirical_bridge_crossing_grid(
 
     if mode == "exact":
         frac = (np.arange(1, spec.n + 1) / spec.n)[:-1]
+        local = threading.local()  # each worker thread reuses its own scratch rows
 
         def accept(paths):
             # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta)
-            paths[:, :-1] -= frac * (paths[:, -1:] - theta)
+            if not hasattr(local, "scratch"):
+                local.scratch = np.empty((_SHIFT_ROWS, spec.n - 1))
+            for start in range(0, len(paths), _SHIFT_ROWS):
+                rows = paths[start : start + _SHIFT_ROWS]
+                rows[:, :-1] -= np.multiply(frac, rows[:, -1:] - theta, out=local.scratch[: len(rows)])
             return slice(None)
 
     else:

@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from stst import (
 )
 from stst.errors import ModelFormatError, ParameterError
 from stst.predictor import (
+    _FIRST_CHUNK,
+    _GROWTH,
     attentive_from_prefix,
     budgeted_from_prefix,
     full_from_prefix,
@@ -266,6 +270,164 @@ class TestTwoSided:
             two_sided_predict(model, np.zeros(1), below, above)
 
 
+CHUNK_SIZES_N = (1, 63, 64, 65, 129, 1000, 4097)
+KINDS = ("coordinate", "rbf", "linear")
+LOWEST_FINITE = -sys.float_info.max
+
+
+def chunk_ends(n):
+    """Term counts at which the per-example scan's chunks end (last one is n)."""
+    ends, size = [], _FIRST_CHUNK
+    while not ends or ends[-1] < n:
+        ends.append(min((ends[-1] if ends else 0) + size, n))
+        size *= _GROWTH
+    return ends
+
+
+def split_prefix(model, x):
+    """Reference prefix: every term evaluated on its own, then one whole-vector cumsum."""
+    return np.cumsum([score_term(model, i, x) for i in range(model.n)])
+
+
+def first_crossing(prefix, low, high, stride=1):
+    """Reference stop: first count i < n divisible by stride with S_i outside [low, high]."""
+    n = len(prefix)
+    for i in range(stride, n, stride):
+        if prefix[i - 1] < low or prefix[i - 1] > high:
+            return i, prefix[i - 1]
+    return n, prefix[-1]
+
+
+def monotone_model(rng, kind, n, sign):
+    """Model whose every term value has the given sign, so S_i is strictly monotone."""
+    base = random_model(rng, kind, n=n)
+    weights = sign * (0.1 + np.abs(rng.standard_normal(n)))
+    return replace(base, weights=weights, mu=np.full(n, -100.0))
+
+
+def bits(p):
+    return (p.label, float(p.reported_score).hex(), p.terms_evaluated, p.stopped_early)
+
+
+class TestChunkBoundaries:
+    """The chunked scan against a term-by-term reference, bit for bit (==)."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", CHUNK_SIZES_N)
+    def test_all_paths_match_reference(self, kind, n):
+        rng = np.random.default_rng(1000 + n)
+        model = random_model(rng, kind, n=n)
+        for _ in range(2):
+            x = rng.standard_normal(model.dim)
+            prefix = split_prefix(model, x)
+            full = full_predict(model, x, 0.0)
+            assert full.reported_score == prefix[-1]
+            assert full.label == (1 if prefix[-1] >= 0.0 else -1)
+            for b in sorted({1, 63, 64, 65, n} & set(range(1, n + 1))):
+                assert budgeted_predict(model, x, b, 0.0).reported_score == prefix[b - 1]
+            never = StoppingRule(0.0, LOWEST_FINITE, Direction.REJECT_BELOW)
+            assert bits(attentive_predict(model, x, never)) == bits(full)
+            assert bits(attentive_predict(model, x, NO_STOP)) == bits(full)
+            # taus at the 30th and 70th percentile of the walk stop somewhere inside it
+            low = min(float(np.percentile(prefix, 30)), -1e-3)
+            high = max(float(np.percentile(prefix, 70)), 1e-3)
+            below = StoppingRule(0.0, low, Direction.REJECT_BELOW)
+            above = StoppingRule(0.0, high, Direction.REJECT_ABOVE)
+            for stride in (1, 2, 3, 64):
+                i, s = first_crossing(prefix, low, math.inf, stride)
+                p = attentive_predict(model, x, below, check_stride=stride)
+                assert p.terms_evaluated == i
+                assert p.reported_score == (low if i < n else s)
+                i, s = first_crossing(prefix, -math.inf, high, stride)
+                p = attentive_predict(model, x, above, check_stride=stride)
+                assert p.terms_evaluated == i
+                assert p.reported_score == (high if i < n else s)
+            i, s = first_crossing(prefix, low, high)
+            p = two_sided_predict(model, x, below, above)
+            assert p.terms_evaluated == i
+            assert p.reported_score == (s if i == n else low if s < low else high)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", (65, 129, 1000, 4097))
+    def test_crossing_on_chunk_boundary(self, kind, n):
+        rng = np.random.default_rng(2000 + n)
+        ends = chunk_ends(n)
+        targets = sorted({c + d for c in ends for d in (-1, 0, 1)} & set(range(2, n)))
+        assert targets
+        for sign, direction in ((-1.0, Direction.REJECT_BELOW), (1.0, Direction.REJECT_ABOVE)):
+            model = monotone_model(rng, kind, n, sign)
+            x = rng.standard_normal(model.dim)
+            prefix = split_prefix(model, x)
+            assert np.all(sign * np.diff(prefix) > 0.0)
+            for c in targets:
+                # tau strictly between S_{c-1} and S_c: the first crossing is at c
+                tau = 0.5 * (prefix[c - 2] + prefix[c - 1])
+                rule = StoppingRule(0.0, tau, direction)
+                for stride in (1, 2, 3, 64):
+                    expect = -(-c // stride) * stride  # first multiple of stride >= c
+                    p = attentive_predict(model, x, rule, check_stride=stride)
+                    if expect < n:
+                        assert (p.terms_evaluated, p.stopped_early, p.reported_score) == (expect, True, tau)
+                    else:
+                        assert bits(p) == bits(full_predict(model, x, 0.0))
+                if sign < 0:
+                    two = two_sided_predict(model, x, rule, StoppingRule(0.0, -LOWEST_FINITE, Direction.REJECT_ABOVE))
+                else:
+                    two = two_sided_predict(model, x, StoppingRule(0.0, LOWEST_FINITE, Direction.REJECT_BELOW), rule)
+                assert (two.terms_evaluated, two.reported_score) == (c, tau)
+
+    def test_negative_zero_sum_keeps_its_sign(self):
+        # the whole-vector cumsum of [-0.0] is -0.0; the carried sum must not turn it into +0.0
+        model = coordinate_model([1.0, 1.0], dim=2)
+        assert math.copysign(1.0, full_predict(model, np.array([-0.0, -0.0])).reported_score) == -1.0
+        assert math.copysign(1.0, budgeted_predict(model, np.array([-0.0, 5.0]), 1, 0.0).reported_score) == -1.0
+
+    def test_split_independent_term_values(self):
+        # every term value is the same whether evaluated alone or in one whole-vector call
+        rng = np.random.default_rng(41)
+        for kind in KINDS:
+            for dim in (1, 2, 7, 64, 300):
+                model = random_model(rng, kind, n=130, dim=dim)
+                X = rng.standard_normal((3, model.dim))
+                for x in X:
+                    alone = [score_term(model, i, x) for i in range(model.n)]
+                    whole = full_predict(model, x, 0.0).reported_score
+                    assert np.cumsum(alone)[-1] == whole
+
+
+class TestNonFiniteFeatures:
+    BAD = (math.nan, math.inf, -math.inf)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", BAD)
+    def test_per_example_entry_points_reject(self, kind, bad):
+        model = random_model(np.random.default_rng(3), kind, n=5)
+        x = np.zeros(model.dim)
+        x[-1] = bad
+        below = StoppingRule(0.0, -1.0, Direction.REJECT_BELOW)
+        above = StoppingRule(0.0, 1.0, Direction.REJECT_ABOVE)
+        calls = (
+            lambda: score_term(model, 0, x),
+            lambda: attentive_predict(model, x, below),
+            lambda: attentive_predict(model, x, NO_STOP),
+            lambda: two_sided_predict(model, x, below, above),
+            lambda: budgeted_predict(model, x, 1, 0.0),
+            lambda: full_predict(model, x),
+        )
+        for call in calls:
+            with pytest.raises(ParameterError, match="NaN or infinite"):
+                call()
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_batch_entry_points_reject(self, bad):
+        model = random_model(np.random.default_rng(3), "rbf", n=5)
+        X = np.zeros((4, model.dim))
+        X[2, 0] = bad
+        for fn in (term_matrix, prefix_score_matrix):
+            with pytest.raises(ParameterError, match="NaN or infinite"):
+                fn(model, X)
+
+
 class TestPermuteTerms:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -308,25 +470,39 @@ class TestBatchPaths:
 
     @pytest.mark.parametrize("kind", ["coordinate", "rbf"])
     def test_batch_agrees_with_per_example(self, kind):
+        # n = 300 spans several scan chunks; the batch path is one whole-matrix cumsum
         rng = np.random.default_rng(13)
-        model = random_model(rng, kind, n=20)
+        n = 300
+        model = random_model(rng, kind, n=n)
         X = rng.standard_normal((15, model.dim))
         prefix = prefix_score_matrix(model, X)
-        rule = StoppingRule(0.0, -0.7, Direction.REJECT_BELOW)
+        # tau at the median of the rows' lowest partial sums: about half the rows stop
+        tau = float(np.median(prefix[:, :-1].min(axis=1)))
+        rule = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
         batch = attentive_from_prefix(prefix, rule)
-        for j, x in enumerate(X):
-            solo = attentive_predict(model, x, rule)
-            assert batch[j].label == solo.label
-            assert batch[j].terms_evaluated == solo.terms_evaluated
-            assert batch[j].stopped_early == solo.stopped_early
-            assert batch[j].reported_score == pytest.approx(solo.reported_score, rel=1e-12)
         full_batch = full_from_prefix(prefix, 0.0)
-        bud_batch = budgeted_from_prefix(prefix, 3, 0.0)
+        assert {p.stopped_early for p in batch} == {True, False}
         for j, x in enumerate(X):
-            assert full_batch[j].label == full_predict(model, x, 0.0).label
-            assert bud_batch[j].reported_score == pytest.approx(
-                budgeted_predict(model, x, 3, 0.0).reported_score, rel=1e-12
-            )
+            assert bits(batch[j]) == bits(attentive_predict(model, x, rule))
+            assert bits(full_batch[j]) == bits(full_predict(model, x, 0.0))
+            for b in (3, 64, 65, 200):
+                assert bits(budgeted_from_prefix(prefix, b, 0.0)[j]) == bits(budgeted_predict(model, x, b, 0.0))
+
+    def test_batch_linear_kernel_within_dot_product_rounding(self):
+        # The batch linear kernel is one gemm (X @ sv.T) and the per-example one
+        # an einsum per row; they round differently. Each dot product is within
+        # dim * eps * sum_j |sv_ij x_j| of the exact value and each running sum
+        # within n * eps * sum_i |value_i|, so two evaluations of S_i differ by
+        # at most 2 * (dim + n) * eps * sum_i |w_i| (sum_j |sv_ij x_j| + |mu_i|).
+        rng = np.random.default_rng(13)
+        model = random_model(rng, "linear", n=300, dim=40)
+        X = rng.standard_normal((15, model.dim))
+        prefix = prefix_score_matrix(model, X)
+        eps = np.finfo(np.float64).eps
+        scale = np.cumsum(np.abs(model.weights) * (np.abs(X) @ np.abs(model.support_vectors).T + np.abs(model.mu)), axis=1)
+        for j, x in enumerate(X):
+            solo = np.array([budgeted_predict(model, x, b, 0.0).reported_score for b in range(1, model.n + 1)])
+            assert np.all(np.abs(solo - prefix[j]) <= 2 * (model.dim + model.n) * eps * scale[j])
 
     def test_term_matrix_matches_score_term(self):
         rng = np.random.default_rng(17)

@@ -347,6 +347,24 @@ class TestWalkEngine:
             sys.setswitchinterval(interval)
 
 
+    def test_exact_bridge_scratch_is_per_thread(self, monkeypatch):
+        # each worker shifts its block through its own scratch rows; a block
+        # shifted with another thread's values would move the maxima
+        spec = WalkSpec(n=400, seed=137)
+
+        def run():
+            return empirical_bridge_crossing_grid(spec, [0.5, 1.0], trials=6 * BATCH, mode="exact")
+
+        monkeypatch.setattr(simulator, "_workers", lambda: 1)
+        serial = run()
+        monkeypatch.setattr(simulator, "_workers", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run() == serial
+        finally:
+            sys.setswitchinterval(interval)
+
 class TestTheoryRows:
     def test_csv_layout(self):
         import io
