@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Per-example predictor layer benchmark at fixed sizes and seeds.
+"""Predictor and sweep layer benchmark at fixed sizes and seeds.
 
-Times one attentive_predict or full_predict call at a time on generated
-models, and writes the medians as one labelled row of a BENCH_*.json file
-(a row with the same label is replaced, other rows are kept):
+Times one call at a time on generated models and data, and writes the
+medians as one labelled row of a BENCH_*.json file (a row with the same
+label is replaced, other rows are kept):
 
-    python scripts/bench.py --label change --out BENCH_4.json
-    python scripts/bench.py --label parent --src ../parent/src --out BENCH_4.json
+    python scripts/bench.py --label change --out BENCH_5.json
+    python scripts/bench.py --label parent --src ../parent/src --out BENCH_5.json
 
 Models: coordinate models at n = 1k / 4k / 16k / 64k (dim n, terms in a
 seeded random order) and RBF models at n = 0.5k / 2k / 8k (dim 64, sigma 8).
@@ -14,6 +14,12 @@ Each is called three ways on the same 16 examples: attentive with the
 no-stop sentinel tau = -inf, attentive with the lowest finite tau (checked
 at every term, never crossed) and full_predict. No early stop happens, so
 every call evaluates all n terms and the rows compare evaluation cost alone.
+
+Batch rows: on a fixed prefix matrix (coordinate model, m = 10000 examples,
+n = 1000 terms), attentive_from_prefix with tau at the median of the rows'
+lowest partial sums (about half the rows stop) and budgeted_from_prefix at
+b = n/2; and run_sweep with grid 50 at m = 2000, n = 200 and m = 10000,
+n = 1000 (SWEEP_REPEATS calls each).
 """
 
 import argparse
@@ -33,6 +39,9 @@ RBF_DIM = 64
 EXAMPLES = 16
 REPEATS = 5
 SEED = 20_240_004
+BATCH_M, BATCH_N = 10_000, 1_000
+SWEEP_SIZES = ((2_000, 200), (10_000, 1_000))
+SWEEP_REPEATS = 3
 
 
 def _models():
@@ -56,10 +65,23 @@ def _models():
         yield f"rbf n={n}", model, rng.standard_normal((EXAMPLES, RBF_DIM))
 
 
-def _call_ms(fn, X) -> dict:
-    """Median and quartiles of single-call wall times over REPEATS passes of X."""
+def _sweep_inputs(rng, m: int, n: int):
+    """A coordinate model with nonzero mu and a dense test set labelled by it plus noise."""
+    import numpy as np
+
+    from stst import data, predictor
+
+    weights = rng.standard_normal(n) / math.sqrt(n)
+    model = predictor.coordinate_model(weights, mu=0.1 * rng.standard_normal(n), dim=n)
+    X = rng.standard_normal((m, n))
+    y = np.where(X @ weights + 0.3 * rng.standard_normal(m) >= 0.0, 1, -1)
+    return model, data.Dataset(X=X, y=y)
+
+
+def _call_ms(fn, X, repeats: int = REPEATS) -> dict:
+    """Median and quartiles of single-call wall times over repeats passes of X."""
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         for x in X:
             t0 = time.perf_counter()
             fn(x)
@@ -69,7 +91,9 @@ def _call_ms(fn, X) -> dict:
 
 
 def measure() -> dict:
-    from stst import predictor
+    import numpy as np
+
+    from stst import bench, predictor
     from stst.core import Direction, StoppingRule
 
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
@@ -82,6 +106,23 @@ def measure() -> dict:
             lambda x: predictor.attentive_predict(model, x, never_crossed), X
         )
         rows[f"{name} full"] = _call_ms(lambda x: predictor.full_predict(model, x), X)
+
+    rng = np.random.default_rng(SEED + 1)
+    model, test = _sweep_inputs(rng, BATCH_M, BATCH_N)
+    prefix = predictor.prefix_score_matrix(model, test.X)
+    tau = float(np.median(prefix[:, :-1].min(axis=1)))
+    rule = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
+    size = f"m={BATCH_M} n={BATCH_N}"
+    rows[f"attentive_from_prefix {size}"] = _call_ms(lambda p: predictor.attentive_from_prefix(p, rule), [prefix])
+    rows[f"budgeted_from_prefix {size} b={BATCH_N // 2}"] = _call_ms(
+        lambda p: predictor.budgeted_from_prefix(p, BATCH_N // 2, 0.0), [prefix]
+    )
+    del prefix
+    for m, n in SWEEP_SIZES:
+        model, test = _sweep_inputs(rng, m, n)
+        rows[f"run_sweep grid=50 m={m} n={n}"] = _call_ms(
+            lambda t: bench.run_sweep(model, t, 0.0, grid=50), [test], SWEEP_REPEATS
+        )
     return rows
 
 
@@ -109,8 +150,11 @@ def main() -> int:
     }
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {
-        "layer": "predictor (per-example)",
-        "method": f"single-call wall time, median and quartiles over {REPEATS} passes of {EXAMPLES} examples",
+        "layer": "predictor (per-example and batch), bench.run_sweep",
+        "method": (
+            f"single-call wall time, median and quartiles over {REPEATS} passes of {EXAMPLES} examples"
+            f" (batch: {REPEATS} calls, run_sweep: {SWEEP_REPEATS} calls)"
+        ),
         "rows": [],
     }
     doc["rows"] = [r for r in doc["rows"] if r["label"] != args.label] + [row]

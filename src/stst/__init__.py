@@ -16,6 +16,7 @@ from .core import (
 from .predictor import (
     KernelSpec,
     Prediction,
+    Predictions,
     WeightedModel,
     attentive_predict,
     budgeted_predict,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import measure_stop_error
-from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, expected_stop_bound
+from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude
 from .data import Dataset
 from .errors import ParameterError, UndefinedRateError
 from .predictor import (
@@ -83,10 +83,6 @@ def _confusion(pred_labels: np.ndarray, truth: np.ndarray) -> tuple[int, int, in
     return tp, fp, tn, fn
 
 
-def _labels(preds) -> np.ndarray:
-    return np.array([p.label for p in preds], dtype=np.int64)
-
-
 def _grid_values(prefix: np.ndarray, theta: float, grid) -> np.ndarray:
     low = float(prefix.min())
     if not low < theta:
@@ -126,11 +122,10 @@ def run_sweep(
     t0 = time.perf_counter()
     prefix = prefix_score_matrix(model, test.dense())
     n = prefix.shape[1]
-    full_preds = full_from_prefix(prefix, theta)
-    full_labels = _labels(full_preds)
+    full = full_from_prefix(prefix, theta)
     full_time = time.perf_counter() - t0
 
-    tp, fp, tn, fn = _confusion(full_labels, test.y)
+    tp, fp, tn, fn = _confusion(full.label, test.y)
     records = [
         SweepRecord(
             mode="full",
@@ -150,12 +145,11 @@ def run_sweep(
     for tau in _grid_values(prefix, theta, grid):
         t0 = time.perf_counter()
         rule = StoppingRule(theta=theta, tau=float(tau), direction=Direction.REJECT_BELOW)
-        att_preds = attentive_from_prefix(prefix, rule)
-        att_labels = _labels(att_preds)
-        mean_terms = float(np.mean([p.terms_evaluated for p in att_preds]))
-        att_err = measure_stop_error(att_preds, full_preds, condition)
+        att = attentive_from_prefix(prefix, rule)
+        mean_terms = float(np.mean(att.terms))
+        att_err = measure_stop_error(att, full, condition)
         att_time = time.perf_counter() - t0
-        tp, fp, tn, fn = _confusion(att_labels, test.y)
+        tp, fp, tn, fn = _confusion(att.label, test.y)
         records.append(
             SweepRecord(
                 mode="attentive",
@@ -174,11 +168,10 @@ def run_sweep(
 
         t0 = time.perf_counter()
         budget = min(max(round(mean_terms), 1), n)
-        bud_preds = budgeted_from_prefix(prefix, budget, theta)
-        bud_labels = _labels(bud_preds)
-        bud_err = measure_stop_error(bud_preds, full_preds, condition) if budget < n else 0.0
+        bud = budgeted_from_prefix(prefix, budget, theta)
+        bud_err = measure_stop_error(bud, full, condition) if budget < n else 0.0
         bud_time = time.perf_counter() - t0
-        tp, fp, tn, fn = _confusion(bud_labels, test.y)
+        tp, fp, tn, fn = _confusion(bud.label, test.y)
         records.append(
             SweepRecord(
                 mode="budgeted",
@@ -326,23 +319,7 @@ def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[Theory
     for tau, est in zip(config.bridge_taus, estimates):
         closed = math.exp(-2.0 * tau * tau)
         ok = abs(est.probability_hat - closed) <= max(0.02, 4.0 * est.standard_error)
-        results.append(
-            (
-                TheoryRow(
-                    experiment="bridge_crossing",
-                    n=config.n,
-                    delta=None,
-                    tau=float(tau),
-                    theta=0.0,
-                    trials=est.trials_used,
-                    accepted=est.accepted,
-                    estimate=est.probability_hat,
-                    stderr=est.standard_error,
-                    closed_form=closed,
-                ),
-                ok,
-            )
-        )
+        results.append((TheoryRow.crossing("bridge_crossing", config.n, None, float(tau), 0.0, est, closed), ok))
 
     # 2. sign-conditioned stop-error of the pinned placement vs nominal delta
     spec = WalkSpec(n=config.n, step="gaussian", scale=scale, seed=config.stop_error_seed)
@@ -352,23 +329,7 @@ def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[Theory
     for delta, est in zip(config.stop_error_deltas, estimates):
         tau = crossing_magnitude(ConfidenceParams(delta=delta, variance=spec.total_variance))
         ok = 0.5 * delta <= est.probability_hat <= 1.5 * delta
-        results.append(
-            (
-                TheoryRow(
-                    experiment="stop_error",
-                    n=config.n,
-                    delta=float(delta),
-                    tau=tau,
-                    theta=0.0,
-                    trials=est.trials_used,
-                    accepted=est.accepted,
-                    estimate=est.probability_hat,
-                    stderr=est.standard_error,
-                    closed_form=float(delta),
-                ),
-                ok,
-            )
-        )
+        results.append((TheoryRow.crossing("stop_error", config.n, float(delta), tau, 0.0, est, float(delta)), ok))
 
     # 3. stopping-time scaling, Wald identity, and the sqrt(n) slope
     log_n = []
@@ -382,29 +343,8 @@ def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[Theory
             seed=config.stopping_seed + i,
         )
         summary = empirical_stopping_time(spec, config.stopping_delta, trials=config.stopping_trials)
-        bound = expected_stop_bound(
-            ConfidenceParams(delta=config.stopping_delta, variance=spec.total_variance),
-            step_bound=spec.step_bound,
-            drift=spec.drift,
-        )
         censor_ok = summary.censored_fraction < 0.01
-        results.append(
-            (
-                TheoryRow(
-                    experiment="stopping_time",
-                    n=n,
-                    delta=config.stopping_delta,
-                    tau=summary.tau,
-                    theta=0.0,
-                    trials=summary.trials,
-                    accepted=summary.trials - round(summary.censored_fraction * summary.trials),
-                    estimate=summary.mean_time,
-                    stderr=summary.se_time,
-                    closed_form=bound,
-                ),
-                censor_ok,
-            )
-        )
+        results.append((TheoryRow.stopping_time(spec, config.stopping_delta, summary), censor_ok))
         wald_ok = abs(summary.wald_gap) <= 3.0 * summary.wald_gap_se
         results.append(
             (

@@ -8,13 +8,12 @@ walks like a bridge.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError
-from .predictor import Prediction, WeightedModel, term_matrix
+from .predictor import Predictions, WeightedModel, term_matrix
 
 __all__ = [
     "CalibrationReport",
@@ -120,15 +119,11 @@ def calibrate(
     return corrected, report
 
 
-def measure_stop_error(
-    attentive: Sequence[Prediction],
-    full: Sequence[Prediction],
-    condition: int,
-) -> float:
+def measure_stop_error(attentive: Predictions, full: Predictions, condition: int) -> float:
     """Fraction of condition-class examples flipped by early stopping.
 
-    Both lists must cover the same examples in the same order; the denominator
-    is the set of examples the full pass labeled as `condition`.
+    Both must cover the same examples in the same order; the denominator is
+    the set of examples the full pass labeled as `condition`.
     """
     if condition not in (1, -1):
         raise ParameterError(f"condition must be +1 or -1, got {condition!r}")
@@ -136,14 +131,9 @@ def measure_stop_error(
         raise ParameterError(
             f"prediction lists are misaligned: {len(attentive)} attentive vs {len(full)} full"
         )
-    denom = 0
-    flipped = 0
-    for a, f in zip(attentive, full):
-        if f.label != condition:
-            continue
-        denom += 1
-        if a.stopped_early and a.label != f.label:
-            flipped += 1
+    in_class = full.label == condition
+    denom = int(in_class.sum())
+    flipped = int((in_class & attentive.stopped & (attentive.label != condition)).sum())
     if denom == 0:
         raise UndefinedRateError(f"no examples with full label {condition:+d}; stop-error rate undefined")
     return flipped / denom

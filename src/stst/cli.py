@@ -9,12 +9,11 @@ given on the command line override the file.
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, calibration, data, simulator, trainer
-from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, expected_stop_bound
+from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude
 from .errors import ParameterError, StstError
 from .predictor import (
     attentive_from_prefix,
@@ -70,21 +69,21 @@ def _load_config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _open_output(path):
+@contextmanager
+def _output(path):
+    """The --output stream: stdout for None or "-", else the file, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as stream:
+            yield stream
 
 
 def _write_csv(path, header, rows) -> None:
-    stream, owned = _open_output(path)
-    try:
+    with _output(path) as stream:
         stream.write(",".join(header) + "\n")
         for row in rows:
             stream.write(",".join(row) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def _fmt(value) -> str:
@@ -125,8 +124,7 @@ def _cmd_train(args) -> int:
 
     def accuracy(ds):
         prefix = prefix_score_matrix(model, ds.dense())
-        labels = np.array([p.label for p in full_from_prefix(prefix, model.theta)])
-        return float((labels == ds.y).mean())
+        return float((full_from_prefix(prefix, model.theta).label == ds.y).mean())
 
     objective = trainer.hinge_objective(model, dataset, args.lambda_reg)
     row = [
@@ -195,12 +193,8 @@ def _cmd_sweep(args) -> int:
     records = bench.run_sweep(
         model, test, theta=args.theta, grid=grid, condition=_class_label(args.condition)
     )
-    stream, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         bench.sweep_csv(records, stream)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -215,14 +209,9 @@ def _cmd_pr(args) -> int:
         preds = attentive_from_prefix(prefix, rule)
     else:
         preds = full_from_prefix(prefix, args.theta)
-    scores = [p.reported_score for p in preds]
-    points = bench.precision_recall(scores, test.y)
-    stream, owned = _open_output(args.output)
-    try:
+    points = bench.precision_recall(preds.score, test.y)
+    with _output(args.output) as stream:
         bench.pr_csv(points, stream)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -242,12 +231,8 @@ def _cmd_theory(args) -> int:
         kwargs["stopping_seed"] = args.seed + 2
     config = bench.TheoryConfig(**kwargs)
     results = bench.run_theory_suite(config)
-    stream, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         bench.theory_csv(results, stream)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -260,66 +245,20 @@ def _cmd_simulate(args) -> int:
             spec, tau=args.tau, theta=args.theta, band=args.band, trials=args.trials, mode=args.mode
         )
         closed = math.exp(-2.0 * args.tau * (args.tau - args.theta) / spec.total_variance)
-        rows = [
-            simulator.TheoryRow(
-                experiment="bridge_crossing",
-                n=spec.n,
-                delta=None,
-                tau=args.tau,
-                theta=args.theta,
-                trials=est.trials_used,
-                accepted=est.accepted,
-                estimate=est.probability_hat,
-                stderr=est.standard_error,
-                closed_form=closed,
-            )
-        ]
+        row = simulator.TheoryRow.crossing("bridge_crossing", spec.n, None, args.tau, args.theta, est, closed)
     elif args.experiment == "stop-error":
         est = simulator.empirical_stop_error(spec, delta=args.delta, theta=args.theta, trials=args.trials)
         magnitude = crossing_magnitude(ConfidenceParams(delta=args.delta, variance=spec.total_variance))
-        rows = [
-            simulator.TheoryRow(
-                experiment="stop_error",
-                n=spec.n,
-                delta=args.delta,
-                tau=args.theta + magnitude,
-                theta=args.theta,
-                trials=est.trials_used,
-                accepted=est.accepted,
-                estimate=est.probability_hat,
-                stderr=est.standard_error,
-                # the reflection principle's rate under sign conditioning,
-                # 2*Phi(-2m/sd): what this pinned placement measures
-                closed_form=math.erfc(math.sqrt(2.0) * magnitude / math.sqrt(spec.total_variance)),
-            )
-        ]
+        # the reflection principle's rate under sign conditioning,
+        # 2*Phi(-2m/sd): what this pinned placement measures
+        closed = math.erfc(math.sqrt(2.0) * magnitude / math.sqrt(spec.total_variance))
+        tau = args.theta + magnitude
+        row = simulator.TheoryRow.crossing("stop_error", spec.n, args.delta, tau, args.theta, est, closed)
     else:  # stopping-time
         summary = simulator.empirical_stopping_time(spec, delta=args.delta, trials=args.trials)
-        bound = expected_stop_bound(
-            ConfidenceParams(delta=args.delta, variance=spec.total_variance),
-            step_bound=spec.step_bound,
-            drift=spec.drift,
-        )
-        rows = [
-            simulator.TheoryRow(
-                experiment="stopping_time",
-                n=spec.n,
-                delta=args.delta,
-                tau=summary.tau,
-                theta=0.0,
-                trials=summary.trials,
-                accepted=summary.trials - round(summary.censored_fraction * summary.trials),
-                estimate=summary.mean_time,
-                stderr=summary.se_time,
-                closed_form=bound,
-            )
-        ]
-    stream, owned = _open_output(args.output)
-    try:
-        simulator.write_theory_rows(rows, stream)
-    finally:
-        if owned:
-            stream.close()
+        row = simulator.TheoryRow.stopping_time(spec, args.delta, summary)
+    with _output(args.output) as stream:
+        simulator.write_theory_rows([row], stream)
     return 0
 
 

@@ -15,7 +15,9 @@ full predictor bit for bit.
 The per-example predictors are one scan over chunks of 128, 512, 2048, ...
 terms (one chunk when it cannot stop), each cumsummed with the running sum
 carried in. terms_evaluated counts terms up to the stop; the terms computed
-run to the end of the stop's chunk.
+run to the end of the stop's chunk. The batch predictors decide every row of
+a prefix-score matrix at once and return a Predictions struct of arrays; the
+first-crossing search is the same function in both.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "KernelSpec",
     "WeightedModel",
     "Prediction",
+    "Predictions",
     "coordinate_model",
     "kernel_model",
     "score_term",
@@ -127,7 +130,7 @@ class WeightedModel:
         else:
             if self.support_vectors is None or self.kernel is None:
                 raise ParameterError("kernel models need both support vectors and a kernel spec")
-            sv = np.asarray(self.support_vectors, dtype=np.float64)
+            sv = np.ascontiguousarray(self.support_vectors, dtype=np.float64)
             object.__setattr__(self, "support_vectors", sv)
             if sv.shape != (w.size, self.dim):
                 raise ParameterError(
@@ -202,13 +205,35 @@ class Prediction:
     stopped_early: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """Outcomes of a batch predict call: aligned arrays, one entry per row.
+
+    p[j] is row j's Prediction, and iterating yields them in row order.
+    """
+
+    label: np.ndarray  # (m,) int64, +1 or -1
+    score: np.ndarray  # (m,) float64, the reported score
+    terms: np.ndarray  # (m,) int64, terms evaluated
+    stopped: np.ndarray  # (m,) bool, stopped early
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __getitem__(self, j) -> Prediction:
+        return Prediction(int(self.label[j]), float(self.score[j]), int(self.terms[j]), bool(self.stopped[j]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 def _check_x(model: WeightedModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.dim:
         raise ParameterError(f"feature vector must have shape ({model.dim},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ParameterError("feature vector has a NaN or infinite value")
-    return x
+    return np.ascontiguousarray(x)  # einsum's additions follow the strides
 
 
 def _raw_chunk(model: WeightedModel, x: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -240,6 +265,17 @@ def _label_at(score: float, theta: float) -> int:
     return 1 if score >= theta else -1
 
 
+def _first_crossing(S: np.ndarray, start: int, low, high, stride: int):
+    """Along S's last axis: (any, k) for the first offset k whose count
+    start + k + 1 is divisible by stride and whose S[..., k] lies outside
+    [low, high]. S is one 1-d chunk or a 2-d prefix matrix; k is 0-based."""
+    first = (-start - 1) % stride  # offset of the first count divisible by stride
+    view = S[..., first::stride]
+    crossed = view < low if high == math.inf else (view < low) | (view > high)
+    k = first + crossed.argmax(axis=-1) * stride if crossed.shape[-1] else first  # empty: no count checked
+    return crossed.any(axis=-1), k
+
+
 def _scan(model, x, cap: int, low=-math.inf, high=math.inf, stride: int = 1) -> tuple[int, float]:
     """(i, S_i) at the first count i divisible by stride with S_i outside [low, high], else (cap, S_cap).
 
@@ -257,12 +293,9 @@ def _scan(model, x, cap: int, low=-math.inf, high=math.inf, stride: int = 1) -> 
         seg[0] += carry
         np.cumsum(seg, out=seg)
         if stops:
-            first = (-a - 1) % stride  # offset of the first count in the chunk divisible by stride
-            view = seg[first::stride]
-            crossed = (view < low) | (view > high)
-            if crossed.any():
-                k = first + int(crossed.argmax()) * stride
-                return a + k + 1, float(seg[k])
+            hit, k = _first_crossing(seg, a, low, high, stride)
+            if hit:
+                return a + int(k) + 1, float(seg[k])
         if b == cap:
             return cap, float(seg[-1])
         carry = seg[-1]
@@ -354,9 +387,10 @@ def permute_terms(model: WeightedModel, seed: int) -> WeightedModel:
 #
 # The sweep harness scores whole test sets at once: term_matrix builds the
 # (examples, terms) corrected value matrix, prefix_score_matrix its running
-# sums, and the *_from_prefix scanners turn one prefix matrix into Prediction
-# lists for any number of rules without re-evaluating terms. Rows are
-# independent, so these are safe to shard across workers.
+# sums, and the *_from_prefix functions decide every row of one prefix matrix
+# as a Predictions struct of arrays, for any number of rules, without
+# re-evaluating terms. Rows are independent, so these are safe to shard
+# across workers.
 
 
 def _check_X(model: WeightedModel, X) -> np.ndarray:
@@ -365,7 +399,7 @@ def _check_X(model: WeightedModel, X) -> np.ndarray:
         raise ParameterError(f"feature matrix must have shape (m, {model.dim}), got {X.shape}")
     if not np.isfinite(X).all():
         raise ParameterError("feature matrix has a NaN or infinite value")
-    return X
+    return np.ascontiguousarray(X)
 
 
 def term_matrix(model: WeightedModel, X) -> np.ndarray:
@@ -374,7 +408,8 @@ def term_matrix(model: WeightedModel, X) -> np.ndarray:
     if model.indices is not None:
         raw = X[:, model.indices]
     elif model.kernel.kind == "linear":
-        raw = X @ model.support_vectors.T
+        # the per-example einsum's additions, not a gemm's
+        raw = np.einsum("ij,kj->ki", model.support_vectors, X)
     else:
         sq = cdist(X, model.support_vectors, "sqeuclidean")
         raw = np.exp(-sq / (2.0 * model.kernel.sigma**2))
@@ -386,51 +421,46 @@ def prefix_score_matrix(model: WeightedModel, X) -> np.ndarray:
     return np.cumsum(term_matrix(model, X), axis=1)
 
 
-def attentive_from_prefix(
-    prefix: np.ndarray,
-    rule: StoppingRule,
-    check_stride: int = 1,
-) -> list[Prediction]:
+def _decide(prefix: np.ndarray, cap: int, low, high, stride: int, theta: float) -> Predictions:
+    """_scan and the per-example decisions, for every row of a prefix matrix.
+
+    A row stops at the first count i < cap divisible by stride with S_i
+    outside [low, high] and reports the side it crossed: -1 and low, or +1
+    and high. Any other row reports S_cap labelled against theta. stopped is
+    terms < n, so a budget below n counts as an early stop.
+    """
+    m, n = prefix.shape
+    terms = np.full(m, cap)
+    if low > -math.inf or high < math.inf:
+        hit, k = _first_crossing(prefix[:, :cap], 0, low, high, stride)
+        terms = np.where(hit, k + 1, cap)
+    s = prefix[np.arange(m), terms - 1]
+    early, below = terms < cap, s < low
+    return Predictions(
+        label=np.where(early, np.where(below, -1, 1), np.where(s >= theta, 1, -1)),
+        score=np.where(early, np.where(below, low, high), s),
+        terms=terms,
+        stopped=terms < n,
+    )
+
+
+def attentive_from_prefix(prefix: np.ndarray, rule: StoppingRule, check_stride: int = 1) -> Predictions:
     """Attentive predictions for every row of a prefix-score matrix."""
     if check_stride < 1:
         raise ParameterError(f"check_stride must be >= 1, got {check_stride}")
-    m, n = prefix.shape
-    below = rule.direction is Direction.REJECT_BELOW
-    full_scores = prefix[:, -1]
-    if rule.never_stops or n == 1:  # a single term can never stop early
-        stopped = np.zeros(m, dtype=bool)
-        first = np.ones(m, dtype=np.int64)
-    else:
-        crossed = prefix[:, : n - 1] < rule.tau if below else prefix[:, : n - 1] > rule.tau
-        if check_stride > 1:
-            counts = np.arange(1, n)
-            crossed = crossed & (counts % check_stride == 0)
-        stopped = crossed.any(axis=1)
-        first = crossed.argmax(axis=1) + 1  # 1-based term count, valid where stopped
-    out = []
-    stop_label = -1 if below else 1
-    for j in range(m):
-        if stopped[j]:
-            out.append(Prediction(stop_label, rule.tau, int(first[j]), True))
-        else:
-            s = float(full_scores[j])
-            out.append(Prediction(_label_at(s, rule.theta), s, n, False))
-    return out
+    low, high = (rule.tau, math.inf) if rule.direction is Direction.REJECT_BELOW else (-math.inf, rule.tau)
+    return _decide(prefix, prefix.shape[1], low, high, check_stride, rule.theta)
 
 
-def budgeted_from_prefix(prefix: np.ndarray, b: int, theta: float) -> list[Prediction]:
+def budgeted_from_prefix(prefix: np.ndarray, b: int, theta: float) -> Predictions:
     """Budgeted predictions at budget b for every row of a prefix matrix."""
-    m, n = prefix.shape
+    n = prefix.shape[1]
     if not 1 <= b <= n:
         raise ParameterError(f"budget must be in [1, {n}], got {b}")
-    scores = prefix[:, b - 1]
-    return [
-        Prediction(_label_at(float(s), theta), float(s), b, b < n)
-        for s in scores
-    ]
+    return _decide(prefix, b, -math.inf, math.inf, 1, theta)
 
 
-def full_from_prefix(prefix: np.ndarray, theta: float) -> list[Prediction]:
+def full_from_prefix(prefix: np.ndarray, theta: float) -> Predictions:
     return budgeted_from_prefix(prefix, prefix.shape[1], theta)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfidenceParams, crossing_magnitude
+from .core import ConfidenceParams, crossing_magnitude, expected_stop_bound
 from .errors import InsufficientAcceptanceError, ParameterError
 
 __all__ = [
@@ -442,6 +442,26 @@ class TheoryRow:
     estimate: float
     stderr: float
     closed_form: float
+
+    @classmethod
+    def crossing(cls, experiment: str, n: int, delta, tau, theta, est: CrossingEstimate, closed_form):
+        """A crossing-rate row; each caller supplies its own closed form."""
+        return cls(
+            experiment, n, delta, tau, theta, est.trials_used, est.accepted, est.probability_hat,
+            est.standard_error, closed_form,
+        )
+
+    @classmethod
+    def stopping_time(cls, spec: WalkSpec, delta: float, summary: StoppingTimeSummary):
+        """A stopping-time row against expected_stop_bound; censored walks are not accepted."""
+        bound = expected_stop_bound(
+            ConfidenceParams(delta=delta, variance=spec.total_variance), step_bound=spec.step_bound, drift=spec.drift
+        )
+        accepted = summary.trials - round(summary.censored_fraction * summary.trials)
+        return cls(
+            "stopping_time", spec.n, delta, summary.tau, 0.0, summary.trials, accepted, summary.mean_time,
+            summary.se_time, bound,
+        )
 
     def as_csv_fields(self) -> list[str]:
         return [

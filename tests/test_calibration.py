@@ -4,7 +4,7 @@ import pytest
 from stst import (
     Dataset,
     KernelSpec,
-    Prediction,
+    Predictions,
     calibrate,
     coordinate_model,
     estimate_mu,
@@ -129,35 +129,41 @@ class TestCalibrate:
         assert np.array_equal(corrected.mu, report.mu)
 
 
-def _pred(label, stopped, score=0.0, terms=1):
-    return Prediction(label=label, reported_score=score, terms_evaluated=terms, stopped_early=stopped)
+def _preds(*rows):
+    """Predictions from (label, stopped) pairs; scores and term counts are not read."""
+    return Predictions(
+        label=np.array([label for label, _ in rows], dtype=np.int64),
+        score=np.zeros(len(rows)),
+        terms=np.ones(len(rows), dtype=np.int64),
+        stopped=np.array([stopped for _, stopped in rows], dtype=bool),
+    )
 
 
 class TestMeasureStopError:
     def test_identical_lists_zero(self):
-        full = [_pred(1, False), _pred(-1, False), _pred(1, False)]
+        full = _preds((1, False), (-1, False), (1, False))
         assert measure_stop_error(full, full, condition=1) == 0.0
 
     def test_one_in_ten(self):
-        full = [_pred(1, False) for _ in range(10)]
-        attentive = [_pred(1, False) for _ in range(9)] + [_pred(-1, True)]
+        full = _preds(*[(1, False)] * 10)
+        attentive = _preds(*[(1, False)] * 9, (-1, True))
         assert measure_stop_error(attentive, full, condition=1) == pytest.approx(0.1)
 
     def test_non_stopped_disagreement_not_counted(self):
         # a label flip without an early stop is not a stop-error
-        full = [_pred(1, False)]
-        attentive = [_pred(-1, False)]
+        full = _preds((1, False))
+        attentive = _preds((-1, False))
         assert measure_stop_error(attentive, full, condition=1) == 0.0
 
     def test_misaligned(self):
         with pytest.raises(ParameterError):
-            measure_stop_error([_pred(1, False)], [], condition=1)
+            measure_stop_error(_preds((1, False)), _preds(), condition=1)
 
     def test_empty_denominator(self):
-        full = [_pred(-1, False)]
+        full = _preds((-1, False))
         with pytest.raises(UndefinedRateError):
             measure_stop_error(full, full, condition=1)
 
     def test_bad_condition(self):
         with pytest.raises(ParameterError):
-            measure_stop_error([], [], condition=0)
+            measure_stop_error(_preds(), _preds(), condition=0)

@@ -184,6 +184,38 @@ def test_theory_golden_digest(tmp_path):
     assert digest == "9f72bf816b7ea18c902ec969221e9b24cadffd93fc316fc63b07c5394a8f5211"
 
 
+# sha256 of the CSVs the per-row Prediction path wrote for the `pipeline`
+# fixture and the flags below. Captured by running
+#   PYTHONPATH=src python -m pytest tests/test_cli.py -k pipeline_golden
+# with PIPELINE_DIGESTS emptied, at the commit before batch predictions
+# became arrays: the failing assertion prints every digest.
+PIPELINE_DIGESTS = {
+    "train.csv": "38f97eff873a98e95df582f08b36143fa2ff14f724492ff3362f56e7daf859ad",
+    "cal.csv": "a2925372683103d038bc81a0245671f15a1b51aa9653c6ea1638c06436deb62d",
+    "sweep_50.csv": "eea23beccd79518d4e4e9c337902834f892d6b1f26b6761d77eac7a8edcbf5d2",
+    "sweep_exhaustive.csv": "6ab3b4a747c55c9ce798fffd9c4d6b041488639d6f19736acef543a55d5426ab",
+    "pr_full.csv": "0beb5bdbfeab4d08047695a092e138eed48af5876d7dc98bc80987f9231d2da7",
+    "pr_attentive.csv": "450d3bc8b68521ff0e67e2606ad4317963e49b8ea45e5519c9f2a85dd7d6d7ee",
+}
+
+
+def test_pipeline_golden_digests(pipeline, tmp_path):
+    root, calibrated, test_file = pipeline
+    common = ["--model", str(calibrated), "--data", str(test_file)]
+    runs = {
+        "sweep_50.csv": ["sweep", *common, "--grid", "50"],
+        "sweep_exhaustive.csv": ["sweep", *common, "--grid", "exhaustive"],
+        "pr_full.csv": ["pr", *common],
+        "pr_attentive.csv": ["pr", *common, "--mode", "attentive", "--tau", "-2.0"],
+    }
+    paths = {"train.csv": root / "train.csv", "cal.csv": root / "cal.csv"}
+    for name, argv in runs.items():
+        paths[name] = tmp_path / name
+        assert run(argv + ["-o", str(paths[name])]) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == PIPELINE_DIGESTS
+
+
 def test_theory_subcommand_quick(tmp_path):
     out = tmp_path / "theory.csv"
     code = run(

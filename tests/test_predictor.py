@@ -468,7 +468,7 @@ class TestBatchPaths:
         solo = attentive_predict(model, np.array([-5.0]), rule)
         assert not solo.stopped_early and solo.terms_evaluated == 1
 
-    @pytest.mark.parametrize("kind", ["coordinate", "rbf"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_batch_agrees_with_per_example(self, kind):
         # n = 300 spans several scan chunks; the batch path is one whole-matrix cumsum
         rng = np.random.default_rng(13)
@@ -488,21 +488,17 @@ class TestBatchPaths:
             for b in (3, 64, 65, 200):
                 assert bits(budgeted_from_prefix(prefix, b, 0.0)[j]) == bits(budgeted_predict(model, x, b, 0.0))
 
-    def test_batch_linear_kernel_within_dot_product_rounding(self):
-        # The batch linear kernel is one gemm (X @ sv.T) and the per-example one
-        # an einsum per row; they round differently. Each dot product is within
-        # dim * eps * sum_j |sv_ij x_j| of the exact value and each running sum
-        # within n * eps * sum_i |value_i|, so two evaluations of S_i differ by
-        # at most 2 * (dim + n) * eps * sum_i |w_i| (sum_j |sv_ij x_j| + |mu_i|).
+    def test_batch_linear_kernel_prefix_bit_exact(self):
+        # the batch and per-example linear kernels are the same einsum
+        # additions, whatever the memory order of the features
         rng = np.random.default_rng(13)
-        model = random_model(rng, "linear", n=300, dim=40)
+        model = random_model(rng, "linear", n=300, dim=300)
         X = rng.standard_normal((15, model.dim))
-        prefix = prefix_score_matrix(model, X)
-        eps = np.finfo(np.float64).eps
-        scale = np.cumsum(np.abs(model.weights) * (np.abs(X) @ np.abs(model.support_vectors).T + np.abs(model.mu)), axis=1)
-        for j, x in enumerate(X):
-            solo = np.array([budgeted_predict(model, x, b, 0.0).reported_score for b in range(1, model.n + 1)])
-            assert np.all(np.abs(solo - prefix[j]) <= 2 * (model.dim + model.n) * eps * scale[j])
+        for order in ("C", "F"):
+            prefix = prefix_score_matrix(model, np.asarray(X, order=order))
+            for j, x in enumerate(X):
+                solo = [budgeted_predict(model, x, b, 0.0).reported_score for b in range(1, model.n + 1)]
+                assert np.array_equal(solo, prefix[j])
 
     def test_term_matrix_matches_score_term(self):
         rng = np.random.default_rng(17)

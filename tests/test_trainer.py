@@ -155,6 +155,39 @@ class TestImportKernelModel:
         got = np.array([full_predict(model, x).reported_score for x in probe])
         assert np.allclose(got, margins, rtol=1e-6)
 
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    def test_numpy_oracle(self, tmp_path, kind):
+        # an exporter independent of stst: decision values sum_i a_i k(sv_i, x) + b
+        # from a plain double loop, bundled net of b (which theta carries)
+        rng = np.random.default_rng(47)
+        sv = rng.standard_normal((30, 5))
+        alpha = rng.standard_normal(30)
+        b, sigma = 0.3, 1.3
+        probe = rng.standard_normal((12, 5))
+        decision = np.empty(len(probe))
+        for j, x in enumerate(probe):
+            total = 0.0
+            for i, u in enumerate(sv):
+                if kind == "rbf":
+                    k = np.exp(-sum((ui - xi) ** 2 for ui, xi in zip(u, x)) / (2.0 * sigma**2))
+                else:
+                    k = sum(ui * xi for ui, xi in zip(u, x))
+                total += alpha[i] * k
+            decision[j] = total + b
+        spec = KernelSpec.rbf(sigma) if kind == "rbf" else KernelSpec.linear()
+        model = kernel_model(alpha, sv, spec, theta=-b)
+        path = tmp_path / "oracle.npz"
+        save_model(model, path, verify_inputs=probe, verify_scores=decision - b)
+        loaded = import_kernel_model(path)
+        got = np.array([full_predict(loaded, x).label for x in probe])
+        assert np.array_equal(got, np.where(decision >= 0.0, 1, -1))
+        perturbed = decision - b
+        perturbed[5] *= 1.0 + 1e-4
+        bad = tmp_path / "perturbed.npz"
+        save_model(model, bad, verify_inputs=probe, verify_scores=perturbed)
+        with pytest.raises(ModelFormatError, match="disagrees"):
+            import_kernel_model(bad)
+
     def test_verification_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(45)
         model = kernel_model(rng.standard_normal(4), rng.standard_normal((4, 2)), KernelSpec.linear())
