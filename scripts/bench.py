@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Predictor and sweep layer benchmark at fixed sizes and seeds.
+"""Layer benchmark of stst at fixed sizes and seeds.
 
 Times one call at a time on generated models and data, and writes the
 medians as one labelled row of a BENCH_*.json file (a row with the same
 label is replaced, other rows are kept):
 
-    python scripts/bench.py --label change --out BENCH_5.json
-    python scripts/bench.py --label parent --src ../parent/src --out BENCH_5.json
+    python scripts/bench.py --label change --out BENCH_6.json
+    python scripts/bench.py --label parent --src ../parent/src --out BENCH_6.json
 
 Models: coordinate models at n = 1k / 4k / 16k / 64k (dim n, terms in a
 seeded random order) and RBF models at n = 0.5k / 2k / 8k (dim 64, sigma 8).
@@ -20,9 +20,18 @@ n = 1000 terms), attentive_from_prefix with tau at the median of the rows'
 lowest partial sums (about half the rows stop) and budgeted_from_prefix at
 b = n/2; and run_sweep with grid 50 at m = 2000, n = 200 and m = 10000,
 n = 1000 (SWEEP_REPEATS calls each).
+
+Layer rows (LAYER_REPEATS calls each): on one sparse dataset of 4000 rows x
+2000 dims at 2% density (160k nonzeros, labels from a planted direction),
+parse_sparse of its text and serialize_sparse back to text; train_linear
+for one epoch on the dense and on the CSR copy; calibrate of the trained
+model on the CSR copy; term_matrix of coordinate, linear-kernel and RBF
+models at m = 2000 examples and n = 2000 terms (kernel dim 64); and the
+walk engine through empirical_stop_error at n = 1000, 16384 trials.
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -42,6 +51,10 @@ SEED = 20_240_004
 BATCH_M, BATCH_N = 10_000, 1_000
 SWEEP_SIZES = ((2_000, 200), (10_000, 1_000))
 SWEEP_REPEATS = 3
+LAYER_M, LAYER_DIM, LAYER_DENSITY = 4_000, 2_000, 0.02
+LAYER_REPEATS = 3
+TERM_M, TERM_N = 2_000, 2_000
+WALK_N, WALK_TRIALS = 1_000, 16_384
 
 
 def _models():
@@ -76,6 +89,64 @@ def _sweep_inputs(rng, m: int, n: int):
     X = rng.standard_normal((m, n))
     y = np.where(X @ weights + 0.3 * rng.standard_normal(m) >= 0.0, 1, -1)
     return model, data.Dataset(X=X, y=y)
+
+
+def _layer_dataset(rng):
+    """CSR dataset with 160k nonzeros, labelled by a planted direction plus noise."""
+    import numpy as np
+    from scipy import sparse
+
+    from stst import data
+
+    X = sparse.random(
+        LAYER_M, LAYER_DIM, density=LAYER_DENSITY, format="csr", random_state=rng, data_rvs=rng.standard_normal
+    )
+    direction = rng.standard_normal(LAYER_DIM)
+    y = np.where(X @ direction + 0.3 * rng.standard_normal(LAYER_M) >= 0.0, 1, -1)
+    return data.Dataset(X=X, y=y)
+
+
+def _layer_rows(rng) -> dict:
+    from stst import calibration, data, predictor, simulator, trainer
+
+    rows = {}
+    dataset = _layer_dataset(rng)
+    size = f"{LAYER_M}x{LAYER_DIM} nnz={dataset.X.nnz}"
+    buf = io.StringIO()
+    data.serialize_sparse(dataset, buf)
+    text = buf.getvalue()
+    rows[f"parse_sparse {size}"] = _call_ms(lambda t: data.parse_sparse(io.StringIO(t)), [text], LAYER_REPEATS)
+    rows[f"serialize_sparse {size}"] = _call_ms(
+        lambda d: data.serialize_sparse(d, io.StringIO()), [dataset], LAYER_REPEATS
+    )
+    config = trainer.TrainConfig(lambda_reg=0.01, epochs=1, seed=0)
+    dense = data.Dataset(X=dataset.dense(), y=dataset.y)
+    for kind, ds in (("dense", dense), ("csr", dataset)):
+        rows[f"train_linear {kind} {size} epochs=1"] = _call_ms(
+            lambda d: trainer.train_linear(d, config), [ds], LAYER_REPEATS
+        )
+    model = trainer.train_linear(dense, config)
+    del dense
+    rows[f"calibrate {size}"] = _call_ms(lambda d: calibration.calibrate(model, d, 1), [dataset], LAYER_REPEATS)
+
+    weights, mu = rng.standard_normal(TERM_N), 0.1 * rng.standard_normal(TERM_N)
+    sv = rng.standard_normal((TERM_N, RBF_DIM))
+    term_models = (
+        ("coordinate", predictor.coordinate_model(weights, mu=mu, indices=rng.permutation(TERM_N), dim=TERM_N)),
+        ("linear", predictor.kernel_model(weights, sv, predictor.KernelSpec.linear(), mu=mu)),
+        ("rbf", predictor.kernel_model(weights, sv, predictor.KernelSpec.rbf(math.sqrt(RBF_DIM)), mu=mu)),
+    )
+    for kind, term_model in term_models:
+        X = rng.standard_normal((TERM_M, term_model.dim))
+        rows[f"term_matrix {kind} m={TERM_M} n={TERM_N}"] = _call_ms(
+            lambda x: predictor.term_matrix(term_model, x), [X], LAYER_REPEATS
+        )
+
+    spec = simulator.WalkSpec(n=WALK_N, seed=SEED)
+    rows[f"walk engine empirical_stop_error n={WALK_N} trials={WALK_TRIALS}"] = _call_ms(
+        lambda s: simulator.empirical_stop_error(s, 0.1, trials=WALK_TRIALS), [spec], LAYER_REPEATS
+    )
+    return rows
 
 
 def _call_ms(fn, X, repeats: int = REPEATS) -> dict:
@@ -123,6 +194,7 @@ def measure() -> dict:
         rows[f"run_sweep grid=50 m={m} n={n}"] = _call_ms(
             lambda t: bench.run_sweep(model, t, 0.0, grid=50), [test], SWEEP_REPEATS
         )
+    rows.update(_layer_rows(np.random.default_rng(SEED + 2)))
     return rows
 
 
@@ -150,17 +222,20 @@ def main() -> int:
     }
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {
-        "layer": "predictor (per-example and batch), bench.run_sweep",
+        "layer": (
+            "predictor (per-example and batch), bench.run_sweep, sparse parse and serialize, "
+            "train_linear, calibrate, term_matrix, walk engine"
+        ),
         "method": (
             f"single-call wall time, median and quartiles over {REPEATS} passes of {EXAMPLES} examples"
-            f" (batch: {REPEATS} calls, run_sweep: {SWEEP_REPEATS} calls)"
+            f" (batch: {REPEATS} calls, run_sweep: {SWEEP_REPEATS} calls, layers: {LAYER_REPEATS} calls)"
         ),
         "rows": [],
     }
     doc["rows"] = [r for r in doc["rows"] if r["label"] != args.label] + [row]
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, r in row["results"].items():
-        print(f"{name:40s} {r['median_ms']:10.3f} ms")
+        print(f"{name:64s} {r['median_ms']:10.3f} ms")
     return 0
 
 

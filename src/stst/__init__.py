@@ -6,12 +6,10 @@ from .core import (
     ConfidenceParams,
     Direction,
     StoppingRule,
-    canonical_upward,
     crossing_magnitude,
     crossing_probability,
     expected_stop_bound,
     make_stopping_rule,
-    rule_crossing_probability,
 )
 from .predictor import (
     KernelSpec,
@@ -27,7 +25,6 @@ from .predictor import (
     permute_terms,
     save_model,
     score_term,
-    two_sided_predict,
 )
 from .calibration import CalibrationReport, calibrate, estimate_mu, estimate_variance, measure_stop_error
 from .data import Dataset, SyntheticSpec, generate_synthetic, parse_sparse, serialize_sparse, split
@@ -38,7 +35,6 @@ from .simulator import (
     empirical_bridge_crossing,
     empirical_stop_error,
     empirical_stopping_time,
-    simulate_walk,
 )
 from .trainer import TrainConfig, hinge_objective, import_kernel_model, train_linear
 from .bench import PRPoint, SweepRecord, TheoryConfig, precision_recall, run_sweep, run_theory_suite

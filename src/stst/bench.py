@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import measure_stop_error
-from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude
+from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, crossing_probability
 from .data import Dataset
 from .errors import ParameterError, UndefinedRateError
 from .predictor import (
@@ -279,7 +279,6 @@ class TheoryConfig:
     n: int = 2000
     bridge_taus: tuple = (0.5, 1.0, 1.5, 2.0)
     bridge_trials: int = 100_000
-    bridge_mode: str = "exact"
     bridge_seed: int = 20_240_001
     stop_error_deltas: tuple = (0.05, 0.1, 0.2)
     stop_error_trials: int = 120_000
@@ -314,10 +313,10 @@ def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[Theory
     scale = math.sqrt(1.0 / config.n)  # unit total variance
     spec = WalkSpec(n=config.n, step="gaussian", scale=scale, seed=config.bridge_seed)
     estimates = empirical_bridge_crossing_grid(
-        spec, config.bridge_taus, theta=0.0, trials=config.bridge_trials, mode=config.bridge_mode
+        spec, config.bridge_taus, theta=0.0, trials=config.bridge_trials, mode="exact"
     )
     for tau, est in zip(config.bridge_taus, estimates):
-        closed = math.exp(-2.0 * tau * tau)
+        closed = crossing_probability(tau, 0.0, 1.0)
         ok = abs(est.probability_hat - closed) <= max(0.02, 4.0 * est.standard_error)
         results.append((TheoryRow.crossing("bridge_crossing", config.n, None, float(tau), 0.0, est, closed), ok))
 

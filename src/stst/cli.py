@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench, calibration, data, simulator, trainer
-from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude
+from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, crossing_probability
 from .errors import ParameterError, StstError
 from .predictor import (
     attentive_from_prefix,
@@ -237,14 +237,18 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    needed = "tau" if args.experiment == "bridge" else "delta"
+    if getattr(args, needed) is None:
+        raise ParameterError(f"simulate --experiment {args.experiment} needs --{needed}")
     spec = simulator.WalkSpec(
         n=args.n, step=args.step, scale=args.scale, drift=args.drift, seed=args.seed
     )
     if args.experiment == "bridge":
+        # before the walk: an invalid boundary fails without running any trials
+        closed = crossing_probability(args.tau, args.theta, spec.total_variance)
         est = simulator.empirical_bridge_crossing(
             spec, tau=args.tau, theta=args.theta, band=args.band, trials=args.trials, mode=args.mode
         )
-        closed = math.exp(-2.0 * args.tau * (args.tau - args.theta) / spec.total_variance)
         row = simulator.TheoryRow.crossing("bridge_crossing", spec.n, None, args.tau, args.theta, est, closed)
     elif args.experiment == "stop-error":
         est = simulator.empirical_stop_error(spec, delta=args.delta, theta=args.theta, trials=args.trials)

@@ -13,11 +13,6 @@ A measured stop-error conditions on the sign of the full score instead
 crossing rate under that conditioning is 2*Phi(-2m/sd(S_n)), about 0.3*delta
 at the pinned m. The opt-in "sign" placement solves 2*Phi(-2m/sd) = delta, so
 delta is the rate that sign-conditioned measurement reports.
-
-All formulas are stated for the canonical upward-crossing orientation
-(theta < tau, tau > 0). Rules that reject below theta are reflected onto that
-form before evaluation; the reflection tau' = 2*theta - tau is exact at
-theta = 0 and a small-theta approximation otherwise.
 """
 
 import math
@@ -33,8 +28,6 @@ __all__ = [
     "crossing_magnitude",
     "make_stopping_rule",
     "crossing_probability",
-    "canonical_upward",
-    "rule_crossing_probability",
     "expected_stop_bound",
 ]
 
@@ -101,10 +94,6 @@ class StoppingRule:
             if math.isinf(self.tau) and self.tau < 0:
                 raise ParameterError("tau = -inf is not valid for REJECT_ABOVE")
 
-    @property
-    def never_stops(self) -> bool:
-        return math.isinf(self.tau)
-
 
 def crossing_magnitude(params: ConfidenceParams, conditioning: str = "pinned") -> float:
     """Distance from theta to the stop threshold for a target stop-error rate.
@@ -138,34 +127,20 @@ def crossing_magnitude(params: ConfidenceParams, conditioning: str = "pinned") -
     return math.sqrt(params.variance * (-0.5 * math.log(params.delta)))
 
 
-def make_stopping_rule(
-    theta: float,
-    params: ConfidenceParams,
-    direction: Direction,
-    exact: bool = False,
-) -> StoppingRule:
+def make_stopping_rule(theta: float, params: ConfidenceParams, direction: Direction) -> StoppingRule:
     """Place the stop threshold at the delta-calibrated distance from theta.
 
-    Default mode uses tau = theta -/+ crossing_magnitude, the pinned placement,
-    which preserves the delta guarantee exactly at theta = 0 and approximately
-    for small theta. Measured on the sign of the full score instead, its
-    stop-error lands near 0.3*delta; crossing_magnitude(params, "sign") gives
-    the distance for that conditioning.
-    With exact=True, tau is instead the root of
-    exp(-2*t*(t - theta)/variance) = delta on the upward form, which restores
-    the guarantee for any theta.
+    tau = theta -/+ crossing_magnitude, the pinned placement, which preserves
+    the delta guarantee exactly at theta = 0. Measured on the sign of the
+    full score instead, its stop-error lands near 0.3*delta;
+    crossing_magnitude(params, "sign") gives the distance for that
+    conditioning.
     """
     if not math.isfinite(theta):
         raise ParameterError(f"theta must be finite, got {theta!r}")
     if params.delta == 1.0:
         raise DegenerateRuleError("delta = 1 puts tau on theta; no strict rule exists")
-    if exact:
-        # t^2 - theta*t - 0.5*variance*ln(1/delta) = 0, upward root
-        half_log = -0.5 * math.log(params.delta)
-        upward = 0.5 * (theta + math.sqrt(theta * theta + 4.0 * params.variance * half_log))
-        offset = upward - theta
-    else:
-        offset = crossing_magnitude(params)
+    offset = crossing_magnitude(params)
     if direction is Direction.REJECT_BELOW:
         return StoppingRule(theta=theta, tau=theta - offset, direction=direction)
     return StoppingRule(theta=theta, tau=theta + offset, direction=direction)
@@ -176,8 +151,8 @@ def crossing_probability(tau: float, theta: float, variance: float) -> float:
 
     exp(-2*tau*(tau - theta)/variance), on the upward orientation: requires
     theta < tau and tau > 0 (endpoint below the boundary, boundary above the
-    start). Callers holding a REJECT_BELOW rule reflect it first; see
-    canonical_upward.
+    start). Outside that domain the expression is no probability: it exceeds
+    1 for theta < tau < 0.
     """
     if math.isnan(variance) or variance <= 0.0:
         raise ParameterError(f"variance must be positive, got {variance!r}")
@@ -188,24 +163,6 @@ def crossing_probability(tau: float, theta: float, variance: float) -> float:
     if not tau > 0.0:
         raise ParameterError(f"requires tau > 0 (boundary above the walk start), got {tau!r}")
     return math.exp(-2.0 * tau * (tau - theta) / variance)
-
-
-def canonical_upward(rule: StoppingRule) -> tuple[float, float]:
-    """Map a rule to the upward-crossing form, returning (tau, theta).
-
-    REJECT_ABOVE rules are already upward. REJECT_BELOW rules are reflected
-    about theta (tau' = 2*theta - tau); the driftless walk is symmetric about
-    its pinned endpoint at theta = 0, where the reflection is exact.
-    """
-    if rule.direction is Direction.REJECT_ABOVE:
-        return rule.tau, rule.theta
-    return 2.0 * rule.theta - rule.tau, rule.theta
-
-
-def rule_crossing_probability(rule: StoppingRule, variance: float) -> float:
-    """crossing_probability evaluated on a rule's canonical upward form."""
-    tau, theta = canonical_upward(rule)
-    return crossing_probability(tau, theta, variance)
 
 
 def expected_stop_bound(params: ConfidenceParams, step_bound: float, drift: float) -> float:

@@ -101,17 +101,16 @@ def _map_label(token: str, line_no: int) -> int:
     return mapped
 
 
-def parse_sparse(source, *, dim: int | None = None, name: str = "", strict_order: bool = True) -> Dataset:
+def parse_sparse(source, *, dim: int | None = None, name: str = "") -> Dataset:
     """Parse the sparse labeled text format into a Dataset.
 
     source may be a path or an open text stream. dim overrides the inferred
     dimension (the largest index seen); an override smaller than an observed
-    index is an error. With strict_order=False, out-of-order indices are
-    accepted with a warning and reordered; duplicates are always rejected.
+    index is an error. Out-of-order and duplicate indices are errors.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return parse_sparse(handle, dim=dim, name=name or str(source), strict_order=strict_order)
+            return parse_sparse(handle, dim=dim, name=name or str(source))
 
     labels: list[int] = []
     data: list[float] = []
@@ -126,8 +125,6 @@ def parse_sparse(source, *, dim: int | None = None, name: str = "", strict_order
         tokens = stripped.split()
         labels.append(_map_label(tokens[0], line_no))
         prev = 0
-        row_cols: list[int] = []
-        row_vals: list[float] = []
         for token in tokens[1:]:
             head, sep, tail = token.partition(":")
             if not sep or not head or not tail:
@@ -143,23 +140,12 @@ def parse_sparse(source, *, dim: int | None = None, name: str = "", strict_order
             if index < 1:
                 raise ParseError(f"feature indices are 1-based, got {index}", line_no)
             if index <= prev:
-                if strict_order or index == prev:
-                    raise ParseError(
-                        f"feature index {index} not ascending (previous {prev})", line_no
-                    )
-                warnings.warn(f"line {line_no}: out-of-order index {index} accepted", stacklevel=2)
-            prev = max(prev, index)
-            row_cols.append(index - 1)
-            row_vals.append(value)
-            max_index = max(max_index, index)
-        if not strict_order and row_cols:
-            order = np.argsort(row_cols, kind="stable")
-            if np.unique(np.asarray(row_cols)[order]).size != len(row_cols):
-                raise ParseError("duplicate feature index", line_no)
-            row_cols = list(np.asarray(row_cols)[order])
-            row_vals = list(np.asarray(row_vals)[order])
-        col.extend(row_cols)
-        data.extend(row_vals)
+                raise ParseError(f"feature index {index} not ascending (previous {prev})", line_no)
+            prev = index
+            col.append(index - 1)
+            data.append(value)
+        # indices ascend, so a row's last index is its largest
+        max_index = max(max_index, prev)
         indptr.append(len(col))
 
     values = np.asarray(data, dtype=np.float64)

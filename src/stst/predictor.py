@@ -40,7 +40,6 @@ __all__ = [
     "kernel_model",
     "score_term",
     "attentive_predict",
-    "two_sided_predict",
     "budgeted_predict",
     "full_predict",
     "permute_terms",
@@ -147,9 +146,6 @@ class WeightedModel:
 
     def with_mu(self, mu: np.ndarray) -> "WeightedModel":
         return replace(self, mu=np.asarray(mu, dtype=np.float64))
-
-    def with_theta(self, theta: float) -> "WeightedModel":
-        return replace(self, theta=float(theta))
 
 
 def coordinate_model(
@@ -265,25 +261,29 @@ def _label_at(score: float, theta: float) -> int:
     return 1 if score >= theta else -1
 
 
-def _first_crossing(S: np.ndarray, start: int, low, high, stride: int):
-    """Along S's last axis: (any, k) for the first offset k whose count
-    start + k + 1 is divisible by stride and whose S[..., k] lies outside
-    [low, high]. S is one 1-d chunk or a 2-d prefix matrix; k is 0-based."""
-    first = (-start - 1) % stride  # offset of the first count divisible by stride
-    view = S[..., first::stride]
-    crossed = view < low if high == math.inf else (view < low) | (view > high)
-    k = first + crossed.argmax(axis=-1) * stride if crossed.shape[-1] else first  # empty: no count checked
-    return crossed.any(axis=-1), k
+def _stop_label(rule: StoppingRule) -> int:
+    return -1 if rule.direction is Direction.REJECT_BELOW else 1
 
 
-def _scan(model, x, cap: int, low=-math.inf, high=math.inf, stride: int = 1) -> tuple[int, float]:
-    """(i, S_i) at the first count i divisible by stride with S_i outside [low, high], else (cap, S_cap).
+def _stops(rule: StoppingRule | None) -> bool:
+    return rule is not None and not math.isinf(rule.tau)
+
+
+def _first_crossing(S: np.ndarray, rule: StoppingRule):
+    """Along S's last axis: (any, k) for the first k with S[..., k] strictly
+    beyond the rule's tau. S is one 1-d chunk or a 2-d prefix matrix."""
+    crossed = S < rule.tau if rule.direction is Direction.REJECT_BELOW else S > rule.tau
+    return crossed.any(axis=-1), crossed.argmax(axis=-1)
+
+
+def _scan(model, x, cap: int, rule: StoppingRule | None = None) -> tuple[int, float]:
+    """(i, S_i) at the first count i with S_i strictly beyond rule.tau, else (cap, S_cap).
 
     Chunks follow the schedule above, or are one chunk when nothing can
     stop. Carrying the running sum into a chunk's first value makes its
     cumsum the same additions, fl(S + v), as one whole-vector cumsum.
     """
-    stops = low > -math.inf or high < math.inf
+    stops = _stops(rule)
     size = _FIRST_CHUNK if stops else cap
     carry = -0.0  # the additive identity: -0.0 + v is v, even for v = -0.0
     a = 0
@@ -293,7 +293,7 @@ def _scan(model, x, cap: int, low=-math.inf, high=math.inf, stride: int = 1) -> 
         seg[0] += carry
         np.cumsum(seg, out=seg)
         if stops:
-            hit, k = _first_crossing(seg, a, low, high, stride)
+            hit, k = _first_crossing(seg, rule)
             if hit:
                 return a + int(k) + 1, float(seg[k])
         if b == cap:
@@ -303,56 +303,23 @@ def _scan(model, x, cap: int, low=-math.inf, high=math.inf, stride: int = 1) -> 
         size *= _GROWTH
 
 
-def attentive_predict(
-    model: WeightedModel,
-    x,
-    rule: StoppingRule,
-    check_stride: int = 1,
-) -> Prediction:
+def attentive_predict(model: WeightedModel, x, rule: StoppingRule) -> Prediction:
     """Evaluate terms in order, stopping at the first strict boundary crossing.
 
-    REJECT_BELOW stops at the first checked i < n with S_i < tau and predicts
-    -1; REJECT_ABOVE stops on S_i > tau and predicts +1. Boundary-touching
-    partial sums continue. With check_stride = c the crossing test runs only
-    at term counts divisible by c, which can only delay stopping. A crossing
-    first seen at the final term is not an early stop: all terms were already
-    evaluated, so the full score and sign label are reported.
+    REJECT_BELOW stops at the first i < n with S_i < tau and predicts -1;
+    REJECT_ABOVE stops on S_i > tau and predicts +1. Boundary-touching
+    partial sums continue. A crossing first seen at the final term is not an
+    early stop: all terms were already evaluated, so the full score and sign
+    label are reported.
 
     terms_evaluated is the stop position, the paper's cost; up to one chunk
     of terms past it may have been computed.
     """
     x = _check_x(model, x)
-    if check_stride < 1:
-        raise ParameterError(f"check_stride must be >= 1, got {check_stride}")
-    below = rule.direction is Direction.REJECT_BELOW
-    low, high = (rule.tau, math.inf) if below else (-math.inf, rule.tau)
-    i, score = _scan(model, x, model.n, low, high, check_stride)
+    i, score = _scan(model, x, model.n, rule)
     if i < model.n:
-        return Prediction(-1 if below else 1, rule.tau, i, True)
+        return Prediction(_stop_label(rule), rule.tau, i, True)
     return Prediction(_label_at(score, rule.theta), score, i, False)
-
-
-def two_sided_predict(
-    model: WeightedModel,
-    x,
-    below: StoppingRule,
-    above: StoppingRule,
-) -> Prediction:
-    """Stop on whichever of two opposite-sided rules crosses first.
-
-    Both rules must share theta. The combined stop-error rate is only
-    union-bounded by the two rules' individual deltas.
-    """
-    if below.direction is not Direction.REJECT_BELOW or above.direction is not Direction.REJECT_ABOVE:
-        raise ParameterError("two_sided_predict needs one REJECT_BELOW and one REJECT_ABOVE rule")
-    if below.theta != above.theta:
-        raise ParameterError("two-sided rules must share theta")
-    x = _check_x(model, x)
-    i, score = _scan(model, x, model.n, below.tau, above.tau)
-    if i < model.n:
-        stopped_low = score < below.tau
-        return Prediction(-1 if stopped_low else 1, below.tau if stopped_low else above.tau, i, True)
-    return Prediction(_label_at(score, below.theta), score, i, False)
 
 
 def budgeted_predict(model: WeightedModel, x, b: int, theta: float) -> Prediction:
@@ -421,35 +388,31 @@ def prefix_score_matrix(model: WeightedModel, X) -> np.ndarray:
     return np.cumsum(term_matrix(model, X), axis=1)
 
 
-def _decide(prefix: np.ndarray, cap: int, low, high, stride: int, theta: float) -> Predictions:
+def _decide(prefix: np.ndarray, cap: int, theta: float, rule: StoppingRule | None = None) -> Predictions:
     """_scan and the per-example decisions, for every row of a prefix matrix.
 
-    A row stops at the first count i < cap divisible by stride with S_i
-    outside [low, high] and reports the side it crossed: -1 and low, or +1
-    and high. Any other row reports S_cap labelled against theta. stopped is
-    terms < n, so a budget below n counts as an early stop.
+    A row stops at the first count i < cap with S_i strictly beyond rule.tau
+    and reports the rule's side label and tau. Any other row reports S_cap
+    labelled against theta. stopped is terms < n, so a budget below n counts
+    as an early stop.
     """
     m, n = prefix.shape
+    stops = _stops(rule)
     terms = np.full(m, cap)
-    if low > -math.inf or high < math.inf:
-        hit, k = _first_crossing(prefix[:, :cap], 0, low, high, stride)
+    if stops:
+        hit, k = _first_crossing(prefix[:, :cap], rule)
         terms = np.where(hit, k + 1, cap)
     s = prefix[np.arange(m), terms - 1]
-    early, below = terms < cap, s < low
-    return Predictions(
-        label=np.where(early, np.where(below, -1, 1), np.where(s >= theta, 1, -1)),
-        score=np.where(early, np.where(below, low, high), s),
-        terms=terms,
-        stopped=terms < n,
-    )
+    label, score = np.where(s >= theta, 1, -1), s
+    if stops:
+        early = terms < cap
+        label, score = np.where(early, _stop_label(rule), label), np.where(early, rule.tau, s)
+    return Predictions(label=label, score=score, terms=terms, stopped=terms < n)
 
 
-def attentive_from_prefix(prefix: np.ndarray, rule: StoppingRule, check_stride: int = 1) -> Predictions:
+def attentive_from_prefix(prefix: np.ndarray, rule: StoppingRule) -> Predictions:
     """Attentive predictions for every row of a prefix-score matrix."""
-    if check_stride < 1:
-        raise ParameterError(f"check_stride must be >= 1, got {check_stride}")
-    low, high = (rule.tau, math.inf) if rule.direction is Direction.REJECT_BELOW else (-math.inf, rule.tau)
-    return _decide(prefix, prefix.shape[1], low, high, check_stride, rule.theta)
+    return _decide(prefix, prefix.shape[1], rule.theta, rule)
 
 
 def budgeted_from_prefix(prefix: np.ndarray, b: int, theta: float) -> Predictions:
@@ -457,7 +420,7 @@ def budgeted_from_prefix(prefix: np.ndarray, b: int, theta: float) -> Prediction
     n = prefix.shape[1]
     if not 1 <= b <= n:
         raise ParameterError(f"budget must be in [1, {n}], got {b}")
-    return _decide(prefix, b, -math.inf, math.inf, 1, theta)
+    return _decide(prefix, b, theta)
 
 
 def full_from_prefix(prefix: np.ndarray, theta: float) -> Predictions:

@@ -38,7 +38,6 @@ __all__ = [
     "WalkSpec",
     "CrossingEstimate",
     "StoppingTimeSummary",
-    "simulate_walk",
     "empirical_bridge_crossing",
     "empirical_bridge_crossing_grid",
     "empirical_stop_error",
@@ -182,13 +181,6 @@ def _kept_maxima(spec: WalkSpec, trials: int, accept) -> np.ndarray:
         return paths[:, :-1].max(axis=1, initial=-np.inf)[keep]
 
     return np.concatenate(_walk(spec, trials, reduce))
-
-
-def simulate_walk(spec: WalkSpec) -> np.ndarray:
-    """One path of prefix sums S_1..S_n, deterministic given spec.seed."""
-    rng = np.random.default_rng(spec.seed)
-    steps = _fill_steps(rng, spec, np.empty(spec.n))
-    return np.cumsum(steps, out=steps)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.stats import norm
 
+from stst import simulator
 from stst.cli import main
 
 SYNTH = "dim=12,n_pos=80,n_neg=80,sep=4,std=1,seed=5"
@@ -263,3 +264,57 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert run(["train", "--data", str(bad), "--model-out", str(model_out)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+# sha256 of the CSVs `stst simulate` wrote for these flags before the bridge
+# closed form was routed through core.crossing_probability
+SIMULATE_DIGESTS = {
+    "bridge_exact": "7f8ed048fcd4bf5ed649bc8610c145c85fa21afe53a4fea5d73c09a89e17d4b4",
+    "bridge_rejection": "c9b6783acdf9fa72e5e129e032cfa76f07537e69c11b226235d4bad8a1afad45",
+    "stop_error": "ccad029ef7309f2ba57a89ea9ceb5b84081620089856f866d8d38543d83a5562",
+    "stopping_time": "4692ab820a46251aca47eb1e0e0bd6683099f00cd3a7005e18f1c050e0f465de",
+}
+
+
+def test_simulate_golden_digests(tmp_path):
+    bridge = ["--experiment", "bridge", "--n", "200", "--scale", "0.0707", "--trials", "20000"]
+    runs = {
+        "bridge_exact": [*bridge, "--tau", "0.8", "--theta", "-0.3", "--mode", "exact", "--seed", "3"],
+        "bridge_rejection": [*bridge, "--tau", "0.5", "--theta", "0.1", "--mode", "rejection", "--seed", "5"],
+        "stop_error": ["--experiment", "stop-error", "--n", "300", "--scale", "0.05", "--delta", "0.1"]
+        + ["--trials", "20000", "--seed", "6"],
+        "stopping_time": ["--experiment", "stopping-time", "--n", "500", "--step", "rademacher", "--scale", "0.1"]
+        + ["--drift", "0.1", "--delta", "0.1", "--trials", "5000", "--seed", "7"],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert run(["simulate", *argv, "-o", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == SIMULATE_DIGESTS
+
+
+def test_simulate_bridge_rejects_boundary_at_or_below_start(tmp_path, capsys, monkeypatch):
+    # exp(-2*tau*(tau - theta)/var) exceeds 1 for theta < tau < 0; the
+    # closed form is checked before any trial runs
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran before the boundary was checked")
+
+    monkeypatch.setattr(simulator, "empirical_bridge_crossing", no_walk)
+    out = tmp_path / "bridge.csv"
+    argv = ["simulate", "--experiment", "bridge", "--n", "200", "--scale", "0.0707"]
+    argv += ["--theta", "-2", "--tau", "-1", "--mode", "exact", "-o", str(out)]
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment,flag", [("bridge", "--tau"), ("stop-error", "--delta"), ("stopping-time", "--delta")]
+)
+def test_simulate_missing_boundary_flag_is_an_error(tmp_path, capsys, experiment, flag):
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--experiment", experiment, "--n", "50", "--trials", "100", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"needs {flag}" in err
+    assert not out.exists()

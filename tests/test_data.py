@@ -51,6 +51,7 @@ class TestParse:
             ("+1 0:1.0\n", "1-based"),
             ("+1 3:1.0 2:1.0\n", "not ascending"),
             ("+1 2:1.0 2:2.0\n", "not ascending"),
+            ("+1 3:3.0 3:1.0\n", "not ascending"),
             ("\n", "blank line"),
         ],
     )
@@ -68,11 +69,6 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2: non-finite label"):
             parse_text(f"+1 1:1.0\n{token} 1:1.0\n")
 
-    def test_non_finite_value_rejected_when_reordered(self):
-        with pytest.warns(UserWarning, match="out-of-order"):
-            with pytest.raises(ParseError, match="line 2: non-finite feature value nan"):
-                parse_text("+1 1:1.0\n-1 3:nan 1:1.0\n", strict_order=False)
-
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_text("+1 1:1.0\n-1 1:2.0\n+1 0:9\n")
@@ -80,13 +76,6 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(EmptyDatasetError):
             parse_text("")
-
-    def test_lenient_reorders_with_warning(self):
-        with pytest.warns(UserWarning, match="out-of-order"):
-            ds = parse_text("+1 3:3.0 1:1.0\n", strict_order=False)
-        assert ds.row(0).tolist() == [1.0, 0.0, 3.0]
-        with pytest.raises(ParseError):
-            parse_text("+1 3:3.0 3:1.0\n", strict_order=False)
 
 
 class TestSerialize:

@@ -20,7 +20,6 @@ from stst import (
     permute_terms,
     save_model,
     score_term,
-    two_sided_predict,
 )
 from stst.errors import ModelFormatError, ParameterError
 from stst.predictor import (
@@ -166,20 +165,6 @@ class TestAttentivePredict:
         # larger tau (closer to theta) stops sooner or equally
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
-    def test_check_stride_delays_stopping(self):
-        rng = np.random.default_rng(23)
-        model = random_model(rng, "coordinate", n=37)
-        x = rng.standard_normal(model.dim)
-        rule = StoppingRule(0.0, -1.0, Direction.REJECT_BELOW)
-        base = attentive_predict(model, x, rule)
-        for stride in (2, 3, 5):
-            delayed = attentive_predict(model, x, rule, check_stride=stride)
-            if delayed.stopped_early:
-                assert delayed.terms_evaluated % stride == 0
-                assert delayed.terms_evaluated >= base.terms_evaluated
-            else:
-                assert delayed.reported_score == full_predict(model, x, 0.0).reported_score
-
     def test_stopped_prediction_invariants(self):
         rng = np.random.default_rng(5)
         model = random_model(rng, "coordinate", n=30)
@@ -250,26 +235,6 @@ class TestBudgetedPredict:
                 budgeted_predict(model, x, b, 0.0)
 
 
-class TestTwoSided:
-    def test_stops_on_either_side(self):
-        model = coordinate_model([1.0] * 6, dim=6)
-        below = StoppingRule(0.0, -2.5, Direction.REJECT_BELOW)
-        above = StoppingRule(0.0, 2.5, Direction.REJECT_ABOVE)
-        down = two_sided_predict(model, np.full(6, -1.0), below, above)
-        assert down.label == -1 and down.stopped_early and down.reported_score == -2.5
-        up = two_sided_predict(model, np.full(6, 1.0), below, above)
-        assert up.label == 1 and up.stopped_early and up.reported_score == 2.5
-        flat = two_sided_predict(model, np.array([1.0, -1.0] * 3), below, above)
-        assert not flat.stopped_early
-
-    def test_theta_mismatch(self):
-        model = coordinate_model([1.0], dim=1)
-        below = StoppingRule(0.0, -1.0, Direction.REJECT_BELOW)
-        above = StoppingRule(0.5, 1.5, Direction.REJECT_ABOVE)
-        with pytest.raises(ParameterError):
-            two_sided_predict(model, np.zeros(1), below, above)
-
-
 CHUNK_SIZES_N = (1, 63, 64, 65, 129, 1000, 4097)
 KINDS = ("coordinate", "rbf", "linear")
 LOWEST_FINITE = -sys.float_info.max
@@ -289,10 +254,10 @@ def split_prefix(model, x):
     return np.cumsum([score_term(model, i, x) for i in range(model.n)])
 
 
-def first_crossing(prefix, low, high, stride=1):
-    """Reference stop: first count i < n divisible by stride with S_i outside [low, high]."""
+def first_crossing(prefix, low, high):
+    """Reference stop: first count i < n with S_i outside [low, high]."""
     n = len(prefix)
-    for i in range(stride, n, stride):
+    for i in range(1, n):
         if prefix[i - 1] < low or prefix[i - 1] > high:
             return i, prefix[i - 1]
     return n, prefix[-1]
@@ -333,19 +298,14 @@ class TestChunkBoundaries:
             high = max(float(np.percentile(prefix, 70)), 1e-3)
             below = StoppingRule(0.0, low, Direction.REJECT_BELOW)
             above = StoppingRule(0.0, high, Direction.REJECT_ABOVE)
-            for stride in (1, 2, 3, 64):
-                i, s = first_crossing(prefix, low, math.inf, stride)
-                p = attentive_predict(model, x, below, check_stride=stride)
-                assert p.terms_evaluated == i
-                assert p.reported_score == (low if i < n else s)
-                i, s = first_crossing(prefix, -math.inf, high, stride)
-                p = attentive_predict(model, x, above, check_stride=stride)
-                assert p.terms_evaluated == i
-                assert p.reported_score == (high if i < n else s)
-            i, s = first_crossing(prefix, low, high)
-            p = two_sided_predict(model, x, below, above)
+            i, s = first_crossing(prefix, low, math.inf)
+            p = attentive_predict(model, x, below)
             assert p.terms_evaluated == i
-            assert p.reported_score == (s if i == n else low if s < low else high)
+            assert p.reported_score == (low if i < n else s)
+            i, s = first_crossing(prefix, -math.inf, high)
+            p = attentive_predict(model, x, above)
+            assert p.terms_evaluated == i
+            assert p.reported_score == (high if i < n else s)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", (65, 129, 1000, 4097))
@@ -362,19 +322,8 @@ class TestChunkBoundaries:
             for c in targets:
                 # tau strictly between S_{c-1} and S_c: the first crossing is at c
                 tau = 0.5 * (prefix[c - 2] + prefix[c - 1])
-                rule = StoppingRule(0.0, tau, direction)
-                for stride in (1, 2, 3, 64):
-                    expect = -(-c // stride) * stride  # first multiple of stride >= c
-                    p = attentive_predict(model, x, rule, check_stride=stride)
-                    if expect < n:
-                        assert (p.terms_evaluated, p.stopped_early, p.reported_score) == (expect, True, tau)
-                    else:
-                        assert bits(p) == bits(full_predict(model, x, 0.0))
-                if sign < 0:
-                    two = two_sided_predict(model, x, rule, StoppingRule(0.0, -LOWEST_FINITE, Direction.REJECT_ABOVE))
-                else:
-                    two = two_sided_predict(model, x, StoppingRule(0.0, LOWEST_FINITE, Direction.REJECT_BELOW), rule)
-                assert (two.terms_evaluated, two.reported_score) == (c, tau)
+                p = attentive_predict(model, x, StoppingRule(0.0, tau, direction))
+                assert (p.terms_evaluated, p.stopped_early, p.reported_score) == (c, True, tau)
 
     def test_negative_zero_sum_keeps_its_sign(self):
         # the whole-vector cumsum of [-0.0] is -0.0; the carried sum must not turn it into +0.0
@@ -409,8 +358,8 @@ class TestNonFiniteFeatures:
         calls = (
             lambda: score_term(model, 0, x),
             lambda: attentive_predict(model, x, below),
+            lambda: attentive_predict(model, x, above),
             lambda: attentive_predict(model, x, NO_STOP),
-            lambda: two_sided_predict(model, x, below, above),
             lambda: budgeted_predict(model, x, 1, 0.0),
             lambda: full_predict(model, x),
         )

@@ -12,7 +12,6 @@ from stst import (
     empirical_bridge_crossing,
     empirical_stop_error,
     empirical_stopping_time,
-    simulate_walk,
     simulator,
 )
 from stst.errors import InsufficientAcceptanceError, ParameterError
@@ -26,21 +25,31 @@ from stst.simulator import (
 )
 
 
+def walk_paths(spec, trials):
+    """Every prefix-sum path the walk engine draws, in trial order.
+
+    The engine reuses its block buffer, so each block is copied out.
+    """
+    return np.concatenate(simulator._walk(spec, trials, lambda paths: paths.copy()))
+
+
+def walk_endpoints(spec, trials):
+    return np.concatenate(simulator._walk(spec, trials, lambda paths: paths[:, -1].copy()))
+
+
 class TestSimulateWalk:
     def test_deterministic(self):
         spec = WalkSpec(n=20, step="gaussian", scale=0.5, drift=0.1, seed=8)
-        assert np.array_equal(simulate_walk(spec), simulate_walk(spec))
+        assert np.array_equal(walk_paths(spec, 300), walk_paths(spec, 300))
 
     def test_rademacher_single_step_support(self):
-        values = {simulate_walk(WalkSpec(n=1, step="rademacher", scale=1.0, seed=s))[0] for s in range(40)}
+        values = set(walk_endpoints(WalkSpec(n=1, step="rademacher", scale=1.0, seed=0), 40).tolist())
         assert values == {-1.0, 1.0}
 
     def test_moments_within_three_se(self):
         # E[S_n] = n*drift, Var(S_n) = n*scale^2 for gaussian steps
         n, drift, scale, trials = 80, 0.2, 0.7, 2000
-        endpoints = np.array(
-            [simulate_walk(WalkSpec(n=n, step="gaussian", scale=scale, drift=drift, seed=s))[-1] for s in range(trials)]
-        )
+        endpoints = walk_endpoints(WalkSpec(n=n, step="gaussian", scale=scale, drift=drift, seed=8), trials)
         se_mean = scale * math.sqrt(n) / math.sqrt(trials)
         assert abs(endpoints.mean() - n * drift) <= 3 * se_mean
         var = endpoints.var(ddof=1)
@@ -323,9 +332,10 @@ class TestWalkEngine:
 
     @pytest.mark.parametrize("step,scale", STEPS)
     def test_simulate_walk_matches_whole_array(self, step, scale):
+        # the block-wise in-place fill and cumsum against whole-batch arrays
         spec = WalkSpec(n=300, step=step, scale=scale, drift=-0.25, seed=113)
-        steps = reference_steps(np.random.default_rng(spec.seed), spec, spec.n)
-        assert simulate_walk(spec).tobytes() == np.cumsum(steps).tobytes()
+        want = np.concatenate(list(reference_paths(spec, TRIALS)))
+        assert walk_paths(spec, TRIALS).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_results_independent_of_worker_count(self, monkeypatch, workers):
