@@ -5,8 +5,8 @@ Times one call at a time on generated models and data, and writes the
 medians as one labelled row of a BENCH_*.json file (a row with the same
 label is replaced, other rows are kept):
 
-    python scripts/bench.py --label change --out BENCH_6.json
-    python scripts/bench.py --label parent --src ../parent/src --out BENCH_6.json
+    python scripts/bench.py --label change --out BENCH_8.json
+    python scripts/bench.py --label parent --src ../parent/src --out BENCH_8.json
 
 Models: coordinate models at n = 1k / 4k / 16k / 64k (dim n, terms in a
 seeded random order) and RBF models at n = 0.5k / 2k / 8k (dim 64, sigma 8).
@@ -26,8 +26,16 @@ Layer rows (LAYER_REPEATS calls each): on one sparse dataset of 4000 rows x
 parse_sparse of its text and serialize_sparse back to text; train_linear
 for one epoch on the dense and on the CSR copy; calibrate of the trained
 model on the CSR copy; term_matrix of coordinate, linear-kernel and RBF
-models at m = 2000 examples and n = 2000 terms (kernel dim 64); and the
-walk engine through empirical_stop_error at n = 1000, 16384 trials.
+models at m = 2000 examples and n = 2000 terms (kernel dim 64), and
+prefix_score_matrix of the coordinate one; and the walk engine through
+empirical_stop_error at n = 1000, 16384 trials.
+
+End-to-end row (LAYER_REPEATS passes): the CLI flow train -> calibrate ->
+sweep -> pr through stst.cli.main, into a fresh temporary directory per
+pass, on a sparse text file of 3000 rows x 2000 dims at 2% density
+(labels from a planted direction, seed PIPELINE_SEED): train with a 0.3
+test split, calibrate per-term on a 0.25 slice of the training part, sweep
+with grid 50, and pr in attentive mode at the delta = 0.1 tau.
 """
 
 import argparse
@@ -38,6 +46,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -55,6 +64,8 @@ LAYER_M, LAYER_DIM, LAYER_DENSITY = 4_000, 2_000, 0.02
 LAYER_REPEATS = 3
 TERM_M, TERM_N = 2_000, 2_000
 WALK_N, WALK_TRIALS = 1_000, 16_384
+PIPELINE_M, PIPELINE_DIM, PIPELINE_DENSITY = 3_000, 2_000, 0.02
+PIPELINE_SEED = 20_240_008
 
 
 def _models():
@@ -142,11 +153,79 @@ def _layer_rows(rng) -> dict:
             lambda x: predictor.term_matrix(term_model, x), [X], LAYER_REPEATS
         )
 
+    coordinate = term_models[0][1]
+    X = rng.standard_normal((TERM_M, TERM_N))
+    rows[f"prefix_score_matrix coordinate m={TERM_M} n={TERM_N}"] = _call_ms(
+        lambda x: predictor.prefix_score_matrix(coordinate, x), [X], LAYER_REPEATS
+    )
+
     spec = simulator.WalkSpec(n=WALK_N, seed=SEED)
     rows[f"walk engine empirical_stop_error n={WALK_N} trials={WALK_TRIALS}"] = _call_ms(
         lambda s: simulator.empirical_stop_error(s, 0.1, trials=WALK_TRIALS), [spec], LAYER_REPEATS
     )
     return rows
+
+
+def _run_cli(argv: list[str]) -> None:
+    from stst import cli
+
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"stst {argv[0]} failed")
+
+
+def _pipeline_pass(data_path: str) -> None:
+    """train -> calibrate -> sweep -> pr through the CLI, into a fresh directory."""
+    import csv
+
+    import numpy as np
+
+    from stst.core import ConfidenceParams, Direction, make_stopping_rule
+    from stst.predictor import load_model
+
+    with tempfile.TemporaryDirectory() as out:
+        p = lambda name: os.path.join(out, name)  # noqa: E731
+        _run_cli([
+            "train", "--data", data_path, "--test-fraction", "0.3", "--split-seed", "1", "--seed", "2",
+            "--model-out", p("model.npz"), "--train-out", p("train.txt"), "--test-out", p("test.txt"),
+            "-o", p("train.csv"),
+        ])
+        _run_cli([
+            "calibrate", "--model", p("model.npz"), "--train", p("train.txt"), "--cal-fraction", "0.25",
+            "--cal-seed", "3", "--mode", "per-term", "--model-out", p("calibrated.npz"), "-o", p("cal.csv"),
+        ])
+        # the calibrated score is shifted by sum(w * mu); theta moves with it
+        model = load_model(p("calibrated.npz"))
+        theta = model.theta - float(np.sum(model.weights * model.mu))
+        with open(p("cal.csv"), newline="", encoding="utf-8") as handle:
+            variance = float(next(csv.DictReader(handle))["variance_hat"])
+        tau = make_stopping_rule(theta, ConfidenceParams(delta=0.1, variance=variance), Direction.REJECT_BELOW).tau
+        _run_cli([
+            "sweep", "--model", p("calibrated.npz"), "--data", p("test.txt"), "--theta", repr(theta),
+            "--grid", "50", "-o", p("sweep.csv"),
+        ])
+        _run_cli([
+            "pr", "--model", p("calibrated.npz"), "--data", p("test.txt"), "--theta", repr(theta),
+            "--mode", "attentive", "--tau", repr(tau), "-o", p("pr.csv"),
+        ])
+
+
+def _pipeline_row() -> dict:
+    import numpy as np
+    from scipy import sparse
+
+    from stst import data
+
+    rng = np.random.default_rng(PIPELINE_SEED)
+    X = sparse.random(
+        PIPELINE_M, PIPELINE_DIM, density=PIPELINE_DENSITY, format="csr", random_state=rng,
+        data_rvs=rng.standard_normal,
+    )
+    y = np.where(X @ rng.standard_normal(PIPELINE_DIM) >= 0.0, 1, -1)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "data.txt")
+        data.serialize_sparse(data.Dataset(X=X, y=y), path)
+        name = f"cli pipeline train-calibrate-sweep-pr {PIPELINE_M}x{PIPELINE_DIM} nnz={X.nnz}"
+        return {name: _call_ms(_pipeline_pass, [path], LAYER_REPEATS)}
 
 
 def _call_ms(fn, X, repeats: int = REPEATS) -> dict:
@@ -195,6 +274,7 @@ def measure() -> dict:
             lambda t: bench.run_sweep(model, t, 0.0, grid=50), [test], SWEEP_REPEATS
         )
     rows.update(_layer_rows(np.random.default_rng(SEED + 2)))
+    rows.update(_pipeline_row())
     return rows
 
 
@@ -224,7 +304,8 @@ def main() -> int:
     doc = json.loads(out.read_text()) if out.exists() else {
         "layer": (
             "predictor (per-example and batch), bench.run_sweep, sparse parse and serialize, "
-            "train_linear, calibrate, term_matrix, walk engine"
+            "train_linear, calibrate, term_matrix, prefix_score_matrix, walk engine, "
+            "CLI pipeline end to end"
         ),
         "method": (
             f"single-call wall time, median and quartiles over {REPEATS} passes of {EXAMPLES} examples"

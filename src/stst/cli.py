@@ -105,6 +105,8 @@ def _class_label(text: str) -> int:
 def _cmd_train(args) -> int:
     if (args.data is None) == (args.synthetic is None):
         raise ParameterError("train needs exactly one of --data or --synthetic")
+    if args.test_out is not None and args.test_fraction is None:
+        raise ParameterError("--test-out needs --test-fraction (there is no held-out split to write)")
     if args.data is not None:
         dataset = data.parse_sparse(args.data)
     else:
@@ -117,7 +119,7 @@ def _cmd_train(args) -> int:
     )
     model = trainer.train_linear(dataset, config)
     save_model(model, args.model_out)
-    if test is not None and args.test_out is not None:
+    if args.test_out is not None:
         data.serialize_sparse(test, args.test_out)
     if args.train_out is not None:
         data.serialize_sparse(dataset, args.train_out)

@@ -9,6 +9,12 @@ positive labels to +1; any other finite label maps by sign with a warning.
 A NaN or infinite label or feature value is a ParseError. Values are
 written back with repr(), the shortest decimal that round-trips a double, so
 parse(serialize(d)) reproduces d exactly.
+
+A Dataset holds its features as a dense float64 array or as a canonical CSR
+matrix (sorted indices, no duplicates). Any other scipy sparse input is
+converted on construction, without changing the caller's matrix. Code that
+needs dense rows asks for them whole (dense, dense_rows); training reads CSR
+rows as their stored entries.
 """
 
 import math
@@ -35,13 +41,20 @@ __all__ = [
 class Dataset:
     """Labeled examples: a dense or CSR feature matrix and +/-1 labels."""
 
-    X: "np.ndarray | sparse.csr_matrix"
+    X: "np.ndarray | sparse.csr_matrix"  # any scipy sparse input becomes canonical CSR
     y: np.ndarray
     name: str = ""
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.int64)
-        if not sparse.issparse(self.X):
+        if sparse.issparse(self.X):
+            X = sparse.csr_matrix(self.X, dtype=np.float64)
+            if not X.has_canonical_format:
+                # csr_matrix(X) may share X's arrays; sum_duplicates sorts in place
+                X = X.copy()
+                X.sum_duplicates()
+            self.X = X
+        else:
             self.X = np.asarray(self.X, dtype=np.float64)
             if self.X.ndim != 2:
                 raise ParameterError("feature matrix must be 2-d")
@@ -62,12 +75,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return int(self.X.shape[1])
-
-    def row(self, i: int) -> np.ndarray:
-        """Dense 1-d view of example i."""
-        if sparse.issparse(self.X):
-            return np.asarray(self.X[i].todense(), dtype=np.float64).ravel()
-        return self.X[i]
 
     def dense(self) -> np.ndarray:
         """Whole feature matrix as a dense array."""
@@ -180,16 +187,15 @@ def serialize_sparse(dataset: Dataset, target) -> None:
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             serialize_sparse(dataset, handle)
             return
-    csr = dataset.X.tocsr() if sparse.issparse(dataset.X) else sparse.csr_matrix(dataset.X)
-    for i in range(dataset.n_examples):
-        start, end = csr.indptr[i], csr.indptr[i + 1]
-        parts = [f"{int(dataset.y[i]):+d}"]
-        for j in range(start, end):
-            value = csr.data[j]
-            if value == 0.0:
-                continue
-            parts.append(f"{csr.indices[j] + 1}:{float(value)!r}")
-        target.write(" ".join(parts) + "\n")
+    csr = dataset.X if sparse.issparse(dataset.X) else sparse.csr_matrix(dataset.X)
+    keep = csr.data != 0.0  # also drops -0.0
+    tokens = [
+        f"{index}:{value!r}" for index, value in zip((csr.indices[keep] + 1).tolist(), csr.data[keep].tolist())
+    ]
+    # bounds[i]:bounds[i + 1] are row i's kept tokens
+    bounds = np.concatenate(([0], np.cumsum(keep)))[csr.indptr].tolist()
+    for i, label in enumerate(dataset.y.tolist()):
+        target.write(" ".join([f"{label:+d}", *tokens[bounds[i] : bounds[i + 1]]]) + "\n")
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ first-crossing search is the same function in both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import Direction, StoppingRule
 from .errors import ModelFormatError, ParameterError
@@ -232,6 +232,16 @@ def _check_x(model: WeightedModel, x) -> np.ndarray:
     return np.ascontiguousarray(x)  # einsum's additions follow the strides
 
 
+@functools.cache
+def _cdist():
+    """scipy's cdist, imported on first use: only RBF models need it, and
+    importing scipy.spatial costs every process about a quarter second.
+    Cached, since an import statement per scan chunk costs about 1 us."""
+    from scipy.spatial.distance import cdist
+
+    return cdist
+
+
 def _raw_chunk(model: WeightedModel, x: np.ndarray, a: int, b: int) -> np.ndarray:
     """Raw evaluator values for terms [a, b) on one example, whatever a and b."""
     if model.indices is not None:
@@ -240,7 +250,7 @@ def _raw_chunk(model: WeightedModel, x: np.ndarray, a: int, b: int) -> np.ndarra
     if model.kernel.kind == "linear":
         # a BLAS gemv rounds a row differently with other rows around it
         return np.einsum("ij,j->i", sv, x)
-    sq = cdist(sv, x[None, :], "sqeuclidean")[:, 0]
+    sq = _cdist()(sv, x[None, :], "sqeuclidean")[:, 0]
     return np.exp(-sq / (2.0 * model.kernel.sigma**2))
 
 
@@ -372,20 +382,26 @@ def _check_X(model: WeightedModel, X) -> np.ndarray:
 def term_matrix(model: WeightedModel, X) -> np.ndarray:
     """Corrected weighted term values for every example: shape (m, n)."""
     X = _check_X(model, X)
+    # each branch's raw is a fresh array, so the correction runs in place
     if model.indices is not None:
         raw = X[:, model.indices]
     elif model.kernel.kind == "linear":
         # the per-example einsum's additions, not a gemm's
         raw = np.einsum("ij,kj->ki", model.support_vectors, X)
     else:
-        sq = cdist(X, model.support_vectors, "sqeuclidean")
-        raw = np.exp(-sq / (2.0 * model.kernel.sigma**2))
-    return model.weights * (raw - model.mu)
+        raw = _cdist()(X, model.support_vectors, "sqeuclidean")
+        # sq / -c rounds exactly as the per-example -sq / c: each only flips a sign
+        raw /= -2.0 * model.kernel.sigma**2
+        np.exp(raw, out=raw)
+    raw -= model.mu
+    raw *= model.weights
+    return raw
 
 
 def prefix_score_matrix(model: WeightedModel, X) -> np.ndarray:
     """Running partial scores S_1..S_n per example: shape (m, n)."""
-    return np.cumsum(term_matrix(model, X), axis=1)
+    terms = term_matrix(model, X)
+    return np.cumsum(terms, axis=1, out=terms)
 
 
 def _decide(prefix: np.ndarray, cap: int, theta: float, rule: StoppingRule | None = None) -> Predictions:

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from scipy.stats import norm
@@ -264,6 +267,23 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert run(["train", "--data", str(bad), "--model-out", str(model_out)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+def test_train_test_out_needs_test_fraction(tmp_path, capsys):
+    out, held_out = tmp_path / "train.csv", tmp_path / "test.txt"
+    argv = ["train", "--synthetic", SYNTH, "--model-out", str(tmp_path / "m.npz")]
+    assert run(argv + ["--test-out", str(held_out), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--test-fraction" in err
+    assert not out.exists() and not held_out.exists() and not (tmp_path / "m.npz").exists()
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # only RBF models need cdist, so importing the CLI must not pay for it
+    code = "import sys, stst.cli; print(any(m.startswith('scipy.spatial') for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # sha256 of the CSVs `stst simulate` wrote for these flags before the bridge

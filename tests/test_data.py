@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from stst import Dataset, SyntheticSpec, generate_synthetic, parse_sparse, serialize_sparse, split
+from stst import (
+    Dataset,
+    SyntheticSpec,
+    TrainConfig,
+    generate_synthetic,
+    parse_sparse,
+    serialize_sparse,
+    split,
+    train_linear,
+)
 from stst.errors import EmptyDatasetError, ParameterError, ParseError
 
 
@@ -19,11 +29,11 @@ class TestParse:
         assert ds.n_examples == 1
         assert ds.dim == 3
         assert ds.y.tolist() == [1]
-        assert ds.row(0).tolist() == [0.5, 0.0, 2.0]
+        assert ds.dense()[0].tolist() == [0.5, 0.0, 2.0]
 
     def test_featureless_example(self):
         ds = parse_text("-1\n+1 2:1.0\n")
-        assert ds.row(0).tolist() == [0.0, 0.0]
+        assert ds.dense()[0].tolist() == [0.0, 0.0]
         assert ds.y.tolist() == [-1, 1]
 
     def test_label_mapping(self):
@@ -102,6 +112,105 @@ class TestSerialize:
             again = parse_text(buf.getvalue(), dim=dim)
             assert np.array_equal(ds.dense(), again.dense())
             assert np.array_equal(ds.y, again.y)
+
+
+    @staticmethod
+    def _reference_text(ds):
+        """The format written one entry at a time, straight from the definition."""
+        X = ds.dense()
+        lines = []
+        for label, row in zip(ds.y.tolist(), X):
+            parts = [f"{label:+d}"]
+            parts += [f"{j + 1}:{float(value)!r}" for j, value in enumerate(row) if value != 0.0]
+            lines.append(" ".join(parts) + "\n")
+        return "".join(lines)
+
+    def test_bytes_match_entrywise_writer(self):
+        tiny = 5e-324
+        data = np.array([0.0, -0.0, 0.0, tiny, -tiny, 1e308, 0.0, -1e308, 0.1, -0.0, 2.5, -3.0])
+        # row 0: stored zeros only (one -0.0), row 1 empty, row 2 the rest with stored zeros
+        indices = np.array([0, 2, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8])
+        indptr = np.array([0, 3, 3, 12])
+        X = sparse.csr_matrix((data, indices, indptr), shape=(3, 9))
+        ds = Dataset(X=X, y=np.array([1, -1, 1]))
+        assert ds.X.nnz == 12  # stored zeros stay stored, so the writer must skip them
+        buf = io.StringIO()
+        serialize_sparse(ds, buf)
+        assert buf.getvalue() == self._reference_text(ds)
+        assert buf.getvalue().splitlines()[:2] == ["+1", "-1"]
+
+    def test_bytes_match_entrywise_writer_dense_and_random(self):
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((30, 9)) * 10.0 ** rng.integers(-300, 300, size=(30, 9))
+        X[rng.random((30, 9)) < 0.6] = 0.0
+        X[3] = 0.0
+        X[4, :3] = -0.0
+        y = rng.choice([-1, 1], size=30)
+        for features in (X, sparse.csr_matrix(X)):
+            ds = Dataset(X=features, y=y)
+            buf = io.StringIO()
+            serialize_sparse(ds, buf)
+            assert buf.getvalue() == self._reference_text(ds)
+
+
+class TestSparseInput:
+    def _coo(self):
+        # unsorted columns and a duplicate (row 0, column 2) entry
+        rows = np.array([0, 0, 0, 2, 2])
+        cols = np.array([2, 0, 2, 3, 1])
+        vals = np.array([1.0, 0.5, 2.0, -1.5, 4.0])
+        return sparse.coo_matrix((vals, (rows, cols)), shape=(3, 4))
+
+    def test_held_as_canonical_csr(self):
+        coo = self._coo()
+        want = coo.toarray()
+        for X in (coo, coo.tocsc(), sparse.csr_array(coo)):
+            ds = Dataset(X=X, y=np.array([1, -1, 1]))
+            assert sparse.isspmatrix_csr(ds.X)
+            assert ds.X.has_canonical_format
+            assert ds.X.dtype == np.float64
+            assert np.array_equal(ds.dense(), want)
+
+    def test_subset_and_split_and_training_work(self):
+        coo = self._coo()
+        ds = Dataset(X=coo, y=np.array([1, -1, 1]))
+        assert np.array_equal(ds.subset([2, 0]).dense(), coo.toarray()[[2, 0]])
+        train, test = split(ds, 0.34, seed=0)
+        assert train.n_examples + test.n_examples == 3
+        model = train_linear(ds, TrainConfig(lambda_reg=0.1, epochs=3, seed=0))
+        dense = train_linear(Dataset(X=coo.toarray(), y=ds.y), TrainConfig(lambda_reg=0.1, epochs=3, seed=0))
+        assert np.array_equal(model.weights, dense.weights)
+
+    def test_duplicate_csr_summed_without_touching_caller(self):
+        data = np.array([1.0, 2.0, 3.0])
+        indices = np.array([2, 0, 2])
+        X = sparse.csr_matrix((data, indices, np.array([0, 3])), shape=(1, 3))
+        before = (X.data.copy(), X.indices.copy(), X.indptr.copy())
+        ds = Dataset(X=X, y=np.array([1]))
+        assert ds.dense().tolist() == [[2.0, 0.0, 4.0]]
+        assert ds.X.has_canonical_format
+        for got, want in zip((X.data, X.indices, X.indptr), before):
+            assert np.array_equal(got, want)
+
+    def test_canonical_csr_not_copied(self):
+        ds = parse_text("+1 1:0.5 3:2.0\n-1 2:1.0\n")
+        again = Dataset(X=ds.X, y=ds.y)
+        assert np.shares_memory(again.X.data, ds.X.data)
+
+    def test_round_trip_after_canonicalization(self):
+        # the COO entries as a raw CSR: row 0 holds columns 2, 0, 2
+        raw = sparse.csr_matrix(
+            (np.array([1.0, 0.5, 2.0, -1.5, 4.0]), np.array([2, 0, 2, 3, 1]), np.array([0, 3, 3, 5])),
+            shape=(3, 4),
+        )
+        for X in (self._coo(), raw):
+            ds = Dataset(X=X, y=np.array([1, -1, 1]))
+            buf = io.StringIO()
+            serialize_sparse(ds, buf)
+            assert buf.getvalue() == "+1 1:0.5 3:3.0\n-1\n+1 2:4.0 4:-1.5\n"
+            again = parse_text(buf.getvalue(), dim=ds.dim)
+            assert np.array_equal(again.dense(), ds.dense())
+            assert np.array_equal(again.y, ds.y)
 
 
 @settings(max_examples=50, deadline=None)

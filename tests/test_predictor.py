@@ -459,6 +459,22 @@ class TestBatchPaths:
                 assert vals[j, i] == pytest.approx(score_term(model, i, X[j]), rel=1e-12)
 
 
+class TestInPlaceTermMatrix:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_prefix_is_cumsum_of_terms_and_input_untouched(self, kind):
+        rng = np.random.default_rng(23)
+        model = random_model(rng, kind, n=200)
+        X = rng.standard_normal((12, model.dim))
+        before = X.copy()
+        terms = term_matrix(model, X)
+        prefix = prefix_score_matrix(model, X)
+        assert np.array_equal(X, before)
+        assert np.array_equal(prefix, np.cumsum(terms, axis=1))
+        # the in-place correction makes the same roundings as w * (raw - mu)
+        for j in range(len(X)):
+            assert np.array_equal(terms[j], [score_term(model, i, X[j]) for i in range(model.n)])
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["coordinate", "rbf", "linear"])
     def test_round_trip_scores_bitexact(self, tmp_path, kind):

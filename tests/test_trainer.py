@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from stst import (
     Dataset,
@@ -81,6 +82,49 @@ class TestTrainLinear:
             TrainConfig(lambda_reg=0.0, epochs=1, seed=0)
         with pytest.raises(ParameterError):
             TrainConfig(lambda_reg=0.1, epochs=0, seed=0)
+
+
+class TestSparseTraining:
+    """CSR steps touch only stored entries; dense steps use the whole row."""
+
+    @staticmethod
+    def _data(seed, m=120, dim=40, density=0.1):
+        rng = np.random.default_rng(seed)
+        X = sparse.random(m, dim, density=density, format="csr", random_state=rng, data_rvs=rng.standard_normal)
+        X = X.tolil()
+        X[3, :] = 0.0  # an empty row
+        X = X.tocsr()
+        X.data[::9] = 0.0  # explicit stored zeros
+        y = np.where(X @ rng.standard_normal(dim) + 0.1 * rng.standard_normal(m) >= 0.0, 1, -1)
+        return X, y
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_csr_weights_equal_dense(self, seed, use_bias):
+        X, y = self._data(seed)
+        assert (np.diff(X.indptr) == 0).any() and (X.data == 0.0).any()
+        config = TrainConfig(lambda_reg=0.05, epochs=3, seed=seed + 100, use_bias=use_bias)
+        csr = train_linear(Dataset(X=X, y=y), config)
+        dense = train_linear(Dataset(X=X.toarray(), y=y), config)
+        assert np.array_equal(csr.weights, dense.weights)
+        assert csr.theta == dense.theta
+        assert np.any(csr.weights != 0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 2100])
+    def test_epoch_draw_is_the_scalar_draw_stream(self, m):
+        # train_linear draws an epoch's m indices in one call; the example
+        # stream (and so every trained model) is that of m one-index draws
+        one, batch = np.random.default_rng(5), np.random.default_rng(5)
+        singles = [int(one.integers(m)) for _ in range(3 * m)]
+        epochs = [j for _ in range(3) for j in batch.integers(m, size=m).tolist()]
+        assert singles == epochs
+
+    def test_csr_input_not_mutated(self):
+        X, y = self._data(9)
+        before = (X.data.copy(), X.indices.copy(), X.indptr.copy())
+        train_linear(Dataset(X=X, y=y), TrainConfig(lambda_reg=0.05, epochs=2, seed=1))
+        for got, want in zip((X.data, X.indices, X.indptr), before):
+            assert np.array_equal(got, want)
 
 
 class TestImportKernelModel:
