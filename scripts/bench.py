@@ -5,8 +5,8 @@ Times one call at a time on generated models and data, and writes the
 medians as one labelled row of a BENCH_*.json file (a row with the same
 label is replaced, other rows are kept):
 
-    python scripts/bench.py --label change --out BENCH_8.json
-    python scripts/bench.py --label parent --src ../parent/src --out BENCH_8.json
+    python scripts/bench.py --label change --out BENCH_9.json
+    python scripts/bench.py --label parent --src ../parent/src --out BENCH_9.json
 
 Models: coordinate models at n = 1k / 4k / 16k / 64k (dim n, terms in a
 seeded random order) and RBF models at n = 0.5k / 2k / 8k (dim 64, sigma 8).
@@ -30,12 +30,13 @@ models at m = 2000 examples and n = 2000 terms (kernel dim 64), and
 prefix_score_matrix of the coordinate one; and the walk engine through
 empirical_stop_error at n = 1000, 16384 trials.
 
-End-to-end row (LAYER_REPEATS passes): the CLI flow train -> calibrate ->
-sweep -> pr through stst.cli.main, into a fresh temporary directory per
-pass, on a sparse text file of 3000 rows x 2000 dims at 2% density
-(labels from a planted direction, seed PIPELINE_SEED): train with a 0.3
-test split, calibrate per-term on a 0.25 slice of the training part, sweep
-with grid 50, and pr in attentive mode at the delta = 0.1 tau.
+End-to-end rows (LAYER_REPEATS passes each): the CLI flow train ->
+calibrate -> sweep -> pr through stst.cli.main, into a fresh temporary
+directory per pass, on a sparse text file of 3000 rows x 2000 dims at 2%
+density (labels from a planted direction, seed PIPELINE_SEED): train with a
+0.3 test split, calibrate per-term on a 0.25 slice of the training part,
+sweep with grid 50, and pr in attentive mode at the delta = 0.1 tau; and
+stst theory at the default TheoryConfig with base seed THEORY_SEED.
 """
 
 import argparse
@@ -66,6 +67,7 @@ TERM_M, TERM_N = 2_000, 2_000
 WALK_N, WALK_TRIALS = 1_000, 16_384
 PIPELINE_M, PIPELINE_DIM, PIPELINE_DENSITY = 3_000, 2_000, 0.02
 PIPELINE_SEED = 20_240_008
+THEORY_SEED = 20_240_001  # the pinned TheoryConfig base seed
 
 
 def _models():
@@ -228,6 +230,13 @@ def _pipeline_row() -> dict:
         return {name: _call_ms(_pipeline_pass, [path], LAYER_REPEATS)}
 
 
+def _theory_row() -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["theory", "--seed", str(THEORY_SEED), "-o", os.path.join(out, "theory.csv")]
+        name = f"cli theory default config seed={THEORY_SEED}"
+        return {name: _call_ms(_run_cli, [argv], LAYER_REPEATS)}
+
+
 def _call_ms(fn, X, repeats: int = REPEATS) -> dict:
     """Median and quartiles of single-call wall times over repeats passes of X."""
     times = []
@@ -275,6 +284,7 @@ def measure() -> dict:
         )
     rows.update(_layer_rows(np.random.default_rng(SEED + 2)))
     rows.update(_pipeline_row())
+    rows.update(_theory_row())
     return rows
 
 
@@ -305,7 +315,7 @@ def main() -> int:
         "layer": (
             "predictor (per-example and batch), bench.run_sweep, sparse parse and serialize, "
             "train_linear, calibrate, term_matrix, prefix_score_matrix, walk engine, "
-            "CLI pipeline end to end"
+            "CLI pipeline and theory end to end"
         ),
         "method": (
             f"single-call wall time, median and quartiles over {REPEATS} passes of {EXAMPLES} examples"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError
-from .predictor import Predictions, WeightedModel, term_matrix
+from .predictor import Predictions, WeightedModel, _check_X, _raw, term_matrix
 
 __all__ = [
     "CalibrationReport",
@@ -54,25 +54,11 @@ def _class_rows(dataset: Dataset, class_used: int, minimum: int) -> np.ndarray:
     return sel
 
 
-def _raw_matrix(model: WeightedModel, X: np.ndarray) -> np.ndarray:
-    # raw evaluator values: the unit-weight, zero-mu view of the term matrix
-    probe = WeightedModel(
-        weights=np.ones(model.n),
-        mu=np.zeros(model.n),
-        theta=model.theta,
-        dim=model.dim,
-        indices=model.indices,
-        support_vectors=model.support_vectors,
-        kernel=model.kernel,
-    )
-    return term_matrix(probe, X)
-
-
 def estimate_mu(model: WeightedModel, calibration_set: Dataset, class_used: int) -> np.ndarray:
     """Per-term mean raw evaluator value over the chosen class."""
     sel = _class_rows(calibration_set, class_used, minimum=1)
-    X = calibration_set.dense_rows(sel)
-    return _raw_matrix(model, X).mean(axis=0)
+    X = _check_X(model, calibration_set.dense_rows(sel))
+    return _raw(model, X, 0, model.n).mean(axis=0)
 
 
 def estimate_variance(
@@ -95,7 +81,7 @@ def estimate_variance(
         scores = term_matrix(model, X).sum(axis=1)
         var = float(np.var(scores, ddof=1))
     else:
-        raw = _raw_matrix(model, X)
+        raw = _raw(model, _check_X(model, X), 0, model.n)
         var = float(np.sum(model.weights**2 * np.var(raw, axis=0, ddof=1)))
     if var == 0.0:
         raise DegenerateDataError(

@@ -12,12 +12,15 @@ evaluates a fixed count. All evaluation paths share one accumulation scheme
 (sequential cumulative sum over term values), so reduced forms agree with the
 full predictor bit for bit.
 
-The per-example predictors are one scan over chunks of 128, 512, 2048, ...
-terms (one chunk when it cannot stop), each cumsummed with the running sum
-carried in. terms_evaluated counts terms up to the stop; the terms computed
-run to the end of the stop's chunk. The batch predictors decide every row of
-a prefix-score matrix at once and return a Predictions struct of arrays; the
-first-crossing search is the same function in both.
+One chunked evaluator decides a block of examples: it evaluates chunks of
+128, 512, 2048, ... terms (one chunk when nothing can stop) for the rows
+still live, cumsums each chunk with the row's running sum carried in, and
+drops the rows that stopped. A per-example predictor is that evaluator on a
+block of one. terms_evaluated counts terms up to the stop; the terms
+computed run to the end of the stop's chunk. The *_from_prefix batch
+predictors make the same decisions, through the same labelling step, off a
+whole prefix-score matrix, which the sweep reuses for many rules. Every
+path reads raw term values from one kernel function.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ __all__ = [
     "load_model",
 ]
 
-# Per-example scan chunks: _FIRST_CHUNK terms, then _GROWTH times the last.
+# Evaluator chunks: _FIRST_CHUNK terms, then _GROWTH times the last.
 # Each chunk pays 10-20 us of dispatch, so sizes must grow; a small first
 # chunk bounds the terms computed past an early stop. Picked by timing.
 _FIRST_CHUNK = 128
@@ -232,47 +235,53 @@ def _check_x(model: WeightedModel, x) -> np.ndarray:
     return np.ascontiguousarray(x)  # einsum's additions follow the strides
 
 
+def _check_X(model: WeightedModel, X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise ParameterError(f"feature matrix must have shape (m, {model.dim}), got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ParameterError("feature matrix has a NaN or infinite value")
+    return np.ascontiguousarray(X)
+
+
 @functools.cache
 def _cdist():
     """scipy's cdist, imported on first use: only RBF models need it, and
     importing scipy.spatial costs every process about a quarter second.
-    Cached, since an import statement per scan chunk costs about 1 us."""
+    Cached, since an import statement per chunk costs about 1 us."""
     from scipy.spatial.distance import cdist
 
     return cdist
 
 
-def _raw_chunk(model: WeightedModel, x: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Raw evaluator values for terms [a, b) on one example, whatever a and b."""
+def _raw(model: WeightedModel, X: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Raw evaluator values of terms [a, b) for every row of a checked,
+    C-contiguous (m, dim) block: a fresh (m, b - a) array. Each value is the
+    same bits whatever the bounds and whatever other rows are in the block."""
     if model.indices is not None:
-        return x[model.indices[a:b]]
+        return X[:, model.indices[a:b]]
     sv = model.support_vectors[a:b]
     if model.kernel.kind == "linear":
-        # a BLAS gemv rounds a row differently with other rows around it
-        return np.einsum("ij,j->i", sv, x)
-    sq = _cdist()(sv, x[None, :], "sqeuclidean")[:, 0]
-    return np.exp(-sq / (2.0 * model.kernel.sigma**2))
+        # a BLAS gemm rounds a row differently with other rows around it
+        return np.einsum("ij,kj->ki", sv, X)
+    raw = _cdist()(X, sv, "sqeuclidean")
+    raw /= -2.0 * model.kernel.sigma**2
+    return np.exp(raw, out=raw)
 
 
-def _term_chunk(model: WeightedModel, x: np.ndarray, a: int, b: int) -> np.ndarray:
-    return model.weights[a:b] * (_raw_chunk(model, x, a, b) - model.mu[a:b])
+def _terms(model: WeightedModel, X: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Corrected values w_i * (raw_i - mu_i) of terms [a, b), made in place."""
+    t = _raw(model, X, a, b)
+    t -= model.mu[a:b]
+    t *= model.weights[a:b]
+    return t
 
 
 def score_term(model: WeightedModel, i: int, x) -> float:
     """Corrected weighted value of term i (0-based): w_i * (raw_i(x) - mu_i)."""
     if not 0 <= i < model.n:
         raise ParameterError(f"term index {i} outside [0, {model.n})")
-    x = _check_x(model, x)
-    return float(_term_chunk(model, x, i, i + 1)[0])
-
-
-def _label_at(score: float, theta: float) -> int:
-    # scores below theta are the negative class; ties go positive
-    return 1 if score >= theta else -1
-
-
-def _stop_label(rule: StoppingRule) -> int:
-    return -1 if rule.direction is Direction.REJECT_BELOW else 1
+    return float(_terms(model, _check_x(model, x)[None], i, i + 1)[0, 0])
 
 
 def _stops(rule: StoppingRule | None) -> bool:
@@ -280,35 +289,62 @@ def _stops(rule: StoppingRule | None) -> bool:
 
 
 def _first_crossing(S: np.ndarray, rule: StoppingRule):
-    """Along S's last axis: (any, k) for the first k with S[..., k] strictly
-    beyond the rule's tau. S is one 1-d chunk or a 2-d prefix matrix."""
+    """Per row of S: (any, k) for the first k with S[j, k] strictly beyond
+    the rule's tau. S is a chunk of running sums or a whole prefix matrix."""
     crossed = S < rule.tau if rule.direction is Direction.REJECT_BELOW else S > rule.tau
-    return crossed.any(axis=-1), crossed.argmax(axis=-1)
+    return crossed.any(axis=1), crossed.argmax(axis=1)
 
 
-def _scan(model, x, cap: int, rule: StoppingRule | None = None) -> tuple[int, float]:
-    """(i, S_i) at the first count i with S_i strictly beyond rule.tau, else (cap, S_cap).
+def _outcome(
+    terms: np.ndarray, s: np.ndarray, n: int, cap: int, theta: float, rule: StoppingRule | None
+) -> Predictions:
+    """Label and report each row from its count and its running sum there.
 
-    Chunks follow the schedule above, or are one chunk when nothing can
-    stop. Carrying the running sum into a chunk's first value makes its
-    cumsum the same additions, fl(S + v), as one whole-vector cumsum.
+    A row that stopped before cap reports the rule's tau, which lies
+    strictly on the rule's side of theta, so labelling every score against
+    theta (ties positive) gives it its side's label. stopped is terms < n,
+    so a budget below n counts as an early stop. s is overwritten.
     """
+    if _stops(rule):
+        s[terms < cap] = rule.tau
+    return Predictions(label=np.where(s >= theta, 1, -1), score=s, terms=terms, stopped=terms < n)
+
+
+def _evaluate(
+    model: WeightedModel, X: np.ndarray, cap: int, theta: float, rule: StoppingRule | None = None
+) -> Predictions:
+    """Decide every row of a checked block from its first cap terms.
+
+    A row stops at the first count i < cap with S_i strictly beyond
+    rule.tau. Terms are evaluated in chunks (the schedule above, or one
+    chunk when nothing can stop) for the rows still live; carrying each
+    row's running sum into its chunk's first value makes the chunk's cumsum
+    the same additions, fl(S + v), as one whole-row cumsum. Stopped rows
+    leave the block, so their later terms are never computed.
+    """
+    m = X.shape[0]
+    terms, s = np.full(m, cap), np.zeros(m)
+    rows = np.arange(m)  # each live row's index in the caller's block
+    carry = -0.0  # the additive identity: -0.0 + v is v, even for v = -0.0
     stops = _stops(rule)
     size = _FIRST_CHUNK if stops else cap
-    carry = -0.0  # the additive identity: -0.0 + v is v, even for v = -0.0
     a = 0
     while True:
         b = min(a + size, cap)
-        seg = _term_chunk(model, x, a, b)
-        seg[0] += carry
-        np.cumsum(seg, out=seg)
+        seg = _terms(model, X, a, b)
+        seg[:, 0] += carry
+        np.cumsum(seg, axis=1, out=seg)
+        if b == cap:
+            s[rows] = seg[:, -1]  # a crossing at cap itself is no early stop
         if stops:
             hit, k = _first_crossing(seg, rule)
-            if hit:
-                return a + int(k) + 1, float(seg[k])
-        if b == cap:
-            return cap, float(seg[-1])
-        carry = seg[-1]
+            if hit.any():
+                terms[rows[hit]] = a + k[hit] + 1
+                live = ~hit
+                rows, X, seg = rows[live], X[live], seg[live]
+        if b == cap or not rows.size:
+            return _outcome(terms, s, model.n, cap, theta, rule)
+        carry = seg[:, -1]
         a = b
         size *= _GROWTH
 
@@ -325,11 +361,7 @@ def attentive_predict(model: WeightedModel, x, rule: StoppingRule) -> Prediction
     terms_evaluated is the stop position, the paper's cost; up to one chunk
     of terms past it may have been computed.
     """
-    x = _check_x(model, x)
-    i, score = _scan(model, x, model.n, rule)
-    if i < model.n:
-        return Prediction(_stop_label(rule), rule.tau, i, True)
-    return Prediction(_label_at(score, rule.theta), score, i, False)
+    return _evaluate(model, _check_x(model, x)[None], model.n, rule.theta, rule)[0]
 
 
 def budgeted_predict(model: WeightedModel, x, b: int, theta: float) -> Prediction:
@@ -338,8 +370,7 @@ def budgeted_predict(model: WeightedModel, x, b: int, theta: float) -> Predictio
     n = model.n
     if not 1 <= b <= n:
         raise ParameterError(f"budget must be in [1, {n}], got {b}")
-    _, score = _scan(model, x, b)
-    return Prediction(_label_at(score, theta), score, b, b < n)
+    return _evaluate(model, x[None], b, theta)[0]
 
 
 def full_predict(model: WeightedModel, x, theta: float | None = None) -> Prediction:
@@ -370,32 +401,9 @@ def permute_terms(model: WeightedModel, seed: int) -> WeightedModel:
 # across workers.
 
 
-def _check_X(model: WeightedModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.dim:
-        raise ParameterError(f"feature matrix must have shape (m, {model.dim}), got {X.shape}")
-    if not np.isfinite(X).all():
-        raise ParameterError("feature matrix has a NaN or infinite value")
-    return np.ascontiguousarray(X)
-
-
 def term_matrix(model: WeightedModel, X) -> np.ndarray:
     """Corrected weighted term values for every example: shape (m, n)."""
-    X = _check_X(model, X)
-    # each branch's raw is a fresh array, so the correction runs in place
-    if model.indices is not None:
-        raw = X[:, model.indices]
-    elif model.kernel.kind == "linear":
-        # the per-example einsum's additions, not a gemm's
-        raw = np.einsum("ij,kj->ki", model.support_vectors, X)
-    else:
-        raw = _cdist()(X, model.support_vectors, "sqeuclidean")
-        # sq / -c rounds exactly as the per-example -sq / c: each only flips a sign
-        raw /= -2.0 * model.kernel.sigma**2
-        np.exp(raw, out=raw)
-    raw -= model.mu
-    raw *= model.weights
-    return raw
+    return _terms(model, _check_X(model, X), 0, model.n)
 
 
 def prefix_score_matrix(model: WeightedModel, X) -> np.ndarray:
@@ -405,25 +413,13 @@ def prefix_score_matrix(model: WeightedModel, X) -> np.ndarray:
 
 
 def _decide(prefix: np.ndarray, cap: int, theta: float, rule: StoppingRule | None = None) -> Predictions:
-    """_scan and the per-example decisions, for every row of a prefix matrix.
-
-    A row stops at the first count i < cap with S_i strictly beyond rule.tau
-    and reports the rule's side label and tau. Any other row reports S_cap
-    labelled against theta. stopped is terms < n, so a budget below n counts
-    as an early stop.
-    """
+    """_evaluate's decisions, read off a whole prefix matrix."""
     m, n = prefix.shape
-    stops = _stops(rule)
     terms = np.full(m, cap)
-    if stops:
+    if _stops(rule):
         hit, k = _first_crossing(prefix[:, :cap], rule)
         terms = np.where(hit, k + 1, cap)
-    s = prefix[np.arange(m), terms - 1]
-    label, score = np.where(s >= theta, 1, -1), s
-    if stops:
-        early = terms < cap
-        label, score = np.where(early, _stop_label(rule), label), np.where(early, rule.tau, s)
-    return Predictions(label=label, score=score, terms=terms, stopped=terms < n)
+    return _outcome(terms, prefix[np.arange(m), terms - 1], n, cap, theta, rule)
 
 
 def attentive_from_prefix(prefix: np.ndarray, rule: StoppingRule) -> Predictions:

@@ -21,7 +21,7 @@ from scipy import sparse
 
 from .data import Dataset
 from .errors import ModelFormatError, ParameterError, TrainingError
-from .predictor import WeightedModel, coordinate_model, full_predict, load_model, load_verification
+from .predictor import WeightedModel, coordinate_model, load_model, load_verification, prefix_score_matrix
 
 __all__ = [
     "TrainConfig",
@@ -122,7 +122,8 @@ def import_kernel_model(path, rel_tol: float = 1e-6) -> WeightedModel:
     The container may carry a verification set (inputs plus the exporter's
     decision values, net of any intercept the exporter folded into theta).
     When present, the loaded model's full scores must match within rel_tol
-    relative; disagreement rejects the import.
+    relative; disagreement rejects the import, as does a malformed payload
+    (shapes that do not fit the model, or a non-finite input).
     """
     model = load_model(path)
     if not model.is_kernel:
@@ -130,7 +131,14 @@ def import_kernel_model(path, rel_tol: float = 1e-6) -> WeightedModel:
     payload = load_verification(path)
     if payload is not None:
         inputs, expected = payload
-        got = np.array([full_predict(model, x).reported_score for x in inputs])
+        try:
+            got = prefix_score_matrix(model, inputs)[:, -1]
+        except ParameterError as exc:
+            raise ModelFormatError(f"malformed verification payload: {exc}") from exc
+        if expected.shape != got.shape:
+            raise ModelFormatError(
+                f"malformed verification payload: scores of shape {expected.shape} for {got.size} inputs"
+            )
         denom = np.maximum(np.abs(expected), 1e-30)
         worst = float(np.max(np.abs(got - expected) / denom)) if got.size else 0.0
         if not np.allclose(got, expected, rtol=rel_tol, atol=1e-12):

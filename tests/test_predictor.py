@@ -25,6 +25,7 @@ from stst.errors import ModelFormatError, ParameterError
 from stst.predictor import (
     _FIRST_CHUNK,
     _GROWTH,
+    _evaluate,
     attentive_from_prefix,
     budgeted_from_prefix,
     full_from_prefix,
@@ -69,6 +70,17 @@ class TestScoreTerm:
     def test_linear_coordinate(self):
         model = coordinate_model([2.0], dim=1)
         assert score_term(model, 0, np.array([3.0])) == 6.0
+
+    def test_linear_kernel_against_sum_of_products(self):
+        # exactly representable values: every product and sum is exact, so == holds
+        sv = [[1.5, -2.0, 0.25], [3.0, 0.5, -1.0], [0.0, -0.75, 8.0]]
+        weights, mu = [2.0, -0.5, 0.125], [0.25, 1.0, -3.0]
+        x = [2.0, -0.5, 4.0]
+        model = kernel_model(weights, sv, KernelSpec.linear(), mu=mu)
+        for i, u in enumerate(sv):
+            want = weights[i] * (sum(a * b for a, b in zip(u, x)) - mu[i])
+            assert score_term(model, i, np.array(x)) == want
+        assert [score_term(model, i, np.array(x)) for i in range(3)] == [9.5, -0.375, 4.421875]
 
     def test_rbf_zero_distance(self):
         model = kernel_model([1.5], [[0.3, -0.2]], KernelSpec.rbf(0.7), mu=[0.25])
@@ -457,6 +469,40 @@ class TestBatchPaths:
         for j in range(4):
             for i in range(model.n):
                 assert vals[j, i] == pytest.approx(score_term(model, i, X[j]), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", (129, 1000, 4097))
+    def test_row_compaction(self, kind, n):
+        # one tau for 40 rows, placed so that rows stop in each of the first
+        # three chunks (those that hold a count below n) and some never stop;
+        # stopped rows leave the block, so every live row's carry and index
+        # must stay aligned across chunks
+        rng = np.random.default_rng(3000 + n)
+        model = random_model(rng, kind, n=n)
+        X = rng.standard_normal((40, model.dim))
+        prefix = prefix_score_matrix(model, X)
+        ends = chunk_ends(n)
+        starts = [0] + ends[:-1]
+        need = {e for e in range(min(3, len(ends))) if starts[e] + 1 < n}
+        lowest = np.minimum.accumulate(prefix[:, :-1], axis=1)
+        for q in sorted(np.linspace(0.02, 0.98, 49), key=lambda q: abs(q - 0.5)):
+            tau = float(np.quantile(lowest[:, -1], q))
+            crossed = lowest < tau
+            stops = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, n)
+            if need <= set(np.searchsorted(ends, stops[stops < n]).tolist()) and (stops == n).any():
+                break
+        else:
+            pytest.fail("no tau spreads the stops over the first three chunks")
+        rule = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
+        got = _evaluate(model, X, n, 0.0, rule)
+        assert [p.terms_evaluated for p in got] == stops.tolist()
+        assert list(map(bits, got)) == list(map(bits, attentive_from_prefix(prefix, rule)))
+        for j, x in enumerate(X):
+            assert bits(got[j]) == bits(_evaluate(model, X[j : j + 1], n, 0.0, rule)[0])
+            assert bits(got[j]) == bits(attentive_predict(model, x, rule))
+        for b in sorted({1, 128, 129, 641, n} & set(range(1, n + 1))):
+            got = _evaluate(model, X, b, 0.0)
+            assert list(map(bits, got)) == list(map(bits, budgeted_from_prefix(prefix, b, 0.0)))
 
 
 class TestInPlaceTermMatrix:

@@ -242,6 +242,27 @@ class TestImportKernelModel:
         with pytest.raises(ModelFormatError, match="disagrees"):
             import_kernel_model(path)
 
+    @pytest.mark.parametrize(
+        "inputs_shape, scores_shape, bad",
+        [((4, 3), (3,), None), ((4, 2), (4,), None), ((4, 3), (4, 1), None), ((3,), (3,), None),
+         ((4, 3), (4,), np.nan), ((4, 3), (4,), np.inf)],
+    )
+    def test_malformed_verification_payload_rejected(self, tmp_path, inputs_shape, scores_shape, bad):
+        # save_model refuses a misshapen payload, so the container is written by hand
+        rng = np.random.default_rng(49)
+        model = kernel_model(rng.standard_normal(5), rng.standard_normal((5, 3)), KernelSpec.rbf(1.1))
+        path = tmp_path / "malformed.npz"
+        save_model(model, path)
+        with np.load(path) as z:
+            fields = {k: z[k] for k in z.files}
+        fields["verify_inputs"] = rng.standard_normal(inputs_shape)
+        fields["verify_scores"] = rng.standard_normal(scores_shape)
+        if bad is not None:
+            fields["verify_inputs"][1, 2] = bad
+        np.savez(path, **fields)
+        with pytest.raises(ModelFormatError, match="verification payload"):
+            import_kernel_model(path)
+
     def test_coordinate_container_rejected(self, tmp_path):
         from stst import coordinate_model
 
