@@ -21,7 +21,7 @@ import numpy as np
 
 from .calibration import measure_stop_error
 from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, crossing_probability
-from .data import Dataset
+from .data import Dataset, write_csv
 from .errors import ParameterError, UndefinedRateError
 from .predictor import (
     WeightedModel,
@@ -31,6 +31,7 @@ from .predictor import (
     prefix_score_matrix,
 )
 from .simulator import (
+    THEORY_COLUMNS,
     TheoryRow,
     WalkSpec,
     empirical_bridge_crossing_grid,
@@ -108,85 +109,43 @@ def run_sweep(
     test: Dataset,
     theta: float,
     grid=50,
-    condition: int = 1,
 ) -> list[SweepRecord]:
     """Full pass, then an (attentive, budgeted) record pair per grid point.
 
     The sweep rejects below: each grid tau sits under theta and stops predict
     -1. Stop-error rates for both modes are measured against the single full
-    pass, conditioned on full label == condition (default +1, the class
-    opposite the rejection direction).
+    pass, conditioned on full label +1, the class opposite the rejection
+    direction.
     """
     if not np.any(model.mu):
         warnings.warn("model mu is all zero; sweeping uncorrected scores voids the delta calibration")
+    theta = float(theta)  # an int theta still writes as a float in the CSV
+
+    def record(mode, preds, t0, mean_terms, tau=None, budget=None, stop_error_rate=0.0):
+        # wall_time covers the pass, not the confusion counts
+        wall_time = time.perf_counter() - t0
+        tp, fp, tn, fn = _confusion(preds.label, test.y)
+        return SweepRecord(mode, tau, budget, theta, tp, fp, tn, fn, mean_terms, stop_error_rate, wall_time)
+
     t0 = time.perf_counter()
     prefix = prefix_score_matrix(model, test.dense())
     n = prefix.shape[1]
     full = full_from_prefix(prefix, theta)
-    full_time = time.perf_counter() - t0
-
-    tp, fp, tn, fn = _confusion(full.label, test.y)
-    records = [
-        SweepRecord(
-            mode="full",
-            tau=None,
-            budget=None,
-            theta=theta,
-            tp=tp,
-            fp=fp,
-            tn=tn,
-            fn=fn,
-            mean_terms=float(n),
-            stop_error_rate=0.0,
-            wall_time=full_time,
-        )
-    ]
+    records = [record("full", full, t0, float(n))]
 
     for tau in _grid_values(prefix, theta, grid):
         t0 = time.perf_counter()
         rule = StoppingRule(theta=theta, tau=float(tau), direction=Direction.REJECT_BELOW)
         att = attentive_from_prefix(prefix, rule)
         mean_terms = float(np.mean(att.terms))
-        att_err = measure_stop_error(att, full, condition)
-        att_time = time.perf_counter() - t0
-        tp, fp, tn, fn = _confusion(att.label, test.y)
-        records.append(
-            SweepRecord(
-                mode="attentive",
-                tau=float(tau),
-                budget=None,
-                theta=theta,
-                tp=tp,
-                fp=fp,
-                tn=tn,
-                fn=fn,
-                mean_terms=mean_terms,
-                stop_error_rate=att_err,
-                wall_time=att_time,
-            )
-        )
+        att_err = measure_stop_error(att, full, 1)
+        records.append(record("attentive", att, t0, mean_terms, tau=float(tau), stop_error_rate=att_err))
 
         t0 = time.perf_counter()
         budget = min(max(round(mean_terms), 1), n)
         bud = budgeted_from_prefix(prefix, budget, theta)
-        bud_err = measure_stop_error(bud, full, condition) if budget < n else 0.0
-        bud_time = time.perf_counter() - t0
-        tp, fp, tn, fn = _confusion(bud.label, test.y)
-        records.append(
-            SweepRecord(
-                mode="budgeted",
-                tau=None,
-                budget=budget,
-                theta=theta,
-                tp=tp,
-                fp=fp,
-                tn=tn,
-                fn=fn,
-                mean_terms=float(budget),
-                stop_error_rate=bud_err,
-                wall_time=bud_time,
-            )
-        )
+        bud_err = measure_stop_error(bud, full, 1) if budget < n else 0.0
+        records.append(record("budgeted", bud, t0, float(budget), budget=budget, stop_error_rate=bud_err))
     return records
 
 
@@ -207,21 +166,7 @@ SWEEP_COLUMNS = (
 def sweep_csv(records, stream) -> None:
     """Serialize sweep records; wall_time is deliberately omitted so output
     is byte-identical across runs with the same flags and seeds."""
-    stream.write(",".join(SWEEP_COLUMNS) + "\n")
-    for r in records:
-        fields = [
-            r.mode,
-            "" if r.tau is None else repr(float(r.tau)),
-            "" if r.budget is None else str(int(r.budget)),
-            repr(float(r.theta)),
-            str(r.tp),
-            str(r.fp),
-            str(r.tn),
-            str(r.fn),
-            repr(float(r.mean_terms)),
-            repr(float(r.stop_error_rate)),
-        ]
-        stream.write(",".join(fields) + "\n")
+    write_csv(stream, SWEEP_COLUMNS, ([getattr(r, c) for c in SWEEP_COLUMNS] for r in records))
 
 
 @dataclass(frozen=True)
@@ -261,9 +206,7 @@ def precision_recall(scores, truth) -> list[PRPoint]:
 
 
 def pr_csv(points, stream) -> None:
-    stream.write("threshold,precision,recall\n")
-    for p in points:
-        stream.write(f"{float(p.threshold)!r},{float(p.precision)!r},{float(p.recall)!r}\n")
+    write_csv(stream, ("threshold", "precision", "recall"), ((p.threshold, p.precision, p.recall) for p in points))
 
 
 @dataclass(frozen=True)
@@ -387,8 +330,8 @@ def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[Theory
 
 def theory_csv(results, stream) -> None:
     """Theory-suite CSV: the simulator column set plus a passed flag."""
-    from .simulator import THEORY_COLUMNS
-
-    stream.write(",".join(THEORY_COLUMNS + ("passed",)) + "\n")
-    for row, ok in results:
-        stream.write(",".join(row.as_csv_fields() + [("true" if ok else "false")]) + "\n")
+    write_csv(
+        stream,
+        THEORY_COLUMNS + ("passed",),
+        ([*(getattr(row, c) for c in THEORY_COLUMNS), ok] for row, ok in results),
+    )

@@ -54,11 +54,29 @@ def _class_rows(dataset: Dataset, class_used: int, minimum: int) -> np.ndarray:
     return sel
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("score", "per_term"):
+        raise ParameterError(f"unknown variance mode {mode!r}")
+
+
 def estimate_mu(model: WeightedModel, calibration_set: Dataset, class_used: int) -> np.ndarray:
     """Per-term mean raw evaluator value over the chosen class."""
     sel = _class_rows(calibration_set, class_used, minimum=1)
     X = _check_X(model, calibration_set.dense_rows(sel))
     return _raw(model, X, 0, model.n).mean(axis=0)
+
+
+def _variance(model: WeightedModel, X: np.ndarray, raw, class_used: int, mode: str) -> float:
+    """var(S_n) over the rows of X; raw holds their raw term values (per_term mode only)."""
+    if mode == "score":
+        var = float(np.var(term_matrix(model, X).sum(axis=1), ddof=1))
+    else:
+        var = float(np.sum(model.weights**2 * np.var(raw, axis=0, ddof=1)))
+    if var == 0.0:
+        raise DegenerateDataError(
+            f"calibration scores of class {class_used:+d} have zero variance; stopping rule undefined"
+        )
+    return var
 
 
 def estimate_variance(
@@ -73,21 +91,11 @@ def estimate_variance(
     needs no independence assumption. "per_term": sum of w_i^2 * var(raw_i),
     valid when terms are independent (e.g. after a random permutation).
     """
-    if mode not in ("score", "per_term"):
-        raise ParameterError(f"unknown variance mode {mode!r}")
+    _check_mode(mode)
     sel = _class_rows(calibration_set, class_used, minimum=2)
     X = calibration_set.dense_rows(sel)
-    if mode == "score":
-        scores = term_matrix(model, X).sum(axis=1)
-        var = float(np.var(scores, ddof=1))
-    else:
-        raw = _raw(model, _check_X(model, X), 0, model.n)
-        var = float(np.sum(model.weights**2 * np.var(raw, axis=0, ddof=1)))
-    if var == 0.0:
-        raise DegenerateDataError(
-            f"calibration scores of class {class_used:+d} have zero variance; stopping rule undefined"
-        )
-    return var
+    raw = _raw(model, _check_X(model, X), 0, model.n) if mode == "per_term" else None
+    return _variance(model, X, raw, class_used, mode)
 
 
 def calibrate(
@@ -96,12 +104,23 @@ def calibrate(
     class_used: int,
     mode: str = "score",
 ) -> tuple[WeightedModel, CalibrationReport]:
-    """Estimate mu and variance, returning the corrected model and a report."""
-    mu = estimate_mu(model, calibration_set, class_used)
+    """Estimate mu and variance, returning the corrected model and a report.
+
+    The class rows are densified once and their raw terms evaluated once;
+    mu and the per-term variance both read that one array, so the results
+    are estimate_mu's and estimate_variance's bit for bit.
+    """
+    sel = _class_rows(calibration_set, class_used, minimum=1)
+    X = _check_X(model, calibration_set.dense_rows(sel))
+    raw = _raw(model, X, 0, model.n)
+    mu = raw.mean(axis=0)
     corrected = model.with_mu(mu)
-    variance = estimate_variance(corrected, calibration_set, class_used, mode=mode)
-    n_cal = int((calibration_set.y == class_used).sum())
-    report = CalibrationReport(mu=mu, variance_hat=variance, n_calibration=n_cal, class_used=class_used)
+    _check_mode(mode)
+    _class_rows(calibration_set, class_used, minimum=2)  # the variance's error, after mu's
+    if mode == "score":
+        raw = None  # free it before term_matrix builds the corrected terms
+    variance = _variance(corrected, X, raw, class_used, mode)
+    report = CalibrationReport(mu=mu, variance_hat=variance, n_calibration=int(sel.size), class_used=class_used)
     return corrected, report
 
 

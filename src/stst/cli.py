@@ -79,21 +79,6 @@ def _output(path):
             yield stream
 
 
-def _write_csv(path, header, rows) -> None:
-    with _output(path) as stream:
-        stream.write(",".join(header) + "\n")
-        for row in rows:
-            stream.write(",".join(row) + "\n")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _class_label(text: str) -> int:
     if text in ("+1", "1", "pos"):
         return 1
@@ -129,25 +114,28 @@ def _cmd_train(args) -> int:
         return float((full_from_prefix(prefix, model.theta).label == ds.y).mean())
 
     objective = trainer.hinge_objective(model, dataset, args.lambda_reg)
-    row = [
-        str(dataset.n_examples),
-        str(dataset.dim),
-        _fmt(args.lambda_reg),
-        str(args.epochs),
-        str(args.seed),
-        _fmt(accuracy(dataset)),
-        _fmt(accuracy(test)) if test is not None else "",
-        _fmt(objective),
-    ]
-    _write_csv(
-        args.output,
-        ("examples", "dim", "lambda", "epochs", "seed", "train_accuracy", "test_accuracy", "objective"),
-        [row],
+    row = (
+        dataset.n_examples,
+        dataset.dim,
+        args.lambda_reg,
+        args.epochs,
+        args.seed,
+        accuracy(dataset),
+        accuracy(test) if test is not None else None,
+        objective,
     )
+    with _output(args.output) as stream:
+        data.write_csv(
+            stream,
+            ("examples", "dim", "lambda", "epochs", "seed", "train_accuracy", "test_accuracy", "objective"),
+            [row],
+        )
     return 0
 
 
 def _cmd_calibrate(args) -> int:
+    if args.paper_faithful and args.cal_fraction is not None:
+        raise ParameterError("--cal-fraction slices --train; --paper-faithful calibrates on the whole test set")
     model = load_model(args.model)
     class_used = _class_label(args.class_used)
     if args.paper_faithful:
@@ -167,18 +155,9 @@ def _cmd_calibrate(args) -> int:
     calibrated, report = calibration.calibrate(model, cal_set, class_used, mode=mode)
     if args.model_out is not None:
         save_model(calibrated, args.model_out)
-    row = [
-        f"{report.class_used:+d}",
-        str(report.n_calibration),
-        _fmt(report.variance_hat),
-        protocol,
-        mode,
-    ]
-    _write_csv(
-        args.output,
-        ("class_used", "n_calibration", "variance_hat", "protocol", "mode"),
-        [row],
-    )
+    row = (f"{report.class_used:+d}", report.n_calibration, report.variance_hat, protocol, mode)
+    with _output(args.output) as stream:
+        data.write_csv(stream, ("class_used", "n_calibration", "variance_hat", "protocol", "mode"), [row])
     return 0
 
 
@@ -192,15 +171,15 @@ def _cmd_sweep(args) -> int:
             grid = int(args.grid)
         except ValueError:
             raise ParameterError(f"grid must be an integer or 'exhaustive', got {args.grid!r}") from None
-    records = bench.run_sweep(
-        model, test, theta=args.theta, grid=grid, condition=_class_label(args.condition)
-    )
+    records = bench.run_sweep(model, test, theta=args.theta, grid=grid)
     with _output(args.output) as stream:
         bench.sweep_csv(records, stream)
     return 0
 
 
 def _cmd_pr(args) -> int:
+    if args.tau is not None and args.mode != "attentive":
+        raise ParameterError("pr --tau needs --mode attentive (a full pass has no stop threshold)")
     model = load_model(args.model)
     test = data.parse_sparse(args.data)
     prefix = prefix_score_matrix(model, test.dense())
@@ -313,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="test set in sparse format")
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--grid", default="50", help="number of grid points, or 'exhaustive'")
-    p.add_argument("--condition", default="+1", help="full-pass label the stop-error conditions on")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("pr", help="precision-recall curve from reported scores")

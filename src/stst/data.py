@@ -8,7 +8,8 @@ with 1-based, strictly ascending indices. Labels 0 and -1 map to -1 and
 positive labels to +1; any other finite label maps by sign with a warning.
 A NaN or infinite label or feature value is a ParseError. Values are
 written back with repr(), the shortest decimal that round-trips a double, so
-parse(serialize(d)) reproduces d exactly.
+parse(serialize(d)) reproduces d exactly. The CLI's CSVs use the same float
+rule, through write_csv.
 
 A Dataset holds its features as a dense float64 array or as a canonical CSR
 matrix (sorted indices, no duplicates). Any other scipy sparse input is
@@ -34,6 +35,7 @@ __all__ = [
     "serialize_sparse",
     "generate_synthetic",
     "split",
+    "write_csv",
 ]
 
 
@@ -196,6 +198,25 @@ def serialize_sparse(dataset: Dataset, target) -> None:
     bounds = np.concatenate(([0], np.cumsum(keep)))[csr.indptr].tolist()
     for i, label in enumerate(dataset.y.tolist()):
         target.write(" ".join([f"{label:+d}", *tokens[bounds[i] : bounds[i + 1]]]) + "\n")
+
+
+def _csv_field(value) -> str:
+    """One CSV field: "" for None, true/false for flags, the shortest
+    round-trip repr for floats (numpy ones included), str for the rest."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(stream, header, rows) -> None:
+    """A header line, then one line per row of raw values, each through _csv_field."""
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(map(_csv_field, row)) + "\n")
 
 
 @dataclass(frozen=True)

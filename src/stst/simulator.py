@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfidenceParams, crossing_magnitude, expected_stop_bound
+from .data import write_csv
 from .errors import InsufficientAcceptanceError, ParameterError
 
 __all__ = [
@@ -455,22 +456,6 @@ class TheoryRow:
             summary.se_time, bound,
         )
 
-    def as_csv_fields(self) -> list[str]:
-        return [
-            self.experiment,
-            str(self.n),
-            "" if self.delta is None else repr(float(self.delta)),
-            repr(float(self.tau)),
-            repr(float(self.theta)),
-            str(self.trials),
-            str(self.accepted),
-            repr(float(self.estimate)),
-            repr(float(self.stderr)),
-            repr(float(self.closed_form)),
-        ]
-
 
 def write_theory_rows(rows, stream) -> None:
-    stream.write(",".join(THEORY_COLUMNS) + "\n")
-    for row in rows:
-        stream.write(",".join(row.as_csv_fields()) + "\n")
+    write_csv(stream, THEORY_COLUMNS, ([getattr(row, c) for c in THEORY_COLUMNS] for row in rows))

@@ -63,6 +63,14 @@ class TestRunSweep:
         assert buf1.getvalue() == buf2.getvalue()
         assert "wall_time" not in buf1.getvalue().splitlines()[0]
 
+    def test_int_theta_written_as_float(self, synthetic_bench, sweep_records):
+        # a float column stays a float when the caller passes an int
+        buf_int, buf_float = io.StringIO(), io.StringIO()
+        sweep_csv(run_sweep(synthetic_bench.model, synthetic_bench.test, theta=0, grid=5), buf_int)
+        sweep_csv(run_sweep(synthetic_bench.model, synthetic_bench.test, theta=0.0, grid=5), buf_float)
+        assert buf_int.getvalue() == buf_float.getvalue()
+        assert all(line.split(",")[3] == "0.0" for line in buf_int.getvalue().splitlines()[1:])
+
     def test_exhaustive_grid(self, synthetic_bench):
         records = run_sweep(synthetic_bench.model, synthetic_bench.test, theta=BENCH_THETA, grid="exhaustive")
         attentive = [r for r in records if r.mode == "attentive"]

@@ -129,6 +129,49 @@ class TestCalibrate:
         assert np.array_equal(corrected.mu, report.mu)
 
 
+    def test_densifies_class_rows_once(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        model = coordinate_model(rng.standard_normal(4), dim=4)
+        ds = small_dataset(rng.standard_normal((25, 4)), [1] * 20 + [-1] * 5)
+        calls = []
+        dense_rows = Dataset.dense_rows
+
+        def counting(self, idx):
+            calls.append(idx)
+            return dense_rows(self, idx)
+
+        monkeypatch.setattr(Dataset, "dense_rows", counting)
+        for mode in ("score", "per_term"):
+            calls.clear()
+            calibrate(model, ds, class_used=1, mode=mode)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["coordinate", "rbf"])
+    @pytest.mark.parametrize("mode", ["score", "per_term"])
+    def test_matches_separate_estimators_bit_for_bit(self, kind, mode):
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((60, 5))
+        if kind == "coordinate":
+            model = coordinate_model(rng.standard_normal(5), dim=5)
+        else:
+            model = kernel_model(rng.standard_normal(7), rng.standard_normal((7, 5)), KernelSpec.rbf(1.3))
+        ds = small_dataset(X, rng.choice([1, -1], size=60))
+        corrected, report = calibrate(model, ds, class_used=-1, mode=mode)
+        mu = estimate_mu(model, ds, class_used=-1)
+        assert report.mu.tobytes() == mu.tobytes()
+        assert report.variance_hat == estimate_variance(model.with_mu(mu), ds, class_used=-1, mode=mode)
+
+    def test_error_order_kept(self):
+        model = coordinate_model([1.0], dim=1)
+        # an empty class is reported before a bad mode, as estimate_mu runs first
+        with pytest.raises(CalibrationError, match="at least 1"):
+            calibrate(model, small_dataset([[1.0], [2.0]], [1, 1]), class_used=-1, mode="bogus")
+        with pytest.raises(ParameterError, match="unknown variance mode"):
+            calibrate(model, small_dataset([[1.0], [2.0]], [1, -1]), class_used=1, mode="bogus")
+        with pytest.raises(CalibrationError, match="at least 2"):
+            calibrate(model, small_dataset([[1.0], [2.0]], [1, -1]), class_used=1)
+
+
 def _preds(*rows):
     """Predictions from (label, stopped) pairs; scores and term counts are not read."""
     return Predictions(

@@ -278,6 +278,34 @@ def test_train_test_out_needs_test_fraction(tmp_path, capsys):
     assert not out.exists() and not held_out.exists() and not (tmp_path / "m.npz").exists()
 
 
+def test_calibrate_paper_faithful_rejects_cal_fraction(pipeline, tmp_path, capsys):
+    _, calibrated, test_file = pipeline
+    out, model_out = tmp_path / "cal.csv", tmp_path / "m.npz"
+    argv = ["calibrate", "--model", str(calibrated), "--test", str(test_file), "--paper-faithful"]
+    assert run(argv + ["--cal-fraction", "0.5", "--model-out", str(model_out), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--cal-fraction" in err
+    assert not out.exists() and not model_out.exists()
+
+
+def test_pr_tau_needs_attentive_mode(pipeline, tmp_path, capsys):
+    _, calibrated, test_file = pipeline
+    out = tmp_path / "pr.csv"
+    argv = ["pr", "--model", str(calibrated), "--data", str(test_file), "--tau", "-2.0", "-o", str(out)]
+    for mode in ([], ["--mode", "full"]):
+        assert run(argv + mode) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--mode attentive" in err
+        assert not out.exists()
+
+
+def test_sweep_has_no_condition_flag(pipeline, capsys):
+    _, calibrated, test_file = pipeline
+    with pytest.raises(SystemExit):
+        run(["sweep", "--model", str(calibrated), "--data", str(test_file), "--condition", "-1"])
+    assert "--condition" in capsys.readouterr().err
+
+
 def test_import_leaves_scipy_spatial_unloaded():
     # only RBF models need cdist, so importing the CLI must not pay for it
     code = "import sys, stst.cli; print(any(m.startswith('scipy.spatial') for m in sys.modules))"

@@ -16,6 +16,7 @@ from stst import (
     split,
     train_linear,
 )
+from stst.data import write_csv
 from stst.errors import EmptyDatasetError, ParameterError, ParseError
 
 
@@ -151,6 +152,30 @@ class TestSerialize:
             buf = io.StringIO()
             serialize_sparse(ds, buf)
             assert buf.getvalue() == self._reference_text(ds)
+
+
+class TestWriteCsv:
+    def _text(self, header, rows):
+        buf = io.StringIO()
+        write_csv(buf, header, rows)
+        return buf.getvalue()
+
+    def test_field_rules(self):
+        row = [None, True, False, np.bool_(True), np.float64(0.1), np.int64(3), 1e-300, 5e-324, "+1", 7, 2.0]
+        assert self._text(["h"] * len(row), [row]).splitlines()[1] == (
+            ",true,false,true,0.1,3,1e-300,5e-324,+1,7,2.0"
+        )
+
+    def test_floats_are_shortest_round_trip(self):
+        rng = np.random.default_rng(43)
+        values = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, size=200)
+        lines = self._text(["v"], [[v] for v in values]).splitlines()[1:]
+        assert lines == [repr(float(v)) for v in values]
+        assert [float(text) for text in lines] == values.tolist()
+
+    def test_layout(self):
+        assert self._text(("a", "b"), [(1, 2.5), ("x", None)]) == "a,b\n1,2.5\nx,\n"
+        assert self._text(("a", "b"), []) == "a,b\n"
 
 
 class TestSparseInput:
