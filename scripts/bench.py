@@ -36,7 +36,10 @@ directory per pass, on a sparse text file of 3000 rows x 2000 dims at 2%
 density (labels from a planted direction, seed PIPELINE_SEED): train with a
 0.3 test split, calibrate per-term on a 0.25 slice of the training part,
 sweep with grid 50, and pr in attentive mode at the delta = 0.1 tau; and
-stst theory at the default TheoryConfig with base seed THEORY_SEED.
+stst theory at the default TheoryConfig with base seed THEORY_SEED. The
+pipeline row also holds peak_rss_mb: the peak resident set of one more
+pass, run alone in a fresh child interpreter on the same stst source before
+any other row and read from RUSAGE_CHILDREN (in MiB, as ru_maxrss / 1024).
 """
 
 import argparse
@@ -211,7 +214,8 @@ def _pipeline_pass(data_path: str) -> None:
         ])
 
 
-def _pipeline_row() -> dict:
+def _write_pipeline_data(path: str) -> str:
+    """Write the pipeline's sparse text file; returns the row name."""
     import numpy as np
     from scipy import sparse
 
@@ -223,11 +227,38 @@ def _pipeline_row() -> dict:
         data_rvs=rng.standard_normal,
     )
     y = np.where(X @ rng.standard_normal(PIPELINE_DIM) >= 0.0, 1, -1)
+    data.serialize_sparse(data.Dataset(X=X, y=y), path)
+    return f"cli pipeline train-calibrate-sweep-pr {PIPELINE_M}x{PIPELINE_DIM} nnz={X.nnz}"
+
+
+def _pipeline_peak_rss_mb() -> float:
+    """Peak RSS of one pipeline pass in a fresh child process.
+
+    Call it before this process grows: a child's ru_maxrss starts at its
+    parent's high-water mark (`python -c pass` spawned after a 200 MB
+    allocation reads 218 MB), and RUSAGE_CHILDREN holds the largest child.
+    So this process's own peak when it spawns the pass, about 73 MB after
+    writing the data file with numpy 2.4, is a floor under the reading.
+    """
+    import resource
+    import subprocess
+
+    import stst
+
+    src = str(Path(stst.__file__).resolve().parents[1])
+    code = "import sys; sys.path[:0] = sys.argv[1:3]; import bench; bench._pipeline_pass(sys.argv[3])"
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "data.txt")
-        data.serialize_sparse(data.Dataset(X=X, y=y), path)
-        name = f"cli pipeline train-calibrate-sweep-pr {PIPELINE_M}x{PIPELINE_DIM} nnz={X.nnz}"
-        return {name: _call_ms(_pipeline_pass, [path], LAYER_REPEATS)}
+        _write_pipeline_data(path)
+        subprocess.run([sys.executable, "-c", code, src, str(Path(__file__).resolve().parent), path], check=True)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+
+
+def _pipeline_row(peak_rss_mb: float) -> dict:
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "data.txt")
+        name = _write_pipeline_data(path)
+        return {name: {**_call_ms(_pipeline_pass, [path], LAYER_REPEATS), "peak_rss_mb": peak_rss_mb}}
 
 
 def _theory_row() -> dict:
@@ -255,6 +286,7 @@ def measure() -> dict:
     from stst import bench, predictor
     from stst.core import Direction, StoppingRule
 
+    pipeline_peak_rss_mb = _pipeline_peak_rss_mb()
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
     never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)
     rows = {}
@@ -283,7 +315,7 @@ def measure() -> dict:
             lambda t: bench.run_sweep(model, t, 0.0, grid=50), [test], SWEEP_REPEATS
         )
     rows.update(_layer_rows(np.random.default_rng(SEED + 2)))
-    rows.update(_pipeline_row())
+    rows.update(_pipeline_row(pipeline_peak_rss_mb))
     rows.update(_theory_row())
     return rows
 

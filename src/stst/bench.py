@@ -128,7 +128,7 @@ def run_sweep(
         return SweepRecord(mode, tau, budget, theta, tp, fp, tn, fn, mean_terms, stop_error_rate, wall_time)
 
     t0 = time.perf_counter()
-    prefix = prefix_score_matrix(model, test.dense())
+    prefix = prefix_score_matrix(model, test.X)
     n = prefix.shape[1]
     full = full_from_prefix(prefix, theta)
     records = [record("full", full, t0, float(n))]

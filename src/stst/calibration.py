@@ -66,12 +66,13 @@ def estimate_mu(model: WeightedModel, calibration_set: Dataset, class_used: int)
     return _raw(model, X, 0, model.n).mean(axis=0)
 
 
-def _variance(model: WeightedModel, X: np.ndarray, raw, class_used: int, mode: str) -> float:
-    """var(S_n) over the rows of X; raw holds their raw term values (per_term mode only)."""
+def _variance(model: WeightedModel, terms: np.ndarray, class_used: int, mode: str) -> float:
+    """var(S_n) over some rows: terms holds their corrected term values in
+    score mode, their raw ones in per_term mode."""
     if mode == "score":
-        var = float(np.var(term_matrix(model, X).sum(axis=1), ddof=1))
+        var = float(np.var(terms.sum(axis=1), ddof=1))
     else:
-        var = float(np.sum(model.weights**2 * np.var(raw, axis=0, ddof=1)))
+        var = float(np.sum(model.weights**2 * np.var(terms, axis=0, ddof=1)))
     if var == 0.0:
         raise DegenerateDataError(
             f"calibration scores of class {class_used:+d} have zero variance; stopping rule undefined"
@@ -94,8 +95,8 @@ def estimate_variance(
     _check_mode(mode)
     sel = _class_rows(calibration_set, class_used, minimum=2)
     X = calibration_set.dense_rows(sel)
-    raw = _raw(model, _check_X(model, X), 0, model.n) if mode == "per_term" else None
-    return _variance(model, X, raw, class_used, mode)
+    terms = term_matrix(model, X) if mode == "score" else _raw(model, _check_X(model, X), 0, model.n)
+    return _variance(model, terms, class_used, mode)
 
 
 def calibrate(
@@ -106,9 +107,10 @@ def calibrate(
 ) -> tuple[WeightedModel, CalibrationReport]:
     """Estimate mu and variance, returning the corrected model and a report.
 
-    The class rows are densified once and their raw terms evaluated once;
-    mu and the per-term variance both read that one array, so the results
-    are estimate_mu's and estimate_variance's bit for bit.
+    The class rows are densified once and their raw terms evaluated once.
+    mu and the per-term variance read that one array, and score mode
+    corrects it in place with term_matrix's operations, so the results are
+    estimate_mu's and estimate_variance's bit for bit.
     """
     sel = _class_rows(calibration_set, class_used, minimum=1)
     X = _check_X(model, calibration_set.dense_rows(sel))
@@ -118,8 +120,9 @@ def calibrate(
     _check_mode(mode)
     _class_rows(calibration_set, class_used, minimum=2)  # the variance's error, after mu's
     if mode == "score":
-        raw = None  # free it before term_matrix builds the corrected terms
-    variance = _variance(corrected, X, raw, class_used, mode)
+        raw -= mu
+        raw *= corrected.weights
+    variance = _variance(corrected, raw, class_used, mode)
     report = CalibrationReport(mu=mu, variance_hat=variance, n_calibration=int(sel.size), class_used=class_used)
     return corrected, report
 

@@ -19,6 +19,7 @@ from .predictor import (
     attentive_from_prefix,
     full_from_prefix,
     load_model,
+    predict_rows,
     prefix_score_matrix,
     save_model,
 )
@@ -110,8 +111,7 @@ def _cmd_train(args) -> int:
         data.serialize_sparse(dataset, args.train_out)
 
     def accuracy(ds):
-        prefix = prefix_score_matrix(model, ds.dense())
-        return float((full_from_prefix(prefix, model.theta).label == ds.y).mean())
+        return float((predict_rows(model, ds.X, model.theta).label == ds.y).mean())
 
     objective = trainer.hinge_objective(model, dataset, args.lambda_reg)
     row = (
@@ -182,7 +182,7 @@ def _cmd_pr(args) -> int:
         raise ParameterError("pr --tau needs --mode attentive (a full pass has no stop threshold)")
     model = load_model(args.model)
     test = data.parse_sparse(args.data)
-    prefix = prefix_score_matrix(model, test.dense())
+    prefix = prefix_score_matrix(model, test.X)
     if args.mode == "attentive":
         if args.tau is None:
             raise ParameterError("pr --mode attentive needs --tau")

@@ -15,7 +15,8 @@ A Dataset holds its features as a dense float64 array or as a canonical CSR
 matrix (sorted indices, no duplicates). Any other scipy sparse input is
 converted on construction, without changing the caller's matrix. Code that
 needs dense rows asks for them whole (dense, dense_rows); training reads CSR
-rows as their stored entries.
+rows as their stored entries, and the batch predictors densify X one row
+block at a time.
 """
 
 import math

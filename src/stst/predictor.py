@@ -17,10 +17,13 @@ One chunked evaluator decides a block of examples: it evaluates chunks of
 still live, cumsums each chunk with the row's running sum carried in, and
 drops the rows that stopped. A per-example predictor is that evaluator on a
 block of one. terms_evaluated counts terms up to the stop; the terms
-computed run to the end of the stop's chunk. The *_from_prefix batch
-predictors make the same decisions, through the same labelling step, off a
-whole prefix-score matrix, which the sweep reuses for many rules. Every
-path reads raw term values from one kernel function.
+computed run to the end of the stop's chunk. predict_rows runs it on a
+whole dense or CSR feature matrix, one row block at a time. The
+*_from_prefix batch predictors make the same decisions, through the same
+labelling step, off a C-ordered prefix-score matrix, which the sweep reuses
+for many rules; prefix_score_matrix fills it one row block at a time, so
+neither batch path densifies the whole input. Every path reads raw term
+values from one kernel function.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "permute_terms",
     "term_matrix",
     "prefix_score_matrix",
+    "predict_rows",
     "attentive_from_prefix",
     "budgeted_from_prefix",
     "full_from_prefix",
@@ -60,6 +64,14 @@ __all__ = [
 # chunk bounds the terms computed past an early stop. Picked by timing.
 _FIRST_CHUNK = 128
 _GROWTH = 4
+
+# Batch row blocks: max(1, _BLOCK_CELLS // max(n, dim)) rows at a time, so a
+# block's dense features and its term values stay about 1 MB whatever m is.
+# Picked by timing full scores of a 2100 x 2000 CSR set (2% dense) on a
+# coordinate model: 28-30 ms at 16-65 rows a block, 60 ms at 1024 rows,
+# 72-86 ms for the whole set at once. RBF models, where cdist and exp
+# dominate, showed no block size clearly better.
+_BLOCK_CELLS = 2**17
 
 MODEL_FORMAT_VERSION = 1
 
@@ -393,12 +405,15 @@ def permute_terms(model: WeightedModel, seed: int) -> WeightedModel:
 
 # -- batch evaluation -------------------------------------------------------
 #
-# The sweep harness scores whole test sets at once: term_matrix builds the
-# (examples, terms) corrected value matrix, prefix_score_matrix its running
-# sums, and the *_from_prefix functions decide every row of one prefix matrix
-# as a Predictions struct of arrays, for any number of rules, without
-# re-evaluating terms. Rows are independent, so these are safe to shard
-# across workers.
+# Batch inputs are dense arrays or scipy sparse matrices, taken in row blocks
+# of about _BLOCK_CELLS cells: each block is densified and checked alone, so
+# no whole-input dense copy is made. predict_rows decides every row through
+# the chunked evaluator, block by block. prefix_score_matrix fills a
+# C-ordered (examples, terms) matrix of running sums, block by block, and
+# the *_from_prefix functions decide every row of it as a Predictions struct
+# of arrays, for any number of rules, without re-evaluating terms.
+# term_matrix builds the whole corrected value matrix of a dense input.
+# Rows are independent, so these are safe to shard across workers.
 
 
 def term_matrix(model: WeightedModel, X) -> np.ndarray:
@@ -406,10 +421,52 @@ def term_matrix(model: WeightedModel, X) -> np.ndarray:
     return _terms(model, _check_X(model, X), 0, model.n)
 
 
+def _row_blocks(model: WeightedModel, X):
+    """m and an iterator of (a, b, block): X's rows [a, b) as a checked,
+    C-contiguous dense block. X is a dense array or a scipy sparse matrix;
+    its shape is checked before any block is built, its values block by
+    block."""
+    is_sparse = hasattr(X, "tocsr")
+    X = X.tocsr() if is_sparse else np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise ParameterError(f"feature matrix must have shape (m, {model.dim}), got {X.shape}")
+    m = X.shape[0]
+    step = max(1, _BLOCK_CELLS // max(model.n, model.dim))
+
+    def blocks():
+        for a in range(0, m, step):
+            block = X[a : a + step]
+            yield a, a + block.shape[0], _check_X(model, block.toarray() if is_sparse else block)
+
+    return m, blocks()
+
+
 def prefix_score_matrix(model: WeightedModel, X) -> np.ndarray:
-    """Running partial scores S_1..S_n per example: shape (m, n)."""
-    terms = term_matrix(model, X)
-    return np.cumsum(terms, axis=1, out=terms)
+    """Running partial scores S_1..S_n per example: a C-ordered (m, n) array.
+
+    X may be dense or scipy sparse; it is densified one row block at a time.
+    """
+    m, blocks = _row_blocks(model, X)
+    prefix = np.empty((m, model.n))
+    for a, b, block in blocks:
+        np.cumsum(_terms(model, block, 0, model.n), axis=1, out=prefix[a:b])
+    return prefix
+
+
+def predict_rows(model: WeightedModel, X, theta: float, rule: StoppingRule | None = None) -> Predictions:
+    """Full predictions (rule None) or attentive ones under rule for every
+    row of X, labelled against theta: row j is full_predict(model, X[j],
+    theta), or attentive_predict(model, X[j], rule) when theta is rule.theta.
+
+    X may be dense or scipy sparse; the evaluator takes one row block at a
+    time, so no (m, n) array is built.
+    """
+    m, blocks = _row_blocks(model, X)
+    out = Predictions(np.empty(m, np.int64), np.empty(m), np.empty(m, np.int64), np.empty(m, bool))
+    for a, b, block in blocks:
+        p = _evaluate(model, block, model.n, theta, rule)
+        out.label[a:b], out.score[a:b], out.terms[a:b], out.stopped[a:b] = p.label, p.score, p.terms, p.stopped
+    return out
 
 
 def _decide(prefix: np.ndarray, cap: int, theta: float, rule: StoppingRule | None = None) -> Predictions:

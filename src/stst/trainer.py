@@ -21,7 +21,7 @@ from scipy import sparse
 
 from .data import Dataset
 from .errors import ModelFormatError, ParameterError, TrainingError
-from .predictor import WeightedModel, coordinate_model, load_model, load_verification, prefix_score_matrix
+from .predictor import WeightedModel, coordinate_model, load_model, load_verification, predict_rows
 
 __all__ = [
     "TrainConfig",
@@ -132,7 +132,7 @@ def import_kernel_model(path, rel_tol: float = 1e-6) -> WeightedModel:
     if payload is not None:
         inputs, expected = payload
         try:
-            got = prefix_score_matrix(model, inputs)[:, -1]
+            got = predict_rows(model, inputs, model.theta).score
         except ParameterError as exc:
             raise ModelFormatError(f"malformed verification payload: {exc}") from exc
         if expected.shape != got.shape:

@@ -8,7 +8,7 @@ import sys
 import pytest
 from scipy.stats import norm
 
-from stst import simulator
+from stst import data, simulator
 from stst.cli import main
 
 SYNTH = "dim=12,n_pos=80,n_neg=80,sep=4,std=1,seed=5"
@@ -304,6 +304,31 @@ def test_sweep_has_no_condition_flag(pipeline, capsys):
     with pytest.raises(SystemExit):
         run(["sweep", "--model", str(calibrated), "--data", str(test_file), "--condition", "-1"])
     assert "--condition" in capsys.readouterr().err
+
+
+def test_batch_commands_densify_no_whole_dataset(pipeline, tmp_path, monkeypatch):
+    # sweep and pr evaluate the parsed CSR rows a block at a time; train
+    # densifies once, for the hinge objective
+    root, calibrated, test_file = pipeline
+    calls = []
+    dense = data.Dataset.dense
+
+    def counted(self):
+        calls.append(self.n_examples)
+        return dense(self)
+
+    def refused(self):
+        raise AssertionError("Dataset.dense called")
+
+    monkeypatch.setattr(data.Dataset, "dense", refused)
+    common = ["--model", str(calibrated), "--data", str(test_file), "-o", str(tmp_path / "out.csv")]
+    assert run(["sweep", *common, "--grid", "8"]) == 0
+    assert run(["pr", *common]) == 0
+    assert run(["pr", *common, "--mode", "attentive", "--tau", "-2.0"]) == 0
+    monkeypatch.setattr(data.Dataset, "dense", counted)
+    argv = ["train", "--data", str(root / "train.txt"), "--test-fraction", "0.3"]
+    assert run(argv + ["--model-out", str(tmp_path / "m.npz"), "-o", str(tmp_path / "train.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_import_leaves_scipy_spatial_unloaded():

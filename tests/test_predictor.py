@@ -21,6 +21,9 @@ from stst import (
     save_model,
     score_term,
 )
+from scipy import sparse
+
+from stst import predictor
 from stst.errors import ModelFormatError, ParameterError
 from stst.predictor import (
     _FIRST_CHUNK,
@@ -29,6 +32,7 @@ from stst.predictor import (
     attentive_from_prefix,
     budgeted_from_prefix,
     full_from_prefix,
+    predict_rows,
     prefix_score_matrix,
     term_matrix,
 )
@@ -519,6 +523,86 @@ class TestInPlaceTermMatrix:
         # the in-place correction makes the same roundings as w * (raw - mu)
         for j in range(len(X)):
             assert np.array_equal(terms[j], [score_term(model, i, X[j]) for i in range(model.n)])
+
+
+class TestRowBlocks:
+    """Batch paths that densify and evaluate a row block at a time."""
+
+    @staticmethod
+    def sparse_rows(rng, m, dim):
+        X = rng.standard_normal((m, dim))
+        X[rng.random((m, dim)) < 0.6] = 0.0
+        return X
+
+    @staticmethod
+    def small_blocks(monkeypatch, model, rows):
+        monkeypatch.setattr(predictor, "_BLOCK_CELLS", rows * max(model.n, model.dim))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", (1, 8, 10))
+    def test_csr_prefix_equals_dense_and_whole(self, monkeypatch, kind, m):
+        # blocks of 4 rows: one short block, two whole ones, two and a remainder
+        rng = np.random.default_rng(40 + m)
+        model = random_model(rng, kind, n=150)
+        X = self.sparse_rows(rng, m, model.dim)
+        whole = np.cumsum(term_matrix(model, X), axis=1)
+        self.small_blocks(monkeypatch, model, 4)
+        dense = prefix_score_matrix(model, X)
+        csr = prefix_score_matrix(model, sparse.csr_matrix(X))
+        assert csr.flags.c_contiguous and dense.flags.c_contiguous
+        assert csr.tobytes() == dense.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_default_block_size(self, kind):
+        rng = np.random.default_rng(44)
+        model = random_model(rng, kind, n=2000)
+        rows = predictor._BLOCK_CELLS // max(model.n, model.dim)
+        X = self.sparse_rows(rng, 2 * rows + 7, model.dim)  # three blocks, the last short
+        whole = np.cumsum(term_matrix(model, X), axis=1)
+        assert prefix_score_matrix(model, sparse.csr_matrix(X)).tobytes() == whole.tobytes()
+        full = predict_rows(model, sparse.csr_matrix(X), 0.0)
+        assert full.score.tobytes() == whole[:, -1].tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_predict_rows_matches_per_example(self, monkeypatch, kind):
+        rng = np.random.default_rng(45)
+        model = random_model(rng, kind, n=300)
+        X = self.sparse_rows(rng, 15, model.dim)
+        prefix = np.cumsum(term_matrix(model, X), axis=1)
+        tau = float(np.median(prefix[:, :-1].min(axis=1)))
+        rule = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
+        self.small_blocks(monkeypatch, model, 4)
+        for data in (X, sparse.csr_matrix(X)):
+            full = predict_rows(model, data, 0.0)
+            attentive = predict_rows(model, data, rule.theta, rule)
+            assert {p.stopped_early for p in attentive} == {True, False}
+            for j, x in enumerate(X):
+                assert bits(full[j]) == bits(full_predict(model, x, 0.0))
+                assert bits(attentive[j]) == bits(attentive_predict(model, x, rule))
+
+    def test_nan_in_a_later_block(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        model = random_model(rng, "rbf", n=20)
+        X = rng.standard_normal((10, model.dim))
+        X[9, 1] = math.nan
+        self.small_blocks(monkeypatch, model, 4)
+        for data in (X, sparse.csr_matrix(X)):
+            for call in (lambda: prefix_score_matrix(model, data), lambda: predict_rows(model, data, 0.0)):
+                with pytest.raises(ParameterError, match="^feature matrix has a NaN or infinite value$"):
+                    call()
+
+    def test_wrong_column_count_raises_before_any_block(self, monkeypatch):
+        model = random_model(np.random.default_rng(47), "coordinate", n=6)
+
+        def no_block(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(predictor, "_check_X", no_block)
+        X = np.ones((5, model.dim + 1))
+        for data in (X, sparse.csr_matrix(X), X[0]):
+            for call in (lambda: prefix_score_matrix(model, data), lambda: predict_rows(model, data, 0.0)):
+                with pytest.raises(ParameterError, match=r"feature matrix must have shape \(m, 6\)"):
+                    call()
 
 
 class TestSerialization:
