@@ -40,6 +40,10 @@ stst theory at the default TheoryConfig with base seed THEORY_SEED. The
 pipeline row also holds peak_rss_mb: the peak resident set of one more
 pass, run alone in a fresh child interpreter on the same stst source before
 any other row and read from RUSAGE_CHILDREN (in MiB, as ru_maxrss / 1024).
+
+Cold-import row: COLD_IMPORTS fresh interpreters, one after another, each
+running `import stst.cli` from the same stst source: the start-up every
+stst command pays before it does any work.
 """
 
 import argparse
@@ -71,6 +75,7 @@ WALK_N, WALK_TRIALS = 1_000, 16_384
 PIPELINE_M, PIPELINE_DIM, PIPELINE_DENSITY = 3_000, 2_000, 0.02
 PIPELINE_SEED = 20_240_008
 THEORY_SEED = 20_240_001  # the pinned TheoryConfig base seed
+COLD_IMPORTS = 20
 
 
 def _models():
@@ -268,6 +273,16 @@ def _theory_row() -> dict:
         return {name: _call_ms(_run_cli, [argv], LAYER_REPEATS)}
 
 
+def _cold_import_row() -> dict:
+    import subprocess
+
+    import stst
+
+    env = dict(os.environ, PYTHONPATH=str(Path(stst.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", "import stst.cli"]
+    return {"cli cold import": _call_ms(lambda _: subprocess.run(argv, env=env, check=True), [None], COLD_IMPORTS)}
+
+
 def _call_ms(fn, X, repeats: int = REPEATS) -> dict:
     """Median and quartiles of single-call wall times over repeats passes of X."""
     times = []
@@ -287,9 +302,9 @@ def measure() -> dict:
     from stst.core import Direction, StoppingRule
 
     pipeline_peak_rss_mb = _pipeline_peak_rss_mb()
+    rows = _cold_import_row()
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
     never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)
-    rows = {}
     for name, model, X in _models():
         predictor.full_predict(model, X[0])  # warm caches and lazy imports
         rows[f"{name} attentive tau=-inf"] = _call_ms(lambda x: predictor.attentive_predict(model, x, no_stop), X)
@@ -347,11 +362,12 @@ def main() -> int:
         "layer": (
             "predictor (per-example and batch), bench.run_sweep, sparse parse and serialize, "
             "train_linear, calibrate, term_matrix, prefix_score_matrix, walk engine, "
-            "CLI pipeline and theory end to end"
+            "CLI pipeline and theory end to end, CLI cold import"
         ),
         "method": (
             f"single-call wall time, median and quartiles over {REPEATS} passes of {EXAMPLES} examples"
-            f" (batch: {REPEATS} calls, run_sweep: {SWEEP_REPEATS} calls, layers: {LAYER_REPEATS} calls)"
+            f" (batch: {REPEATS} calls, run_sweep: {SWEEP_REPEATS} calls, layers: {LAYER_REPEATS} calls,"
+            f" cold import: {COLD_IMPORTS} interpreters)"
         ),
         "rows": [],
     }

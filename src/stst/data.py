@@ -4,7 +4,8 @@ The on-disk format is the usual sparse labeled text: one example per line,
 
     <label> <index>:<value> <index>:<value> ...
 
-with 1-based, strictly ascending indices. Labels 0 and -1 map to -1 and
+with 1-based, strictly ascending indices that fit in int64, and numbers in
+ASCII digits without underscore digit groups. Labels 0 and -1 map to -1 and
 positive labels to +1; any other finite label maps by sign with a warning.
 A NaN or infinite label or feature value is a ParseError. Values are
 written back with repr(), the shortest decimal that round-trips a double, so
@@ -17,15 +18,20 @@ converted on construction, without changing the caller's matrix. Code that
 needs dense rows asks for them whole (dense, dense_rows); training reads CSR
 rows as their stored entries, and the batch predictors densify X one row
 block at a time.
+
+scipy is imported the first time a sparse matrix is built or converted (a
+parse, a sparse Dataset, serializing a dense one), never by importing stst:
+it costs every process about a quarter second, and dense data, stst theory
+and stst simulate use none of it.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EmptyDatasetError, ParameterError, ParseError
 
@@ -39,19 +45,30 @@ __all__ = [
     "write_csv",
 ]
 
+# the largest feature index that fits the int64 CSR indices and shape
+_MAX_INDEX = int(np.iinfo(np.int64).max)
+
+
+@functools.cache
+def _sparse():
+    """scipy.sparse, imported on first use (see the module docstring)."""
+    from scipy import sparse
+
+    return sparse
+
 
 @dataclass(eq=False)
 class Dataset:
     """Labeled examples: a dense or CSR feature matrix and +/-1 labels."""
 
-    X: "np.ndarray | sparse.csr_matrix"  # any scipy sparse input becomes canonical CSR
+    X: "np.ndarray | scipy.sparse.csr_matrix"  # any scipy sparse input becomes canonical CSR
     y: np.ndarray
     name: str = ""
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.int64)
-        if sparse.issparse(self.X):
-            X = sparse.csr_matrix(self.X, dtype=np.float64)
+        if hasattr(self.X, "tocsr"):
+            X = _sparse().csr_matrix(self.X, dtype=np.float64)
             if not X.has_canonical_format:
                 # csr_matrix(X) may share X's arrays; sum_duplicates sorts in place
                 X = X.copy()
@@ -81,14 +98,14 @@ class Dataset:
 
     def dense(self) -> np.ndarray:
         """Whole feature matrix as a dense array."""
-        if sparse.issparse(self.X):
-            return np.asarray(self.X.todense(), dtype=np.float64)
-        return self.X
+        if isinstance(self.X, np.ndarray):
+            return self.X
+        return np.asarray(self.X.todense(), dtype=np.float64)
 
     def dense_rows(self, idx) -> np.ndarray:
-        if sparse.issparse(self.X):
-            return np.asarray(self.X[idx].todense(), dtype=np.float64)
-        return self.X[idx]
+        if isinstance(self.X, np.ndarray):
+            return self.X[idx]
+        return np.asarray(self.X[idx].todense(), dtype=np.float64)
 
     def subset(self, idx, name: str | None = None) -> "Dataset":
         idx = np.asarray(idx)
@@ -122,6 +139,9 @@ def parse_sparse(source, *, dim: int | None = None, name: str = "") -> Dataset:
         with open(source, "r", encoding="utf-8") as handle:
             return parse_sparse(handle, dim=dim, name=name or str(source))
 
+    # imported before the row lists grow: in a fresh process running the CLI
+    # pipeline, that peaked about 1 MB lower than importing it after the loop
+    sparse = _sparse()
     labels: list[int] = []
     data: list[float] = []
     col: list[int] = []
@@ -133,6 +153,13 @@ def parse_sparse(source, *, dim: int | None = None, name: str = "") -> Dataset:
         if not stripped:
             raise ParseError("blank line", line_no)
         tokens = stripped.split()
+        # int() and float() also read "1_0" and non-ASCII digits, which the
+        # format does not. One test per line, not per token; a line whose only
+        # non-ASCII characters are whitespace passes.
+        if "_" in stripped or not stripped.isascii():
+            bad = next((t for t in tokens if "_" in t or not t.isascii()), None)
+            if bad is not None:
+                raise ParseError(f"bad number in {bad!r}: only ASCII digits, no underscores", line_no)
         labels.append(_map_label(tokens[0], line_no))
         prev = 0
         for token in tokens[1:]:
@@ -165,6 +192,10 @@ def parse_sparse(source, *, dim: int | None = None, name: str = "") -> Dataset:
         # one line per row: blank lines are rejected above
         line_no = int(np.searchsorted(indptr, at, side="right"))
         raise ParseError(f"non-finite feature value {float(values[at])!r}", line_no)
+    if max_index > _MAX_INDEX:
+        at = next(i for i, c in enumerate(col) if c >= _MAX_INDEX)
+        line_no = int(np.searchsorted(indptr, at, side="right"))
+        raise ParseError(f"feature index {col[at] + 1} exceeds the largest supported index {_MAX_INDEX}", line_no)
     if not labels:
         raise EmptyDatasetError("input contained no examples")
     if dim is None:
@@ -190,7 +221,7 @@ def serialize_sparse(dataset: Dataset, target) -> None:
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             serialize_sparse(dataset, handle)
             return
-    csr = dataset.X if sparse.issparse(dataset.X) else sparse.csr_matrix(dataset.X)
+    csr = _sparse().csr_matrix(dataset.X) if isinstance(dataset.X, np.ndarray) else dataset.X
     keep = csr.data != 0.0  # also drops -0.0
     tokens = [
         f"{index}:{value!r}" for index, value in zip((csr.indices[keep] + 1).tolist(), csr.data[keep].tolist())

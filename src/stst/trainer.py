@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .data import Dataset
 from .errors import ModelFormatError, ParameterError, TrainingError
@@ -61,17 +60,17 @@ def train_linear(train: Dataset, config: TrainConfig) -> WeightedModel:
         raise TrainingError("training set contains a single class")
     m, dim = train.n_examples, train.dim
     X = train.X
-    if sparse.issparse(X):
+    if isinstance(X, np.ndarray):
+
+        def row(j):
+            return slice(None), X[j]
+
+    else:
         indptr, indices, values = X.indptr, X.indices, X.data
 
         def row(j):
             a, b = indptr[j], indptr[j + 1]
             return indices[a:b], values[a:b]
-
-    else:
-
-        def row(j):
-            return slice(None), X[j]
 
     rng = np.random.default_rng(config.seed)
     labels = train.y.astype(np.float64).tolist()

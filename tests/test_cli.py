@@ -339,6 +339,42 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert done.stdout.strip() == "False"
 
 
+SCIPY_FREE_SCRIPT = """
+import sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import stst
+assert not scipy_loaded(), ("import stst", scipy_loaded())
+import stst.cli
+assert not scipy_loaded(), ("import stst.cli", scipy_loaded())
+from stst.cli import main
+out = sys.argv[1]
+theory = ["--n", "200", "--bridge-trials", "400", "--stop-error-trials", "400", "--stopping-trials", "100"]
+assert main(["theory", *theory, "-o", out + "/theory.csv"]) == 0
+assert not scipy_loaded(), ("stst theory", scipy_loaded())
+simulate = ["--n", "200", "--scale", "0.1", "--drift", "0.1", "--delta", "0.1", "--trials", "200"]
+assert main(["simulate", "--experiment", "stopping-time", *simulate, "-o", out + "/sim.csv"]) == 0
+assert not scipy_loaded(), ("stst simulate", scipy_loaded())
+with open(out + "/data.txt", "w") as handle:
+    handle.write("+1 1:2.0 3:1.0\\n-1 2:1.5\\n+1 1:1.0\\n-1 2:0.5 3:-1.0\\n")
+assert main(["train", "--data", out + "/data.txt", "--model-out", out + "/m.npz", "-o", out + "/train.csv"]) == 0
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_cli_without_sparse_data_leaves_scipy_unloaded(tmp_path):
+    # theory and simulate use no scipy, so importing stst must not pay for it;
+    # a data command still loads it on its first parse
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "train.csv").read_text().startswith("examples,")
+
+
 # sha256 of the CSVs `stst simulate` wrote for these flags before the bridge
 # closed form was routed through core.crossing_probability
 SIMULATE_DIGESTS = {

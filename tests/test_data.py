@@ -80,6 +80,34 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2: non-finite label"):
             parse_text(f"+1 1:1.0\n{token} 1:1.0\n")
 
+    @pytest.mark.parametrize(
+        "line,token",
+        [
+            ("+1 1_0:2.0", "1_0:2.0"),  # int() reads index 10
+            ("+1 3:1_0.5", "3:1_0.5"),  # float() reads 10.5
+            ("1_0 1:1.0", "1_0"),  # a label read as 10, mapped by sign
+            ("+1 \u0661:2.0", "\u0661:2.0"),  # Arabic-Indic one
+            ("+1 1:\uff12", "1:\uff12"),  # full-width two
+        ],
+    )
+    def test_underscore_and_non_ascii_digits_rejected(self, line, token):
+        with pytest.raises(ParseError, match=f"line 2: bad number in {token!r}"):
+            parse_text(f"+1 1:1.0\n{line}\n-1 2:1.0\n")
+
+    def test_non_ascii_whitespace_between_tokens_passes(self):
+        ds = parse_text("+1 1:2.0\u00a03:4.0\n")
+        assert ds.dense()[0].tolist() == [2.0, 0.0, 4.0]
+
+    @pytest.mark.parametrize("index", [2**63, 10**20])
+    def test_index_past_int64_rejected(self, index):
+        with pytest.raises(ParseError, match=f"line 3: feature index {index} exceeds"):
+            parse_text(f"+1 1:1.0\n-1 2:1.0\n+1 1:1.0 {index}:1.0\n-1 2:1.0\n")
+
+    def test_largest_int64_index_accepted(self):
+        ds = parse_text(f"+1 1:1.0 {2**63 - 1}:2.0\n")
+        assert ds.dim == 2**63 - 1
+        assert ds.X.indices.tolist() == [0, 2**63 - 2]
+
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_text("+1 1:1.0\n-1 1:2.0\n+1 0:9\n")
