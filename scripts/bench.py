@@ -36,10 +36,15 @@ directory per pass, on a sparse text file of 3000 rows x 2000 dims at 2%
 density (labels from a planted direction, seed PIPELINE_SEED): train with a
 0.3 test split, calibrate per-term on a 0.25 slice of the training part,
 sweep with grid 50, and pr in attentive mode at the delta = 0.1 tau; and
-stst theory at the default TheoryConfig with base seed THEORY_SEED. The
-pipeline row also holds peak_rss_mb: the peak resident set of one more
-pass, run alone in a fresh child interpreter on the same stst source before
-any other row and read from RUSAGE_CHILDREN (in MiB, as ru_maxrss / 1024).
+stst theory at the default TheoryConfig with base seed THEORY_SEED.
+
+Memory: the pipeline and theory rows, and a walk-engine row running
+empirical_stopping_time on rademacher walks of STOPPING_N steps (the
+theory suite's largest stopping-time run: scale 0.1, drift 0.1,
+delta 0.1, STOPPING_TRIALS trials), each also hold peak_rss_mb: the peak
+resident set of one more call, run alone in a fresh child interpreter on
+the same stst source before any other row, read from that child's own
+rusage (in MiB, as ru_maxrss / 1024).
 
 Cold-import row: COLD_IMPORTS fresh interpreters, one after another, each
 running `import stst.cli` from the same stst source: the start-up every
@@ -72,6 +77,7 @@ LAYER_M, LAYER_DIM, LAYER_DENSITY = 4_000, 2_000, 0.02
 LAYER_REPEATS = 3
 TERM_M, TERM_N = 2_000, 2_000
 WALK_N, WALK_TRIALS = 1_000, 16_384
+STOPPING_N, STOPPING_TRIALS = 10_000, 10_000
 PIPELINE_M, PIPELINE_DIM, PIPELINE_DENSITY = 3_000, 2_000, 0.02
 PIPELINE_SEED = 20_240_008
 THEORY_SEED = 20_240_001  # the pinned TheoryConfig base seed
@@ -236,27 +242,36 @@ def _write_pipeline_data(path: str) -> str:
     return f"cli pipeline train-calibrate-sweep-pr {PIPELINE_M}x{PIPELINE_DIM} nnz={X.nnz}"
 
 
-def _pipeline_peak_rss_mb() -> float:
-    """Peak RSS of one pipeline pass in a fresh child process.
+def _child_peak_rss_mb(call: str, *args: str) -> float:
+    """Peak RSS of `bench.<call>(*args)` run alone in a fresh child interpreter.
 
     Call it before this process grows: a child's ru_maxrss starts at its
     parent's high-water mark (`python -c pass` spawned after a 200 MB
-    allocation reads 218 MB), and RUSAGE_CHILDREN holds the largest child.
-    So this process's own peak when it spawns the pass, about 73 MB after
-    writing the data file with numpy 2.4, is a floor under the reading.
+    allocation reads 218 MB), so this process's own peak when it spawns the
+    child is a floor under the reading. The child's rusage comes from wait4,
+    so each reading is that child's alone.
     """
-    import resource
     import subprocess
 
     import stst
 
     src = str(Path(stst.__file__).resolve().parents[1])
-    code = "import sys; sys.path[:0] = sys.argv[1:3]; import bench; bench._pipeline_pass(sys.argv[3])"
+    code = f"import sys; sys.path[:0] = sys.argv[1:3]; import bench; bench.{call}(*sys.argv[3:])"
+    child = subprocess.Popen([sys.executable, "-c", code, src, str(Path(__file__).resolve().parent), *args])
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise subprocess.CalledProcessError(child.returncode, child.args)
+    return usage.ru_maxrss / 1024.0
+
+
+def _pipeline_peak_rss_mb() -> float:
+    """Peak RSS of one pipeline pass; about 73 MB of this process (numpy 2.4,
+    after writing the data file) is the floor under the reading."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "data.txt")
         _write_pipeline_data(path)
-        subprocess.run([sys.executable, "-c", code, src, str(Path(__file__).resolve().parent), path], check=True)
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        return _child_peak_rss_mb("_pipeline_pass", path)
 
 
 def _pipeline_row(peak_rss_mb: float) -> dict:
@@ -266,11 +281,28 @@ def _pipeline_row(peak_rss_mb: float) -> dict:
         return {name: {**_call_ms(_pipeline_pass, [path], LAYER_REPEATS), "peak_rss_mb": peak_rss_mb}}
 
 
-def _theory_row() -> dict:
+def _theory_pass(path: str) -> None:
+    _run_cli(["theory", "--seed", str(THEORY_SEED), "-o", path])
+
+
+def _theory_row(peak_rss_mb: float) -> dict:
     with tempfile.TemporaryDirectory() as out:
-        argv = ["theory", "--seed", str(THEORY_SEED), "-o", os.path.join(out, "theory.csv")]
         name = f"cli theory default config seed={THEORY_SEED}"
-        return {name: _call_ms(_run_cli, [argv], LAYER_REPEATS)}
+        timing = _call_ms(_theory_pass, [os.path.join(out, "theory.csv")], LAYER_REPEATS)
+        return {name: {**timing, "peak_rss_mb": peak_rss_mb}}
+
+
+def _stopping_time_pass() -> None:
+    from stst import simulator
+
+    spec = simulator.WalkSpec(n=STOPPING_N, step="rademacher", scale=0.1, drift=0.1, seed=SEED)
+    simulator.empirical_stopping_time(spec, 0.1, trials=STOPPING_TRIALS)
+
+
+def _stopping_time_row(peak_rss_mb: float) -> dict:
+    name = f"walk engine empirical_stopping_time rademacher n={STOPPING_N} trials={STOPPING_TRIALS}"
+    timing = _call_ms(lambda _: _stopping_time_pass(), [None], LAYER_REPEATS)
+    return {name: {**timing, "peak_rss_mb": peak_rss_mb}}
 
 
 def _cold_import_row() -> dict:
@@ -301,6 +333,9 @@ def measure() -> dict:
     from stst import bench, predictor
     from stst.core import Direction, StoppingRule
 
+    # the children run first, while this process is small (see _child_peak_rss_mb)
+    theory_peak_rss_mb = _child_peak_rss_mb("_theory_pass", os.devnull)
+    stopping_peak_rss_mb = _child_peak_rss_mb("_stopping_time_pass")
     pipeline_peak_rss_mb = _pipeline_peak_rss_mb()
     rows = _cold_import_row()
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
@@ -331,7 +366,8 @@ def measure() -> dict:
         )
     rows.update(_layer_rows(np.random.default_rng(SEED + 2)))
     rows.update(_pipeline_row(pipeline_peak_rss_mb))
-    rows.update(_theory_row())
+    rows.update(_theory_row(theory_peak_rss_mb))
+    rows.update(_stopping_time_row(stopping_peak_rss_mb))
     return rows
 
 

@@ -17,10 +17,16 @@ Three experiments back the three analytic claims:
 Trials are processed in fixed-size batches of 4096, each driven by its own
 child of one seed sequence. The batches run on a thread pool with one worker
 per usable CPU; numpy's random fills, most of the cost, release the GIL and
-run in parallel. Each batch walks its trials in blocks of 256 rows through
-one buffer that is filled and summed in place, so the walks hold about
-workers * 256 * n * 8 bytes at a time. Results are gathered in trial order
-and are identical, bit for bit, for any number of workers.
+run in parallel. Each batch walks its trials in blocks of
+max(1, 2**19 // n) rows through one buffer that is filled and summed in
+place, so a worker's block holds at most max(2**19, n) steps: 4 MB for
+any n <= 2**19. The rademacher and uniform fills draw a temporary of the
+block's shape (int64 and float64), and a stopping-time reduce builds a
+boolean mask of it, so the walks hold at most about
+workers * 16 * max(2**19, n) bytes at a time, whatever the trial count.
+Results are gathered in trial order and are identical, bit for bit, for any
+number of workers and any block size, since every reduction works per row
+and a batch's stream is drawn in row-major order.
 """
 
 import math
@@ -50,10 +56,10 @@ __all__ = [
 ]
 
 _BATCH = 4096  # trials per seed child: fixes which stream draws which trial
-_BLOCK_ROWS = 256  # rows of prefix sums held at once by one worker
-# rows the exact bridge shifts at once through a per-worker scratch; a
+_BLOCK_CELLS = 1 << 19  # steps of prefix sums held at once by one worker
+# steps the exact bridge shifts at once through a per-worker scratch; a
 # block-sized scratch would add a block per worker to the peak memory
-_SHIFT_ROWS = 32
+_SHIFT_CELLS = 1 << 16
 
 _STEP_KINDS = ("gaussian", "rademacher", "uniform")
 
@@ -108,6 +114,11 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+def _rows(cells: int, width: int) -> int:
+    """Rows of `width` steps that fit in `cells`; at least one."""
+    return max(1, cells // max(width, 1))
+
+
 def _fill_steps(rng: np.random.Generator, spec: WalkSpec, out: np.ndarray) -> np.ndarray:
     """Fill out with steps drift + noise, drawn in row-major order, in place.
 
@@ -144,18 +155,20 @@ def _walk(spec: WalkSpec, trials: int, reduce) -> list:
     """reduce() every block of prefix sums S_1..S_n of `trials` walks.
 
     Each batch of _BATCH walks is drawn from its own seed child and walked in
-    blocks of _BLOCK_ROWS rows through one buffer, filled and summed in
+    blocks of max(1, _BLOCK_CELLS // n) rows, so a block holds at most
+    max(_BLOCK_CELLS, n) steps, through one buffer filled and summed in
     place; the batches run on a thread pool. reduce may overwrite the block
     it is given. The results come back in trial order and equal those of
-    whole-batch arrays bit for bit, since cumsum and every reduction work
-    per row.
+    whole-batch arrays bit for bit, since the fill consumes the stream in
+    row-major order and cumsum and every reduction work per row.
     """
+    rows = _rows(_BLOCK_CELLS, spec.n)
 
     def run(job):
         rng, count = job
-        buf = np.empty((min(count, _BLOCK_ROWS), spec.n))
+        buf = np.empty((min(count, rows), spec.n))
         results = []
-        for start in range(0, count, _BLOCK_ROWS):
+        for start in range(0, count, rows):
             block = _fill_steps(rng, spec, buf[: count - start])
             results.append(reduce(np.cumsum(block, axis=1, out=block)))
         return results
@@ -167,6 +180,11 @@ def _walk(spec: WalkSpec, trials: int, reduce) -> list:
     finally:
         # after an error or an interrupt, batches not yet started never run
         pool.shutdown(cancel_futures=True)
+
+
+def _shift_scratch(width: int) -> np.ndarray:
+    """The exact bridge's per-worker scratch: at most max(_SHIFT_CELLS, width) cells."""
+    return np.empty((_rows(_SHIFT_CELLS, width), width))
 
 
 def _kept_maxima(spec: WalkSpec, trials: int, accept) -> np.ndarray:
@@ -263,9 +281,10 @@ def empirical_bridge_crossing_grid(
         def accept(paths):
             # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta)
             if not hasattr(local, "scratch"):
-                local.scratch = np.empty((_SHIFT_ROWS, spec.n - 1))
-            for start in range(0, len(paths), _SHIFT_ROWS):
-                rows = paths[start : start + _SHIFT_ROWS]
+                local.scratch = _shift_scratch(spec.n - 1)
+            step = len(local.scratch)
+            for start in range(0, len(paths), step):
+                rows = paths[start : start + step]
                 rows[:, :-1] -= np.multiply(frac, rows[:, -1:] - theta, out=local.scratch[: len(rows)])
             return slice(None)
 

@@ -76,7 +76,11 @@ def train_linear(train: Dataset, config: TrainConfig) -> WeightedModel:
     labels = train.y.astype(np.float64).tolist()
     lam = config.lambda_reg
     # w is kept as scale * v so the per-step decay is O(1)
-    v = np.zeros(dim)
+    try:
+        v = np.zeros(dim)
+    except MemoryError:
+        # a sparse file declares its dimension by its largest index
+        raise TrainingError(f"dimension {dim} is too large: its weight vector needs {8 * dim} bytes") from None
     v_bias = 0.0
     scale = 1.0
     t = 0
@@ -104,13 +108,18 @@ def train_linear(train: Dataset, config: TrainConfig) -> WeightedModel:
 
 
 def hinge_objective(model: WeightedModel, dataset: Dataset, lambda_reg: float) -> float:
-    """Regularized hinge objective of a trained linear model on a dataset."""
+    """Regularized hinge objective of a trained linear model on a dataset.
+
+    CSR margins are X @ w on the stored entries, with no dense copy; they
+    may round differently from a dense product in the last bits (about
+    1e-15 relative). Dense input is used as it is.
+    """
     if model.indices is None:
         raise ParameterError("hinge objective is defined for coordinate models")
     w = np.zeros(model.dim)
     w[model.indices] = model.weights
     bias = -model.theta
-    margins = dataset.y * (dataset.dense() @ w + bias)
+    margins = dataset.y * (dataset.X @ w + bias)
     hinge = np.maximum(0.0, 1.0 - margins).mean()
     return float(0.5 * lambda_reg * (w @ w + bias * bias) + hinge)
 

@@ -308,14 +308,8 @@ def test_sweep_has_no_condition_flag(pipeline, capsys):
 
 def test_batch_commands_densify_no_whole_dataset(pipeline, tmp_path, monkeypatch):
     # sweep and pr evaluate the parsed CSR rows a block at a time; train
-    # densifies once, for the hinge objective
+    # steps on CSR rows and takes the hinge objective's margins as X @ w
     root, calibrated, test_file = pipeline
-    calls = []
-    dense = data.Dataset.dense
-
-    def counted(self):
-        calls.append(self.n_examples)
-        return dense(self)
 
     def refused(self):
         raise AssertionError("Dataset.dense called")
@@ -325,10 +319,20 @@ def test_batch_commands_densify_no_whole_dataset(pipeline, tmp_path, monkeypatch
     assert run(["sweep", *common, "--grid", "8"]) == 0
     assert run(["pr", *common]) == 0
     assert run(["pr", *common, "--mode", "attentive", "--tau", "-2.0"]) == 0
-    monkeypatch.setattr(data.Dataset, "dense", counted)
     argv = ["train", "--data", str(root / "train.txt"), "--test-fraction", "0.3"]
     assert run(argv + ["--model-out", str(tmp_path / "m.npz"), "-o", str(tmp_path / "train.csv")]) == 0
-    assert len(calls) == 1
+
+
+def test_train_huge_declared_dimension_is_a_clean_error(tmp_path, capsys):
+    # the largest index declares the dimension; 10**12 weights cannot be
+    # allocated, which must be an error line and exit 2, not a traceback
+    huge = tmp_path / "huge.txt"
+    huge.write_text("+1 1:1.0 1000000000000:2.0\n-1 2:1.0\n")
+    model_out = tmp_path / "m.npz"
+    assert run(["train", "--data", str(huge), "--model-out", str(model_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dimension 1000000000000" in err
+    assert not model_out.exists()
 
 
 def test_import_leaves_scipy_spatial_unloaded():

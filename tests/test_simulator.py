@@ -221,7 +221,7 @@ class TestStoppingTime:
 # -- the blocked, threaded walk engine against whole-batch walks --------------
 
 BATCH = 4096  # trials per seed child in the simulator's seed layout
-TRIALS = BATCH + 300  # crosses a batch boundary and a 256-row block boundary
+TRIALS = BATCH + 300  # crosses a batch boundary; TestWalkEngineSmallBlocks crosses block edges
 
 
 def reference_steps(rng, spec, shape):
@@ -374,6 +374,66 @@ class TestWalkEngine:
             assert run() == serial
         finally:
             sys.setswitchinterval(interval)
+
+class TestWalkEngineSmallBlocks(TestWalkEngine):
+    """The walk-engine equivalences again, with blocks far below the default.
+
+    At the default cell budget a 4096-trial batch of n <= 128 fits one
+    block, so these budgets make every test cross block edges: 5-row blocks
+    at n = 37, and 77-row blocks, an odd count that does not divide a batch.
+    The exact bridge shifts 3 rows of n = 37 at a time, so its shift loop
+    crosses its own row groups inside a block too.
+    """
+
+    @pytest.fixture(autouse=True, params=[5 * 37, 77 * 37], ids=lambda cells: f"cells{cells}")
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(simulator, "_BLOCK_CELLS", request.param)
+        monkeypatch.setattr(simulator, "_SHIFT_CELLS", 3 * 36)
+
+
+class TestBlockBound:
+    """Every block and scratch holds at most max(budget, n) cells, whatever n is."""
+
+    @pytest.mark.parametrize("n", [1, 37, 2000, 10_000, 100_003])
+    def test_walk_blocks_within_cell_budget(self, n):
+        trials = 64  # several blocks at n = 10 000 and 100 003
+        shapes = []
+        simulator._walk(WalkSpec(n=n, seed=n), trials, lambda paths: shapes.append(paths.shape))
+        assert sum(rows for rows, _ in shapes) == trials
+        assert all(width == n and rows * width <= max(simulator._BLOCK_CELLS, n) for rows, width in shapes)
+        if n >= 10_000:
+            assert len(shapes) > 1
+
+    @pytest.mark.parametrize("n", [2, 37, 2000, 10_000, 100_003])
+    def test_exact_bridge_scratch_within_cell_budget(self, n, monkeypatch):
+        shapes = []
+        scratch = simulator._shift_scratch
+
+        def recorded(width):
+            out = scratch(width)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(simulator, "_shift_scratch", recorded)
+        empirical_bridge_crossing_grid(WalkSpec(n=n, seed=n), [1.0], trials=64, mode="exact")
+        assert shapes
+        assert all(width == n - 1 and rows * width <= max(simulator._SHIFT_CELLS, n - 1) for rows, width in shapes)
+
+    def test_walk_peak_memory_independent_of_trials(self, monkeypatch):
+        # one worker's rademacher stopping-time walk at n = 100 003: buffer,
+        # int64 draw and hit mask, about 17 bytes a cell of one block
+        import tracemalloc
+
+        monkeypatch.setattr(simulator, "_workers", lambda: 1)
+        spec = WalkSpec(n=100_003, step="rademacher", scale=1.0, drift=0.1, seed=5)
+        tracemalloc.start()
+        try:
+            empirical_stopping_time(spec, 0.1, trials=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * max(simulator._BLOCK_CELLS, spec.n)
+
 
 class TestTheoryRows:
     def test_csv_layout(self):

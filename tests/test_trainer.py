@@ -126,6 +126,35 @@ class TestSparseTraining:
         for got, want in zip((X.data, X.indices, X.indptr), before):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_hinge_objective_csr_matches_dense(self, seed, use_bias, monkeypatch):
+        # CSR margins sum stored entries only, so they may round differently
+        # from the dense product in the last bits; 1e-12 relative bounds that
+        X, y = self._data(seed)
+        lam = 0.05
+        model = train_linear(Dataset(X=X, y=y), TrainConfig(lambda_reg=lam, epochs=3, seed=seed, use_bias=use_bias))
+        dense = hinge_objective(model, Dataset(X=X.toarray(), y=y), lam)
+
+        def refused(self):
+            raise AssertionError("Dataset.dense called")
+
+        monkeypatch.setattr(Dataset, "dense", refused)
+        assert hinge_objective(model, Dataset(X=X, y=y), lam) == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+    def test_hinge_objective_dense_bits_unchanged(self):
+        # dense input: the dense matrix-vector product, as it always was
+        X, y = self._data(4)
+        X = X.toarray()
+        lam = 0.05
+        model = train_linear(Dataset(X=X, y=y), TrainConfig(lambda_reg=lam, epochs=3, seed=4))
+        w = np.zeros(model.dim)
+        w[model.indices] = model.weights
+        bias = -model.theta
+        hinge = np.maximum(0.0, 1.0 - y * (X @ w + bias)).mean()
+        want = float(0.5 * lam * (w @ w + bias * bias) + hinge)
+        assert hinge_objective(model, Dataset(X=X, y=y), lam) == want
+
 
 class TestImportKernelModel:
     def test_round_trip(self, tmp_path):
