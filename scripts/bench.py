@@ -28,7 +28,7 @@ for one epoch on the dense and on the CSR copy; calibrate of the trained
 model on the CSR copy; term_matrix of coordinate, linear-kernel and RBF
 models at m = 2000 examples and n = 2000 terms (kernel dim 64), and
 prefix_score_matrix of the coordinate one; and the walk engine through
-empirical_stop_error at n = 1000, 16384 trials.
+empirical_stop_error_grid at one delta, n = 1000, 16384 trials.
 
 End-to-end rows (LAYER_REPEATS passes each): the CLI flow train ->
 calibrate -> sweep -> pr through stst.cli.main, into a fresh temporary
@@ -176,8 +176,9 @@ def _layer_rows(rng) -> dict:
     )
 
     spec = simulator.WalkSpec(n=WALK_N, seed=SEED)
+    # named after the deleted one-delta wrapper, so that BENCH_*.json rows line up
     rows[f"walk engine empirical_stop_error n={WALK_N} trials={WALK_TRIALS}"] = _call_ms(
-        lambda s: simulator.empirical_stop_error(s, 0.1, trials=WALK_TRIALS), [spec], LAYER_REPEATS
+        lambda s: simulator.empirical_stop_error_grid(s, [0.1], trials=WALK_TRIALS)[0], [spec], LAYER_REPEATS
     )
     return rows
 

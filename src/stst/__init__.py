@@ -26,14 +26,14 @@ from .predictor import (
     save_model,
     score_term,
 )
-from .calibration import CalibrationReport, calibrate, estimate_mu, estimate_variance, measure_stop_error
+from .calibration import CalibrationReport, calibrate, measure_stop_error
 from .data import Dataset, SyntheticSpec, generate_synthetic, parse_sparse, serialize_sparse, split
 from .simulator import (
     CrossingEstimate,
     StoppingTimeSummary,
     WalkSpec,
-    empirical_bridge_crossing,
-    empirical_stop_error,
+    empirical_bridge_crossing_grid,
+    empirical_stop_error_grid,
     empirical_stopping_time,
 )
 from .trainer import TrainConfig, hinge_objective, import_kernel_model, train_linear

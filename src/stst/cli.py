@@ -134,23 +134,26 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.paper_faithful and args.cal_fraction is not None:
-        raise ParameterError("--cal-fraction slices --train; --paper-faithful calibrates on the whole test set")
-    model = load_model(args.model)
-    class_used = _class_label(args.class_used)
     if args.paper_faithful:
+        if args.cal_fraction is not None:
+            raise ParameterError("--cal-fraction slices --train; --paper-faithful calibrates on the whole test set")
+        if args.train is not None:
+            raise ParameterError("--paper-faithful calibrates on --test; --train is not read")
         if args.test is None:
             raise ParameterError("--paper-faithful needs --test (calibrates on the test set)")
-        cal_set = data.parse_sparse(args.test)
-        protocol = "paper-faithful"
+        source, protocol = args.test, "paper-faithful"
     else:
+        if args.test is not None:
+            raise ParameterError("--test is read only with --paper-faithful; calibrate on --train")
         if args.train is None:
             raise ParameterError("calibrate needs --train (or --paper-faithful with --test)")
-        cal_set = data.parse_sparse(args.train)
-        if args.cal_fraction is not None:
-            # the held-out slice plays the role of the calibration set
-            _, cal_set = data.split(cal_set, args.cal_fraction, args.cal_seed)
-        protocol = "train-slice"
+        source, protocol = args.train, "train-slice"
+    class_used = _class_label(args.class_used)
+    model = load_model(args.model)
+    cal_set = data.parse_sparse(source)
+    if args.cal_fraction is not None:
+        # the held-out slice of --train plays the role of the calibration set
+        _, cal_set = data.split(cal_set, args.cal_fraction, args.cal_seed)
     mode = "per_term" if args.mode == "per-term" else "score"
     calibrated, report = calibration.calibrate(model, cal_set, class_used, mode=mode)
     if args.model_out is not None:
@@ -178,15 +181,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pr(args) -> int:
-    if args.tau is not None and args.mode != "attentive":
+    if args.mode == "attentive":
+        if args.tau is None:
+            raise ParameterError("pr --mode attentive needs --tau")
+        rule = StoppingRule(theta=args.theta, tau=args.tau, direction=Direction.REJECT_BELOW)
+    elif args.tau is not None:
         raise ParameterError("pr --tau needs --mode attentive (a full pass has no stop threshold)")
     model = load_model(args.model)
     test = data.parse_sparse(args.data)
     prefix = prefix_score_matrix(model, test.X)
     if args.mode == "attentive":
-        if args.tau is None:
-            raise ParameterError("pr --mode attentive needs --tau")
-        rule = StoppingRule(theta=args.theta, tau=args.tau, direction=Direction.REJECT_BELOW)
         preds = attentive_from_prefix(prefix, rule)
     else:
         preds = full_from_prefix(prefix, args.theta)
@@ -227,12 +231,12 @@ def _cmd_simulate(args) -> int:
     if args.experiment == "bridge":
         # before the walk: an invalid boundary fails without running any trials
         closed = crossing_probability(args.tau, args.theta, spec.total_variance)
-        est = simulator.empirical_bridge_crossing(
-            spec, tau=args.tau, theta=args.theta, band=args.band, trials=args.trials, mode=args.mode
-        )
+        est = simulator.empirical_bridge_crossing_grid(
+            spec, [args.tau], theta=args.theta, band=args.band, trials=args.trials, mode=args.mode
+        )[0]
         row = simulator.TheoryRow.crossing("bridge_crossing", spec.n, None, args.tau, args.theta, est, closed)
     elif args.experiment == "stop-error":
-        est = simulator.empirical_stop_error(spec, delta=args.delta, theta=args.theta, trials=args.trials)
+        est = simulator.empirical_stop_error_grid(spec, [args.delta], theta=args.theta, trials=args.trials)[0]
         magnitude = crossing_magnitude(ConfidenceParams(delta=args.delta, variance=spec.total_variance))
         # the reflection principle's rate under sign conditioning,
         # 2*Phi(-2m/sd): what this pinned placement measures

@@ -126,6 +126,9 @@ class WeightedModel:
             raise ParameterError("weights must be a nonempty 1-d array")
         if m.shape != w.shape:
             raise ParameterError(f"mu shape {m.shape} does not match weights shape {w.shape}")
+        for name, values in (("weights", w), ("mu", m)):
+            if not np.isfinite(values).all():
+                raise ParameterError(f"{name} must be finite, got a NaN or infinite value")
         if not math.isfinite(self.theta):
             raise ParameterError(f"theta must be finite, got {self.theta!r}")
         if self.dim < 1:
@@ -150,6 +153,8 @@ class WeightedModel:
                 raise ParameterError(
                     f"support vectors must have shape (n, dim) = ({w.size}, {self.dim}), got {sv.shape}"
                 )
+            if not np.isfinite(sv).all():
+                raise ParameterError("support vectors must be finite, got a NaN or infinite value")
 
     @property
     def n(self) -> int:
@@ -546,38 +551,43 @@ def load_model(path) -> WeightedModel:
     for key in ("format_version", "kind", "weights", "mu", "theta", "dim"):
         if key not in data:
             raise ModelFormatError(f"model container missing field {key!r}")
-    version = int(data["format_version"])
+    try:
+        return _model_from_fields(data)
+    except (TypeError, ValueError) as exc:  # ParameterError included
+        raise ModelFormatError(f"invalid model container: {exc}") from exc
+
+
+def _model_from_fields(data: dict) -> WeightedModel:
+    def field(key, scalar=False, integer=False):
+        value = data[key]
+        if scalar and value.ndim != 0:
+            raise ModelFormatError(f"model container field {key!r} must be a scalar, got shape {value.shape}")
+        if integer and not np.issubdtype(value.dtype, np.integer):
+            raise ModelFormatError(f"model container field {key!r} must be integer, got dtype {value.dtype}")
+        return value[()] if scalar else value
+
+    version = int(field("format_version", scalar=True, integer=True))
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
-    kind = str(data["kind"])
-    try:
-        if kind == "coordinate":
-            if "indices" not in data:
-                raise ModelFormatError("coordinate model container missing indices")
-            return WeightedModel(
-                weights=data["weights"],
-                mu=data["mu"],
-                theta=float(data["theta"]),
-                dim=int(data["dim"]),
-                indices=data["indices"],
-            )
-        if kind == "kernel":
-            for key in ("support_vectors", "kernel_kind", "sigma"):
-                if key not in data:
-                    raise ModelFormatError(f"kernel model container missing field {key!r}")
-            kernel_kind = str(data["kernel_kind"])
-            sigma = float(data["sigma"])
-            spec = KernelSpec(kernel_kind, sigma if kernel_kind == "rbf" else None)
-            return WeightedModel(
-                weights=data["weights"],
-                mu=data["mu"],
-                theta=float(data["theta"]),
-                dim=int(data["dim"]),
-                support_vectors=data["support_vectors"],
-                kernel=spec,
-            )
-    except ParameterError as exc:
-        raise ModelFormatError(f"invalid model container: {exc}") from exc
+    kind = str(field("kind", scalar=True))
+    fields = {
+        "weights": data["weights"],
+        "mu": data["mu"],
+        "theta": float(field("theta", scalar=True)),
+        "dim": int(field("dim", scalar=True, integer=True)),
+    }
+    if kind == "coordinate":
+        if "indices" not in data:
+            raise ModelFormatError("coordinate model container missing indices")
+        return WeightedModel(**fields, indices=field("indices", integer=True))
+    if kind == "kernel":
+        for key in ("support_vectors", "kernel_kind", "sigma"):
+            if key not in data:
+                raise ModelFormatError(f"kernel model container missing field {key!r}")
+        kernel_kind = str(field("kernel_kind", scalar=True))
+        sigma = float(field("sigma", scalar=True))
+        spec = KernelSpec(kernel_kind, sigma if kernel_kind == "rbf" else None)
+        return WeightedModel(**fields, support_vectors=data["support_vectors"], kernel=spec)
     raise ModelFormatError(f"unknown model kind {kind!r}")
 
 

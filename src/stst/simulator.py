@@ -2,17 +2,21 @@
 
 Three experiments back the three analytic claims:
 
-  * empirical_bridge_crossing measures the probability that a walk pinned at
-    its endpoint crosses a constant boundary, against exp(-2*tau*(tau-theta)/var).
-  * empirical_stop_error measures the sign-conditioned crossing rate with the
-    boundary placed by crossing_magnitude, against the nominal delta. With the
-    default pinned placement (the paper's formula, exact for an endpoint
-    pinned at theta) it lands near 0.3*delta; empirical_stop_error_grid with
-    conditioning="sign" places the boundary for this conditioning and the
+  * empirical_bridge_crossing_grid measures the probability that a walk
+    pinned at its endpoint crosses a constant boundary, against
+    exp(-2*tau*(tau-theta)/var).
+  * empirical_stop_error_grid measures the sign-conditioned crossing rate
+    with the boundary placed by crossing_magnitude, against the nominal
+    delta. With the default pinned placement (the paper's formula, exact for
+    an endpoint pinned at theta) it lands near 0.3*delta; with
+    conditioning="sign" the boundary is placed for this conditioning and the
     rate matches delta.
   * empirical_stopping_time measures the mean first-crossing time of a
     positive-drift walk, against the (magnitude + k)/drift upper estimate and
     Wald's identity.
+
+The two crossing experiments take a grid of boundaries and share one path
+ensemble across it; a single boundary is a grid of one.
 
 Trials are processed in fixed-size batches of 4096, each driven by its own
 child of one seed sequence. The batches run on a thread pool with one worker
@@ -45,9 +49,7 @@ __all__ = [
     "WalkSpec",
     "CrossingEstimate",
     "StoppingTimeSummary",
-    "empirical_bridge_crossing",
     "empirical_bridge_crossing_grid",
-    "empirical_stop_error",
     "empirical_stop_error_grid",
     "empirical_stopping_time",
     "TheoryRow",
@@ -301,17 +303,6 @@ def empirical_bridge_crossing_grid(
     return _estimates(maxima, taus, trials)
 
 
-def empirical_bridge_crossing(
-    spec: WalkSpec,
-    tau: float,
-    theta: float = 0.0,
-    band: float | None = None,
-    trials: int = 100_000,
-    mode: str = "rejection",
-) -> CrossingEstimate:
-    return empirical_bridge_crossing_grid(spec, [tau], theta, band, trials, mode)[0]
-
-
 def empirical_stop_error_grid(
     spec: WalkSpec,
     deltas,
@@ -347,15 +338,6 @@ def empirical_stop_error_grid(
     if maxima.size == 0:
         raise InsufficientAcceptanceError(f"no trials with endpoint below theta out of {trials}")
     return _estimates(maxima, taus, trials)
-
-
-def empirical_stop_error(
-    spec: WalkSpec,
-    delta: float,
-    theta: float = 0.0,
-    trials: int = 100_000,
-) -> CrossingEstimate:
-    return empirical_stop_error_grid(spec, [delta], theta, trials)[0]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,6 @@ from stst import (
     Predictions,
     calibrate,
     coordinate_model,
-    estimate_mu,
-    estimate_variance,
     kernel_model,
     measure_stop_error,
 )
@@ -20,22 +20,34 @@ def small_dataset(X, y):
     return Dataset(X=np.asarray(X, dtype=float), y=np.asarray(y))
 
 
-class TestEstimateMu:
+def calibrated_mu(model, ds, class_used):
+    corrected, report = calibrate(model, ds, class_used)
+    assert np.array_equal(corrected.mu, report.mu)
+    return report.mu
+
+
+def variance_hat(model, ds, class_used, mode="score"):
+    return calibrate(model, ds, class_used, mode=mode)[1].variance_hat
+
+
+class TestCalibrateMu:
     def test_linear_coordinate_mean(self):
         model = coordinate_model([1.0, 1.0], dim=2)
         ds = small_dataset([[1.0, 5.0], [3.0, 7.0], [100.0, 100.0]], [1, 1, -1])
-        mu = estimate_mu(model, ds, class_used=1)
+        mu = calibrated_mu(model, ds, class_used=1)
         assert mu.tolist() == [2.0, 6.0]
 
     def test_constant_kernel_values(self):
-        # both calibration points coincide, so every kernel value is constant
-        sv = np.array([[0.0, 0.0], [1.0, 1.0]])
-        model = kernel_model([1.0, 1.0], sv, KernelSpec.rbf(1.0))
-        point = np.array([[0.5, 0.5]])
-        ds = small_dataset(np.vstack([point, point]), [1, 1])
-        mu = estimate_mu(model, ds, class_used=1)
-        expected = np.exp(-np.sum((sv - point) ** 2, axis=1) / 2.0)
-        assert mu == pytest.approx(expected, rel=1e-12)
+        # both calibration points lie at the same distance from the first two
+        # support vectors, so those kernel values are constant over the class;
+        # the third keeps the score variance above zero
+        sv = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, -2.0]])
+        model = kernel_model([1.0, 1.0, 1.0], sv, KernelSpec.rbf(1.0))
+        points = np.array([[0.75, 0.25], [0.25, 0.75]])
+        ds = small_dataset(points, [1, 1])
+        mu = calibrated_mu(model, ds, class_used=1)
+        expected = np.exp(-np.sum((sv[:2] - points[0]) ** 2, axis=1) / 2.0)
+        assert mu[:2] == pytest.approx(expected, rel=1e-12)
 
     def test_rbf_brute_force_oracle(self):
         rng = np.random.default_rng(4)
@@ -43,7 +55,7 @@ class TestEstimateMu:
         model = kernel_model(rng.standard_normal(5), sv, KernelSpec.rbf(0.8))
         cal = rng.standard_normal((3, 3))
         ds = small_dataset(cal, [1, 1, 1])
-        mu = estimate_mu(model, ds, class_used=1)
+        mu = calibrated_mu(model, ds, class_used=1)
         for i in range(5):
             vals = [np.exp(-np.sum((sv[i] - c) ** 2) / (2 * 0.8**2)) for c in cal]
             assert mu[i] == pytest.approx(sum(vals) / 3.0, rel=1e-12)
@@ -52,36 +64,35 @@ class TestEstimateMu:
         model = coordinate_model([1.0], dim=1)
         ds = small_dataset([[1.0], [2.0]], [1, 1])
         with pytest.raises(CalibrationError):
-            estimate_mu(model, ds, class_used=-1)
+            calibrate(model, ds, class_used=-1)
 
     def test_corrected_terms_center_at_zero(self):
         rng = np.random.default_rng(8)
         model = coordinate_model(rng.standard_normal(6), dim=6)
         ds = small_dataset(rng.standard_normal((40, 6)), [1] * 40)
-        mu = estimate_mu(model, ds, class_used=1)
-        corrected = model.with_mu(mu)
+        corrected, _ = calibrate(model, ds, class_used=1)
         means = term_matrix(corrected, ds.X).mean(axis=0)
         assert np.all(np.abs(means) < 1e-9)
 
 
-class TestEstimateVariance:
+class TestCalibrateVariance:
     def test_two_scores(self):
         # scores -1 and +1: unbiased variance (divisor n-1) is 2
         model = coordinate_model([1.0], dim=1)
         ds = small_dataset([[-1.0], [1.0]], [1, 1])
-        assert estimate_variance(model, ds, class_used=1) == pytest.approx(2.0, rel=1e-14)
+        assert variance_hat(model, ds, class_used=1) == pytest.approx(2.0, rel=1e-14)
 
     def test_identical_scores_degenerate(self):
         model = coordinate_model([1.0], dim=1)
         ds = small_dataset([[2.0], [2.0], [2.0]], [1, 1, 1])
         with pytest.raises(DegenerateDataError):
-            estimate_variance(model, ds, class_used=1)
+            calibrate(model, ds, class_used=1)
 
     def test_against_two_pass_brute_force(self):
         rng = np.random.default_rng(15)
         model = coordinate_model(rng.standard_normal(8), mu=rng.standard_normal(8), dim=8)
         ds = small_dataset(rng.standard_normal((100, 8)), [1] * 100)
-        got = estimate_variance(model, ds, class_used=1)
+        got = variance_hat(model, ds, class_used=1)
         scores = [sum(model.weights[i] * (x[i] - model.mu[i]) for i in range(8)) for x in ds.X]
         mean = sum(scores) / len(scores)
         brute = sum((s - mean) ** 2 for s in scores) / (len(scores) - 1)
@@ -92,7 +103,7 @@ class TestEstimateVariance:
         model = coordinate_model(rng.standard_normal(5), dim=5)
         X = rng.standard_normal((50, 5))
         ds = small_dataset(X, [1] * 50)
-        got = estimate_variance(model, ds, class_used=1, mode="per_term")
+        got = variance_hat(model, ds, class_used=1, mode="per_term")
         brute = sum(model.weights[i] ** 2 * np.var(X[:, i], ddof=1) for i in range(5))
         assert got == pytest.approx(brute, rel=1e-10)
 
@@ -100,21 +111,24 @@ class TestEstimateVariance:
         rng = np.random.default_rng(17)
         model = coordinate_model(rng.standard_normal(4), dim=4)
         ds = small_dataset(rng.standard_normal((30, 4)), [1] * 30)
-        v0 = estimate_variance(model, ds, class_used=1)
-        v1 = estimate_variance(model.with_mu(rng.standard_normal(4)), ds, class_used=1)
-        assert v0 == pytest.approx(v1, rel=1e-9)
+        shifted = model.with_mu(rng.standard_normal(4))
+        for mode in ("score", "per_term"):
+            _, r0 = calibrate(model, ds, class_used=1, mode=mode)
+            _, r1 = calibrate(shifted, ds, class_used=1, mode=mode)
+            assert r0.mu.tobytes() == r1.mu.tobytes()
+            assert r0.variance_hat == r1.variance_hat
 
     def test_needs_two_examples(self):
         model = coordinate_model([1.0], dim=1)
         ds = small_dataset([[1.0], [5.0]], [1, -1])
         with pytest.raises(CalibrationError):
-            estimate_variance(model, ds, class_used=1)
+            calibrate(model, ds, class_used=1)
 
     def test_bad_mode(self):
         model = coordinate_model([1.0], dim=1)
         ds = small_dataset([[1.0], [2.0]], [1, 1])
         with pytest.raises(ParameterError):
-            estimate_variance(model, ds, class_used=1, mode="bogus")
+            calibrate(model, ds, class_used=1, mode="bogus")
 
 
 class TestCalibrate:
@@ -155,21 +169,32 @@ class TestCalibrate:
             model = coordinate_model(rng.standard_normal(5), dim=5)
         else:
             model = kernel_model(rng.standard_normal(7), rng.standard_normal((7, 5)), KernelSpec.rbf(1.3))
-        ds = small_dataset(X, rng.choice([1, -1], size=60))
-        corrected, report = calibrate(model, ds, class_used=-1, mode=mode)
-        mu = estimate_mu(model, ds, class_used=-1)
+        y = rng.choice([1, -1], size=60)
+        corrected, report = calibrate(model, small_dataset(X, y), class_used=-1, mode=mode)
+        # with unit weights and zero mu, the term matrix is the raw block
+        X_class = X[y == -1]
+        raw = term_matrix(replace(model, weights=np.ones(model.n), mu=np.zeros(model.n)), X_class)
+        mu = raw.mean(axis=0)
         assert report.mu.tobytes() == mu.tobytes()
-        assert report.variance_hat == estimate_variance(model.with_mu(mu), ds, class_used=-1, mode=mode)
+        assert corrected.mu.tobytes() == mu.tobytes()
+        if mode == "score":
+            variance = float(np.var(term_matrix(corrected, X_class).sum(axis=1), ddof=1))
+        else:
+            variance = float(np.sum(corrected.weights**2 * np.var(raw, axis=0, ddof=1)))
+        assert report.variance_hat == variance
 
     def test_error_order_kept(self):
         model = coordinate_model([1.0], dim=1)
-        # an empty class is reported before a bad mode, as estimate_mu runs first
-        with pytest.raises(CalibrationError, match="at least 1"):
+        # the mode is checked first, then that the class has two rows
+        with pytest.raises(ParameterError, match="unknown variance mode"):
             calibrate(model, small_dataset([[1.0], [2.0]], [1, 1]), class_used=-1, mode="bogus")
         with pytest.raises(ParameterError, match="unknown variance mode"):
             calibrate(model, small_dataset([[1.0], [2.0]], [1, -1]), class_used=1, mode="bogus")
-        with pytest.raises(CalibrationError, match="at least 2"):
-            calibrate(model, small_dataset([[1.0], [2.0]], [1, -1]), class_used=1)
+        with pytest.raises(ParameterError, match="class_used"):
+            calibrate(model, small_dataset([[1.0], [2.0]], [1, 1]), class_used=0)
+        for labels in ([1, 1], [1, -1]):
+            with pytest.raises(CalibrationError, match="at least 2"):
+                calibrate(model, small_dataset([[1.0], [2.0]], labels), class_used=-1)
 
 
 def _preds(*rows):

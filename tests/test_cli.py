@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy.stats import norm
 
@@ -299,6 +300,70 @@ def test_pr_tau_needs_attentive_mode(pipeline, tmp_path, capsys):
         assert not out.exists()
 
 
+def refuse_to_parse(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a data file was read before the flags were checked")
+
+    monkeypatch.setattr(data, "parse_sparse", refused)
+
+
+def test_calibrate_paper_faithful_rejects_train(pipeline, tmp_path, capsys, monkeypatch):
+    root, calibrated, test_file = pipeline
+    refuse_to_parse(monkeypatch)
+    out = tmp_path / "cal.csv"
+    argv = ["calibrate", "--model", str(calibrated), "--test", str(test_file), "--paper-faithful"]
+    assert run(argv + ["--train", str(root / "train.txt"), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--train is not read" in err
+    assert not out.exists()
+
+
+def test_calibrate_test_needs_paper_faithful(pipeline, tmp_path, capsys, monkeypatch):
+    root, calibrated, test_file = pipeline
+    refuse_to_parse(monkeypatch)
+    out = tmp_path / "cal.csv"
+    argv = ["calibrate", "--model", str(calibrated), "--train", str(root / "train.txt")]
+    assert run(argv + ["--test", str(test_file), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--test is read only with --paper-faithful" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [([], "needs --tau"), (["--tau", "0.5"], "requires tau < theta"), (["--tau", "0.0"], "requires tau < theta")],
+)
+def test_pr_rule_errors_come_before_reading(pipeline, tmp_path, capsys, monkeypatch, flags, message):
+    _, calibrated, test_file = pipeline
+    refuse_to_parse(monkeypatch)
+    out = tmp_path / "pr.csv"
+    argv = ["pr", "--model", str(calibrated), "--data", str(test_file), "--mode", "attentive", "-o", str(out)]
+    assert run(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,corrupt,message",
+    [
+        ("theta", lambda theta: np.array([theta, theta]), "'theta' must be a scalar"),
+        ("weights", lambda w: np.concatenate([[np.nan], w[1:]]), "weights must be finite"),
+    ],
+)
+def test_pr_malformed_model_is_a_clean_error(pipeline, tmp_path, capsys, key, corrupt, message):
+    _, calibrated, test_file = pipeline
+    fields = dict(np.load(calibrated))
+    fields[key] = corrupt(fields[key])
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **fields)
+    out = tmp_path / "pr.csv"
+    assert run(["pr", "--model", str(bad), "--data", str(test_file), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def test_sweep_has_no_condition_flag(pipeline, capsys):
     _, calibrated, test_file = pipeline
     with pytest.raises(SystemExit):
@@ -413,7 +478,7 @@ def test_simulate_bridge_rejects_boundary_at_or_below_start(tmp_path, capsys, mo
     def no_walk(*args, **kwargs):
         raise AssertionError("the walk ran before the boundary was checked")
 
-    monkeypatch.setattr(simulator, "empirical_bridge_crossing", no_walk)
+    monkeypatch.setattr(simulator, "empirical_bridge_crossing_grid", no_walk)
     out = tmp_path / "bridge.csv"
     argv = ["simulate", "--experiment", "bridge", "--n", "200", "--scale", "0.0707"]
     argv += ["--theta", "-2", "--tau", "-1", "--mode", "exact", "-o", str(out)]

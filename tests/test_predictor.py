@@ -652,3 +652,61 @@ class TestSerialization:
         path.write_bytes(b"not a zip at all")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind,key,value,match",
+        [
+            ("coordinate", "indices", np.array([0.0, 1.7]), "'indices' must be integer"),
+            ("coordinate", "dim", np.float64(3.9), "'dim' must be integer"),
+            ("coordinate", "dim", np.array([3, 3]), "'dim' must be a scalar"),
+            ("coordinate", "theta", np.array([0.0, 1.0]), "'theta' must be a scalar"),
+            ("coordinate", "format_version", np.str_("one"), "'format_version' must be integer"),
+            ("coordinate", "kind", np.array(["coordinate", "kernel"]), "'kind' must be a scalar"),
+            ("coordinate", "weights", np.array(["a", "b"]), "invalid model container"),
+            ("coordinate", "theta", np.str_("zero"), "invalid model container"),
+            ("rbf", "sigma", np.array([1.5, 1.5]), "'sigma' must be a scalar"),
+            ("rbf", "sigma", np.str_("wide"), "invalid model container"),
+            ("rbf", "kernel_kind", np.array(["rbf", "rbf"]), "'kernel_kind' must be a scalar"),
+        ],
+    )
+    def test_malformed_field_rejected(self, tmp_path, kind, key, value, match):
+        path = tmp_path / "m.npz"
+        save_model(random_model(np.random.default_rng(31), kind, n=2, dim=4), path)
+        data = dict(np.load(path))
+        data[key] = value
+        np.savez(path, **data)
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind,key", [("coordinate", "weights"), ("coordinate", "mu"), ("rbf", "support_vectors")]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, tmp_path, kind, key, bad):
+        path = tmp_path / "m.npz"
+        save_model(random_model(np.random.default_rng(37), kind, n=3, dim=3), path)
+        data = dict(np.load(path))
+        data[key] = data[key].copy()
+        data[key].flat[1] = bad
+        np.savez(path, **data)
+        with pytest.raises(ModelFormatError, match="must be finite"):
+            load_model(path)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_and_mu_rejected(self, bad):
+        with pytest.raises(ParameterError, match="^weights must be finite"):
+            coordinate_model([1.0, bad], dim=2)
+        with pytest.raises(ParameterError, match="^mu must be finite"):
+            coordinate_model([1.0, 1.0], mu=[0.0, bad], dim=2)
+        with pytest.raises(ParameterError, match="^mu must be finite"):
+            coordinate_model([1.0, 1.0], dim=2).with_mu([bad, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_support_vectors_rejected(self, bad):
+        sv = np.zeros((2, 3))
+        sv[1, 2] = bad
+        for kernel in (KernelSpec.rbf(1.0), KernelSpec.linear()):
+            with pytest.raises(ParameterError, match="^support vectors must be finite"):
+                kernel_model([1.0, 1.0], sv, kernel)

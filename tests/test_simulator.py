@@ -9,8 +9,8 @@ from stst import (
     ConfidenceParams,
     WalkSpec,
     crossing_magnitude,
-    empirical_bridge_crossing,
-    empirical_stop_error,
+    empirical_bridge_crossing_grid,
+    empirical_stop_error_grid,
     empirical_stopping_time,
     simulator,
 )
@@ -19,8 +19,6 @@ from stst.simulator import (
     CrossingEstimate,
     StoppingTimeSummary,
     TheoryRow,
-    empirical_bridge_crossing_grid,
-    empirical_stop_error_grid,
     write_theory_rows,
 )
 
@@ -75,30 +73,34 @@ def unit_variance_spec(n=2000, seed=0):
 
 class TestBridgeCrossing:
     def test_exact_mode_matches_closed_form(self):
-        est = empirical_bridge_crossing(unit_variance_spec(seed=2), tau=1.0, trials=30_000, mode="exact")
+        est = empirical_bridge_crossing_grid(
+            unit_variance_spec(seed=2), [1.0], trials=30_000, mode="exact"
+        )[0]
         target = math.exp(-2.0)
         assert est.accepted == 30_000
         assert abs(est.probability_hat - target) <= max(0.02, 4 * est.standard_error)
 
     def test_rejection_mode_matches_closed_form(self):
-        est = empirical_bridge_crossing(
-            unit_variance_spec(n=1000, seed=3), tau=1.0, trials=80_000, mode="rejection"
-        )
+        est = empirical_bridge_crossing_grid(
+            unit_variance_spec(n=1000, seed=3), [1.0], trials=80_000, mode="rejection"
+        )[0]
         target = math.exp(-2.0)
         assert est.accepted < est.trials_used
         assert abs(est.probability_hat - target) <= max(0.02, 4 * est.standard_error)
 
     def test_modes_agree_within_three_combined_se(self):
-        exact = empirical_bridge_crossing(unit_variance_spec(n=500, seed=4), tau=1.0, trials=30_000, mode="exact")
-        reject = empirical_bridge_crossing(
-            unit_variance_spec(n=500, seed=5), tau=1.0, trials=80_000, mode="rejection"
-        )
+        exact = empirical_bridge_crossing_grid(
+            unit_variance_spec(n=500, seed=4), [1.0], trials=30_000, mode="exact"
+        )[0]
+        reject = empirical_bridge_crossing_grid(
+            unit_variance_spec(n=500, seed=5), [1.0], trials=80_000, mode="rejection"
+        )[0]
         combined = math.hypot(exact.standard_error, reject.standard_error)
         assert abs(exact.probability_hat - reject.probability_hat) <= 3 * combined
 
     def test_unreachable_boundary_gives_zero(self):
         spec = WalkSpec(n=8, step="rademacher", scale=1.0, seed=6)
-        est = empirical_bridge_crossing(spec, tau=9.0, theta=0.0, band=0.5, trials=5_000)
+        est = empirical_bridge_crossing_grid(spec, [9.0], theta=0.0, band=0.5, trials=5_000)[0]
         assert est.probability_hat == 0.0
         assert est.standard_error == 0.0
 
@@ -106,8 +108,8 @@ class TestBridgeCrossing:
         # doubling the step scale, tau, and band rescales paths exactly
         spec1 = WalkSpec(n=300, step="gaussian", scale=0.25, seed=7)
         spec2 = WalkSpec(n=300, step="gaussian", scale=0.5, seed=7)
-        a = empirical_bridge_crossing(spec1, tau=0.8, band=0.3, trials=20_000)
-        b = empirical_bridge_crossing(spec2, tau=1.6, band=0.6, trials=20_000)
+        a = empirical_bridge_crossing_grid(spec1, [0.8], band=0.3, trials=20_000)[0]
+        b = empirical_bridge_crossing_grid(spec2, [1.6], band=0.6, trials=20_000)[0]
         assert a.probability_hat == b.probability_hat
         assert a.accepted == b.accepted
 
@@ -122,21 +124,22 @@ class TestBridgeCrossing:
         # endpoints of a two-step unit rademacher walk are in {-2, 0, 2}
         spec = WalkSpec(n=2, step="rademacher", scale=1.0, seed=9)
         with pytest.raises(InsufficientAcceptanceError):
-            empirical_bridge_crossing(spec, tau=1.5, theta=1.0, band=0.5, trials=2_000)
+            empirical_bridge_crossing_grid(spec, [1.5], theta=1.0, band=0.5, trials=2_000)
 
     def test_preconditions(self):
         spec = WalkSpec(n=10, step="gaussian", scale=1.0, drift=0.5, seed=0)
         with pytest.raises(ParameterError):
-            empirical_bridge_crossing(spec, tau=1.0, trials=100)
+            empirical_bridge_crossing_grid(spec, [1.0], trials=100)
         with pytest.raises(ParameterError):
-            empirical_bridge_crossing(WalkSpec(n=10, seed=0), tau=-1.0, theta=0.0, trials=100)
+            empirical_bridge_crossing_grid(WalkSpec(n=10, seed=0), [-1.0], theta=0.0, trials=100)
+        rademacher = WalkSpec(n=10, step="rademacher", seed=0)
         with pytest.raises(ParameterError):
-            empirical_bridge_crossing(WalkSpec(n=10, step="rademacher", seed=0), tau=1.0, trials=100, mode="exact")
+            empirical_bridge_crossing_grid(rademacher, [1.0], trials=100, mode="exact")
 
     def test_determinism(self):
         spec = unit_variance_spec(n=500, seed=10)
-        a = empirical_bridge_crossing(spec, tau=1.0, trials=10_000, mode="exact")
-        b = empirical_bridge_crossing(spec, tau=1.0, trials=10_000, mode="exact")
+        a = empirical_bridge_crossing_grid(spec, [1.0], trials=10_000, mode="exact")[0]
+        b = empirical_bridge_crossing_grid(spec, [1.0], trials=10_000, mode="exact")[0]
         assert a == b
 
 
@@ -144,7 +147,7 @@ class TestStopError:
     def test_delta_one_boundary_always_crossed(self):
         # tau = theta: a walk conditioned to end below zero has essentially
         # surely been at or above zero somewhere before the end
-        est = empirical_stop_error(unit_variance_spec(n=1000, seed=11), delta=1.0, trials=20_000)
+        est = empirical_stop_error_grid(unit_variance_spec(n=1000, seed=11), [1.0], trials=20_000)[0]
         assert est.probability_hat > 0.9
 
     def test_rate_against_sign_conditioned_closed_form(self):
@@ -157,7 +160,7 @@ class TestStopError:
         tau = math.sqrt(-0.5 * math.log(delta))
         oracle = 2.0 * norm.sf(2.0 * tau)
         assert oracle == pytest.approx(0.03188, abs=2e-4)
-        est = empirical_stop_error(unit_variance_spec(seed=12), delta=delta, trials=40_000)
+        est = empirical_stop_error_grid(unit_variance_spec(seed=12), [delta], trials=40_000)[0]
         assert abs(est.probability_hat - oracle) <= max(0.01, 4 * est.standard_error)
         assert est.probability_hat < delta
 
@@ -169,19 +172,19 @@ class TestStopError:
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
     def test_acceptance_counts_sign_conditioning(self):
-        est = empirical_stop_error(unit_variance_spec(n=200, seed=14), delta=0.1, trials=10_000)
+        est = empirical_stop_error_grid(unit_variance_spec(n=200, seed=14), [0.1], trials=10_000)[0]
         # about half the walks end below zero
         assert 0.4 * est.trials_used <= est.accepted <= 0.6 * est.trials_used
 
     def test_preconditions(self):
         with pytest.raises(ParameterError):
-            empirical_stop_error(WalkSpec(n=10, drift=0.1, seed=0), delta=0.1, trials=100)
+            empirical_stop_error_grid(WalkSpec(n=10, drift=0.1, seed=0), [0.1], trials=100)
         with pytest.raises(ParameterError):
-            empirical_stop_error(WalkSpec(n=10, seed=0), delta=1.5, trials=100)
+            empirical_stop_error_grid(WalkSpec(n=10, seed=0), [1.5], trials=100)
         with pytest.raises(ParameterError):
             empirical_stop_error_grid(WalkSpec(n=10, seed=0), [0.1], trials=100, conditioning="endpoint")
         with pytest.raises(ParameterError):
-            empirical_stop_error(WalkSpec(n=10, seed=0), delta=0.1, trials=0)
+            empirical_stop_error_grid(WalkSpec(n=10, seed=0), [0.1], trials=0)
 
 
 class TestStoppingTime:
@@ -343,7 +346,7 @@ class TestWalkEngine:
             drifting = WalkSpec(n=50, step="rademacher", scale=0.2, drift=0.05, seed=127)
             return (
                 empirical_stopping_time(drifting, 0.1, trials=3 * BATCH),
-                empirical_stop_error(WalkSpec(n=50, seed=131), 0.1, trials=3 * BATCH),
+                empirical_stop_error_grid(WalkSpec(n=50, seed=131), [0.1], trials=3 * BATCH)[0],
             )
 
         default = run()
