@@ -18,8 +18,10 @@ every call evaluates all n terms and the rows compare evaluation cost alone.
 Batch rows: on a fixed prefix matrix (coordinate model, m = 10000 examples,
 n = 1000 terms), attentive_from_prefix with tau at the median of the rows'
 lowest partial sums (about half the rows stop) and budgeted_from_prefix at
-b = n/2; and run_sweep with grid 50 at m = 2000, n = 200 and m = 10000,
-n = 1000 (SWEEP_REPEATS calls each).
+b = n/2; predict_rows in attentive mode on the same model, test set and tau,
+from the features (the chunked evaluator, with no prefix matrix); and
+run_sweep with grid 50 at m = 2000, n = 200 and m = 10000, n = 1000
+(SWEEP_REPEATS calls each).
 
 Layer rows (LAYER_REPEATS calls each): on one sparse dataset of 4000 rows x
 2000 dims at 2% density (160k nonzeros, labels from a planted direction),
@@ -360,6 +362,9 @@ def measure() -> dict:
         lambda p: predictor.budgeted_from_prefix(p, BATCH_N // 2, 0.0), [prefix]
     )
     del prefix
+    rows[f"predict_rows attentive {size}"] = _call_ms(
+        lambda X: predictor.predict_rows(model, X, rule.theta, rule), [test.X]
+    )
     for m, n in SWEEP_SIZES:
         model, test = _sweep_inputs(rng, m, n)
         rows[f"run_sweep grid=50 m={m} n={n}"] = _call_ms(

@@ -15,14 +15,10 @@ from pathlib import Path
 from . import bench, calibration, data, simulator, trainer
 from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, crossing_probability
 from .errors import ParameterError, StstError
-from .predictor import (
-    attentive_from_prefix,
-    full_from_prefix,
-    load_model,
-    predict_rows,
-    prefix_score_matrix,
-    save_model,
-)
+from .predictor import load_model, predict_rows, save_model
+# unused here: perfbench/layers.py wraps these three by their cli names, and
+# the import goes once those bindings move to stst.predictor (ROADMAP item 10)
+from .predictor import attentive_from_prefix, full_from_prefix, prefix_score_matrix  # noqa: F401
 
 __all__ = ["main"]
 
@@ -150,7 +146,7 @@ def _cmd_calibrate(args) -> int:
         source, protocol = args.train, "train-slice"
     class_used = _class_label(args.class_used)
     model = load_model(args.model)
-    cal_set = data.parse_sparse(source)
+    cal_set = data.parse_sparse(source, dim=model.dim)
     if args.cal_fraction is not None:
         # the held-out slice of --train plays the role of the calibration set
         _, cal_set = data.split(cal_set, args.cal_fraction, args.cal_seed)
@@ -166,7 +162,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = load_model(args.model)
-    test = data.parse_sparse(args.data)
+    test = data.parse_sparse(args.data, dim=model.dim)
     if args.grid == "exhaustive":
         grid = "exhaustive"
     else:
@@ -181,6 +177,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pr(args) -> int:
+    rule = None
     if args.mode == "attentive":
         if args.tau is None:
             raise ParameterError("pr --mode attentive needs --tau")
@@ -188,12 +185,8 @@ def _cmd_pr(args) -> int:
     elif args.tau is not None:
         raise ParameterError("pr --tau needs --mode attentive (a full pass has no stop threshold)")
     model = load_model(args.model)
-    test = data.parse_sparse(args.data)
-    prefix = prefix_score_matrix(model, test.X)
-    if args.mode == "attentive":
-        preds = attentive_from_prefix(prefix, rule)
-    else:
-        preds = full_from_prefix(prefix, args.theta)
+    test = data.parse_sparse(args.data, dim=model.dim)
+    preds = predict_rows(model, test.X, args.theta, rule)
     points = bench.precision_recall(preds.score, test.y)
     with _output(args.output) as stream:
         bench.pr_csv(points, stream)

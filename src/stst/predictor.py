@@ -18,11 +18,11 @@ still live, cumsums each chunk with the row's running sum carried in, and
 drops the rows that stopped. A per-example predictor is that evaluator on a
 block of one. terms_evaluated counts terms up to the stop; the terms
 computed run to the end of the stop's chunk. predict_rows runs it on a
-whole dense or CSR feature matrix, one row block at a time. The
-*_from_prefix batch predictors make the same decisions, through the same
-labelling step, off a C-ordered prefix-score matrix, which the sweep reuses
-for many rules; prefix_score_matrix fills it one row block at a time, so
-neither batch path densifies the whole input. Every path reads raw term
+whole dense or CSR feature matrix, one row block at a time; every batch
+decision under one rule goes through it. Only the sweep, deciding the same
+rows under many rules, builds a C-ordered prefix-score matrix
+(prefix_score_matrix) and reads decisions off it with the *_from_prefix
+predictors, through the same labelling step. Every path reads raw term
 values from one kernel function.
 """
 
@@ -76,6 +76,15 @@ _BLOCK_CELLS = 2**17
 MODEL_FORMAT_VERSION = 1
 
 
+def _real(values, what: str) -> np.ndarray:
+    """values as a float64 array. Complex input is an error: a float64 cast
+    would drop the imaginary parts with only a warning."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        raise ParameterError(f"{what} must be real, got a complex value")
+    return a.astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel kind and parameters for kernel models."""
@@ -118,8 +127,8 @@ class WeightedModel:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        m = np.asarray(self.mu, dtype=np.float64)
+        w = _real(self.weights, "weights")
+        m = _real(self.mu, "mu")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mu", m)
         if w.ndim != 1 or w.size < 1:
@@ -131,6 +140,9 @@ class WeightedModel:
                 raise ParameterError(f"{name} must be finite, got a NaN or infinite value")
         if not math.isfinite(self.theta):
             raise ParameterError(f"theta must be finite, got {self.theta!r}")
+        if not isinstance(self.dim, (int, np.integer)):
+            raise ParameterError(f"dim must be an integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         if self.dim < 1:
             raise ParameterError(f"dim must be >= 1, got {self.dim}")
         has_coords = self.indices is not None
@@ -138,7 +150,10 @@ class WeightedModel:
         if has_coords == has_kernel:
             raise ParameterError("model must have either coordinate indices or support vectors + kernel")
         if has_coords:
-            idx = np.asarray(self.indices, dtype=np.intp)
+            idx = np.asarray(self.indices)
+            if idx.dtype.kind not in "iu":
+                raise ParameterError(f"coordinate indices must be integers, got dtype {idx.dtype}")
+            idx = idx.astype(np.intp, copy=False)
             object.__setattr__(self, "indices", idx)
             if idx.shape != w.shape:
                 raise ParameterError("indices must align with weights")
@@ -147,7 +162,7 @@ class WeightedModel:
         else:
             if self.support_vectors is None or self.kernel is None:
                 raise ParameterError("kernel models need both support vectors and a kernel spec")
-            sv = np.ascontiguousarray(self.support_vectors, dtype=np.float64)
+            sv = np.ascontiguousarray(_real(self.support_vectors, "support vectors"))
             object.__setattr__(self, "support_vectors", sv)
             if sv.shape != (w.size, self.dim):
                 raise ParameterError(
@@ -165,7 +180,7 @@ class WeightedModel:
         return self.kernel is not None
 
     def with_mu(self, mu: np.ndarray) -> "WeightedModel":
-        return replace(self, mu=np.asarray(mu, dtype=np.float64))
+        return replace(self, mu=mu)
 
 
 def coordinate_model(
@@ -177,14 +192,14 @@ def coordinate_model(
     dim: int | None = None,
 ) -> WeightedModel:
     """Model whose term i reads raw coordinate indices[i] (default i)."""
-    w = np.asarray(weights, dtype=np.float64)
+    w = _real(weights, "weights")
     if indices is None:
         indices = np.arange(w.size)
     if dim is None:
         dim = int(np.max(indices)) + 1 if w.size else 1
     if mu is None:
         mu = np.zeros_like(w)
-    return WeightedModel(weights=w, mu=mu, theta=theta, dim=int(dim), indices=indices)
+    return WeightedModel(weights=w, mu=mu, theta=theta, dim=dim, indices=indices)
 
 
 def kernel_model(
@@ -196,8 +211,8 @@ def kernel_model(
     theta: float = 0.0,
 ) -> WeightedModel:
     """Model whose term i evaluates kernel(support_vectors[i], x)."""
-    w = np.asarray(weights, dtype=np.float64)
-    sv = np.asarray(support_vectors, dtype=np.float64)
+    w = _real(weights, "weights")
+    sv = _real(support_vectors, "support vectors")
     if sv.ndim != 2:
         raise ParameterError("support vectors must be a 2-d array")
     if mu is None:
@@ -244,7 +259,7 @@ class Predictions:
 
 
 def _check_x(model: WeightedModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "feature vector")
     if x.ndim != 1 or x.shape[0] != model.dim:
         raise ParameterError(f"feature vector must have shape ({model.dim},), got {x.shape}")
     if not np.isfinite(x).all():
@@ -253,7 +268,7 @@ def _check_x(model: WeightedModel, x) -> np.ndarray:
 
 
 def _check_X(model: WeightedModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = _real(X, "feature matrix")
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ParameterError(f"feature matrix must have shape (m, {model.dim}), got {X.shape}")
     if not np.isfinite(X).all():
@@ -413,10 +428,11 @@ def permute_terms(model: WeightedModel, seed: int) -> WeightedModel:
 # Batch inputs are dense arrays or scipy sparse matrices, taken in row blocks
 # of about _BLOCK_CELLS cells: each block is densified and checked alone, so
 # no whole-input dense copy is made. predict_rows decides every row through
-# the chunked evaluator, block by block. prefix_score_matrix fills a
-# C-ordered (examples, terms) matrix of running sums, block by block, and
-# the *_from_prefix functions decide every row of it as a Predictions struct
-# of arrays, for any number of rules, without re-evaluating terms.
+# the chunked evaluator, block by block, with no (m, n) array: the batch
+# path for one rule. For the sweep's many rules over the same rows,
+# prefix_score_matrix fills a C-ordered (examples, terms) matrix of running
+# sums, m * n * 8 bytes, and the *_from_prefix functions decide every row of
+# it as a Predictions struct of arrays without re-evaluating terms.
 # term_matrix builds the whole corrected value matrix of a dense input.
 # Rows are independent, so these are safe to shard across workers.
 
@@ -461,11 +477,15 @@ def prefix_score_matrix(model: WeightedModel, X) -> np.ndarray:
 def predict_rows(model: WeightedModel, X, theta: float, rule: StoppingRule | None = None) -> Predictions:
     """Full predictions (rule None) or attentive ones under rule for every
     row of X, labelled against theta: row j is full_predict(model, X[j],
-    theta), or attentive_predict(model, X[j], rule) when theta is rule.theta.
+    theta), or attentive_predict(model, X[j], rule). A rule's theta must be
+    theta: a stopped row reports rule.tau, which is on the rejected side of
+    rule.theta only.
 
     X may be dense or scipy sparse; the evaluator takes one row block at a
     time, so no (m, n) array is built.
     """
+    if rule is not None and theta != rule.theta:
+        raise ParameterError(f"theta {theta!r} differs from the rule's theta {rule.theta!r}")
     m, blocks = _row_blocks(model, X)
     out = Predictions(np.empty(m, np.int64), np.empty(m), np.empty(m, np.int64), np.empty(m, bool))
     for a, b, block in blocks:
@@ -560,6 +580,8 @@ def load_model(path) -> WeightedModel:
 def _model_from_fields(data: dict) -> WeightedModel:
     def field(key, scalar=False, integer=False):
         value = data[key]
+        if value.dtype.kind == "c":
+            raise ModelFormatError(f"model container field {key!r} must be real, got dtype {value.dtype}")
         if scalar and value.ndim != 0:
             raise ModelFormatError(f"model container field {key!r} must be a scalar, got shape {value.shape}")
         if integer and not np.issubdtype(value.dtype, np.integer):

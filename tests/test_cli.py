@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from stst import data, simulator
+from stst import cli, data, predictor, simulator
 from stst.cli import main
 
 SYNTH = "dim=12,n_pos=80,n_neg=80,sep=4,std=1,seed=5"
@@ -221,6 +221,58 @@ def test_pipeline_golden_digests(pipeline, tmp_path):
     assert digests == PIPELINE_DIGESTS
 
 
+def test_pr_builds_no_prefix_matrix(pipeline, tmp_path, monkeypatch):
+    # pr decides under one rule through predict_rows; only the sweep reads a
+    # prefix matrix. Same digests as the prefix path it replaced.
+    _, calibrated, test_file = pipeline
+
+    def refused(*args, **kwargs):
+        raise AssertionError("pr built a prefix matrix")
+
+    for owner, attr in ((predictor, "prefix_score_matrix"), (cli, "prefix_score_matrix")):
+        monkeypatch.setattr(owner, attr, refused)
+    common = ["pr", "--model", str(calibrated), "--data", str(test_file)]
+    runs = {"pr_full.csv": common, "pr_attentive.csv": [*common, "--mode", "attentive", "--tau", "-2.0"]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run(argv + ["-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PIPELINE_DIGESTS[name]
+
+
+@pytest.fixture
+def model_dim_3(tmp_path):
+    """A 3-feature model, a test file whose rows never touch feature 3, and
+    one with an index beyond the model."""
+    model = tmp_path / "m.npz"
+    predictor.save_model(predictor.coordinate_model([1.0, -0.5, 0.25], mu=[0.1, 0.0, 0.0], dim=3), model)
+    narrow = tmp_path / "narrow.txt"
+    narrow.write_text("+1 1:1.0 2:0.5\n-1 1:-1.0\n+1 2:2.0\n-1 1:-2.0 2:0.1\n+1 1:0.5\n")
+    wide = tmp_path / "wide.txt"
+    wide.write_text("+1 1:1.0 5:0.5\n-1 1:-1.0\n+1 2:2.0\n")
+    return model, narrow, wide
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("calibrate", ["--paper-faithful", "--test"]),
+        ("sweep", ["--grid", "4", "--data"]),
+        ("pr", ["--data"]),
+    ],
+)
+def test_data_is_read_at_the_model_dimension(model_dim_3, tmp_path, capsys, command, flags):
+    model, narrow, wide = model_dim_3
+    out = tmp_path / "out.csv"
+    assert run([command, "--model", str(model), "-o", str(out), *flags, str(narrow)]) == 0
+    assert out.exists()
+    out.unlink()
+    capsys.readouterr()
+    assert run([command, "--model", str(model), "-o", str(out), *flags, str(wide)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "declared dim 3 smaller than largest index 5" in err
+    assert not out.exists()
+
+
 def test_theory_subcommand_quick(tmp_path):
     out = tmp_path / "theory.csv"
     code = run(
@@ -349,6 +401,7 @@ def test_pr_rule_errors_come_before_reading(pipeline, tmp_path, capsys, monkeypa
     [
         ("theta", lambda theta: np.array([theta, theta]), "'theta' must be a scalar"),
         ("weights", lambda w: np.concatenate([[np.nan], w[1:]]), "weights must be finite"),
+        ("weights", lambda w: w + 1j, "weights must be real"),
     ],
 )
 def test_pr_malformed_model_is_a_clean_error(pipeline, tmp_path, capsys, key, corrupt, message):

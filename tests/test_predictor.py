@@ -393,6 +393,32 @@ class TestNonFiniteFeatures:
                 fn(model, X)
 
 
+class TestComplexFeatures:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_entry_point_rejects(self, kind):
+        model = random_model(np.random.default_rng(4), kind, n=5)
+        x = np.zeros(model.dim, dtype=complex)
+        x[-1] = 1 + 5j
+        X = np.zeros((4, model.dim), dtype=complex)
+        X[2, 0] = 2j
+        below = StoppingRule(0.0, -1.0, Direction.REJECT_BELOW)
+        calls = (
+            lambda: score_term(model, 0, x),
+            lambda: attentive_predict(model, x, below),
+            lambda: budgeted_predict(model, x, 1, 0.0),
+            lambda: full_predict(model, x),
+            lambda: full_predict(model, list(x)),
+            lambda: term_matrix(model, X),
+            lambda: prefix_score_matrix(model, X),
+            lambda: prefix_score_matrix(model, sparse.csr_matrix(X)),
+            lambda: predict_rows(model, X, 0.0),
+            lambda: predict_rows(model, sparse.csr_matrix(X), 0.0, below),
+        )
+        for call in calls:
+            with pytest.raises(ParameterError, match="^feature (vector|matrix) must be real"):
+                call()
+
+
 class TestPermuteTerms:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -580,6 +606,19 @@ class TestRowBlocks:
                 assert bits(full[j]) == bits(full_predict(model, x, 0.0))
                 assert bits(attentive[j]) == bits(attentive_predict(model, x, rule))
 
+    def test_rule_theta_must_be_theta(self):
+        # the row stops at S_1 = -2 < tau and reports tau = -1: against
+        # theta -3 that would read +1, where attentive_predict says -1
+        model = coordinate_model([-2.0, 5.0], dim=2)
+        rule = StoppingRule(theta=0.0, tau=-1.0, direction=Direction.REJECT_BELOW)
+        X = np.ones((1, 2))
+        assert attentive_predict(model, X[0], rule).label == -1
+        with pytest.raises(ParameterError, match="differs from the rule's theta"):
+            predict_rows(model, X, -3.0, rule)
+        p = predict_rows(model, X, rule.theta, rule)
+        assert (p.label[0], p.score[0], p.terms[0]) == (-1, -1.0, 1)
+        assert predict_rows(model, X, -3.0).label[0] == 1  # no rule, any theta
+
     def test_nan_in_a_later_block(self, monkeypatch):
         rng = np.random.default_rng(46)
         model = random_model(rng, "rbf", n=20)
@@ -667,6 +706,11 @@ class TestSerialization:
             ("rbf", "sigma", np.array([1.5, 1.5]), "'sigma' must be a scalar"),
             ("rbf", "sigma", np.str_("wide"), "invalid model container"),
             ("rbf", "kernel_kind", np.array(["rbf", "rbf"]), "'kernel_kind' must be a scalar"),
+            ("coordinate", "weights", np.array([1 + 2j, 1.0]), "weights must be real"),
+            ("coordinate", "mu", np.array([0.0, 3j]), "mu must be real"),
+            ("coordinate", "theta", np.complex128(1j), "'theta' must be real"),
+            ("rbf", "support_vectors", np.full((2, 4), 1 + 1j), "support vectors must be real"),
+            ("rbf", "sigma", np.complex128(1.5), "'sigma' must be real"),
         ],
     )
     def test_malformed_field_rejected(self, tmp_path, kind, key, value, match):
@@ -710,3 +754,40 @@ class TestModelValidation:
         for kernel in (KernelSpec.rbf(1.0), KernelSpec.linear()):
             with pytest.raises(ParameterError, match="^support vectors must be finite"):
                 kernel_model([1.0, 1.0], sv, kernel)
+
+    def test_complex_arrays_rejected(self):
+        with pytest.raises(ParameterError, match="^weights must be real"):
+            coordinate_model([1 + 2j, 1.0])
+        with pytest.raises(ParameterError, match="^mu must be real"):
+            coordinate_model([1.0, 1.0], mu=[0.0, 3j])
+        with pytest.raises(ParameterError, match="^mu must be real"):
+            coordinate_model([1.0, 1.0]).with_mu(np.array([1j, 0.0]))
+        with pytest.raises(ParameterError, match="^support vectors must be real"):
+            kernel_model([1.0, 1.0], np.ones((2, 3)) * (1 + 1j), KernelSpec.linear())
+        with pytest.raises(ParameterError, match="^weights must be real"):
+            kernel_model(np.array([1.0, 1j]), np.ones((2, 3)), KernelSpec.rbf(1.0))
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (dict(indices=[0.0, 1.7], dim=3.9), "^dim must be an integer, got 3.9"),
+            (dict(indices=[0.0, 1.0], dim=3), "^coordinate indices must be integers"),
+            (dict(indices=[0, 1], dim=3.9), "^dim must be an integer, got 3.9"),
+            (dict(indices=[0, 1], dim=np.float64(2.0)), "^dim must be an integer"),
+        ],
+    )
+    def test_non_integer_indices_and_dim_rejected(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            coordinate_model([1.0, 1.0], **kwargs)
+
+    def test_non_integer_dim_rejected_by_the_model(self):
+        with pytest.raises(ParameterError, match="^dim must be an integer, got 2.5"):
+            predictor.WeightedModel(weights=[1.0, 1.0], mu=[0.0, 0.0], theta=0.0, dim=2.5, indices=[0, 1])
+
+    def test_integer_indices_and_dim_accepted(self):
+        rng = np.random.default_rng(5)
+        for indices, dim in (([2, 0], 3), (np.array([1, 0], np.int32), np.int64(2)), (rng.permutation(4), 4)):
+            model = coordinate_model(np.ones(len(indices)), indices=indices, dim=dim)
+            assert type(model.dim) is int and model.dim == int(dim)
+            assert model.indices.dtype == np.intp and model.indices.tolist() == list(indices)
+        assert coordinate_model([1.0, 1.0, 1.0]).dim == 3
