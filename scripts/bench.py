@@ -30,7 +30,10 @@ for one epoch on the dense and on the CSR copy; calibrate of the trained
 model on the CSR copy; term_matrix of coordinate, linear-kernel and RBF
 models at m = 2000 examples and n = 2000 terms (kernel dim 64), and
 prefix_score_matrix of the coordinate one; and the walk engine through
-empirical_stop_error_grid at one delta, n = 1000, 16384 trials.
+empirical_stop_error_grid at one delta, n = 1000, 16384 trials, and through
+the exact bridge (empirical_bridge_crossing_grid, mode "exact") on the theory
+suite's unit-variance gaussian walks and four boundaries at n = 2000,
+16384 trials.
 
 End-to-end rows (LAYER_REPEATS passes each): the CLI flow train ->
 calibrate -> sweep -> pr through stst.cli.main, into a fresh temporary
@@ -79,6 +82,7 @@ LAYER_M, LAYER_DIM, LAYER_DENSITY = 4_000, 2_000, 0.02
 LAYER_REPEATS = 3
 TERM_M, TERM_N = 2_000, 2_000
 WALK_N, WALK_TRIALS = 1_000, 16_384
+BRIDGE_N = 2_000
 STOPPING_N, STOPPING_TRIALS = 10_000, 10_000
 PIPELINE_M, PIPELINE_DIM, PIPELINE_DENSITY = 3_000, 2_000, 0.02
 PIPELINE_SEED = 20_240_008
@@ -181,6 +185,13 @@ def _layer_rows(rng) -> dict:
     # named after the deleted one-delta wrapper, so that BENCH_*.json rows line up
     rows[f"walk engine empirical_stop_error n={WALK_N} trials={WALK_TRIALS}"] = _call_ms(
         lambda s: simulator.empirical_stop_error_grid(s, [0.1], trials=WALK_TRIALS)[0], [spec], LAYER_REPEATS
+    )
+    spec = simulator.WalkSpec(n=BRIDGE_N, scale=math.sqrt(1.0 / BRIDGE_N), seed=SEED)
+    taus = [0.5, 1.0, 1.5, 2.0]  # the theory suite's bridge boundaries
+    rows[f"walk engine empirical_bridge exact n={BRIDGE_N} trials={WALK_TRIALS}"] = _call_ms(
+        lambda s: simulator.empirical_bridge_crossing_grid(s, taus, trials=WALK_TRIALS, mode="exact"),
+        [spec],
+        LAYER_REPEATS,
     )
     return rows
 

@@ -209,33 +209,40 @@ def pr_csv(points, stream) -> None:
     write_csv(stream, ("threshold", "precision", "recall"), ((p.threshold, p.precision, p.recall) for p in points))
 
 
+# the theory suite's fixed design: bridge boundaries, calibration deltas,
+# and the stopping-time delta and walk law
+_BRIDGE_TAUS = (0.5, 1.0, 1.5, 2.0)
+_STOP_ERROR_DELTAS = (0.05, 0.1, 0.2)
+_STOPPING_DELTA = 0.1
+_STOPPING_SCALE = 0.1
+_STOPPING_DRIFT = 0.1
+
+
 @dataclass(frozen=True)
 class TheoryConfig:
-    """Grids and trial counts for the three verification experiments.
+    """Walk lengths, trial counts and the base seed of the theory suite.
 
     Defaults match the acceptance-scale runs: unit-total-variance gaussian
-    walks of 2000 steps for the bridge and calibration checks, and
-    drift-0.1 rademacher walks (scale 0.1, steps in {0, 0.2}) for the
-    stopping-time scaling.
+    walks of n = 2000 steps for the bridge and calibration checks, and
+    drift-0.1 rademacher walks (scale 0.1, steps in {0, 0.2}) of each length
+    in stopping_ns for the stopping-time scaling. seed is the base seed of
+    every walk stream (see run_theory_suite).
     """
 
     n: int = 2000
-    bridge_taus: tuple = (0.5, 1.0, 1.5, 2.0)
     bridge_trials: int = 100_000
-    bridge_seed: int = 20_240_001
-    stop_error_deltas: tuple = (0.05, 0.1, 0.2)
     stop_error_trials: int = 120_000
-    stop_error_seed: int = 20_240_002
     stopping_ns: tuple = (100, 1_000, 10_000)
-    stopping_delta: float = 0.1
-    stopping_scale: float = 0.1
-    stopping_drift: float = 0.1
     stopping_trials: int = 10_000
-    stopping_seed: int = 20_240_003
+    seed: int = 20_240_001
 
 
 def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[TheoryRow, bool]]:
     """Run all three experiments; each row carries its acceptance verdict.
+
+    Seeds: the bridge walks draw from config.seed, the stop-error walks from
+    config.seed + 1, and the i-th stopping-time length from
+    config.seed + 2 + i.
 
     Pass rules: bridge rows agree with the closed form within
     max(0.02, 4 standard errors); calibration rows land in [0.5, 1.5] times
@@ -254,21 +261,21 @@ def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[Theory
 
     # 1. pinned-endpoint crossing probability vs closed form
     scale = math.sqrt(1.0 / config.n)  # unit total variance
-    spec = WalkSpec(n=config.n, step="gaussian", scale=scale, seed=config.bridge_seed)
+    spec = WalkSpec(n=config.n, step="gaussian", scale=scale, seed=config.seed)
     estimates = empirical_bridge_crossing_grid(
-        spec, config.bridge_taus, theta=0.0, trials=config.bridge_trials, mode="exact"
+        spec, _BRIDGE_TAUS, theta=0.0, trials=config.bridge_trials, mode="exact"
     )
-    for tau, est in zip(config.bridge_taus, estimates):
+    for tau, est in zip(_BRIDGE_TAUS, estimates):
         closed = crossing_probability(tau, 0.0, 1.0)
         ok = abs(est.probability_hat - closed) <= max(0.02, 4.0 * est.standard_error)
         results.append((TheoryRow.crossing("bridge_crossing", config.n, None, float(tau), 0.0, est, closed), ok))
 
     # 2. sign-conditioned stop-error of the pinned placement vs nominal delta
-    spec = WalkSpec(n=config.n, step="gaussian", scale=scale, seed=config.stop_error_seed)
+    spec = WalkSpec(n=config.n, step="gaussian", scale=scale, seed=config.seed + 1)
     estimates = empirical_stop_error_grid(
-        spec, config.stop_error_deltas, theta=0.0, trials=config.stop_error_trials
+        spec, _STOP_ERROR_DELTAS, theta=0.0, trials=config.stop_error_trials
     )
-    for delta, est in zip(config.stop_error_deltas, estimates):
+    for delta, est in zip(_STOP_ERROR_DELTAS, estimates):
         tau = crossing_magnitude(ConfidenceParams(delta=delta, variance=spec.total_variance))
         ok = 0.5 * delta <= est.probability_hat <= 1.5 * delta
         results.append((TheoryRow.crossing("stop_error", config.n, float(delta), tau, 0.0, est, float(delta)), ok))
@@ -280,20 +287,20 @@ def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[Theory
         spec = WalkSpec(
             n=n,
             step="rademacher",
-            scale=config.stopping_scale,
-            drift=config.stopping_drift,
-            seed=config.stopping_seed + i,
+            scale=_STOPPING_SCALE,
+            drift=_STOPPING_DRIFT,
+            seed=config.seed + 2 + i,
         )
-        summary = empirical_stopping_time(spec, config.stopping_delta, trials=config.stopping_trials)
+        summary = empirical_stopping_time(spec, _STOPPING_DELTA, trials=config.stopping_trials)
         censor_ok = summary.censored_fraction < 0.01
-        results.append((TheoryRow.stopping_time(spec, config.stopping_delta, summary), censor_ok))
+        results.append((TheoryRow.stopping_time(spec, _STOPPING_DELTA, summary), censor_ok))
         wald_ok = abs(summary.wald_gap) <= 3.0 * summary.wald_gap_se
         results.append(
             (
                 TheoryRow(
                     experiment="wald_identity",
                     n=n,
-                    delta=config.stopping_delta,
+                    delta=_STOPPING_DELTA,
                     tau=summary.tau,
                     theta=0.0,
                     trials=summary.trials,
@@ -313,7 +320,7 @@ def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[Theory
             TheoryRow(
                 experiment="stopping_time_slope",
                 n=0,
-                delta=config.stopping_delta,
+                delta=_STOPPING_DELTA,
                 tau=0.0,
                 theta=0.0,
                 trials=config.stopping_trials * len(config.stopping_ns),

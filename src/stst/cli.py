@@ -89,13 +89,15 @@ def _cmd_train(args) -> int:
         raise ParameterError("train needs exactly one of --data or --synthetic")
     if args.test_out is not None and args.test_fraction is None:
         raise ParameterError("--test-out needs --test-fraction (there is no held-out split to write)")
+    if args.split_seed is not None and args.test_fraction is None:
+        raise ParameterError("--split-seed needs --test-fraction (there is no split to seed)")
     if args.data is not None:
         dataset = data.parse_sparse(args.data)
     else:
         dataset = data.generate_synthetic(_parse_synthetic(args.synthetic))
     test = None
     if args.test_fraction is not None:
-        dataset, test = data.split(dataset, args.test_fraction, args.split_seed)
+        dataset, test = data.split(dataset, args.test_fraction, args.split_seed or 0)
     config = trainer.TrainConfig(
         lambda_reg=args.lambda_reg, epochs=args.epochs, seed=args.seed, use_bias=not args.no_bias
     )
@@ -130,6 +132,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.cal_seed is not None and args.cal_fraction is None:
+        raise ParameterError("--cal-seed needs --cal-fraction (there is no slice to seed)")
     if args.paper_faithful:
         if args.cal_fraction is not None:
             raise ParameterError("--cal-fraction slices --train; --paper-faithful calibrates on the whole test set")
@@ -149,7 +153,7 @@ def _cmd_calibrate(args) -> int:
     cal_set = data.parse_sparse(source, dim=model.dim)
     if args.cal_fraction is not None:
         # the held-out slice of --train plays the role of the calibration set
-        _, cal_set = data.split(cal_set, args.cal_fraction, args.cal_seed)
+        _, cal_set = data.split(cal_set, args.cal_fraction, args.cal_seed or 0)
     mode = "per_term" if args.mode == "per-term" else "score"
     calibrated, report = calibration.calibrate(model, cal_set, class_used, mode=mode)
     if args.model_out is not None:
@@ -194,20 +198,9 @@ def _cmd_pr(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.bridge_trials is not None:
-        kwargs["bridge_trials"] = args.bridge_trials
-    if args.stop_error_trials is not None:
-        kwargs["stop_error_trials"] = args.stop_error_trials
-    if args.stopping_trials is not None:
-        kwargs["stopping_trials"] = args.stopping_trials
-    if args.seed is not None:
-        kwargs["bridge_seed"] = args.seed
-        kwargs["stop_error_seed"] = args.seed + 1
-        kwargs["stopping_seed"] = args.seed + 2
-    config = bench.TheoryConfig(**kwargs)
+    # an omitted flag keeps the TheoryConfig default; --seed is the base seed
+    flags = ("n", "bridge_trials", "stop_error_trials", "stopping_trials", "seed")
+    config = bench.TheoryConfig(**{f: getattr(args, f) for f in flags if getattr(args, f) is not None})
     results = bench.run_theory_suite(config)
     with _output(args.output) as stream:
         bench.theory_csv(results, stream)
@@ -215,27 +208,36 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    needed = "tau" if args.experiment == "bridge" else "delta"
+    if args.experiment == "bridge":
+        needed, unread = "tau", ("delta",)
+    elif args.experiment == "stop-error":
+        needed, unread = "delta", ("tau", "band", "mode")
+    else:
+        needed, unread = "delta", ("tau", "band", "mode", "theta")
     if getattr(args, needed) is None:
         raise ParameterError(f"simulate --experiment {args.experiment} needs --{needed}")
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise ParameterError(f"simulate --experiment {args.experiment} does not read --{name}")
+    theta = 0.0 if args.theta is None else args.theta
     spec = simulator.WalkSpec(
         n=args.n, step=args.step, scale=args.scale, drift=args.drift, seed=args.seed
     )
     if args.experiment == "bridge":
         # before the walk: an invalid boundary fails without running any trials
-        closed = crossing_probability(args.tau, args.theta, spec.total_variance)
+        closed = crossing_probability(args.tau, theta, spec.total_variance)
         est = simulator.empirical_bridge_crossing_grid(
-            spec, [args.tau], theta=args.theta, band=args.band, trials=args.trials, mode=args.mode
+            spec, [args.tau], theta=theta, band=args.band, trials=args.trials, mode=args.mode or "rejection"
         )[0]
-        row = simulator.TheoryRow.crossing("bridge_crossing", spec.n, None, args.tau, args.theta, est, closed)
+        row = simulator.TheoryRow.crossing("bridge_crossing", spec.n, None, args.tau, theta, est, closed)
     elif args.experiment == "stop-error":
-        est = simulator.empirical_stop_error_grid(spec, [args.delta], theta=args.theta, trials=args.trials)[0]
+        est = simulator.empirical_stop_error_grid(spec, [args.delta], theta=theta, trials=args.trials)[0]
         magnitude = crossing_magnitude(ConfidenceParams(delta=args.delta, variance=spec.total_variance))
         # the reflection principle's rate under sign conditioning,
         # 2*Phi(-2m/sd): what this pinned placement measures
         closed = math.erfc(math.sqrt(2.0) * magnitude / math.sqrt(spec.total_variance))
-        tau = args.theta + magnitude
-        row = simulator.TheoryRow.crossing("stop_error", spec.n, args.delta, tau, args.theta, est, closed)
+        tau = theta + magnitude
+        row = simulator.TheoryRow.crossing("stop_error", spec.n, args.delta, tau, theta, est, closed)
     else:  # stopping-time
         summary = simulator.empirical_stopping_time(spec, delta=args.delta, trials=args.trials)
         row = simulator.TheoryRow.stopping_time(spec, args.delta, summary)
@@ -252,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="key=value file supplying any flag; flags override")
+        p.add_argument("--config", action="append", help="key=value file supplying any flag; flags override")
         p.add_argument("--output", "-o", help="CSV output path (default stdout)")
 
     p = sub.add_parser("train", help="train a linear model by stochastic gradient descent")
@@ -260,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="training set in sparse label index:value format")
     p.add_argument("--synthetic", help="synthetic spec, e.g. dim=20,n_pos=500,n_neg=500,sep=4,std=1,seed=7")
     p.add_argument("--test-fraction", type=float, help="hold out this fraction before training")
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=int, help="seed of the --test-fraction split (default 0)")
     p.add_argument("--test-out", help="write the held-out split to this sparse file")
     p.add_argument("--train-out", help="write the (post-split) training set to this sparse file")
     p.add_argument("--lambda", dest="lambda_reg", type=float, default=0.01, help="regularization strength")
@@ -277,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", help="test set, used only with --paper-faithful")
     p.add_argument("--paper-faithful", action="store_true", help="calibrate on the test set itself")
     p.add_argument("--cal-fraction", type=float, help="fraction of --train carved out for calibration")
-    p.add_argument("--cal-seed", type=int, default=0)
+    p.add_argument("--cal-seed", type=int, help="seed of the --cal-fraction slice (default 0)")
     p.add_argument("--class", dest="class_used", default="+1", help="class to center on (+1 or -1)")
     p.add_argument("--mode", choices=("score", "per-term"), default="score")
     p.add_argument("--model-out", help="write the calibrated model container here")
@@ -306,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bridge-trials", type=int)
     p.add_argument("--stop-error-trials", type=int)
     p.add_argument("--stopping-trials", type=int)
-    p.add_argument("--seed", type=int, help="base seed; omits to use the pinned defaults")
+    p.add_argument("--seed", type=int, help="base seed: bridge S, stop-error S+1, i-th stopping length S+2+i")
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("simulate", help="run one walk experiment")
@@ -319,32 +321,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--tau", type=float, help="boundary (bridge experiment)")
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--band", type=float, help="rejection half-width (bridge experiment)")
-    p.add_argument("--mode", choices=("rejection", "exact"), default="rejection")
+    p.add_argument("--theta", type=float, help="endpoint threshold (bridge and stop-error; default 0)")
+    p.add_argument("--band", type=float, help="rejection half-width (bridge experiment, rejection mode)")
+    p.add_argument("--mode", choices=("rejection", "exact"), help="bridge endpoint pinning (default rejection)")
     p.add_argument("--delta", type=float, help="target rate (stop-error and stopping-time)")
     p.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
+def _config_paths(argv: list[str]) -> list[str]:
+    """Every --config path in argv, in any spelling argparse accepts."""
+    pre = argparse.ArgumentParser(prog="stst", add_help=False)
+    pre.add_argument("--config", action="append", default=[])
+    return pre.parse_known_args(argv)[0].config
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    # expand --config into tokens placed right after the subcommand so that
-    # explicitly passed flags take precedence
-    if argv and "--config" in argv:
-        at = argv.index("--config")
-        if at + 1 >= len(argv):
-            parser.error("--config needs a path")
+    paths = _config_paths(argv)
+    if len(paths) > 1:
+        parser.error("--config may be given once")
+    if paths:
         try:
-            tokens = _load_config_tokens(argv[at + 1])
+            tokens = _load_config_tokens(paths[0])
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-        del argv[at : at + 2]
+        # right after the subcommand, so that flags given on the command line win
         argv = argv[:1] + tokens + argv[1:]
     args = parser.parse_args(argv)
+    if (args.config or []) != paths:  # a file's own config= line would go unread
+        parser.error("a config file cannot name --config")
     try:
         return args.func(args)
     except (StstError, OSError) as exc:

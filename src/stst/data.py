@@ -271,6 +271,8 @@ class SyntheticSpec:
             raise ParameterError(f"noise_std must be positive, got {self.noise_std!r}")
         if self.mean_separation < 0.0:
             raise ParameterError(f"mean_separation must be >= 0, got {self.mean_separation!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -294,6 +296,8 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     """Seeded uniform split into disjoint, exhaustive (train, test) parts."""
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(f"test_fraction must be in (0, 1), got {test_fraction!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     m = dataset.n_examples
     n_test = round(m * test_fraction)
     if n_test < 1 or n_test > m - 1:

@@ -414,6 +414,8 @@ def full_predict(model: WeightedModel, x, theta: float | None = None) -> Predict
 
 def permute_terms(model: WeightedModel, seed: int) -> WeightedModel:
     """Reorder terms (and their mu entries) by a seeded uniform permutation."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(model.n)
     kwargs = dict(weights=model.weights[perm], mu=model.mu[perm])
     if model.indices is not None:

@@ -35,7 +35,6 @@ and a batch's stream is drawn in row-major order.
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,8 +58,9 @@ __all__ = [
 
 _BATCH = 4096  # trials per seed child: fixes which stream draws which trial
 _BLOCK_CELLS = 1 << 19  # steps of prefix sums held at once by one worker
-# steps the exact bridge shifts at once through a per-worker scratch; a
-# block-sized scratch would add a block per worker to the peak memory
+# steps the exact bridge shifts at once; its temporary holds at most
+# max(_SHIFT_CELLS, n - 1) cells, where shifting a whole block at once would
+# add a block per worker to the peak memory
 _SHIFT_CELLS = 1 << 16
 
 _STEP_KINDS = ("gaussian", "rademacher", "uniform")
@@ -90,6 +90,8 @@ class WalkSpec:
             raise ParameterError(f"scale must be positive and finite, got {self.scale!r}")
         if not math.isfinite(self.drift):
             raise ParameterError(f"drift must be finite, got {self.drift!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def step_variance(self) -> float:
@@ -184,11 +186,6 @@ def _walk(spec: WalkSpec, trials: int, reduce) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _shift_scratch(width: int) -> np.ndarray:
-    """The exact bridge's per-worker scratch: at most max(_SHIFT_CELLS, width) cells."""
-    return np.empty((_rows(_SHIFT_CELLS, width), width))
-
-
 def _kept_maxima(spec: WalkSpec, trials: int, accept) -> np.ndarray:
     """max(S_1..S_{n-1}) of every accepted walk, in trial order.
 
@@ -251,7 +248,8 @@ def empirical_bridge_crossing_grid(
         Boundaries, each strictly above theta.
     band : float, optional
         Rejection half-width around theta for endpoint acceptance. Defaults
-        to 0.1 * sqrt(total variance). Ignored in exact mode.
+        to 0.1 * sqrt(total variance). Rejection mode only: exact mode
+        raises ParameterError when it is given.
     mode : {"rejection", "exact"}
         "rejection" keeps walks whose endpoint lands within the band.
         "exact" (gaussian steps only) pins the endpoint by the bridge
@@ -271,6 +269,8 @@ def empirical_bridge_crossing_grid(
         raise ParameterError(f"unknown mode {mode!r}")
     if mode == "exact" and spec.step != "gaussian":
         raise ParameterError("exact bridge construction requires gaussian steps")
+    if mode == "exact" and band is not None:
+        raise ParameterError("band is read only in rejection mode; exact mode pins every endpoint")
     if band is None:
         band = 0.1 * math.sqrt(spec.total_variance)
     if mode == "rejection" and not band > 0.0:
@@ -278,16 +278,14 @@ def empirical_bridge_crossing_grid(
 
     if mode == "exact":
         frac = (np.arange(1, spec.n + 1) / spec.n)[:-1]
-        local = threading.local()  # each worker thread reuses its own scratch rows
+        step = _rows(_SHIFT_CELLS, spec.n - 1)
 
         def accept(paths):
-            # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta)
-            if not hasattr(local, "scratch"):
-                local.scratch = _shift_scratch(spec.n - 1)
-            step = len(local.scratch)
+            # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta),
+            # shifted a few rows at a time to bound the temporary
             for start in range(0, len(paths), step):
                 rows = paths[start : start + step]
-                rows[:, :-1] -= np.multiply(frac, rows[:, -1:] - theta, out=local.scratch[: len(rows)])
+                rows[:, :-1] -= frac * (rows[:, -1:] - theta)
             return slice(None)
 
     else:

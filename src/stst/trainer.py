@@ -42,6 +42,8 @@ class TrainConfig:
             raise ParameterError(f"lambda_reg must be positive and finite, got {self.lambda_reg!r}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def train_linear(train: Dataset, config: TrainConfig) -> WeightedModel:

@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -463,6 +465,7 @@ def test_import_leaves_scipy_spatial_unloaded():
 
 SCIPY_FREE_SCRIPT = """
 import sys
+from dataclasses import replace
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -548,4 +551,147 @@ def test_simulate_missing_boundary_flag_is_an_error(tmp_path, capsys, experiment
     assert run(["simulate", "--experiment", experiment, "--n", "50", "--trials", "100", "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"needs {flag}" in err
+    assert not out.exists()
+
+
+SIMULATE_ARGV = ["simulate", "--experiment", "bridge", "--n", "50", "--tau", "1", "--trials", "200"]
+
+
+def exit_code(argv) -> int:
+    """main's exit status, whether it returns it or argparse exits with it."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [lambda cfg: [f"--config={cfg}"], lambda cfg: ["--conf", str(cfg)]],
+    ids=["equals", "abbreviated"],
+)
+def test_config_spelling_is_applied(tmp_path, capsys, spelling):
+    # argparse stores every spelling of --config; each must read the file
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("seed=9\nmode=exact\n")
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert run([*SIMULATE_ARGV, "--seed", "9", "--mode", "exact", "-o", str(want)]) == 0
+    assert run([*SIMULATE_ARGV, *spelling(cfg), "-o", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+    cfg.write_text("n=bogus\n")
+    assert exit_code([*SIMULATE_ARGV[:3], *spelling(cfg), "-o", str(got)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'bogus'" in err
+
+
+def test_config_given_twice_is_an_error(tmp_path, capsys):
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("seed=1\n")
+    second.write_text("n=bogus\n")
+    out = tmp_path / "sim.csv"
+    assert exit_code([*SIMULATE_ARGV, "--config", str(first), "--config", str(second), "-o", str(out)]) == 2
+    assert "error: --config may be given once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_cannot_name_config(tmp_path, capsys):
+    nested = tmp_path / "nested.cfg"
+    nested.write_text("n=bogus\n")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"config={nested}\n")
+    out = tmp_path / "sim.csv"
+    assert exit_code([*SIMULATE_ARGV, "--config", str(cfg), "-o", str(out)]) == 2
+    assert "error: a config file cannot name --config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+THEORY_QUICK = ["--n", "200", "--bridge-trials", "3000", "--stop-error-trials", "3000", "--stopping-trials", "300"]
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_theory_seed_is_the_suite_base_seed(tmp_path, seed):
+    # --seed goes to TheoryConfig.seed unchanged; run_theory_suite alone
+    # lays the experiments' streams out from it
+    from stst.bench import TheoryConfig, run_theory_suite, theory_csv
+
+    out = tmp_path / "theory.csv"
+    flags = [] if seed is None else ["--seed", str(seed)]
+    assert run(["theory", *THEORY_QUICK, *flags, "-o", str(out)]) == 0
+    config = TheoryConfig(n=200, bridge_trials=3000, stop_error_trials=3000, stopping_trials=300)
+    buf = io.StringIO()
+    theory_csv(run_theory_suite(config if seed is None else replace(config, seed=seed)), buf)
+    assert out.read_text() == buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["theory", *THEORY_QUICK, "--seed", "-1"],
+        [*SIMULATE_ARGV, "--seed", "-1"],
+        ["train", "--synthetic", SYNTH, "--seed", "-2"],
+        ["train", "--synthetic", SYNTH, "--test-fraction", "0.3", "--split-seed", "-2"],
+        ["train", "--synthetic", SYNTH.replace("seed=5", "seed=-1")],
+    ],
+    ids=["theory", "simulate", "train-seed", "train-split-seed", "train-synthetic-seed"],
+)
+def test_negative_seed_is_a_clean_error(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    if command[0] == "train":
+        command = [*command, "--model-out", str(tmp_path / "m.npz")]
+    assert run([*command, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be >= 0" in err
+    assert not out.exists()
+
+
+def test_calibrate_negative_cal_seed_is_a_clean_error(pipeline, tmp_path, capsys):
+    root, calibrated, _ = pipeline
+    out = tmp_path / "cal.csv"
+    argv = ["calibrate", "--model", str(calibrated), "--train", str(root / "train.txt")]
+    assert run([*argv, "--cal-fraction", "0.5", "--cal-seed", "-1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,unread",
+    [
+        (["--experiment", "stopping-time", "--step", "rademacher", "--scale", "0.1", "--drift", "0.1"]
+         + ["--delta", "0.1", "--theta", "5"], "--theta"),
+        (["--experiment", "stopping-time", "--drift", "0.1", "--delta", "0.1", "--mode", "rejection"], "--mode"),
+        (["--experiment", "stop-error", "--delta", "0.1", "--tau", "1"], "--tau"),
+        (["--experiment", "stop-error", "--delta", "0.1", "--band", "0.5"], "--band"),
+        (["--experiment", "stop-error", "--delta", "0.1", "--mode", "exact"], "--mode"),
+        (["--experiment", "bridge", "--tau", "1", "--delta", "0.1"], "--delta"),
+        (["--experiment", "bridge", "--tau", "1", "--mode", "exact", "--band", "0.5"], "band"),
+    ],
+    ids=["stopping-theta", "stopping-mode", "stop-error-tau", "stop-error-band", "stop-error-mode",
+         "bridge-delta", "exact-band"],
+)
+def test_simulate_refuses_flags_it_does_not_read(tmp_path, capsys, flags, unread):
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--n", "50", "--trials", "200", *flags, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and unread in err
+    assert not out.exists()
+
+
+def test_train_split_seed_needs_test_fraction(tmp_path, capsys):
+    out, model_out = tmp_path / "train.csv", tmp_path / "m.npz"
+    argv = ["train", "--synthetic", SYNTH, "--split-seed", "3", "--model-out", str(model_out), "-o", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--split-seed needs --test-fraction" in err
+    assert not out.exists() and not model_out.exists()
+
+
+def test_calibrate_cal_seed_needs_cal_fraction(pipeline, tmp_path, capsys, monkeypatch):
+    root, calibrated, _ = pipeline
+    refuse_to_parse(monkeypatch)
+    out = tmp_path / "cal.csv"
+    argv = ["calibrate", "--model", str(calibrated), "--train", str(root / "train.txt")]
+    assert run([*argv, "--cal-seed", "3", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--cal-seed needs --cal-fraction" in err
     assert not out.exists()

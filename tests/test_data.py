@@ -321,6 +321,8 @@ class TestSynthetic:
             SyntheticSpec(dim=1, n_pos=0, n_neg=1, mean_separation=1.0, noise_std=1.0, seed=0)
         with pytest.raises(ParameterError):
             SyntheticSpec(dim=1, n_pos=1, n_neg=1, mean_separation=1.0, noise_std=0.0, seed=0)
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            SyntheticSpec(dim=1, n_pos=1, n_neg=1, mean_separation=1.0, noise_std=1.0, seed=-1)
 
 
 class TestSplit:
@@ -353,6 +355,10 @@ class TestSplit:
             split(ds, 0.99, seed=0)
         with pytest.raises(ParameterError):
             split(ds, 1.5, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            split(self._ds(), 0.3, seed=-2)
 
     def test_class_counts_hypergeometric(self):
         # mean positive count in the test side over many seeded splits should

@@ -447,6 +447,10 @@ class TestPermuteTerms:
         pair_set = {(w, m) for w, m in zip(shuffled.weights, shuffled.mu)}
         assert pair_set == {(1.0, 0.1), (2.0, 0.2), (3.0, 0.3)}
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            permute_terms(coordinate_model([1.0, 2.0], dim=2), -3)
+
 
 class TestBatchPaths:
     def test_single_term_model_never_stops_early(self):

@@ -65,6 +65,8 @@ class TestSimulateWalk:
             WalkSpec(n=1, step="levy")
         with pytest.raises(ParameterError):
             WalkSpec(n=1, scale=0.0)
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            WalkSpec(n=1, seed=-1)
 
 
 def unit_variance_spec(n=2000, seed=0):
@@ -72,6 +74,11 @@ def unit_variance_spec(n=2000, seed=0):
 
 
 class TestBridgeCrossing:
+    def test_band_in_exact_mode_rejected(self):
+        # the exact construction pins every endpoint; a band would be ignored
+        with pytest.raises(ParameterError, match="band"):
+            empirical_bridge_crossing_grid(unit_variance_spec(n=20), [1.0], band=0.5, trials=10, mode="exact")
+
     def test_exact_mode_matches_closed_form(self):
         est = empirical_bridge_crossing_grid(
             unit_variance_spec(seed=2), [1.0], trials=30_000, mode="exact"
@@ -360,9 +367,9 @@ class TestWalkEngine:
             sys.setswitchinterval(interval)
 
 
-    def test_exact_bridge_scratch_is_per_thread(self, monkeypatch):
-        # each worker shifts its block through its own scratch rows; a block
-        # shifted with another thread's values would move the maxima
+    def test_exact_bridge_independent_of_worker_count(self, monkeypatch):
+        # each worker shifts only its own block; a block shifted with another
+        # thread's endpoints would move the maxima
         spec = WalkSpec(n=400, seed=137)
 
         def run():
@@ -395,7 +402,7 @@ class TestWalkEngineSmallBlocks(TestWalkEngine):
 
 
 class TestBlockBound:
-    """Every block and scratch holds at most max(budget, n) cells, whatever n is."""
+    """Every block and shift holds at most max(budget, n) cells, whatever n is."""
 
     @pytest.mark.parametrize("n", [1, 37, 2000, 10_000, 100_003])
     def test_walk_blocks_within_cell_budget(self, n):
@@ -408,19 +415,23 @@ class TestBlockBound:
             assert len(shapes) > 1
 
     @pytest.mark.parametrize("n", [2, 37, 2000, 10_000, 100_003])
-    def test_exact_bridge_scratch_within_cell_budget(self, n, monkeypatch):
-        shapes = []
-        scratch = simulator._shift_scratch
+    def test_exact_bridge_peak_memory_within_cell_budget(self, n, monkeypatch):
+        # one worker's full block of exact bridges: the block, frac, and a
+        # shift temporary of at most max(_SHIFT_CELLS, n - 1) cells; shifting
+        # the whole block at once adds a second block (from n = 37 on, where
+        # a block holds more rows than one shift)
+        import tracemalloc
 
-        def recorded(width):
-            out = scratch(width)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(simulator, "_shift_scratch", recorded)
-        empirical_bridge_crossing_grid(WalkSpec(n=n, seed=n), [1.0], trials=64, mode="exact")
-        assert shapes
-        assert all(width == n - 1 and rows * width <= max(simulator._SHIFT_CELLS, n - 1) for rows, width in shapes)
+        monkeypatch.setattr(simulator, "_workers", lambda: 1)
+        trials = min(BATCH, simulator._rows(simulator._BLOCK_CELLS, n))
+        shift = min(trials, simulator._rows(simulator._SHIFT_CELLS, n - 1)) * (n - 1)
+        tracemalloc.start()
+        try:
+            empirical_bridge_crossing_grid(WalkSpec(n=n, seed=n), [1.0], trials=trials, mode="exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (trials * n + shift + n) + (1 << 18)
 
     def test_walk_peak_memory_independent_of_trials(self, monkeypatch):
         # one worker's rademacher stopping-time walk at n = 100 003: buffer,

@@ -82,6 +82,8 @@ class TestTrainLinear:
             TrainConfig(lambda_reg=0.0, epochs=1, seed=0)
         with pytest.raises(ParameterError):
             TrainConfig(lambda_reg=0.1, epochs=0, seed=0)
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            TrainConfig(lambda_reg=0.1, epochs=1, seed=-2)
 
 
 class TestSparseTraining:
