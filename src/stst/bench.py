@@ -97,11 +97,8 @@ def _grid_values(prefix: np.ndarray, theta: float, grid) -> np.ndarray:
         if values.size == 0:
             raise ParameterError("exhaustive grid is empty below theta")
         return values
-    points = int(grid)
-    if points < 1:
-        raise ParameterError(f"grid must be >= 1 point, got {grid!r}")
     # theta itself is excluded: tau = theta is a degenerate rule
-    return np.linspace(low, theta, num=points, endpoint=False)
+    return np.linspace(low, theta, num=grid, endpoint=False)
 
 
 def run_sweep(
@@ -115,8 +112,12 @@ def run_sweep(
     The sweep rejects below: each grid tau sits under theta and stops predict
     -1. Stop-error rates for both modes are measured against the single full
     pass, conditioned on full label +1, the class opposite the rejection
-    direction.
+    direction. grid is a point count (an int >= 1, not a bool) or
+    "exhaustive", every distinct per-example minimum below theta.
     """
+    whole = isinstance(grid, (int, np.integer)) and not isinstance(grid, bool) and grid >= 1
+    if not (whole or isinstance(grid, str) and grid == "exhaustive"):
+        raise ParameterError(f"grid must be an integer >= 1 or 'exhaustive', got {grid!r}")
     if not np.any(model.mu):
         warnings.warn("model mu is all zero; sweeping uncorrected scores voids the delta calibration")
     theta = float(theta)  # an int theta still writes as a float in the CSV
@@ -235,6 +236,23 @@ class TheoryConfig:
     stopping_ns: tuple = (100, 1_000, 10_000)
     stopping_trials: int = 10_000
     seed: int = 20_240_001
+
+    def __post_init__(self):
+        # every field is checked here, so a bad one fails before any walk
+        # runs rather than when its own experiment starts
+        if self.n < 1:
+            raise ParameterError(f"n must be >= 1, got {self.n}")
+        if self.bridge_trials < 1:
+            raise ParameterError(f"bridge_trials must be >= 1, got {self.bridge_trials}")
+        if self.stop_error_trials < 1:
+            raise ParameterError(f"stop_error_trials must be >= 1, got {self.stop_error_trials}")
+        if self.stopping_trials < 2:
+            raise ParameterError(f"stopping_trials must be >= 2, got {self.stopping_trials}")
+        # the sqrt(n) slope is fitted through one point per distinct length
+        if len(set(self.stopping_ns)) < 2 or min(self.stopping_ns) < 1:
+            raise ParameterError(f"stopping_ns needs two or more distinct lengths >= 1, got {self.stopping_ns!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[TheoryRow, bool]]:

@@ -1,8 +1,9 @@
 """Calibrate a model on one class, and measure stop-error rates.
 
 calibrate is the one estimator: from one pass over the chosen class's rows
-it returns the drift correction mu, as a corrected model, and the score
-variance var(S_n) that places the delta boundary. Centering each term on
+it returns the corrected model, whose mu is the drift correction and the
+only copy of it, and a CalibrationReport holding the score variance
+var(S_n) that places the delta boundary. Centering each term on
 its class-conditional mean makes the conditioned score walk driftless,
 which is what the constant-boundary calibration assumes. The class to
 center on is the one opposite the rejection direction: when early stopping
@@ -10,7 +11,7 @@ rejects negatives, mu comes from positives, so the surviving class walks
 like a bridge.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,15 +31,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CalibrationReport:
-    """Per-term corrections plus the estimated full-score variance."""
+    """The estimated full-score variance and the class rows it came from.
+    The per-term corrections are the mu of the model calibrate returns."""
 
-    mu: np.ndarray
     variance_hat: float
     n_calibration: int
     class_used: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=np.float64))
         if not self.variance_hat > 0.0:
             raise ParameterError(f"variance_hat must be positive, got {self.variance_hat!r}")
         if self.n_calibration < 2:
@@ -80,7 +80,7 @@ def calibrate(
     X = _check_X(model, calibration_set.dense_rows(sel))
     raw = _raw(model, X, 0, model.n)
     mu = raw.mean(axis=0)
-    corrected = model.with_mu(mu)
+    corrected = replace(model, mu=mu)
     if mode == "score":
         raw -= mu
         raw *= corrected.weights
@@ -91,8 +91,7 @@ def calibrate(
         raise DegenerateDataError(
             f"calibration scores of class {class_used:+d} have zero variance; stopping rule undefined"
         )
-    report = CalibrationReport(mu=mu, variance_hat=variance, n_calibration=int(sel.size), class_used=class_used)
-    return corrected, report
+    return corrected, CalibrationReport(variance, int(sel.size), class_used)
 
 
 def measure_stop_error(attentive: Predictions, full: Predictions, condition: int) -> float:

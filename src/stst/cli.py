@@ -48,8 +48,12 @@ def _parse_synthetic(text: str) -> data.SyntheticSpec:
 
 def _load_config_tokens(path: str) -> list[str]:
     """Turn a key=value config file into CLI tokens (prepended, so real flags win)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config: {exc}") from None
     tokens: list[str] = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -346,8 +350,8 @@ def main(argv=None) -> int:
     if paths:
         try:
             tokens = _load_config_tokens(paths[0])
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
+        except ParameterError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         # right after the subcommand, so that flags given on the command line win
         argv = argv[:1] + tokens + argv[1:]

@@ -12,12 +12,14 @@ written back with repr(), the shortest decimal that round-trips a double, so
 parse(serialize(d)) reproduces d exactly. The CLI's CSVs use the same float
 rule, through write_csv.
 
-A Dataset holds its features as a dense float64 array or as a canonical CSR
-matrix (sorted indices, no duplicates). Any other scipy sparse input is
-converted on construction, without changing the caller's matrix. Code that
-needs dense rows asks for them whole (dense, dense_rows); training reads CSR
-rows as their stored entries, and the batch predictors densify X one row
-block at a time.
+A Dataset is its features and labels, nothing else. It holds the features
+as a dense float64 array or as a canonical CSR matrix (sorted indices, no
+duplicates); any other scipy sparse input is converted on construction,
+without changing the caller's matrix. Complex features or labels, and
+labels other than +1 and -1 (1.0 counts; 1.9 does not), are a
+ParameterError, not a cast. Code that needs dense rows asks for them whole
+(dense, dense_rows); training reads CSR rows as their stored entries, and
+the batch predictors densify X one row block at a time.
 
 scipy is imported the first time a sparse matrix is built or converted (a
 parse, a sparse Dataset, serializing a dense one), never by importing stst:
@@ -63,10 +65,12 @@ class Dataset:
 
     X: "np.ndarray | scipy.sparse.csr_matrix"  # any scipy sparse input becomes canonical CSR
     y: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.int64)
+        # the float64 and int64 casts would drop imaginary parts with only a warning
+        if np.iscomplexobj(self.X) or np.iscomplexobj(self.y):
+            raise ParameterError("features and labels must be real, got a complex value")
+        self.y = np.asarray(self.y)
         if hasattr(self.X, "tocsr"):
             X = _sparse().csr_matrix(self.X, dtype=np.float64)
             if not X.has_canonical_format:
@@ -79,14 +83,16 @@ class Dataset:
             if self.X.ndim != 2:
                 raise ParameterError("feature matrix must be 2-d")
         if self.X.shape[0] == 0:
-            raise EmptyDatasetError(f"dataset {self.name!r} has no examples")
+            raise EmptyDatasetError("dataset has no examples")
         if self.X.shape[0] != self.y.shape[0]:
             raise ParameterError(
                 f"feature rows ({self.X.shape[0]}) and labels ({self.y.shape[0]}) disagree"
             )
+        # checked before the int64 cast, which would truncate a label of 1.9 to 1
         bad = ~np.isin(self.y, (1, -1))
         if bad.any():
             raise ParameterError(f"labels must be +1 or -1; offending values {np.unique(self.y[bad])}")
+        self.y = self.y.astype(np.int64, copy=False)
 
     @property
     def n_examples(self) -> int:
@@ -107,9 +113,9 @@ class Dataset:
             return self.X[idx]
         return np.asarray(self.X[idx].todense(), dtype=np.float64)
 
-    def subset(self, idx, name: str | None = None) -> "Dataset":
+    def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(X=self.X[idx], y=self.y[idx], name=self.name if name is None else name)
+        return Dataset(X=self.X[idx], y=self.y[idx])
 
 
 def _map_label(token: str, line_no: int) -> int:
@@ -128,7 +134,7 @@ def _map_label(token: str, line_no: int) -> int:
     return mapped
 
 
-def parse_sparse(source, *, dim: int | None = None, name: str = "") -> Dataset:
+def parse_sparse(source, *, dim: int | None = None) -> Dataset:
     """Parse the sparse labeled text format into a Dataset.
 
     source may be a path or an open text stream. dim overrides the inferred
@@ -137,7 +143,7 @@ def parse_sparse(source, *, dim: int | None = None, name: str = "") -> Dataset:
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            return parse_sparse(handle, dim=dim, name=name or str(source))
+            return parse_sparse(handle, dim=dim)
 
     # imported before the row lists grow: in a fresh process running the CLI
     # pipeline, that peaked about 1 MB lower than importing it after the loop
@@ -208,7 +214,7 @@ def parse_sparse(source, *, dim: int | None = None, name: str = "") -> Dataset:
         (values, np.asarray(col, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
         shape=(len(labels), dim),
     )
-    return Dataset(X=X, y=np.asarray(labels, dtype=np.int64), name=name)
+    return Dataset(X=X, y=np.asarray(labels, dtype=np.int64))
 
 
 def serialize_sparse(dataset: Dataset, target) -> None:
@@ -285,11 +291,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     X_neg = -offset + spec.noise_std * rng.standard_normal((spec.n_neg, spec.dim))
     X = np.vstack([X_pos, X_neg])
     y = np.concatenate([np.ones(spec.n_pos, dtype=np.int64), -np.ones(spec.n_neg, dtype=np.int64)])
-    name = (
-        f"synthetic(dim={spec.dim},pos={spec.n_pos},neg={spec.n_neg},"
-        f"sep={spec.mean_separation},std={spec.noise_std},seed={spec.seed})"
-    )
-    return Dataset(X=X, y=y, name=name)
+    return Dataset(X=X, y=y)
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -305,6 +307,4 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
             f"test_fraction {test_fraction!r} leaves an empty side for {m} examples"
         )
     perm = np.random.default_rng(seed).permutation(m)
-    test = dataset.subset(perm[:n_test], name=f"{dataset.name}-test")
-    train = dataset.subset(perm[n_test:], name=f"{dataset.name}-train")
-    return train, test
+    return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -178,9 +179,6 @@ class WeightedModel:
     @property
     def is_kernel(self) -> bool:
         return self.kernel is not None
-
-    def with_mu(self, mu: np.ndarray) -> "WeightedModel":
-        return replace(self, mu=mu)
 
 
 def coordinate_model(
@@ -560,7 +558,12 @@ def save_model(
             raise ParameterError("verification inputs and scores must align row for row")
         payload["verify_inputs"] = vx
         payload["verify_scores"] = vs
-    np.savez(path, **payload)
+    if isinstance(path, (str, os.PathLike)):
+        # np.savez given a name appends ".npz" to one that lacks it
+        with open(path, "wb") as handle:
+            np.savez(handle, **payload)
+    else:
+        np.savez(path, **payload)
 
 
 def load_model(path) -> WeightedModel:

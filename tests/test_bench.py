@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from stst import coordinate_model, precision_recall, run_sweep
+from stst import bench, coordinate_model, precision_recall, run_sweep
 from stst.bench import TheoryConfig, pr_csv, run_theory_suite, sweep_csv, theory_csv
 from stst.errors import ParameterError, UndefinedRateError
 
@@ -88,6 +88,20 @@ class TestRunSweep:
         ds = Dataset(X=np.ones((4, 2)), y=np.array([1, 1, -1, -1]))
         with pytest.raises(ParameterError, match="nothing to sweep"):
             run_sweep(model, ds, theta=-10.0, grid=5)
+
+    @pytest.mark.parametrize("grid", [2.7, 3.0, True, False, "abc", "50", 0, -1, None])
+    def test_grid_must_be_a_whole_count_or_exhaustive(self, synthetic_bench, monkeypatch, grid):
+        def refused(*args, **kwargs):
+            raise AssertionError("a prefix matrix was built for a bad grid")
+
+        monkeypatch.setattr(bench, "prefix_score_matrix", refused)
+        with pytest.raises(ParameterError, match="grid must be an integer >= 1 or 'exhaustive'"):
+            run_sweep(synthetic_bench.model, synthetic_bench.test, theta=BENCH_THETA, grid=grid)
+
+    def test_numpy_integer_grid(self, synthetic_bench):
+        records = run_sweep(synthetic_bench.model, synthetic_bench.test, theta=BENCH_THETA, grid=np.int64(5))
+        want = run_sweep(synthetic_bench.model, synthetic_bench.test, theta=BENCH_THETA, grid=5)
+        assert [r.tau for r in records] == [r.tau for r in want]
 
 
 class TestPrecisionRecall:
@@ -193,3 +207,28 @@ class TestTheorySuite:
         lines = buf.getvalue().splitlines()
         assert lines[0].endswith(",passed")
         assert all(line.endswith(("true", "false")) for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"n": 0}, "n must be >= 1"),
+        ({"bridge_trials": 0}, "bridge_trials must be >= 1"),
+        ({"stop_error_trials": 0}, "stop_error_trials must be >= 1"),
+        ({"stopping_trials": 1}, "stopping_trials must be >= 2"),
+        ({"stopping_ns": (100,)}, "two or more distinct lengths"),
+        ({"stopping_ns": (100, 100)}, "two or more distinct lengths"),
+        ({"stopping_ns": (0, 100)}, "two or more distinct lengths >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ],
+    ids=["n", "bridge-trials", "stop-error-trials", "stopping-trials", "one-length", "repeated-length",
+         "zero-length", "seed"],
+)
+def test_theory_config_checked_before_any_walk(monkeypatch, fields, message):
+    def refused(*args, **kwargs):
+        raise AssertionError("a walk ran before the config was checked")
+
+    for walk in ("empirical_bridge_crossing_grid", "empirical_stop_error_grid", "empirical_stopping_time"):
+        monkeypatch.setattr(bench, walk, refused)
+    with pytest.raises(ParameterError, match=message):
+        run_theory_suite(TheoryConfig(**fields))

@@ -695,3 +695,122 @@ def test_calibrate_cal_seed_needs_cal_fraction(pipeline, tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--cal-seed needs --cal-fraction" in err
     assert not out.exists()
+
+
+def test_model_path_without_npz_suffix(pipeline, tmp_path):
+    # train -> calibrate -> pr through containers named model.bin: each
+    # command reads exactly the path the one before it wrote
+    root, _, test_file = pipeline
+    model, calibrated, pr_out = tmp_path / "model.bin", tmp_path / "calibrated.bin", tmp_path / "pr.csv"
+    train = ["train", "--synthetic", SYNTH, "--test-fraction", "0.3", "--split-seed", "11"]
+    assert run([*train, "--epochs", "3", "--seed", "13", "--model-out", str(model), "-o", str(tmp_path / "t.csv")]) == 0
+    calibrate = ["calibrate", "--model", str(model), "--train", str(root / "train.txt")]
+    assert run([*calibrate, "--cal-fraction", "0.5", "--cal-seed", "3", "--model-out", str(calibrated),
+                "-o", str(tmp_path / "c.csv")]) == 0
+    assert run(["pr", "--model", str(calibrated), "--data", str(test_file), "-o", str(pr_out)]) == 0
+    assert not list(tmp_path.glob("*.npz"))
+    # the same flags as the pipeline fixture, so the same container bytes
+    assert model.read_bytes() == (root / "model.npz").read_bytes()
+    assert calibrated.read_bytes() == (root / "calibrated.npz").read_bytes()
+    assert hashlib.sha256(pr_out.read_bytes()).hexdigest() == PIPELINE_DIGESTS["pr_full.csv"]
+
+
+def test_config_comments_blank_lines_and_flag_values(tmp_path):
+    # "# ..." and blank lines are skipped; key=true gives a store_true flag,
+    # key=false leaves it off
+    outputs = {}
+    for name, lines, flags in [
+        ("flag", [], ["--no-bias"]),
+        ("true", ["# train without a bias", "", "no_bias=true"], []),
+        ("none", [], []),
+        ("false", ["no-bias=False", "   ", "  # indented comment"], []),
+    ]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        model, out = tmp_path / f"{name}.npz", tmp_path / f"{name}.csv"
+        argv = ["train", "--synthetic", SYNTH, "--epochs", "2", "--model-out", str(model), "-o", str(out)]
+        assert run([*argv, "--config", str(cfg), *flags]) == 0
+        outputs[name] = model.read_bytes()
+    assert outputs["true"] == outputs["flag"]
+    assert outputs["false"] == outputs["none"]
+    assert outputs["true"] != outputs["none"]
+
+
+def test_config_line_without_equals_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("# seeds\nseed=9\nexact\n")
+    out = tmp_path / "sim.csv"
+    assert exit_code([*SIMULATE_ARGV, "--config", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err and "expected key=value" in err and "'exact'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_is_a_clean_error(tmp_path, capsys, kind):
+    cfg = tmp_path / "sim.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(b"seed=\xff\xfe\n")
+    out = tmp_path / "sim.csv"
+    assert exit_code([*SIMULATE_ARGV, "--config", str(cfg), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config:")
+    assert not out.exists()
+
+
+def test_output_dash_writes_stdout(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert run([*SIMULATE_ARGV, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run([*SIMULATE_ARGV, "-o", "-"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [([], "calibrate needs --train"), (["--paper-faithful"], "--paper-faithful needs --test")],
+    ids=["no-train", "paper-faithful-no-test"],
+)
+def test_calibrate_needs_a_data_file(pipeline, tmp_path, capsys, monkeypatch, flags, message):
+    _, calibrated, _ = pipeline
+    refuse_to_parse(monkeypatch)
+    out = tmp_path / "cal.csv"
+    assert run(["calibrate", "--model", str(calibrated), *flags, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_sweep_grid_must_be_an_integer(pipeline, tmp_path, capsys):
+    _, calibrated, test_file = pipeline
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--model", str(calibrated), "--data", str(test_file), "--grid", "abc", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid must be an integer or 'exhaustive', got 'abc'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--stopping-trials", "1"], "stopping_trials must be >= 2"),
+        (["--stop-error-trials", "0"], "stop_error_trials must be >= 1"),
+        (["--n", "0"], "n must be >= 1"),
+    ],
+    ids=["stopping-trials", "stop-error-trials", "n"],
+)
+def test_theory_config_errors_come_before_any_walk(tmp_path, capsys, monkeypatch, flags, message):
+    from stst import bench
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a walk ran before the config was checked")
+
+    for walk in ("empirical_bridge_crossing_grid", "empirical_stop_error_grid", "empirical_stopping_time"):
+        monkeypatch.setattr(bench, walk, refused)
+    out = tmp_path / "theory.csv"
+    assert run(["theory", *flags, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()

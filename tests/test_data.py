@@ -1,4 +1,5 @@
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -206,6 +207,35 @@ class TestWriteCsv:
         assert self._text(("a", "b"), []) == "a,b\n"
 
 
+class TestDatasetChecks:
+    def test_holds_only_features_and_labels(self):
+        assert [f.name for f in fields(Dataset)] == ["X", "y"]
+        with pytest.raises(TypeError):
+            parse_text("+1 1:0.5\n", name="d")
+        with pytest.raises(TypeError):
+            parse_text("+1 1:0.5\n").subset([0], name="d")
+
+    @pytest.mark.parametrize("layout", ["list", "dense", "csr", "coo"])
+    def test_complex_features_rejected(self, layout):
+        X = [[1 + 2j, 3.0], [0.0, 1.0]]
+        X = {"list": X, "dense": np.array(X), "csr": sparse.csr_matrix(X), "coo": sparse.coo_matrix(X)}[layout]
+        with pytest.raises(ParameterError, match="must be real"):
+            Dataset(X=X, y=[1, -1])
+
+    def test_complex_labels_rejected(self):
+        with pytest.raises(ParameterError, match="must be real"):
+            Dataset(X=np.ones((2, 2)), y=np.array([1 + 0j, -1 + 0j]))
+
+    def test_fractional_labels_rejected(self):
+        with pytest.raises(ParameterError, match=r"offending values \[-1.5  1.9\]"):
+            Dataset(X=np.ones((2, 2)), y=[1.9, -1.5])
+
+    def test_whole_float_labels_accepted(self):
+        ds = Dataset(X=np.ones((2, 2)), y=np.array([1.0, -1.0]))
+        assert ds.y.dtype == np.int64
+        assert ds.y.tolist() == [1, -1]
+
+
 class TestSparseInput:
     def _coo(self):
         # unsorted columns and a duplicate (row 0, column 2) entry
@@ -328,7 +358,7 @@ class TestSynthetic:
 class TestSplit:
     def _ds(self, m=20):
         rng = np.random.default_rng(2)
-        return Dataset(X=rng.standard_normal((m, 3)), y=rng.choice([-1, 1], size=m), name="d")
+        return Dataset(X=rng.standard_normal((m, 3)), y=rng.choice([-1, 1], size=m))
 
     def test_deterministic(self):
         ds = self._ds()

@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 from dataclasses import replace
@@ -660,6 +661,18 @@ class TestSerialization:
             x = rng.standard_normal(model.dim)
             assert full_predict(loaded, x).reported_score == full_predict(model, x).reported_score
 
+    def test_writes_exactly_the_path_given(self, tmp_path):
+        # np.savez alone would write model.bin.npz
+        model = random_model(np.random.default_rng(30), "rbf", n=4)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+        assert np.array_equal(load_model(path).support_vectors, model.support_vectors)
+        # an open file still works, and gets the same bytes
+        buf = io.BytesIO()
+        save_model(model, buf)
+        assert buf.getvalue() == path.read_bytes()
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, format_version=np.int64(1), kind=np.str_("coordinate"))
@@ -749,7 +762,7 @@ class TestModelValidation:
         with pytest.raises(ParameterError, match="^mu must be finite"):
             coordinate_model([1.0, 1.0], mu=[0.0, bad], dim=2)
         with pytest.raises(ParameterError, match="^mu must be finite"):
-            coordinate_model([1.0, 1.0], dim=2).with_mu([bad, 0.0])
+            replace(coordinate_model([1.0, 1.0], dim=2), mu=[bad, 0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_support_vectors_rejected(self, bad):
@@ -765,7 +778,7 @@ class TestModelValidation:
         with pytest.raises(ParameterError, match="^mu must be real"):
             coordinate_model([1.0, 1.0], mu=[0.0, 3j])
         with pytest.raises(ParameterError, match="^mu must be real"):
-            coordinate_model([1.0, 1.0]).with_mu(np.array([1j, 0.0]))
+            replace(coordinate_model([1.0, 1.0]), mu=np.array([1j, 0.0]))
         with pytest.raises(ParameterError, match="^support vectors must be real"):
             kernel_model([1.0, 1.0], np.ones((2, 3)) * (1 + 1j), KernelSpec.linear())
         with pytest.raises(ParameterError, match="^weights must be real"):
