@@ -19,9 +19,14 @@ Batch rows: on a fixed prefix matrix (coordinate model, m = 10000 examples,
 n = 1000 terms), attentive_from_prefix with tau at the median of the rows'
 lowest partial sums (about half the rows stop) and budgeted_from_prefix at
 b = n/2; predict_rows in attentive mode on the same model, test set and tau,
-from the features (the chunked evaluator, with no prefix matrix); and
-run_sweep with grid 50 at m = 2000, n = 200 and m = 10000, n = 1000
-(SWEEP_REPEATS calls each).
+and in full mode, from the features (the chunked evaluator, with no prefix
+matrix); and run_sweep with grid 50 at m = 2000, n = 200 and m = 10000,
+n = 1000, and with the exhaustive grid at m = 2000, n = 200 (SWEEP_REPEATS
+calls each). The exhaustive grid at m = 10000, n = 1000 runs in
+SWEEP_REPEATS fresh child interpreters, one after another, each timing its
+own call; a child still running after EXHAUSTIVE_LIMIT_S seconds is stopped
+and the row records the limit instead (a sweep that rescans a whole prefix
+matrix per grid point takes minutes there).
 
 Layer rows (LAYER_REPEATS calls each): on one sparse dataset of 4000 rows x
 2000 dims at 2% density (160k nonzeros, labels from a planted direction),
@@ -43,13 +48,14 @@ density (labels from a planted direction, seed PIPELINE_SEED): train with a
 sweep with grid 50, and pr in attentive mode at the delta = 0.1 tau; and
 stst theory at the default TheoryConfig with base seed THEORY_SEED.
 
-Memory: the pipeline and theory rows, and a walk-engine row running
-empirical_stopping_time on rademacher walks of STOPPING_N steps (the
-theory suite's largest stopping-time run: scale 0.1, drift 0.1,
-delta 0.1, STOPPING_TRIALS trials), each also hold peak_rss_mb: the peak
-resident set of one more call, run alone in a fresh child interpreter on
-the same stst source before any other row, read from that child's own
-rusage (in MiB, as ru_maxrss / 1024).
+Memory: the pipeline and theory rows, the run_sweep grid=50 row at
+m = 10000, n = 1000 (whose dense test set alone is 80 MB), and a
+walk-engine row running empirical_stopping_time on rademacher walks of
+STOPPING_N steps (the theory suite's largest stopping-time run: scale 0.1,
+drift 0.1, delta 0.1, STOPPING_TRIALS trials), each also hold peak_rss_mb:
+the peak resident set of one more call, run alone in a fresh child
+interpreter on the same stst source before any other row, read from that
+child's own rusage (in MiB, as ru_maxrss / 1024).
 
 Cold-import row: COLD_IMPORTS fresh interpreters, one after another, each
 running `import stst.cli` from the same stst source: the start-up every
@@ -78,6 +84,7 @@ SEED = 20_240_004
 BATCH_M, BATCH_N = 10_000, 1_000
 SWEEP_SIZES = ((2_000, 200), (10_000, 1_000))
 SWEEP_REPEATS = 3
+EXHAUSTIVE_LIMIT_S = 120
 LAYER_M, LAYER_DIM, LAYER_DENSITY = 4_000, 2_000, 0.02
 LAYER_REPEATS = 3
 TERM_M, TERM_N = 2_000, 2_000
@@ -295,6 +302,40 @@ def _pipeline_row(peak_rss_mb: float) -> dict:
         return {name: {**_call_ms(_pipeline_pass, [path], LAYER_REPEATS), "peak_rss_mb": peak_rss_mb}}
 
 
+def _sweep_pass(m: str, n: str, grid: str) -> None:
+    """run_sweep on generated inputs of m rows and n terms; prints the
+    seconds the call took."""
+    import numpy as np
+
+    from stst import bench
+
+    model, test = _sweep_inputs(np.random.default_rng(SEED + 3), int(m), int(n))
+    t0 = time.perf_counter()
+    bench.run_sweep(model, test, 0.0, grid=grid if grid == "exhaustive" else int(grid))
+    print(time.perf_counter() - t0)
+
+
+def _child_sweep_row(m: int, n: int, grid: str) -> dict:
+    """Single-call times of _sweep_pass, one fresh child interpreter each;
+    a child past EXHAUSTIVE_LIMIT_S is stopped and ends the row."""
+    import subprocess
+
+    import stst
+
+    src = str(Path(stst.__file__).resolve().parents[1])
+    code = "import sys; sys.path[:0] = sys.argv[1:3]; import bench; bench._sweep_pass(*sys.argv[3:])"
+    argv = [sys.executable, "-c", code, src, str(Path(__file__).resolve().parent), str(m), str(n), grid]
+    times = []
+    for _ in range(SWEEP_REPEATS):
+        try:
+            done = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=EXHAUSTIVE_LIMIT_S)
+        except subprocess.TimeoutExpired:
+            return {"timed_out_after_s": EXHAUSTIVE_LIMIT_S, "calls": len(times)}
+        times.append(float(done.stdout.split()[-1]))
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3, "calls": len(times)}
+
+
 def _theory_pass(path: str) -> None:
     _run_cli(["theory", "--seed", str(THEORY_SEED), "-o", path])
 
@@ -351,6 +392,8 @@ def measure() -> dict:
     theory_peak_rss_mb = _child_peak_rss_mb("_theory_pass", os.devnull)
     stopping_peak_rss_mb = _child_peak_rss_mb("_stopping_time_pass")
     pipeline_peak_rss_mb = _pipeline_peak_rss_mb()
+    m, n = SWEEP_SIZES[-1]
+    sweep_peak_rss_mb = _child_peak_rss_mb("_sweep_pass", str(m), str(n), "50")
     rows = _cold_import_row()
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
     never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)
@@ -376,11 +419,20 @@ def measure() -> dict:
     rows[f"predict_rows attentive {size}"] = _call_ms(
         lambda X: predictor.predict_rows(model, X, rule.theta, rule), [test.X]
     )
+    rows[f"predict_rows full {size}"] = _call_ms(lambda X: predictor.predict_rows(model, X, rule.theta), [test.X])
     for m, n in SWEEP_SIZES:
         model, test = _sweep_inputs(rng, m, n)
         rows[f"run_sweep grid=50 m={m} n={n}"] = _call_ms(
             lambda t: bench.run_sweep(model, t, 0.0, grid=50), [test], SWEEP_REPEATS
         )
+    rows[f"run_sweep grid=50 m={m} n={n}"]["peak_rss_mb"] = sweep_peak_rss_mb
+    m, n = SWEEP_SIZES[0]
+    model, test = _sweep_inputs(rng, m, n)
+    rows[f"run_sweep grid=exhaustive m={m} n={n}"] = _call_ms(
+        lambda t: bench.run_sweep(model, t, 0.0, grid="exhaustive"), [test], SWEEP_REPEATS
+    )
+    m, n = SWEEP_SIZES[-1]
+    rows[f"run_sweep grid=exhaustive m={m} n={n}"] = _child_sweep_row(m, n, "exhaustive")
     rows.update(_layer_rows(np.random.default_rng(SEED + 2)))
     rows.update(_pipeline_row(pipeline_peak_rss_mb))
     rows.update(_theory_row(theory_peak_rss_mb))
@@ -427,7 +479,10 @@ def main() -> int:
     doc["rows"] = [r for r in doc["rows"] if r["label"] != args.label] + [row]
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, r in row["results"].items():
-        print(f"{name:64s} {r['median_ms']:10.3f} ms")
+        if "median_ms" in r:
+            print(f"{name:64s} {r['median_ms']:10.3f} ms")
+        else:
+            print(f"{name:64s} timed out after {r['timed_out_after_s']} s")
     return 0
 
 

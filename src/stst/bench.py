@@ -1,15 +1,15 @@
 """Benchmark harness: threshold sweeps, matched-budget comparison, PR curves,
 and the theory verification suite.
 
-A sweep scores the whole test set once (one prefix matrix), then replays the
-attentive scan for each stop threshold on a grid between the lowest observed
-partial score and theta. Each attentive pass is paired with a budgeted pass
-whose budget is the attentive pass's mean evaluated-term count, rounded
-half-to-even. Early-stopped predictions all report the stop threshold itself
-as their score, so PR curves over attentive scores show a cliff at tau.
-
-Per-example work inside a pass is vectorized and rows are independent; passes
-are sequential because each budgeted pass depends on its attentive partner.
+A sweep decides the test set under every stop threshold on a grid between
+the lowest observed partial score and theta. Each attentive pass is paired
+with a budgeted pass whose budget is the attentive pass's mean
+evaluated-term count, rounded half-to-even. The test set is scored once,
+one row block at a time, with no (m, n) prefix matrix: each row's running
+minimum records and per-column label counts are all the grid needs, so every
+pass is read off them. Early-stopped predictions all report the stop
+threshold itself as their score, so PR curves over attentive scores show a
+cliff at tau.
 """
 
 import math
@@ -19,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import measure_stop_error
+# unused here: perfbench/layers.py wraps measure_stop_error and the four
+# prefix-matrix functions by their bench names, and the imports go once those
+# bindings move to their own modules (ROADMAP item 10)
+from .calibration import measure_stop_error  # noqa: F401
 from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, crossing_probability
 from .data import Dataset, write_csv
 from .errors import ParameterError, UndefinedRateError
-from .predictor import (
-    WeightedModel,
+from .predictor import WeightedModel, _prefix_rows, _row_blocks
+from .predictor import (  # noqa: F401
     attentive_from_prefix,
     budgeted_from_prefix,
     full_from_prefix,
@@ -37,6 +40,7 @@ from .simulator import (
     empirical_bridge_crossing_grid,
     empirical_stop_error_grid,
     empirical_stopping_time,
+    _is_count,
 )
 
 __all__ = [
@@ -58,7 +62,10 @@ class SweepRecord:
     """One benchmark row: a full, attentive, or budgeted pass over the test set.
 
     wall_time is informational only and never serialized; evaluated-term
-    counts are the machine-independent cost metric.
+    counts are the machine-independent cost metric. In a sweep, the full
+    record's wall_time is the one streamed pass over the test set, and
+    every attentive and budgeted record carries an equal share of the time
+    spent reading the grid off what that pass kept.
     """
 
     mode: str  # "full" | "attentive" | "budgeted"
@@ -74,31 +81,95 @@ class SweepRecord:
     wall_time: float
 
 
-def _confusion(pred_labels: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:
-    pos = truth == 1
-    pred_pos = pred_labels == 1
-    tp = int((pred_pos & pos).sum())
-    fp = int((pred_pos & ~pos).sum())
-    tn = int((~pred_pos & ~pos).sum())
-    fn = int((~pred_pos & pos).sum())
-    return tp, fp, tn, fn
-
-
-def _grid_values(prefix: np.ndarray, theta: float, grid) -> np.ndarray:
-    low = float(prefix.min())
+def _grid_values(minima: np.ndarray, theta: float, grid) -> np.ndarray:
+    """The ascending grid of stop thresholds, from each row's minimum over
+    all n partial scores."""
+    low = float(minima.min())
     if not low < theta:
         raise ParameterError(
             f"no partial score below theta={theta!r}; nothing to sweep (min partial {low!r})"
         )
     if grid == "exhaustive":
-        per_example_min = prefix.min(axis=1)
-        values = np.unique(per_example_min)
+        values = np.unique(minima)
         values = values[values < theta]
         if values.size == 0:
             raise ParameterError("exhaustive grid is empty below theta")
         return values
     # theta itself is excluded: tau = theta is a degenerate rule
     return np.linspace(low, theta, num=grid, endpoint=False)
+
+
+# Records are searched for one chunk of _RECORD_CHUNK columns at a time: a
+# chunk whose minimum is not below theta and every earlier partial score
+# holds none, and only the others are scanned with minimum.accumulate, which
+# costs about 5 ns a cell (2 vCPUs). At n = 1000 and 2000 one chunk in five
+# to eight holds a record. Whole sweeps timed alike at 32 and 64 columns;
+# 16 was slower at both sizes, and 128 at n = 1000.
+_RECORD_CHUNK = 32
+
+
+def _records(S: np.ndarray, theta: float):
+    """Each row's low (min of all of S), and the value and gap of every
+    record low below theta in the block (see _scan), in row-major order."""
+    n = S.shape[1]
+    starts = np.arange(0, n, _RECORD_CHUNK)
+    chunk_low = np.minimum.reduceat(S, starts, axis=1)
+    running = np.minimum.accumulate(chunk_low, axis=1)
+    before = np.empty_like(running)  # the minimum of every earlier chunk
+    before[:, 0], before[:, 1:] = np.inf, running[:, :-1]
+    r, j = np.nonzero(chunk_low < np.minimum(before, theta))
+    # a chunk running past the last column repeats S_n, which only ties itself
+    cols = np.minimum(starts[j, None] + np.arange(_RECORD_CHUNK), n - 1)
+    cells = S.reshape(-1).take(r[:, None] * n + cols)
+    carry = before[r, j, None]
+    prev = np.empty_like(cells)  # the minimum of every earlier column
+    prev[:, :1] = carry
+    np.minimum.accumulate(cells[:, :-1], axis=1, out=prev[:, 1:])
+    np.minimum(prev, carry, out=prev)
+    i = np.flatnonzero((cells < prev) & (cells < theta))
+    row, k = r[i // _RECORD_CHUNK], cols.reshape(-1).take(i) + 1
+    following = np.full_like(k, n)  # the row's next record, or n
+    same_row = row[1:] == row[:-1]
+    following[:-1][same_row] = k[1:][same_row]
+    return running[:, -1], (cells.reshape(-1).take(i), following - k)
+
+
+def _scan(model: WeightedModel, X, theta: float, truth: np.ndarray):
+    """Evaluate every row's prefix scores, one row block at a time, and keep
+    only what the sweep reads, with no (m, n) array: each row's full label
+    (S_n >= theta) and low (the minimum of S_1..S_n), the record lows below
+    theta of every block, and per-column label counts.
+
+    A row stops for tau at the first of S_1..S_{n-1} below tau, which is
+    the first of its record lows (S_k below every earlier S_j) below tau.
+    Record values fall along a row, so its records below tau are its last
+    ones. With record i at count k_i and the row's next record at k_{i+1}
+    (n after its last), a stop at record j saves n - k_j terms, the sum of
+    the gaps k_{i+1} - k_i over i >= j. So each record adds its gap to the
+    terms saved at every tau above its value; a record at S_n has gap 0, as
+    a crossing there is no early stop. Only records below theta are kept,
+    since every grid tau is: one (value, gap) pair of arrays per block.
+
+    Only a full +1 row changes label when it stops. Such a row has
+    S_n >= theta > tau, so it stops iff its low is below tau.
+
+    positive[:, b - 1] counts the rows with S_b >= theta among truth +1,
+    among truth -1 and among full +1: the labels at budget b.
+    """
+    n = model.n
+    m, blocks = _row_blocks(model, X)
+    full_pos, low = np.empty(m, bool), np.empty(m)
+    records = []
+    positive = np.zeros((3, n), np.int64)
+    for a, b, block in blocks:
+        S = _prefix_rows(model, block)
+        low[a:b], block_records = _records(S, theta)
+        records.append(block_records)
+        pos = S >= theta
+        full_pos[a:b] = pos[:, -1]
+        classes = np.stack([truth[a:b], ~truth[a:b], pos[:, -1]]).astype(np.float64)
+        positive += (classes @ pos).astype(np.int64)  # exact: each count is at most the block's rows
+    return full_pos, low, records, positive
 
 
 def run_sweep(
@@ -114,39 +185,67 @@ def run_sweep(
     pass, conditioned on full label +1, the class opposite the rejection
     direction. grid is a point count (an int >= 1, not a bool) or
     "exhaustive", every distinct per-example minimum below theta.
+
+    The test set is evaluated once, one row block at a time, with no (m, n)
+    array (see _scan). Every field is what attentive_from_prefix and
+    budgeted_from_prefix give on the whole prefix matrix, bit for bit: term
+    totals and label counts are exact integers, and each mean and rate is
+    one division of two of them.
     """
-    whole = isinstance(grid, (int, np.integer)) and not isinstance(grid, bool) and grid >= 1
-    if not (whole or isinstance(grid, str) and grid == "exhaustive"):
+    if not (_is_count(grid) and grid >= 1 or isinstance(grid, str) and grid == "exhaustive"):
         raise ParameterError(f"grid must be an integer >= 1 or 'exhaustive', got {grid!r}")
+    theta = float(theta)  # an int theta still writes as a float in the CSV
+    if not math.isfinite(theta):
+        raise ParameterError(f"theta must be finite, got {theta!r}")
     if not np.any(model.mu):
         warnings.warn("model mu is all zero; sweeping uncorrected scores voids the delta calibration")
-    theta = float(theta)  # an int theta still writes as a float in the CSV
+    n = model.n
+    truth = test.y == 1
+    m, n_pos = truth.size, int(truth.sum())
 
-    def record(mode, preds, t0, mean_terms, tau=None, budget=None, stop_error_rate=0.0):
-        # wall_time covers the pass, not the confusion counts
-        wall_time = time.perf_counter() - t0
-        tp, fp, tn, fn = _confusion(preds.label, test.y)
-        return SweepRecord(mode, tau, budget, theta, tp, fp, tn, fn, mean_terms, stop_error_rate, wall_time)
+    def record(mode, tp, fp, mean_terms, wall_time, tau=None, budget=None, stop_error_rate=0.0):
+        return SweepRecord(
+            mode, tau, budget, theta, tp, fp, m - n_pos - fp, n_pos - tp, mean_terms, stop_error_rate, wall_time
+        )
 
     t0 = time.perf_counter()
-    prefix = prefix_score_matrix(model, test.X)
-    n = prefix.shape[1]
-    full = full_from_prefix(prefix, theta)
-    records = [record("full", full, t0, float(n))]
+    full_pos, low, record_lows, positive = _scan(model, test.X, theta, truth)
+    tp_at, fp_at, full_pos_at = positive  # per budget b, at b - 1
+    full_tp, full_fp = int(tp_at[-1]), int(fp_at[-1])
+    records = [record("full", full_tp, full_fp, float(n), time.perf_counter() - t0)]
 
-    for tau in _grid_values(prefix, theta, grid):
-        t0 = time.perf_counter()
-        rule = StoppingRule(theta=theta, tau=float(tau), direction=Direction.REJECT_BELOW)
-        att = attentive_from_prefix(prefix, rule)
-        mean_terms = float(np.mean(att.terms))
-        att_err = measure_stop_error(att, full, 1)
-        records.append(record("attentive", att, t0, mean_terms, tau=float(tau), stop_error_rate=att_err))
-
-        t0 = time.perf_counter()
-        budget = min(max(round(mean_terms), 1), n)
-        bud = budgeted_from_prefix(prefix, budget, theta)
-        bud_err = measure_stop_error(bud, full, 1) if budget < n else 0.0
-        records.append(record("budgeted", bud, t0, float(budget), budget=budget, stop_error_rate=bud_err))
+    t0 = time.perf_counter()
+    taus = _grid_values(low, theta, grid)
+    # the grid ascends, so its last tau makes a rule only if every tau does
+    StoppingRule(theta=theta, tau=float(taus[-1]), direction=Direction.REJECT_BELOW)
+    denom = int(full_pos_at[-1])
+    if denom == 0:
+        raise UndefinedRateError("no examples with full label +1; stop-error rate undefined")
+    # the terms saved at each tau, from the records below it; a record at
+    # or above every tau lands in the spare last slot
+    saved = np.zeros(taus.size + 1, np.int64)
+    for value, gap in record_lows:
+        np.add.at(saved, np.searchsorted(taus, value, side="right"), gap)
+    mean_terms = (m * n - np.cumsum(saved[:-1])) / m
+    # a stopped row predicts -1, so only the full +1 rows change label
+    flipped = np.searchsorted(np.sort(low[full_pos]), taus)
+    flipped_tp = np.searchsorted(np.sort(low[full_pos & truth]), taus)
+    budgets = np.clip(np.rint(mean_terms), 1, n).astype(np.int64)  # half to even
+    columns = zip(
+        taus.tolist(),
+        (full_tp - flipped_tp).tolist(),
+        (full_fp - flipped + flipped_tp).tolist(),
+        mean_terms.tolist(),
+        (flipped / denom).tolist(),
+        budgets.tolist(),
+        tp_at[budgets - 1].tolist(),
+        fp_at[budgets - 1].tolist(),
+        ((denom - full_pos_at[budgets - 1]) / denom).tolist(),
+    )
+    share = (time.perf_counter() - t0) / (2 * taus.size)
+    for tau, tp, fp, terms, err, budget, b_tp, b_fp, b_err in columns:
+        records.append(record("attentive", tp, fp, terms, share, tau=tau, stop_error_rate=err))
+        records.append(record("budgeted", b_tp, b_fp, float(budget), share, budget=budget, stop_error_rate=b_err))
     return records
 
 
@@ -240,6 +339,8 @@ class TheoryConfig:
     def __post_init__(self):
         # every field is checked here, so a bad one fails before any walk
         # runs rather than when its own experiment starts
+        if not _is_count(self.n):
+            raise ParameterError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.bridge_trials < 1:
@@ -248,6 +349,8 @@ class TheoryConfig:
             raise ParameterError(f"stop_error_trials must be >= 1, got {self.stop_error_trials}")
         if self.stopping_trials < 2:
             raise ParameterError(f"stopping_trials must be >= 2, got {self.stopping_trials}")
+        if not all(_is_count(n) for n in self.stopping_ns):
+            raise ParameterError(f"stopping_ns must hold integers, got {self.stopping_ns!r}")
         # the sqrt(n) slope is fitted through one point per distinct length
         if len(set(self.stopping_ns)) < 2 or min(self.stopping_ns) < 1:
             raise ParameterError(f"stopping_ns needs two or more distinct lengths >= 1, got {self.stopping_ns!r}")

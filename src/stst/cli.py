@@ -80,6 +80,24 @@ def _output(path):
             yield stream
 
 
+# every flag that names a file a command writes
+_OUTPUT_FLAGS = ("output", "model_out", "test_out", "train_out")
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path that cannot be written before any input is
+    read, so a failing command leaves no partial result behind."""
+    for name in _OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if path is None or name == "output" and path == "-":
+            continue
+        flag, target = "--" + name.replace("_", "-"), Path(path)
+        if target.is_dir():
+            raise ParameterError(f"{flag} {path} is a directory")
+        if not target.parent.is_dir():
+            raise ParameterError(f"{flag} {path}: no directory {target.parent}")
+
+
 def _class_label(text: str) -> int:
     if text in ("+1", "1", "pos"):
         return 1
@@ -359,6 +377,7 @@ def main(argv=None) -> int:
     if (args.config or []) != paths:  # a file's own config= line would go unread
         parser.error("a config file cannot name --config")
     try:
+        _check_outputs(args)
         return args.func(args)
     except (StstError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

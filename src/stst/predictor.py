@@ -19,11 +19,12 @@ drops the rows that stopped. A per-example predictor is that evaluator on a
 block of one. terms_evaluated counts terms up to the stop; the terms
 computed run to the end of the stop's chunk. predict_rows runs it on a
 whole dense or CSR feature matrix, one row block at a time; every batch
-decision under one rule goes through it. Only the sweep, deciding the same
-rows under many rules, builds a C-ordered prefix-score matrix
-(prefix_score_matrix) and reads decisions off it with the *_from_prefix
-predictors, through the same labelling step. Every path reads raw term
-values from one kernel function.
+decision under one rule goes through it. The sweep, deciding the same rows
+under many rules, takes each row block's running sums (_prefix_rows) and
+keeps only what its grid reads. prefix_score_matrix stacks those blocks
+into one C-ordered (m, n) matrix, which the *_from_prefix predictors decide
+through the same labelling step; no command builds it. Every path reads raw
+term values from one kernel function.
 """
 
 from __future__ import annotations
@@ -429,12 +430,14 @@ def permute_terms(model: WeightedModel, seed: int) -> WeightedModel:
 # of about _BLOCK_CELLS cells: each block is densified and checked alone, so
 # no whole-input dense copy is made. predict_rows decides every row through
 # the chunked evaluator, block by block, with no (m, n) array: the batch
-# path for one rule. For the sweep's many rules over the same rows,
-# prefix_score_matrix fills a C-ordered (examples, terms) matrix of running
-# sums, m * n * 8 bytes, and the *_from_prefix functions decide every row of
-# it as a Predictions struct of arrays without re-evaluating terms.
-# term_matrix builds the whole corrected value matrix of a dense input.
-# Rows are independent, so these are safe to shard across workers.
+# path for one rule. _prefix_rows gives one block's running sums, the step
+# the sweep streams for its many rules over the same rows.
+# prefix_score_matrix stacks those blocks into a C-ordered (examples, terms)
+# matrix, m * n * 8 bytes, and the *_from_prefix functions decide every row
+# of it as a Predictions struct of arrays without re-evaluating terms; no
+# code in the package calls them. term_matrix builds the whole corrected
+# value matrix of a dense input. Rows are independent, so these are safe to
+# shard across workers.
 
 
 def term_matrix(model: WeightedModel, X) -> np.ndarray:
@@ -462,6 +465,14 @@ def _row_blocks(model: WeightedModel, X):
     return m, blocks()
 
 
+def _prefix_rows(model: WeightedModel, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Running partial scores S_1..S_n of every row of a checked block, into
+    out or a new C-ordered array (the coordinate gather is F-ordered, and
+    the sweep reads each row's cells in place)."""
+    t = _terms(model, block, 0, model.n)
+    return np.cumsum(t, axis=1, out=np.empty(t.shape) if out is None else out)
+
+
 def prefix_score_matrix(model: WeightedModel, X) -> np.ndarray:
     """Running partial scores S_1..S_n per example: a C-ordered (m, n) array.
 
@@ -470,7 +481,7 @@ def prefix_score_matrix(model: WeightedModel, X) -> np.ndarray:
     m, blocks = _row_blocks(model, X)
     prefix = np.empty((m, model.n))
     for a, b, block in blocks:
-        np.cumsum(_terms(model, block, 0, model.n), axis=1, out=prefix[a:b])
+        _prefix_rows(model, block, out=prefix[a:b])
     return prefix
 
 

@@ -66,6 +66,11 @@ _SHIFT_CELLS = 1 << 16
 _STEP_KINDS = ("gaussian", "rademacher", "uniform")
 
 
+def _is_count(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WalkSpec:
     """A seeded random walk: n steps of drift plus scaled symmetric noise.
@@ -82,6 +87,8 @@ class WalkSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not _is_count(self.n):
+            raise ParameterError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.step not in _STEP_KINDS:

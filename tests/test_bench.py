@@ -1,11 +1,20 @@
+import dataclasses
 import io
+import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from stst import bench, coordinate_model, precision_recall, run_sweep
-from stst.bench import TheoryConfig, pr_csv, run_theory_suite, sweep_csv, theory_csv
+from stst import Dataset, Direction, StoppingRule, bench, coordinate_model, precision_recall, predictor, run_sweep
+from stst.bench import SweepRecord, TheoryConfig, pr_csv, run_theory_suite, sweep_csv, theory_csv
+from stst.calibration import measure_stop_error
 from stst.errors import ParameterError, UndefinedRateError
+from stst.predictor import attentive_from_prefix, budgeted_from_prefix, full_from_prefix, prefix_score_matrix
 
 from conftest import BENCH_THETA
 
@@ -92,16 +101,139 @@ class TestRunSweep:
     @pytest.mark.parametrize("grid", [2.7, 3.0, True, False, "abc", "50", 0, -1, None])
     def test_grid_must_be_a_whole_count_or_exhaustive(self, synthetic_bench, monkeypatch, grid):
         def refused(*args, **kwargs):
-            raise AssertionError("a prefix matrix was built for a bad grid")
+            raise AssertionError("a block of prefix scores was evaluated for a bad grid")
 
-        monkeypatch.setattr(bench, "prefix_score_matrix", refused)
+        monkeypatch.setattr(bench, "_prefix_rows", refused)
         with pytest.raises(ParameterError, match="grid must be an integer >= 1 or 'exhaustive'"):
             run_sweep(synthetic_bench.model, synthetic_bench.test, theta=BENCH_THETA, grid=grid)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_theta_must_be_finite(self, synthetic_bench, monkeypatch, theta):
+        def refused(*args, **kwargs):
+            raise AssertionError("a block of prefix scores was evaluated for a non-finite theta")
+
+        monkeypatch.setattr(bench, "_prefix_rows", refused)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's linspace warning on inf came first
+            with pytest.raises(ParameterError, match="theta must be finite"):
+                run_sweep(synthetic_bench.model, synthetic_bench.test, theta=theta, grid=50)
 
     def test_numpy_integer_grid(self, synthetic_bench):
         records = run_sweep(synthetic_bench.model, synthetic_bench.test, theta=BENCH_THETA, grid=np.int64(5))
         want = run_sweep(synthetic_bench.model, synthetic_bench.test, theta=BENCH_THETA, grid=5)
         assert [r.tau for r in records] == [r.tau for r in want]
+
+
+def reference_sweep(model, test, theta, grid):
+    """The sweep as one whole prefix matrix decides it: the grid between its
+    lowest cell and theta (or every distinct row minimum below theta), and
+    per tau an attentive pass and a budgeted pass at its rounded mean."""
+    prefix = prefix_score_matrix(model, test.X)
+    n = prefix.shape[1]
+    full = full_from_prefix(prefix, theta)
+
+    def record(mode, preds, mean_terms, tau=None, budget=None, stop_error_rate=0.0):
+        pos, pred_pos = test.y == 1, preds.label == 1
+        tp, fp = int((pred_pos & pos).sum()), int((pred_pos & ~pos).sum())
+        tn, fn = int((~pred_pos & ~pos).sum()), int((~pred_pos & pos).sum())
+        return SweepRecord(mode, tau, budget, theta, tp, fp, tn, fn, mean_terms, stop_error_rate, 0.0)
+
+    if grid == "exhaustive":
+        taus = np.unique(prefix.min(axis=1))
+        taus = taus[taus < theta]
+    else:
+        taus = np.linspace(prefix.min(), theta, num=grid, endpoint=False)
+    records = [record("full", full, float(n))]
+    for tau in taus.tolist():
+        att = attentive_from_prefix(prefix, StoppingRule(theta, tau, Direction.REJECT_BELOW))
+        mean_terms = float(np.mean(att.terms))
+        records.append(record("attentive", att, mean_terms, tau=tau, stop_error_rate=measure_stop_error(att, full, 1)))
+        budget = min(max(round(mean_terms), 1), n)
+        bud = budgeted_from_prefix(prefix, budget, theta)
+        err = measure_stop_error(bud, full, 1) if budget < n else 0.0
+        records.append(record("budgeted", bud, float(budget), budget=budget, stop_error_rate=err))
+    return records
+
+
+def sweep_fields(records):
+    """Every SweepRecord field but wall_time, with its type."""
+    names = [f.name for f in dataclasses.fields(SweepRecord) if f.name != "wall_time"]
+    return [tuple((type(getattr(r, name)), getattr(r, name)) for name in names) for r in records]
+
+
+# halves are exact in binary, so partial sums tie with each other, with
+# grid taus (the exhaustive grid is made of row minima) and with theta
+HALVES = st.integers(-4, 4).map(lambda v: v / 2)
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.sampled_from([1, 2]) | st.integers(3, 70))
+    m = draw(st.integers(1, 24))
+    X = np.array(draw(st.lists(HALVES, min_size=m * n, max_size=m * n))).reshape(m, n)
+    weights = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0]), min_size=n, max_size=n))
+    mu = draw(st.lists(HALVES, min_size=n, max_size=n))
+    y = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        X = sparse.csr_matrix(X)
+    return coordinate_model(weights, mu=mu, dim=n), Dataset(X=X, y=y), draw(HALVES)
+
+
+class TestStreamedSweep:
+    """run_sweep streams its test set; every field but wall_time matches the
+    whole-prefix-matrix reference, whatever the blocks and record chunks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=sweep_cases(),
+        grid=st.sampled_from([1, 50, "exhaustive"]),
+        block_cells=st.sampled_from([1, 5, 64, predictor._BLOCK_CELLS]),
+        record_chunk=st.sampled_from([1, 3, bench._RECORD_CHUNK]),
+    )
+    # a single row whose first score ties the one exhaustive tau
+    @example(
+        case=(coordinate_model([1.0, 1.0], mu=[0.5, -0.5], dim=2), Dataset(X=np.array([[0.0, 1.0]]), y=np.array([1])), 0.0),
+        grid="exhaustive", block_cells=1, record_chunk=1,
+    )
+    # a row falling to its lowest score at S_n, and one whose S_n ties theta
+    @example(
+        case=(
+            coordinate_model([1.0, 1.0], mu=[0.5, -0.5], dim=2),
+            Dataset(X=np.array([[0.0, -1.0], [0.0, 1.0]]), y=np.array([1, -1])),
+            1.0,
+        ),
+        grid=50, block_cells=1, record_chunk=1,
+    )
+    def test_matches_the_whole_prefix_reference(self, case, grid, block_cells, record_chunk):
+        model, test, theta = case
+        prefix = prefix_score_matrix(model, test.X)
+        # cases the sweep refuses: nothing below theta, or no full +1 row
+        if not prefix.min() < theta or not (prefix[:, -1] >= theta).any():
+            return
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # mu may be all zero
+            patch.setattr(predictor, "_BLOCK_CELLS", block_cells)
+            patch.setattr(bench, "_RECORD_CHUNK", record_chunk)
+            got = run_sweep(model, test, theta, grid)
+        want = reference_sweep(model, test, theta, grid)
+        assert sweep_fields(got) == sweep_fields(want)
+
+    def test_peak_memory_below_a_quarter_of_the_prefix_matrix(self):
+        # a 4000 x 1000 prefix matrix is 32 MB; the streamed sweep holds one
+        # row block, per-row scalars and about 36 record lows a row
+        rng = np.random.default_rng(18)
+        m, n = 4000, 1000
+        weights = rng.standard_normal(n) / math.sqrt(n)
+        model = coordinate_model(weights, mu=0.1 * rng.standard_normal(n), dim=n)
+        X = rng.standard_normal((m, n))
+        test = Dataset(X=X, y=np.where(X @ weights + 0.3 * rng.standard_normal(m) >= 0.0, 1, -1))
+        tracemalloc.start()
+        try:
+            run_sweep(model, test, 0.0, grid=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8 / 4
 
 
 class TestPrecisionRecall:
@@ -213,16 +345,20 @@ class TestTheorySuite:
     "fields,message",
     [
         ({"n": 0}, "n must be >= 1"),
+        ({"n": 2.5}, "n must be an integer"),
+        ({"n": True}, "n must be an integer"),
         ({"bridge_trials": 0}, "bridge_trials must be >= 1"),
         ({"stop_error_trials": 0}, "stop_error_trials must be >= 1"),
         ({"stopping_trials": 1}, "stopping_trials must be >= 2"),
         ({"stopping_ns": (100,)}, "two or more distinct lengths"),
         ({"stopping_ns": (100, 100)}, "two or more distinct lengths"),
         ({"stopping_ns": (0, 100)}, "two or more distinct lengths >= 1"),
+        ({"stopping_ns": (100, 2.5)}, "stopping_ns must hold integers"),
+        ({"stopping_ns": (True, 100)}, "stopping_ns must hold integers"),
         ({"seed": -1}, "seed must be >= 0"),
     ],
-    ids=["n", "bridge-trials", "stop-error-trials", "stopping-trials", "one-length", "repeated-length",
-         "zero-length", "seed"],
+    ids=["n", "float-n", "bool-n", "bridge-trials", "stop-error-trials", "stopping-trials", "one-length",
+         "repeated-length", "zero-length", "float-length", "bool-length", "seed"],
 )
 def test_theory_config_checked_before_any_walk(monkeypatch, fields, message):
     def refused(*args, **kwargs):
@@ -232,3 +368,8 @@ def test_theory_config_checked_before_any_walk(monkeypatch, fields, message):
         monkeypatch.setattr(bench, walk, refused)
     with pytest.raises(ParameterError, match=message):
         run_theory_suite(TheoryConfig(**fields))
+
+
+def test_theory_config_takes_numpy_integers():
+    config = TheoryConfig(n=np.int64(50), stopping_ns=(np.int32(10), 20))
+    assert config.n == 50 and config.stopping_ns == (10, 20)

@@ -333,6 +333,32 @@ def test_train_test_out_needs_test_fraction(tmp_path, capsys):
     assert not out.exists() and not held_out.exists() and not (tmp_path / "m.npz").exists()
 
 
+@pytest.mark.parametrize("flag", ["--model-out", "--test-out", "--train-out", "-o"])
+def test_train_checks_every_output_before_training(tmp_path, capsys, monkeypatch, flag):
+    # one output in a missing directory: nothing is trained, nothing written
+    def refused(*args, **kwargs):
+        raise AssertionError("a model was trained before the outputs were checked")
+
+    monkeypatch.setattr(cli.trainer, "train_linear", refused)
+    outputs = {"--model-out": "m.npz", "--test-out": "test.txt", "--train-out": "train.txt", "-o": "train.csv"}
+    argv = ["train", "--synthetic", SYNTH, "--test-fraction", "0.3"]
+    for name, file in outputs.items():
+        argv += [name, str(tmp_path / ("missing" if name == flag else "") / file)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no directory" in err and "missing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_output_that_is_a_directory_is_refused_before_reading(pipeline, tmp_path, capsys, monkeypatch):
+    _, calibrated, test_file = pipeline
+    refuse_to_parse(monkeypatch)
+    assert run(["sweep", "--model", str(calibrated), "--data", str(test_file), "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--output" in err and "is a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_calibrate_paper_faithful_rejects_cal_fraction(pipeline, tmp_path, capsys):
     _, calibrated, test_file = pipeline
     out, model_out = tmp_path / "cal.csv", tmp_path / "m.npz"

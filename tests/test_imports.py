@@ -15,6 +15,11 @@ PERFBENCH_BOUND = {
     ("cli", "attentive_from_prefix"),
     ("cli", "full_from_prefix"),
     ("calibration", "term_matrix"),
+    ("bench", "prefix_score_matrix"),
+    ("bench", "attentive_from_prefix"),
+    ("bench", "budgeted_from_prefix"),
+    ("bench", "full_from_prefix"),
+    ("bench", "measure_stop_error"),
 }
 
 

@@ -68,6 +68,14 @@ class TestSimulateWalk:
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             WalkSpec(n=1, seed=-1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            WalkSpec(n=n)
+
+    def test_numpy_integer_n(self):
+        assert WalkSpec(n=np.int64(7)).total_variance == WalkSpec(n=7).total_variance
+
 
 def unit_variance_spec(n=2000, seed=0):
     return WalkSpec(n=n, step="gaussian", scale=math.sqrt(1.0 / n), seed=seed)
