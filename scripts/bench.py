@@ -14,6 +14,10 @@ Each is called three ways on the same 16 examples: attentive with the
 no-stop sentinel tau = -inf, attentive with the lowest finite tau (checked
 at every term, never crossed) and full_predict. No early stop happens, so
 every call evaluates all n terms and the rows compare evaluation cost alone.
+The models in CROSSING_ROWS are also called attentive at a tau that is
+crossed: the median of the 16 examples' lowest partial sums S_1..S_{n-1},
+so about half of them stop. Those rows hold terms_fraction, the measured
+mean of terms evaluated / n over the 16 examples.
 
 Batch rows: on a fixed prefix matrix (coordinate model, m = 10000 examples,
 n = 1000 terms), attentive_from_prefix with tau at the median of the rows'
@@ -55,7 +59,10 @@ STOPPING_N steps (the theory suite's largest stopping-time run: scale 0.1,
 drift 0.1, delta 0.1, STOPPING_TRIALS trials), each also hold peak_rss_mb:
 the peak resident set of one more call, run alone in a fresh child
 interpreter on the same stst source before any other row, read from that
-child's own rusage (in MiB, as ru_maxrss / 1024).
+child's own rusage (in MiB, as ru_maxrss / 1024). The pipeline's data file
+is written by a child of its own first, and the pipeline row also holds
+spawner_peak_rss_mb, this process's peak when it spawns the measured child:
+the floor under that reading.
 
 Cold-import row: COLD_IMPORTS fresh interpreters, one after another, each
 running `import stst.cli` from the same stst source: the start-up every
@@ -68,6 +75,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import sys
 import tempfile
@@ -79,6 +87,7 @@ COORDINATE_N = (1000, 4000, 16000, 64000)
 RBF_N = (500, 2000, 8000)
 RBF_DIM = 64
 EXAMPLES = 16
+CROSSING_ROWS = ("coordinate n=1000", "rbf n=2000")
 REPEATS = 5
 SEED = 20_240_004
 BATCH_M, BATCH_N = 10_000, 1_000
@@ -286,20 +295,22 @@ def _child_peak_rss_mb(call: str, *args: str) -> float:
     return usage.ru_maxrss / 1024.0
 
 
-def _pipeline_peak_rss_mb() -> float:
-    """Peak RSS of one pipeline pass; about 73 MB of this process (numpy 2.4,
-    after writing the data file) is the floor under the reading."""
+def _pipeline_memory() -> dict:
+    """Peak RSS of one pipeline pass, and this process's own peak when it
+    spawns that pass, the floor under the reading. A child of its own writes
+    the data file, so building the data set does not raise that floor."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "data.txt")
-        _write_pipeline_data(path)
-        return _child_peak_rss_mb("_pipeline_pass", path)
+        _child_peak_rss_mb("_write_pipeline_data", path)
+        spawner = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        return {"peak_rss_mb": _child_peak_rss_mb("_pipeline_pass", path), "spawner_peak_rss_mb": spawner}
 
 
-def _pipeline_row(peak_rss_mb: float) -> dict:
+def _pipeline_row(memory: dict) -> dict:
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "data.txt")
         name = _write_pipeline_data(path)
-        return {name: {**_call_ms(_pipeline_pass, [path], LAYER_REPEATS), "peak_rss_mb": peak_rss_mb}}
+        return {name: {**_call_ms(_pipeline_pass, [path], LAYER_REPEATS), **memory}}
 
 
 def _sweep_pass(m: str, n: str, grid: str) -> None:
@@ -391,7 +402,7 @@ def measure() -> dict:
     # the children run first, while this process is small (see _child_peak_rss_mb)
     theory_peak_rss_mb = _child_peak_rss_mb("_theory_pass", os.devnull)
     stopping_peak_rss_mb = _child_peak_rss_mb("_stopping_time_pass")
-    pipeline_peak_rss_mb = _pipeline_peak_rss_mb()
+    pipeline_memory = _pipeline_memory()
     m, n = SWEEP_SIZES[-1]
     sweep_peak_rss_mb = _child_peak_rss_mb("_sweep_pass", str(m), str(n), "50")
     rows = _cold_import_row()
@@ -404,6 +415,14 @@ def measure() -> dict:
             lambda x: predictor.attentive_predict(model, x, never_crossed), X
         )
         rows[f"{name} full"] = _call_ms(lambda x: predictor.full_predict(model, x), X)
+        if name in CROSSING_ROWS:
+            tau = float(np.median(predictor.prefix_score_matrix(model, X)[:, :-1].min(axis=1)))
+            crossed = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
+            terms = [predictor.attentive_predict(model, x, crossed).terms_evaluated for x in X]
+            rows[f"{name} attentive tau=crossing"] = {
+                **_call_ms(lambda x: predictor.attentive_predict(model, x, crossed), X),
+                "terms_fraction": sum(terms) / (len(terms) * model.n),
+            }
 
     rng = np.random.default_rng(SEED + 1)
     model, test = _sweep_inputs(rng, BATCH_M, BATCH_N)
@@ -434,7 +453,7 @@ def measure() -> dict:
     m, n = SWEEP_SIZES[-1]
     rows[f"run_sweep grid=exhaustive m={m} n={n}"] = _child_sweep_row(m, n, "exhaustive")
     rows.update(_layer_rows(np.random.default_rng(SEED + 2)))
-    rows.update(_pipeline_row(pipeline_peak_rss_mb))
+    rows.update(_pipeline_row(pipeline_memory))
     rows.update(_theory_row(theory_peak_rss_mb))
     rows.update(_stopping_time_row(stopping_peak_rss_mb))
     return rows

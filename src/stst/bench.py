@@ -91,10 +91,7 @@ def _grid_values(minima: np.ndarray, theta: float, grid) -> np.ndarray:
         )
     if grid == "exhaustive":
         values = np.unique(minima)
-        values = values[values < theta]
-        if values.size == 0:
-            raise ParameterError("exhaustive grid is empty below theta")
-        return values
+        return values[values < theta]  # never empty: low, checked above, is one of them
     # theta itself is excluded: tau = theta is a degenerate rule
     return np.linspace(low, theta, num=grid, endpoint=False)
 

@@ -8,6 +8,7 @@ given on the command line override the file.
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -85,8 +86,10 @@ _OUTPUT_FLAGS = ("output", "model_out", "test_out", "train_out")
 
 
 def _check_outputs(args) -> None:
-    """Refuse an output path that cannot be written before any input is
-    read, so a failing command leaves no partial result behind."""
+    """Refuse an output path that cannot be written, or two output flags
+    naming one file, before any input is read, so a failing command leaves
+    no partial result behind."""
+    flags = {}  # each resolved output path and the flag that names it
     for name in _OUTPUT_FLAGS:
         path = getattr(args, name, None)
         if path is None or name == "output" and path == "-":
@@ -96,6 +99,9 @@ def _check_outputs(args) -> None:
             raise ParameterError(f"{flag} {path} is a directory")
         if not target.parent.is_dir():
             raise ParameterError(f"{flag} {path}: no directory {target.parent}")
+        other = flags.setdefault(os.path.realpath(path), flag)  # Path.resolve raises on a symlink loop
+        if other != flag:
+            raise ParameterError(f"{other} and {flag} both name {path}; each output needs its own file")
 
 
 def _class_label(text: str) -> int:

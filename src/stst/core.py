@@ -55,7 +55,7 @@ class ConfidenceParams:
     variance: float
 
     def __post_init__(self):
-        if math.isnan(self.delta) or not 0.0 < self.delta <= 1.0:
+        if not 0.0 < self.delta <= 1.0:  # NaN fails every comparison
             raise ParameterError(f"delta must be in (0, 1], got {self.delta!r}")
         if math.isnan(self.variance) or math.isinf(self.variance) or self.variance <= 0.0:
             raise ParameterError(f"variance must be positive and finite, got {self.variance!r}")
@@ -66,8 +66,9 @@ class StoppingRule:
     """Constant decision boundary: predict against theta, stop early at tau.
 
     An infinite tau on the rejection side (-inf for REJECT_BELOW, +inf for
-    REJECT_ABOVE) is the documented no-stop sentinel; any other non-finite
-    value is rejected.
+    REJECT_ABOVE) is the documented no-stop sentinel. The other infinity
+    lies on the wrong side of any finite theta, so the side check rejects
+    it with DegenerateRuleError, and a NaN tau is a ParameterError.
     """
 
     theta: float
@@ -84,15 +85,11 @@ class StoppingRule:
                 raise DegenerateRuleError(
                     f"REJECT_BELOW requires tau < theta, got tau={self.tau!r} theta={self.theta!r}"
                 )
-            if math.isinf(self.tau) and self.tau > 0:
-                raise ParameterError("tau = +inf is not valid for REJECT_BELOW")
         else:
             if not self.tau > self.theta:
                 raise DegenerateRuleError(
                     f"REJECT_ABOVE requires tau > theta, got tau={self.tau!r} theta={self.theta!r}"
                 )
-            if math.isinf(self.tau) and self.tau < 0:
-                raise ParameterError("tau = -inf is not valid for REJECT_ABOVE")
 
 
 def crossing_magnitude(params: ConfidenceParams, conditioning: str = "pinned") -> float:
@@ -134,10 +131,9 @@ def make_stopping_rule(theta: float, params: ConfidenceParams, direction: Direct
     the delta guarantee exactly at theta = 0. Measured on the sign of the
     full score instead, its stop-error lands near 0.3*delta;
     crossing_magnitude(params, "sign") gives the distance for that
-    conditioning.
+    conditioning. A non-finite theta is refused by the StoppingRule built
+    here, with ParameterError.
     """
-    if not math.isfinite(theta):
-        raise ParameterError(f"theta must be finite, got {theta!r}")
     if params.delta == 1.0:
         raise DegenerateRuleError("delta = 1 puts tau on theta; no strict rule exists")
     offset = crossing_magnitude(params)

@@ -106,12 +106,12 @@ class Dataset:
         """Whole feature matrix as a dense array."""
         if isinstance(self.X, np.ndarray):
             return self.X
-        return np.asarray(self.X.todense(), dtype=np.float64)
+        return self.X.toarray()
 
     def dense_rows(self, idx) -> np.ndarray:
         if isinstance(self.X, np.ndarray):
             return self.X[idx]
-        return np.asarray(self.X[idx].todense(), dtype=np.float64)
+        return self.X[idx].toarray()
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)

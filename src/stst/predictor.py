@@ -159,7 +159,7 @@ class WeightedModel:
             object.__setattr__(self, "indices", idx)
             if idx.shape != w.shape:
                 raise ParameterError("indices must align with weights")
-            if idx.size and (idx.min() < 0 or idx.max() >= self.dim):
+            if idx.min() < 0 or idx.max() >= self.dim:
                 raise ParameterError("coordinate indices must lie in [0, dim)")
         else:
             if self.support_vectors is None or self.kernel is None:
@@ -579,6 +579,11 @@ def save_model(
 
 def load_model(path) -> WeightedModel:
     """Load a model container; raises ModelFormatError on anything malformed."""
+    return _load(path)[0]
+
+
+def _load(path) -> tuple[WeightedModel, dict]:
+    """The model in a container and all of the container's fields, from one read."""
     try:
         with np.load(path, allow_pickle=False) as z:
             data = {k: z[k] for k in z.files}
@@ -588,7 +593,7 @@ def load_model(path) -> WeightedModel:
         if key not in data:
             raise ModelFormatError(f"model container missing field {key!r}")
     try:
-        return _model_from_fields(data)
+        return _model_from_fields(data), data
     except (TypeError, ValueError) as exc:  # ParameterError included
         raise ModelFormatError(f"invalid model container: {exc}") from exc
 
@@ -627,14 +632,3 @@ def _model_from_fields(data: dict) -> WeightedModel:
         spec = KernelSpec(kernel_kind, sigma if kernel_kind == "rbf" else None)
         return WeightedModel(**fields, support_vectors=data["support_vectors"], kernel=spec)
     raise ModelFormatError(f"unknown model kind {kind!r}")
-
-
-def load_verification(path) -> tuple[np.ndarray, np.ndarray] | None:
-    """Return (inputs, scores) bundled in a container, or None if absent."""
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            if "verify_inputs" not in z.files:
-                return None
-            return z["verify_inputs"], z["verify_scores"]
-    except (OSError, ValueError, KeyError) as exc:
-        raise ModelFormatError(f"cannot read verification payload from {path!r}: {exc}") from exc

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ModelFormatError, ParameterError, TrainingError
-from .predictor import WeightedModel, coordinate_model, load_model, load_verification, predict_rows
+from .predictor import WeightedModel, _load, coordinate_model, predict_rows
 
 __all__ = [
     "TrainConfig",
@@ -94,11 +94,8 @@ def train_linear(train: Dataset, config: TrainConfig) -> WeightedModel:
             y = labels[j]
             margin = y * scale * (v[idx] @ x + (v_bias if config.use_bias else 0.0))
             eta = 1.0 / (lam * t)
-            scale *= 1.0 - 1.0 / t
-            if scale == 0.0:  # only at t = 1
-                scale = 1.0
-                v[:] = 0.0
-                v_bias = 0.0
+            if t > 1:  # the decay at t = 1 zeroes w, which is still zero
+                scale *= 1.0 - 1.0 / t
             if margin < 1.0:
                 # a canonical CSR row has no repeated index, so += loses nothing
                 v[idx] += (eta * y / scale) * x
@@ -126,21 +123,23 @@ def hinge_objective(model: WeightedModel, dataset: Dataset, lambda_reg: float) -
     return float(0.5 * lambda_reg * (w @ w + bias * bias) + hinge)
 
 
-def import_kernel_model(path, rel_tol: float = 1e-6) -> WeightedModel:
+def import_kernel_model(path) -> WeightedModel:
     """Load an externally trained kernel model and verify bundled scores.
 
     The container may carry a verification set (inputs plus the exporter's
     decision values, net of any intercept the exporter folded into theta).
-    When present, the loaded model's full scores must match within rel_tol
+    When present, the loaded model's full scores must match within 1e-6
     relative; disagreement rejects the import, as does a malformed payload
-    (shapes that do not fit the model, or a non-finite input).
+    (inputs without scores or scores without inputs, shapes that do not fit
+    the model, or a non-finite input). The container is read once.
     """
-    model = load_model(path)
+    model, fields = _load(path)
     if not model.is_kernel:
         raise ModelFormatError("container holds a coordinate model, not a kernel model")
-    payload = load_verification(path)
-    if payload is not None:
-        inputs, expected = payload
+    if ("verify_inputs" in fields) != ("verify_scores" in fields):
+        raise ModelFormatError("malformed verification payload: needs both verify_inputs and verify_scores")
+    if "verify_inputs" in fields:
+        inputs, expected = fields["verify_inputs"], fields["verify_scores"]
         try:
             got = predict_rows(model, inputs, model.theta).score
         except ParameterError as exc:
@@ -151,7 +150,7 @@ def import_kernel_model(path, rel_tol: float = 1e-6) -> WeightedModel:
             )
         denom = np.maximum(np.abs(expected), 1e-30)
         worst = float(np.max(np.abs(got - expected) / denom)) if got.size else 0.0
-        if not np.allclose(got, expected, rtol=rel_tol, atol=1e-12):
+        if not np.allclose(got, expected, rtol=1e-6, atol=1e-12):
             raise ModelFormatError(
                 f"imported model disagrees with exporter scores (max relative error {worst:.3e})"
             )

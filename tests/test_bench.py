@@ -98,6 +98,13 @@ class TestRunSweep:
         with pytest.raises(ParameterError, match="nothing to sweep"):
             run_sweep(model, ds, theta=-10.0, grid=5)
 
+    def test_no_full_positive_row_rejected(self):
+        # every row's S = (1.0, 1.9) ends below theta: the stop-error rate has no denominator
+        model = coordinate_model([1.0, 1.0], mu=[0.0, 0.1], dim=2)
+        ds = Dataset(X=np.ones((4, 2)), y=np.array([1, 1, -1, -1]))
+        with pytest.raises(UndefinedRateError, match="no examples with full label"):
+            run_sweep(model, ds, theta=5.0, grid=5)
+
     @pytest.mark.parametrize("grid", [2.7, 3.0, True, False, "abc", "50", 0, -1, None])
     def test_grid_must_be_a_whole_count_or_exhaustive(self, synthetic_bench, monkeypatch, grid):
         def refused(*args, **kwargs):
@@ -276,6 +283,13 @@ class TestPrecisionRecall:
         points = precision_recall(rng.standard_normal(50), rng.choice([-1, 1], size=50))
         ts = [p.threshold for p in points]
         assert ts == sorted(ts, reverse=True)
+
+    @pytest.mark.parametrize(
+        "scores,truth", [([1.0, 2.0, 3.0], [1, -1]), ([[1.0, 2.0]], [[1, -1]]), (1.0, 1)]
+    )
+    def test_misaligned_inputs_rejected(self, scores, truth):
+        with pytest.raises(ParameterError, match="aligned 1-d arrays"):
+            precision_recall(scores, truth)
 
     def test_no_positives_signaled(self):
         with pytest.raises(UndefinedRateError):

@@ -12,6 +12,7 @@ from stst import (
     kernel_model,
     measure_stop_error,
 )
+from stst.calibration import CalibrationReport
 from stst.errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError
 from stst.predictor import term_matrix
 
@@ -121,6 +122,19 @@ class TestCalibrateVariance:
         ds = small_dataset([[1.0], [5.0]], [1, -1])
         with pytest.raises(CalibrationError):
             calibrate(model, ds, class_used=1)
+
+    @pytest.mark.parametrize(
+        "fields,match",
+        [
+            (dict(variance_hat=0.0), "variance_hat must be positive"),
+            (dict(variance_hat=float("nan")), "variance_hat must be positive"),
+            (dict(n_calibration=1), "n_calibration must be >= 2"),
+            (dict(class_used=0), "class_used must be \\+1 or -1"),
+        ],
+    )
+    def test_report_fields_checked(self, fields, match):
+        with pytest.raises(ParameterError, match=match):
+            CalibrationReport(**{**dict(variance_hat=1.0, n_calibration=2, class_used=1), **fields})
 
     def test_bad_mode(self):
         model = coordinate_model([1.0], dim=1)

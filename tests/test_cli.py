@@ -161,6 +161,15 @@ def test_simulate_subcommand(tmp_path):
     assert lines[1].startswith("stopping_time,200,0.1,")
 
 
+def test_simulate_stopping_time_on_gaussian_steps_has_no_closed_form(tmp_path):
+    # gaussian steps carry no bound k, so (magnitude + k)/drift is inf
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--experiment", "stopping-time", "--n", "200", "--drift", "0.1", "--delta", "0.1"]
+    assert run([*argv, "--trials", "200", "-o", str(out)]) == 0
+    row = next(csv.DictReader(out.open(newline="")))
+    assert row["experiment"] == "stopping_time" and row["closed_form"] == "inf"
+
+
 def test_simulate_stop_error_closed_form_is_sign_conditioned_rate(tmp_path):
     # the pinned boundary measured under sign conditioning crosses at the
     # reflection-principle rate 2*Phi(-2m/sd), not at delta
@@ -347,6 +356,71 @@ def test_train_checks_every_output_before_training(tmp_path, capsys, monkeypatch
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "no directory" in err and "missing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,first,second",
+    [
+        ("train", "--test-out", "--train-out"),
+        ("train", "--model-out", "-o"),
+        ("train", "--test-out", "-o"),
+        ("calibrate", "--model-out", "-o"),
+    ],
+)
+def test_two_outputs_naming_one_file_are_refused(pipeline, tmp_path, capsys, monkeypatch, command, first, second):
+    # one file named twice, relative and absolute: nothing is read, nothing written
+    root, calibrated, _ = pipeline
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an input was read before the outputs were checked")
+
+    for owner, name in ((data, "parse_sparse"), (data, "generate_synthetic"), (cli, "load_model")):
+        monkeypatch.setattr(owner, name, refused)
+    monkeypatch.chdir(tmp_path)
+    if command == "train":
+        argv = ["train", "--synthetic", SYNTH, "--test-fraction", "0.3"]
+        outputs = {"--model-out": "m.npz", "--test-out": "test.txt", "--train-out": "train.txt", "-o": "t.csv"}
+    else:
+        argv = ["calibrate", "--model", str(calibrated), "--train", str(root / "train.txt")]
+        outputs = {"--model-out": "m.npz", "-o": "cal.csv"}
+    outputs[first], outputs[second] = "same", str(tmp_path / "same")
+    for flag, file in outputs.items():
+        argv += [flag, file]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "both name" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text,row", [("-1", "-1,"), ("neg", "-1,"), ("pos", "+1,"), ("0", None)])
+def test_calibrate_class_flag(pipeline, tmp_path, capsys, text, row):
+    root, calibrated, _ = pipeline
+    out = tmp_path / "cal.csv"
+    argv = ["calibrate", "--model", str(calibrated), "--train", str(root / "train.txt"), "--class", text]
+    code = run([*argv, "-o", str(out)])
+    if row is None:
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "class must be +1 or -1, got '0'" in err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith(row)
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("dim=12,n_pos,n_neg=80,sep=4,std=1", "bad synthetic spec fragment 'n_pos'"),
+        ("dim=12,n_pos=80,n_neg=80,sep=4", "synthetic spec missing field 'std'"),
+    ],
+)
+def test_bad_synthetic_spec_is_a_clean_error(tmp_path, capsys, spec, message):
+    out, model_out = tmp_path / "train.csv", tmp_path / "m.npz"
+    assert run(["train", "--synthetic", spec, "--model-out", str(model_out), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -75,6 +75,12 @@ class TestMakeStoppingRule:
             asym = abs((below.tau - theta) + (above.tau - theta))
             assert asym <= 1e-15 * max(abs(theta), m)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_non_finite_theta_rejected(self, theta, direction):
+        with pytest.raises(ParameterError, match="^theta must be finite"):
+            make_stopping_rule(theta, ConfidenceParams(delta=0.1, variance=1.0), direction)
+
     def test_delta_one_degenerates(self):
         with pytest.raises(DegenerateRuleError):
             make_stopping_rule(0.0, ConfidenceParams(delta=1.0, variance=1.0), Direction.REJECT_BELOW)
@@ -134,6 +140,11 @@ class TestStoppingRuleInvariants:
             StoppingRule(theta=0.0, tau=0.0, direction=Direction.REJECT_BELOW)
         with pytest.raises(DegenerateRuleError):
             StoppingRule(theta=1.0, tau=0.5, direction=Direction.REJECT_ABOVE)
+        # the infinity on the wrong side fails the same side check
+        with pytest.raises(DegenerateRuleError, match="REJECT_BELOW requires tau < theta"):
+            StoppingRule(theta=0.0, tau=math.inf, direction=Direction.REJECT_BELOW)
+        with pytest.raises(DegenerateRuleError, match="REJECT_ABOVE requires tau > theta"):
+            StoppingRule(theta=0.0, tau=-math.inf, direction=Direction.REJECT_ABOVE)
 
     def test_sentinel_infinities(self):
         # the no-stop sentinels are valid rules

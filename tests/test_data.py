@@ -37,6 +37,10 @@ class TestParse:
         ds = parse_text("-1\n+1 2:1.0\n")
         assert ds.dense()[0].tolist() == [0.0, 0.0]
         assert ds.y.tolist() == [-1, 1]
+        # label-only lines declare no dimension; dim supplies it
+        with pytest.raises(ParseError, match="cannot infer a positive dimension"):
+            parse_text("-1\n+1\n")
+        assert parse_text("-1\n+1\n", dim=3).dense().tolist() == [[0.0] * 3] * 2
 
     def test_label_mapping(self):
         ds = parse_text("0 1:1.0\n-1 1:1.0\n+1 1:1.0\n1 1:1.0\n")
@@ -222,6 +226,20 @@ class TestDatasetChecks:
         with pytest.raises(ParameterError, match="must be real"):
             Dataset(X=X, y=[1, -1])
 
+    @pytest.mark.parametrize(
+        "X,y,error,match",
+        [
+            (np.ones(3), [1, -1, 1], ParameterError, "feature matrix must be 2-d"),
+            (np.ones((0, 2)), [], EmptyDatasetError, "dataset has no examples"),
+            (sparse.csr_matrix((0, 2)), [], EmptyDatasetError, "dataset has no examples"),
+            (np.ones((3, 2)), [1, -1], ParameterError, r"feature rows \(3\) and labels \(2\) disagree"),
+            (sparse.csr_matrix(np.ones((1, 2))), [1, -1], ParameterError, r"feature rows \(1\) and labels \(2\)"),
+        ],
+    )
+    def test_bad_shapes_rejected(self, X, y, error, match):
+        with pytest.raises(error, match=match):
+            Dataset(X=X, y=np.asarray(y))
+
     def test_complex_labels_rejected(self):
         with pytest.raises(ParameterError, match="must be real"):
             Dataset(X=np.ones((2, 2)), y=np.array([1 + 0j, -1 + 0j]))
@@ -353,6 +371,8 @@ class TestSynthetic:
             SyntheticSpec(dim=1, n_pos=1, n_neg=1, mean_separation=1.0, noise_std=0.0, seed=0)
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             SyntheticSpec(dim=1, n_pos=1, n_neg=1, mean_separation=1.0, noise_std=1.0, seed=-1)
+        with pytest.raises(ParameterError, match="mean_separation must be >= 0, got -0.5"):
+            SyntheticSpec(dim=1, n_pos=1, n_neg=1, mean_separation=-0.5, noise_std=1.0, seed=0)
 
 
 class TestSplit:

@@ -247,9 +247,12 @@ class TestBudgetedPredict:
     def test_budget_out_of_range(self):
         model = coordinate_model([1.0, 1.0], dim=2)
         x = np.zeros(2)
+        prefix = prefix_score_matrix(model, x[None])
         for b in (0, 3, -1):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match=r"budget must be in \[1, 2\]"):
                 budgeted_predict(model, x, b, 0.0)
+            with pytest.raises(ParameterError, match=r"budget must be in \[1, 2\]"):
+                budgeted_from_prefix(prefix, b, 0.0)
 
 
 CHUNK_SIZES_N = (1, 63, 64, 65, 129, 1000, 4097)
@@ -505,6 +508,12 @@ class TestBatchPaths:
             for i in range(model.n):
                 assert vals[j, i] == pytest.approx(score_term(model, i, X[j]), rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 3), (4,)])
+    def test_term_matrix_wrong_shape(self, shape):
+        model = coordinate_model([1.0, 2.0, 3.0, 4.0], dim=4)
+        with pytest.raises(ParameterError, match=r"feature matrix must have shape \(m, 4\)"):
+            term_matrix(model, np.ones(shape))
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", (129, 1000, 4097))
     def test_row_compaction(self, kind, n):
@@ -703,6 +712,40 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "kind,key,match",
+        [
+            ("coordinate", "indices", "coordinate model container missing indices"),
+            ("rbf", "support_vectors", "missing field 'support_vectors'"),
+            ("rbf", "kernel_kind", "missing field 'kernel_kind'"),
+            ("linear", "sigma", "missing field 'sigma'"),
+        ],
+    )
+    def test_missing_kind_field_rejected(self, tmp_path, kind, key, match):
+        path = tmp_path / "m.npz"
+        save_model(random_model(np.random.default_rng(32), kind, n=2, dim=3), path)
+        data = dict(np.load(path))
+        del data[key]
+        np.savez(path, **data)
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "inputs,scores,match",
+        [
+            (np.zeros((2, 3)), None, "provided together"),
+            (None, np.zeros(2), "provided together"),
+            (np.zeros((3, 3)), np.zeros(2), "align row for row"),
+            (np.zeros(3), np.zeros(3), "align row for row"),
+        ],
+    )
+    def test_malformed_verification_payload_not_written(self, tmp_path, inputs, scores, match):
+        path = tmp_path / "m.npz"
+        model = random_model(np.random.default_rng(33), "rbf", n=2, dim=3)
+        with pytest.raises(ParameterError, match=match):
+            save_model(model, path, verify_inputs=inputs, verify_scores=scores)
+        assert not path.exists()
+
     def test_not_a_container(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not a zip at all")
@@ -796,6 +839,52 @@ class TestModelValidation:
     def test_non_integer_indices_and_dim_rejected(self, kwargs, match):
         with pytest.raises(ParameterError, match=match):
             coordinate_model([1.0, 1.0], **kwargs)
+
+    @pytest.mark.parametrize(
+        "fields,match",
+        [
+            (dict(weights=np.ones((2, 1)), mu=np.zeros((2, 1))), "^weights must be a nonempty 1-d array"),
+            (dict(weights=[], mu=[], indices=[]), "^weights must be a nonempty 1-d array"),
+            (dict(mu=[0.0]), r"^mu shape \(1,\) does not match weights shape \(2,\)"),
+            (dict(theta=math.nan), "^theta must be finite"),
+            (dict(theta=-math.inf), "^theta must be finite"),
+            (dict(dim=0), "^dim must be >= 1, got 0"),
+            (dict(indices=None), "^model must have either coordinate indices or support vectors"),
+            (dict(kernel=KernelSpec.linear()), "^model must have either coordinate indices or support vectors"),
+            (dict(indices=[0, 1, 1]), "^indices must align with weights"),
+            (dict(indices=[0, 2]), r"^coordinate indices must lie in \[0, dim\)"),
+            (dict(indices=[-1, 0]), r"^coordinate indices must lie in \[0, dim\)"),
+            (dict(indices=None, support_vectors=np.zeros((2, 2))), "^kernel models need both"),
+            (dict(indices=None, kernel=KernelSpec.linear()), "^kernel models need both"),
+            (
+                dict(indices=None, support_vectors=np.zeros((2, 3)), kernel=KernelSpec.linear()),
+                r"^support vectors must have shape \(n, dim\) = \(2, 2\), got \(2, 3\)",
+            ),
+        ],
+    )
+    def test_invalid_fields_rejected(self, fields, match):
+        base = dict(weights=[1.0, -1.0], mu=[0.0, 0.0], theta=0.0, dim=2, indices=[0, 1])
+        with pytest.raises(ParameterError, match=match):
+            predictor.WeightedModel(**{**base, **fields})
+
+    @pytest.mark.parametrize(
+        "kind,sigma,match",
+        [
+            ("poly", None, "^unsupported kernel kind 'poly'"),
+            ("rbf", None, "^rbf kernel requires sigma > 0, got None"),
+            ("rbf", 0.0, "^rbf kernel requires sigma > 0"),
+            ("rbf", -1.0, "^rbf kernel requires sigma > 0"),
+            ("rbf", math.nan, "^rbf kernel requires sigma > 0"),
+            ("rbf", math.inf, "^rbf kernel requires sigma > 0"),
+        ],
+    )
+    def test_invalid_kernel_spec_rejected(self, kind, sigma, match):
+        with pytest.raises(ParameterError, match=match):
+            KernelSpec(kind, sigma)
+
+    def test_one_dimensional_support_vectors_rejected(self):
+        with pytest.raises(ParameterError, match="^support vectors must be a 2-d array"):
+            kernel_model([1.0, 1.0], [0.5, 0.5], KernelSpec.linear())
 
     def test_non_integer_dim_rejected_by_the_model(self):
         with pytest.raises(ParameterError, match="^dim must be an integer, got 2.5"):

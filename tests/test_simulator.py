@@ -67,6 +67,9 @@ class TestSimulateWalk:
             WalkSpec(n=1, scale=0.0)
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             WalkSpec(n=1, seed=-1)
+        for drift in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="drift must be finite"):
+                WalkSpec(n=1, drift=drift)
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
     def test_n_must_be_an_integer(self, n):
@@ -150,6 +153,14 @@ class TestBridgeCrossing:
         rademacher = WalkSpec(n=10, step="rademacher", seed=0)
         with pytest.raises(ParameterError):
             empirical_bridge_crossing_grid(rademacher, [1.0], trials=100, mode="exact")
+        driftless = WalkSpec(n=10, seed=0)
+        with pytest.raises(ParameterError, match="trials must be >= 1"):
+            empirical_bridge_crossing_grid(driftless, [1.0], trials=0)
+        with pytest.raises(ParameterError, match="unknown mode 'pinned'"):
+            empirical_bridge_crossing_grid(driftless, [1.0], trials=100, mode="pinned")
+        for band in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError, match="band must be positive"):
+                empirical_bridge_crossing_grid(driftless, [1.0], trials=100, band=band)
 
     def test_determinism(self):
         spec = unit_variance_spec(n=500, seed=10)
@@ -201,6 +212,11 @@ class TestStopError:
         with pytest.raises(ParameterError):
             empirical_stop_error_grid(WalkSpec(n=10, seed=0), [0.1], trials=0)
 
+    def test_insufficient_acceptance(self):
+        # no endpoint of a ten-step unit walk lies below theta = -1e6
+        with pytest.raises(InsufficientAcceptanceError, match="no trials with endpoint below theta out of 50"):
+            empirical_stop_error_grid(WalkSpec(n=10, seed=0), [0.1], theta=-1e6, trials=50)
+
 
 class TestStoppingTime:
     def test_certain_crossing_at_first_step(self):
@@ -234,6 +250,15 @@ class TestStoppingTime:
     def test_requires_positive_drift(self):
         with pytest.raises(ParameterError):
             empirical_stopping_time(WalkSpec(n=10, seed=0), delta=0.1, trials=100)
+
+    @pytest.mark.parametrize(
+        "delta,trials,match",
+        [(0.0, 100, "delta must lie in"), (1.0, 100, "delta must lie in"), (math.nan, 100, "delta must lie in"),
+         (0.1, 1, "trials must be >= 2")],
+    )
+    def test_delta_and_trials_checked(self, delta, trials, match):
+        with pytest.raises(ParameterError, match=match):
+            empirical_stopping_time(WalkSpec(n=10, drift=0.1, seed=0), delta=delta, trials=trials)
 
 
 # -- the blocked, threaded walk engine against whole-batch walks --------------
@@ -458,6 +483,10 @@ class TestBlockBound:
 
 
 class TestTheoryRows:
+    def test_accepted_cannot_exceed_trials(self):
+        with pytest.raises(ParameterError, match="accepted cannot exceed trials_used"):
+            CrossingEstimate(probability_hat=0.5, trials_used=10, accepted=11, standard_error=0.1)
+
     def test_csv_layout(self):
         import io
 

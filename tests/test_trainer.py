@@ -144,6 +144,11 @@ class TestSparseTraining:
         monkeypatch.setattr(Dataset, "dense", refused)
         assert hinge_objective(model, Dataset(X=X, y=y), lam) == pytest.approx(dense, rel=1e-12, abs=0.0)
 
+    def test_hinge_objective_needs_a_coordinate_model(self):
+        model = kernel_model([1.0, -1.0], np.eye(2), KernelSpec.linear())
+        with pytest.raises(ParameterError, match="defined for coordinate models"):
+            hinge_objective(model, Dataset(X=np.eye(2), y=np.array([1, -1])), 0.1)
+
     def test_hinge_objective_dense_bits_unchanged(self):
         # dense input: the dense matrix-vector product, as it always was
         X, y = self._data(4)
@@ -276,7 +281,7 @@ class TestImportKernelModel:
     @pytest.mark.parametrize(
         "inputs_shape, scores_shape, bad",
         [((4, 3), (3,), None), ((4, 2), (4,), None), ((4, 3), (4, 1), None), ((3,), (3,), None),
-         ((4, 3), (4,), np.nan), ((4, 3), (4,), np.inf)],
+         ((4, 3), (4,), np.nan), ((4, 3), (4,), np.inf), ((4, 3), None, None), (None, (4,), None)],
     )
     def test_malformed_verification_payload_rejected(self, tmp_path, inputs_shape, scores_shape, bad):
         # save_model refuses a misshapen payload, so the container is written by hand
@@ -286,8 +291,10 @@ class TestImportKernelModel:
         save_model(model, path)
         with np.load(path) as z:
             fields = {k: z[k] for k in z.files}
-        fields["verify_inputs"] = rng.standard_normal(inputs_shape)
-        fields["verify_scores"] = rng.standard_normal(scores_shape)
+        # a None shape leaves that half of the payload out
+        for key, shape in (("verify_inputs", inputs_shape), ("verify_scores", scores_shape)):
+            if shape is not None:
+                fields[key] = rng.standard_normal(shape)
         if bad is not None:
             fields["verify_inputs"][1, 2] = bad
         np.savez(path, **fields)
