@@ -36,7 +36,9 @@ Layer rows (LAYER_REPEATS calls each): on one sparse dataset of 4000 rows x
 2000 dims at 2% density (160k nonzeros, labels from a planted direction),
 parse_sparse of its text and serialize_sparse back to text; train_linear
 for one epoch on the dense and on the CSR copy; calibrate of the trained
-model on the CSR copy; term_matrix of coordinate, linear-kernel and RBF
+model on the CSR copy; per-term calibrate of an RBF model at the perfbench
+predict workload's shape (CAL_N terms, dim CAL_DIM, CAL_ROWS class rows);
+term_matrix of coordinate, linear-kernel and RBF
 models at m = 2000 examples and n = 2000 terms (kernel dim 64), and
 prefix_score_matrix of the coordinate one; and the walk engine through
 empirical_stop_error_grid at one delta, n = 1000, 16384 trials, and through
@@ -53,10 +55,13 @@ sweep with grid 50, and pr in attentive mode at the delta = 0.1 tau; and
 stst theory at the default TheoryConfig with base seed THEORY_SEED.
 
 Memory: the pipeline and theory rows, the run_sweep grid=50 row at
-m = 10000, n = 1000 (whose dense test set alone is 80 MB), and a
-walk-engine row running empirical_stopping_time on rademacher walks of
-STOPPING_N steps (the theory suite's largest stopping-time run: scale 0.1,
-drift 0.1, delta 0.1, STOPPING_TRIALS trials), each also hold peak_rss_mb:
+m = 10000, n = 1000 (whose dense test set alone is 80 MB), the
+serialize_sparse row (its child loads the dataset's CSR arrays, written by
+a child of its own, and writes the text to os.devnull), the per-term
+calibrate row, and a walk-engine row running empirical_stopping_time on
+rademacher walks of STOPPING_N steps (the theory suite's largest
+stopping-time run: scale 0.1, drift 0.1, delta 0.1, STOPPING_TRIALS
+trials), each also hold peak_rss_mb:
 the peak resident set of one more call, run alone in a fresh child
 interpreter on the same stst source before any other row, read from that
 child's own rusage (in MiB, as ru_maxrss / 1024). The pipeline's data file
@@ -97,6 +102,7 @@ EXHAUSTIVE_LIMIT_S = 120
 LAYER_M, LAYER_DIM, LAYER_DENSITY = 4_000, 2_000, 0.02
 LAYER_REPEATS = 3
 TERM_M, TERM_N = 2_000, 2_000
+CAL_N, CAL_DIM, CAL_ROWS = 4_000, 64, 500
 WALK_N, WALK_TRIALS = 1_000, 16_384
 BRIDGE_N = 2_000
 STOPPING_N, STOPPING_TRIALS = 10_000, 10_000
@@ -155,7 +161,59 @@ def _layer_dataset(rng):
     return data.Dataset(X=X, y=y)
 
 
-def _layer_rows(rng) -> dict:
+def _write_layer_arrays(path: str) -> None:
+    """Save the layer dataset's CSR arrays and labels to an .npz file."""
+    import numpy as np
+
+    dataset = _layer_dataset(np.random.default_rng(SEED + 2))  # the rng _layer_rows starts from
+    X = dataset.X
+    np.savez(path, data=X.data, indices=X.indices, indptr=X.indptr, y=dataset.y)
+
+
+def _serialize_pass(path: str) -> None:
+    """serialize_sparse of the dataset saved by _write_layer_arrays, to os.devnull."""
+    import numpy as np
+    from scipy import sparse
+
+    from stst import data
+
+    with np.load(path) as z:
+        X = sparse.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(LAYER_M, LAYER_DIM))
+        dataset = data.Dataset(X=X, y=z["y"])
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        data.serialize_sparse(dataset, sink)
+
+
+def _serialize_memory() -> float:
+    """Peak RSS of one serialize_sparse pass, after a child of its own saves the arrays."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "layer.npz")
+        _child_peak_rss_mb("_write_layer_arrays", path)
+        return _child_peak_rss_mb("_serialize_pass", path)
+
+
+def _calibrate_inputs():
+    """An RBF model of CAL_N terms and CAL_ROWS rows of class +1."""
+    import numpy as np
+
+    from stst import data, predictor
+
+    rng = np.random.default_rng(SEED + 4)
+    model = predictor.kernel_model(
+        rng.standard_normal(CAL_N),
+        rng.standard_normal((CAL_N, CAL_DIM)),
+        predictor.KernelSpec.rbf(math.sqrt(CAL_DIM)),
+    )
+    return model, data.Dataset(X=rng.standard_normal((CAL_ROWS, CAL_DIM)), y=[1] * CAL_ROWS)
+
+
+def _calibrate_pass() -> None:
+    from stst import calibration
+
+    calibration.calibrate(*_calibrate_inputs(), 1, mode="per_term")
+
+
+def _layer_rows(rng, memory: dict) -> dict:
     from stst import calibration, data, predictor, simulator, trainer
 
     rows = {}
@@ -165,9 +223,10 @@ def _layer_rows(rng) -> dict:
     data.serialize_sparse(dataset, buf)
     text = buf.getvalue()
     rows[f"parse_sparse {size}"] = _call_ms(lambda t: data.parse_sparse(io.StringIO(t)), [text], LAYER_REPEATS)
-    rows[f"serialize_sparse {size}"] = _call_ms(
-        lambda d: data.serialize_sparse(d, io.StringIO()), [dataset], LAYER_REPEATS
-    )
+    rows[f"serialize_sparse {size}"] = {
+        **_call_ms(lambda d: data.serialize_sparse(d, io.StringIO()), [dataset], LAYER_REPEATS),
+        "peak_rss_mb": memory["serialize"],
+    }
     config = trainer.TrainConfig(lambda_reg=0.01, epochs=1, seed=0)
     dense = data.Dataset(X=dataset.dense(), y=dataset.y)
     for kind, ds in (("dense", dense), ("csr", dataset)):
@@ -177,6 +236,11 @@ def _layer_rows(rng) -> dict:
     model = trainer.train_linear(dense, config)
     del dense
     rows[f"calibrate {size}"] = _call_ms(lambda d: calibration.calibrate(model, d, 1), [dataset], LAYER_REPEATS)
+    rbf, cal_set = _calibrate_inputs()
+    rows[f"calibrate per-term rbf n={CAL_N} dim={CAL_DIM} rows={CAL_ROWS}"] = {
+        **_call_ms(lambda d: calibration.calibrate(rbf, d, 1, mode="per_term"), [cal_set], LAYER_REPEATS),
+        "peak_rss_mb": memory["calibrate"],
+    }
 
     weights, mu = rng.standard_normal(TERM_N), 0.1 * rng.standard_normal(TERM_N)
     sv = rng.standard_normal((TERM_N, RBF_DIM))
@@ -405,6 +469,7 @@ def measure() -> dict:
     pipeline_memory = _pipeline_memory()
     m, n = SWEEP_SIZES[-1]
     sweep_peak_rss_mb = _child_peak_rss_mb("_sweep_pass", str(m), str(n), "50")
+    layer_memory = {"serialize": _serialize_memory(), "calibrate": _child_peak_rss_mb("_calibrate_pass")}
     rows = _cold_import_row()
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
     never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)
@@ -452,7 +517,7 @@ def measure() -> dict:
     )
     m, n = SWEEP_SIZES[-1]
     rows[f"run_sweep grid=exhaustive m={m} n={n}"] = _child_sweep_row(m, n, "exhaustive")
-    rows.update(_layer_rows(np.random.default_rng(SEED + 2)))
+    rows.update(_layer_rows(np.random.default_rng(SEED + 2), layer_memory))
     rows.update(_pipeline_row(pipeline_memory))
     rows.update(_theory_row(theory_peak_rss_mb))
     rows.update(_stopping_time_row(stopping_peak_rss_mb))

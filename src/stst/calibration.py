@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError
-from .predictor import Predictions, WeightedModel, _check_X, _raw
+from .predictor import _BLOCK_CELLS, Predictions, WeightedModel, _check_X, _raw
 # unused here: perfbench/layers.py wraps calibration.term_matrix by name, and
 # the import goes once that binding moves to stst.predictor (ROADMAP item 10)
 from .predictor import term_matrix  # noqa: F401
@@ -63,10 +63,13 @@ def calibrate(
     sum of w_i^2 * var(raw_i), valid when terms are independent (e.g. after
     a random permutation).
 
-    The class rows are densified once and their raw terms evaluated once.
-    mu and the per-term variance read that one array, and score mode
-    corrects it in place with term_matrix's operations, so its scores are
-    term_matrix(corrected, X).sum(axis=1) bit for bit.
+    The class rows are densified once and each raw term is evaluated once.
+    Score mode holds the whole (N, n) raw array and corrects it in place
+    with term_matrix's operations, so its scores are
+    term_matrix(corrected, X).sum(axis=1) bit for bit. Per-term mode
+    evaluates the terms in blocks of about _BLOCK_CELLS cells and takes mu
+    and the variance of each block's columns, the same bits as over the
+    whole array.
     """
     if mode not in ("score", "per_term"):
         raise ParameterError(f"unknown variance mode {mode!r}")
@@ -78,15 +81,26 @@ def calibrate(
             f"need at least 2 calibration examples of class {class_used:+d}, found {sel.size}"
         )
     X = _check_X(model, calibration_set.dense_rows(sel))
-    raw = _raw(model, X, 0, model.n)
-    mu = raw.mean(axis=0)
-    corrected = replace(model, mu=mu)
     if mode == "score":
-        raw -= mu
+        raw = _raw(model, X, 0, model.n)
+        corrected = replace(model, mu=raw.mean(axis=0))
+        raw -= corrected.mu
         raw *= corrected.weights
         variance = float(np.var(raw.sum(axis=1), ddof=1))
     else:
-        variance = float(np.sum(corrected.weights**2 * np.var(raw, axis=0, ddof=1)))
+        # A kernel block is C-ordered, and numpy sums a column of a wider
+        # block row by row but a block one column wide pairwise, in other
+        # bits. So blocks are at least two columns wide, and the last one
+        # takes in a single trailing column, unless n = 1.
+        width = max(2, _BLOCK_CELLS // sel.size)
+        bounds = [0, *range(width, model.n - 1, width), model.n]
+        mu, var = np.empty(model.n), np.empty(model.n)
+        for a, b in zip(bounds, bounds[1:]):
+            raw = _raw(model, X, a, b)
+            mu[a:b] = raw.mean(axis=0)
+            var[a:b] = np.var(raw, axis=0, ddof=1)
+        corrected = replace(model, mu=mu)
+        variance = float(np.sum(corrected.weights**2 * var))
     if variance == 0.0:
         raise DegenerateDataError(
             f"calibration scores of class {class_used:+d} have zero variance; stopping rule undefined"

@@ -81,14 +81,24 @@ def _output(path):
             yield stream
 
 
-# every flag that names a file a command writes
+# every flag that names a file a command writes, and every one it reads
 _OUTPUT_FLAGS = ("output", "model_out", "test_out", "train_out")
+_INPUT_FLAGS = ("model", "data", "train", "test")
 
 
 def _check_outputs(args) -> None:
-    """Refuse an output path that cannot be written, or two output flags
-    naming one file, before any input is read, so a failing command leaves
-    no partial result behind."""
+    """Refuse an output path that cannot be written, two output flags
+    naming one file, or an output naming an input, before any input is
+    read, so a failing command leaves no partial result behind and no input
+    overwritten."""
+    named = [("--config", path) for path in args.config or ()]
+    named += [("--" + name, getattr(args, name, None)) for name in _INPUT_FLAGS]
+    # each resolved input path and the flag that names it; Path.resolve
+    # raises on a symlink loop, os.path.realpath does not
+    inputs = {}
+    for flag, path in named:
+        if path is not None:
+            inputs.setdefault(os.path.realpath(path), flag)
     flags = {}  # each resolved output path and the flag that names it
     for name in _OUTPUT_FLAGS:
         path = getattr(args, name, None)
@@ -99,7 +109,12 @@ def _check_outputs(args) -> None:
             raise ParameterError(f"{flag} {path} is a directory")
         if not target.parent.is_dir():
             raise ParameterError(f"{flag} {path}: no directory {target.parent}")
-        other = flags.setdefault(os.path.realpath(path), flag)  # Path.resolve raises on a symlink loop
+        resolved = os.path.realpath(path)
+        if resolved in inputs:
+            raise ParameterError(
+                f"{flag} {path} names the same file as {inputs[resolved]}; an output cannot overwrite an input"
+            )
+        other = flags.setdefault(resolved, flag)
         if other != flag:
             raise ParameterError(f"{other} and {flag} both name {path}; each output needs its own file")
 

@@ -49,6 +49,9 @@ __all__ = [
 
 # the largest feature index that fits the int64 CSR indices and shape
 _MAX_INDEX = int(np.iinfo(np.int64).max)
+# serialize_sparse formats rows of about this many cells at a time (1 MB of
+# float64, the batch predictors' block budget)
+_BLOCK_CELLS = 2**17
 
 
 @functools.cache
@@ -221,21 +224,31 @@ def serialize_sparse(dataset: Dataset, target) -> None:
     """Write a Dataset in the sparse labeled text format.
 
     Only nonzero entries are emitted, 1-based and ascending, with repr()
-    float formatting (shortest round-trip decimals).
+    float formatting (shortest round-trip decimals). Rows are formatted and
+    written in blocks of max(1, _BLOCK_CELLS // dim) rows, so one block's
+    tokens are held at a time, never the whole file's; a dense block is
+    converted to CSR on its own.
     """
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             serialize_sparse(dataset, handle)
             return
-    csr = _sparse().csr_matrix(dataset.X) if isinstance(dataset.X, np.ndarray) else dataset.X
-    keep = csr.data != 0.0  # also drops -0.0
-    tokens = [
-        f"{index}:{value!r}" for index, value in zip((csr.indices[keep] + 1).tolist(), csr.data[keep].tolist())
-    ]
-    # bounds[i]:bounds[i + 1] are row i's kept tokens
-    bounds = np.concatenate(([0], np.cumsum(keep)))[csr.indptr].tolist()
-    for i, label in enumerate(dataset.y.tolist()):
-        target.write(" ".join([f"{label:+d}", *tokens[bounds[i] : bounds[i + 1]]]) + "\n")
+    X, m = dataset.X, dataset.n_examples
+    step = max(1, _BLOCK_CELLS // dataset.dim)
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        if isinstance(X, np.ndarray):
+            block = _sparse().csr_matrix(X[a:b])
+            indptr, indices, values = block.indptr, block.indices, block.data
+        else:  # array views: scipy's own row slice costs about 50 us a block
+            lo, hi = X.indptr[a], X.indptr[b]
+            indptr, indices, values = X.indptr[a : b + 1] - lo, X.indices[lo:hi], X.data[lo:hi]
+        keep = values != 0.0  # also drops -0.0
+        tokens = [f"{index}:{value!r}" for index, value in zip((indices[keep] + 1).tolist(), values[keep].tolist())]
+        # bounds[i]:bounds[i + 1] are the kept tokens of the block's row i
+        bounds = np.concatenate(([0], np.cumsum(keep)))[indptr].tolist()
+        for i, label in enumerate(dataset.y[a:b].tolist()):
+            target.write(" ".join([f"{label:+d}", *tokens[bounds[i] : bounds[i + 1]]]) + "\n")
 
 
 def _csv_field(value) -> str:

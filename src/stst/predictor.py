@@ -72,7 +72,8 @@ _GROWTH = 4
 # Picked by timing full scores of a 2100 x 2000 CSR set (2% dense) on a
 # coordinate model: 28-30 ms at 16-65 rows a block, 60 ms at 1024 rows,
 # 72-86 ms for the whole set at once. RBF models, where cdist and exp
-# dominate, showed no block size clearly better.
+# dominate, showed no block size clearly better. Per-term calibrate sizes
+# its term blocks by the same budget.
 _BLOCK_CELLS = 2**17
 
 MODEL_FORMAT_VERSION = 1
@@ -563,10 +564,15 @@ def save_model(
     if verify_inputs is not None or verify_scores is not None:
         if verify_inputs is None or verify_scores is None:
             raise ParameterError("verification inputs and scores must be provided together")
-        vx = np.asarray(verify_inputs, dtype=np.float64)
-        vs = np.asarray(verify_scores, dtype=np.float64)
+        vx, vs = np.asarray(verify_inputs), np.asarray(verify_scores)
+        if vx.dtype.kind not in "iuf" or vs.dtype.kind not in "iuf":
+            # a float64 cast would read strings of digits as numbers
+            raise ParameterError(f"verification inputs and scores must be real numbers, got {vx.dtype} and {vs.dtype}")
+        vx, vs = vx.astype(np.float64, copy=False), vs.astype(np.float64, copy=False)
         if vx.ndim != 2 or vx.shape[0] != vs.shape[0]:
             raise ParameterError("verification inputs and scores must align row for row")
+        if vx.shape[0] == 0:
+            raise ParameterError("verification set has no rows")
         payload["verify_inputs"] = vx
         payload["verify_scores"] = vs
     if isinstance(path, (str, os.PathLike)):

@@ -22,12 +22,12 @@ Trials are processed in fixed-size batches of 4096, each driven by its own
 child of one seed sequence. The batches run on a thread pool with one worker
 per usable CPU; numpy's random fills, most of the cost, release the GIL and
 run in parallel. Each batch walks its trials in blocks of
-max(1, 2**19 // n) rows through one buffer that is filled and summed in
-place, so a worker's block holds at most max(2**19, n) steps: 4 MB for
-any n <= 2**19. The rademacher and uniform fills draw a temporary of the
+max(1, 2**17 // n) rows through one buffer that is filled and summed in
+place, so a worker's block holds at most max(2**17, n) steps: 1 MB for
+any n <= 2**17. The rademacher and uniform fills draw a temporary of the
 block's shape (int64 and float64), and a stopping-time reduce builds a
 boolean mask of it, so the walks hold at most about
-workers * 16 * max(2**19, n) bytes at a time, whatever the trial count.
+workers * 16 * max(2**17, n) bytes at a time, whatever the trial count.
 Results are gathered in trial order and are identical, bit for bit, for any
 number of workers and any block size, since every reduction works per row
 and a batch's stream is drawn in row-major order.
@@ -57,7 +57,12 @@ __all__ = [
 ]
 
 _BATCH = 4096  # trials per seed child: fixes which stream draws which trial
-_BLOCK_CELLS = 1 << 19  # steps of prefix sums held at once by one worker
+# steps of prefix sums held at once by one worker: 1 MB, the batch
+# predictors' budget. Picked by timing the walk-engine calls of
+# scripts/bench.py on 2 vCPUs: 2**15 to 2**19 ran within noise, while a
+# fresh `stst theory` peaked at 42.5 / 44.1 / 48.1 / 55.9 MB at
+# 2**15 / 2**17 / 2**18 / 2**19.
+_BLOCK_CELLS = 1 << 17
 # steps the exact bridge shifts at once; its temporary holds at most
 # max(_SHIFT_CELLS, n - 1) cells, where shifting a whole block at once would
 # add a block per worker to the peak memory

@@ -130,8 +130,9 @@ def import_kernel_model(path) -> WeightedModel:
     decision values, net of any intercept the exporter folded into theta).
     When present, the loaded model's full scores must match within 1e-6
     relative; disagreement rejects the import, as does a malformed payload
-    (inputs without scores or scores without inputs, shapes that do not fit
-    the model, or a non-finite input). The container is read once.
+    (inputs without scores or scores without inputs, an array that is not
+    real numbers, no rows, shapes that do not fit the model, or a
+    non-finite input). The container is read once.
     """
     model, fields = _load(path)
     if not model.is_kernel:
@@ -140,6 +141,11 @@ def import_kernel_model(path) -> WeightedModel:
         raise ModelFormatError("malformed verification payload: needs both verify_inputs and verify_scores")
     if "verify_inputs" in fields:
         inputs, expected = fields["verify_inputs"], fields["verify_scores"]
+        for name, values in (("verify_inputs", inputs), ("verify_scores", expected)):
+            if values.dtype.kind not in "iuf":
+                raise ModelFormatError(f"malformed verification payload: {name} of dtype {values.dtype} is not real")
+        if inputs.size == 0:
+            raise ModelFormatError("malformed verification payload: no rows to verify")
         try:
             got = predict_rows(model, inputs, model.theta).score
         except ParameterError as exc:

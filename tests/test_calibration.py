@@ -12,9 +12,10 @@ from stst import (
     kernel_model,
     measure_stop_error,
 )
+from stst import calibration
 from stst.calibration import CalibrationReport
 from stst.errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError
-from stst.predictor import term_matrix
+from stst.predictor import _raw, term_matrix
 
 
 def small_dataset(X, y):
@@ -208,6 +209,60 @@ class TestCalibrate:
         for labels in ([1, 1], [1, -1]):
             with pytest.raises(CalibrationError, match="at least 2"):
                 calibrate(model, small_dataset([[1.0], [2.0]], labels), class_used=-1)
+
+
+class TestPerTermBlocks:
+    """Per-term calibrate evaluates its terms in blocks of about _BLOCK_CELLS
+    cells, with the bits of one pass over the whole raw array."""
+
+    @staticmethod
+    def _model(kind, rng, n, dim):
+        if kind == "coordinate":
+            return coordinate_model(rng.standard_normal(n), indices=rng.integers(0, dim, n), dim=dim)
+        spec = KernelSpec.rbf(1.3) if kind == "rbf" else KernelSpec.linear()
+        return kernel_model(rng.standard_normal(n), rng.standard_normal((n, dim)), spec)
+
+    @pytest.mark.parametrize("kind", ["coordinate", "linear", "rbf"])
+    @pytest.mark.parametrize("sparse_input", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("width", [1, 2, 3, None])
+    def test_blocks_match_whole_array_bit_for_bit(self, monkeypatch, kind, sparse_input, width):
+        # 7 terms in blocks of 1, 2 or 3 columns leave a trailing single
+        # column; None keeps the default budget, one block
+        from scipy import sparse
+
+        rng = np.random.default_rng(53)
+        n, dim = 7, 5
+        model = self._model(kind, rng, n, dim)
+        X = rng.standard_normal((90, dim))
+        X[rng.random(X.shape) < 0.3] = 0.0
+        y = rng.choice([1, -1], size=90)
+        X_class = np.ascontiguousarray(X[y == 1])
+        if width is not None:
+            monkeypatch.setattr(calibration, "_BLOCK_CELLS", width * len(X_class))
+        ds = Dataset(X=sparse.csr_matrix(X) if sparse_input else X, y=y)
+        corrected, report = calibrate(model, ds, class_used=1, mode="per_term")
+        # the reference: the whole raw array, as one unblocked pass holds it
+        raw = _raw(model, X_class, 0, n)
+        mu, var = raw.mean(axis=0), np.var(raw, axis=0, ddof=1)
+        assert corrected.mu.tobytes() == mu.tobytes()
+        assert report.variance_hat == float(np.sum(model.weights**2 * var))
+
+    def test_peak_memory_within_block_budget(self):
+        # RBF, 4000 terms, dim 64, 500 class rows: the whole raw array is
+        # 16 MB and np.var adds two more of its size; blocks of about
+        # _BLOCK_CELLS cells hold a few MB whatever n is
+        import tracemalloc
+
+        rng = np.random.default_rng(59)
+        model = kernel_model(rng.standard_normal(4000), rng.standard_normal((4000, 64)), KernelSpec.rbf(8.0))
+        ds = small_dataset(rng.standard_normal((500, 64)), [1] * 500)
+        tracemalloc.start()
+        try:
+            calibrate(model, ds, class_used=1, mode="per_term")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * calibration._BLOCK_CELLS + (1 << 20)
 
 
 def _preds(*rows):

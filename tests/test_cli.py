@@ -393,6 +393,53 @@ def test_two_outputs_naming_one_file_are_refused(pipeline, tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command,output,source",
+    [
+        ("pr", "-o", "--model"),
+        ("pr", "-o", "--data"),
+        ("sweep", "-o", "--data"),
+        ("calibrate", "--model-out", "--model"),
+        ("calibrate", "-o", "--train"),
+        ("calibrate", "-o", "--config"),
+        ("train", "--train-out", "--data"),
+        ("train", "--model-out", "--config"),
+    ],
+)
+def test_output_naming_an_input_is_refused(pipeline, tmp_path, capsys, monkeypatch, command, output, source):
+    # the input named relative, the output absolute: nothing is read, and
+    # no file is written or changed
+    root, calibrated, test_file = pipeline
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an input was read before the outputs were checked")
+
+    for owner, name in ((data, "parse_sparse"), (data, "generate_synthetic"), (cli, "load_model")):
+        monkeypatch.setattr(owner, name, refused)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.npz").write_bytes(calibrated.read_bytes())
+    (tmp_path / "train.txt").write_bytes((root / "train.txt").read_bytes())
+    (tmp_path / "test.txt").write_bytes(test_file.read_bytes())
+    (tmp_path / "stst.cfg").write_text("# no flags\n")
+    inputs = {
+        "train": {"--data": "train.txt", "--config": "stst.cfg"},
+        "calibrate": {"--model": "model.npz", "--train": "train.txt", "--config": "stst.cfg"},
+        "sweep": {"--model": "model.npz", "--data": "test.txt"},
+        "pr": {"--model": "model.npz", "--data": "test.txt"},
+    }[command]
+    outputs = {"--model-out": "m.npz"} if command == "train" else {}
+    outputs[output] = str(tmp_path / inputs[source])
+    argv = [command]
+    for flag, file in (*inputs.items(), *outputs.items()):
+        argv += [flag, file]
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cannot overwrite an input" in err
+    assert ("--output" if output == "-o" else output) in err and source in err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("text,row", [("-1", "-1,"), ("neg", "-1,"), ("pos", "+1,"), ("0", None)])
 def test_calibrate_class_flag(pipeline, tmp_path, capsys, text, row):
     root, calibrated, _ = pipeline

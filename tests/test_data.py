@@ -17,6 +17,7 @@ from stst import (
     split,
     train_linear,
 )
+from stst import data
 from stst.data import write_csv
 from stst.errors import EmptyDatasetError, ParameterError, ParseError
 
@@ -159,14 +160,28 @@ class TestSerialize:
             lines.append(" ".join(parts) + "\n")
         return "".join(lines)
 
-    def test_bytes_match_entrywise_writer(self):
+    @staticmethod
+    def _stored_zeros():
         tiny = 5e-324
         data = np.array([0.0, -0.0, 0.0, tiny, -tiny, 1e308, 0.0, -1e308, 0.1, -0.0, 2.5, -3.0])
         # row 0: stored zeros only (one -0.0), row 1 empty, row 2 the rest with stored zeros
         indices = np.array([0, 2, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8])
         indptr = np.array([0, 3, 3, 12])
         X = sparse.csr_matrix((data, indices, indptr), shape=(3, 9))
-        ds = Dataset(X=X, y=np.array([1, -1, 1]))
+        return Dataset(X=X, y=np.array([1, -1, 1]))
+
+    @staticmethod
+    def _random_dense_and_csr():
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((30, 9)) * 10.0 ** rng.integers(-300, 300, size=(30, 9))
+        X[rng.random((30, 9)) < 0.6] = 0.0
+        X[3] = 0.0
+        X[4, :3] = -0.0
+        y = rng.choice([-1, 1], size=30)
+        return [Dataset(X=features, y=y) for features in (X, sparse.csr_matrix(X))]
+
+    def test_bytes_match_entrywise_writer(self):
+        ds = self._stored_zeros()
         assert ds.X.nnz == 12  # stored zeros stay stored, so the writer must skip them
         buf = io.StringIO()
         serialize_sparse(ds, buf)
@@ -174,17 +189,39 @@ class TestSerialize:
         assert buf.getvalue().splitlines()[:2] == ["+1", "-1"]
 
     def test_bytes_match_entrywise_writer_dense_and_random(self):
-        rng = np.random.default_rng(41)
-        X = rng.standard_normal((30, 9)) * 10.0 ** rng.integers(-300, 300, size=(30, 9))
-        X[rng.random((30, 9)) < 0.6] = 0.0
-        X[3] = 0.0
-        X[4, :3] = -0.0
-        y = rng.choice([-1, 1], size=30)
-        for features in (X, sparse.csr_matrix(X)):
-            ds = Dataset(X=features, y=y)
+        for ds in self._random_dense_and_csr():
             buf = io.StringIO()
             serialize_sparse(ds, buf)
             assert buf.getvalue() == self._reference_text(ds)
+
+    @pytest.mark.parametrize("rows", [1, 2, 256])
+    def test_bytes_equal_across_row_blocks(self, monkeypatch, rows):
+        # blocks of 1 and 2 rows split every dataset, so a block can hold
+        # only stored zeros, only an empty row, or -0.0 beside a value
+        for ds in [self._stored_zeros(), *self._random_dense_and_csr()]:
+            monkeypatch.setattr(data, "_BLOCK_CELLS", rows * ds.dim)
+            buf = io.StringIO()
+            serialize_sparse(ds, buf)
+            assert buf.getvalue() == self._reference_text(ds)
+
+    def test_peak_memory_within_block_budget(self):
+        # the pipeline's 3000 x 2000 file at 2% density: one string per
+        # nonzero of the whole file took 17 MB; a block of rows takes a
+        # fraction of that
+        import os
+        import tracemalloc
+
+        rng = np.random.default_rng(43)
+        X = sparse.random(3000, 2000, density=0.02, format="csr", random_state=rng, data_rvs=rng.standard_normal)
+        ds = Dataset(X=X, y=rng.choice([-1, 1], size=3000))
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                serialize_sparse(ds, sink)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 << 20
 
 
 class TestWriteCsv:

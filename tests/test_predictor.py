@@ -737,6 +737,9 @@ class TestSerialization:
             (None, np.zeros(2), "provided together"),
             (np.zeros((3, 3)), np.zeros(2), "align row for row"),
             (np.zeros(3), np.zeros(3), "align row for row"),
+            (np.zeros((0, 3)), np.zeros(0), "no rows"),
+            (np.zeros((2, 3)).astype(str), np.zeros(2), "real numbers"),
+            (np.zeros((2, 3)), np.zeros(2).astype(str), "real numbers"),
         ],
     )
     def test_malformed_verification_payload_not_written(self, tmp_path, inputs, scores, match):

@@ -421,7 +421,7 @@ class TestWalkEngine:
 class TestWalkEngineSmallBlocks(TestWalkEngine):
     """The walk-engine equivalences again, with blocks far below the default.
 
-    At the default cell budget a 4096-trial batch of n <= 128 fits one
+    At the default cell budget a 4096-trial batch of n <= 32 fits one
     block, so these budgets make every test cross block edges: 5-row blocks
     at n = 37, and 77-row blocks, an odd count that does not divide a batch.
     The exact bridge shifts 3 rows of n = 37 at a time, so its shift loop

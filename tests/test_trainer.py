@@ -281,10 +281,12 @@ class TestImportKernelModel:
     @pytest.mark.parametrize(
         "inputs_shape, scores_shape, bad",
         [((4, 3), (3,), None), ((4, 2), (4,), None), ((4, 3), (4, 1), None), ((3,), (3,), None),
-         ((4, 3), (4,), np.nan), ((4, 3), (4,), np.inf), ((4, 3), None, None), (None, (4,), None)],
+         ((4, 3), (4,), np.nan), ((4, 3), (4,), np.inf), ((4, 3), None, None), (None, (4,), None),
+         ((0, 3), (0,), None), ((4, 3), (4,), "verify_inputs"), ((4, 3), (4,), "verify_scores")],
     )
     def test_malformed_verification_payload_rejected(self, tmp_path, inputs_shape, scores_shape, bad):
-        # save_model refuses a misshapen payload, so the container is written by hand
+        # save_model refuses a misshapen payload, so the container is written by hand;
+        # a field name for bad stores that half as strings of its digits
         rng = np.random.default_rng(49)
         model = kernel_model(rng.standard_normal(5), rng.standard_normal((5, 3)), KernelSpec.rbf(1.1))
         path = tmp_path / "malformed.npz"
@@ -295,7 +297,9 @@ class TestImportKernelModel:
         for key, shape in (("verify_inputs", inputs_shape), ("verify_scores", scores_shape)):
             if shape is not None:
                 fields[key] = rng.standard_normal(shape)
-        if bad is not None:
+        if isinstance(bad, str):
+            fields[bad] = fields[bad].astype(str)
+        elif bad is not None:
             fields["verify_inputs"][1, 2] = bad
         np.savez(path, **fields)
         with pytest.raises(ModelFormatError, match="verification payload"):
