@@ -57,7 +57,9 @@ stst theory at the default TheoryConfig with base seed THEORY_SEED.
 Memory: the pipeline and theory rows, the run_sweep grid=50 row at
 m = 10000, n = 1000 (whose dense test set alone is 80 MB), the
 serialize_sparse row (its child loads the dataset's CSR arrays, written by
-a child of its own, and writes the text to os.devnull), the per-term
+a child of its own, and writes the text to os.devnull), the parse_sparse
+row (its child parses the dataset's text file, written by a child of its
+own), the per-term
 calibrate row, and a walk-engine row running empirical_stopping_time on
 rademacher walks of STOPPING_N steps (the theory suite's largest
 stopping-time run: scale 0.1, drift 0.1, delta 0.1, STOPPING_TRIALS
@@ -192,6 +194,29 @@ def _serialize_memory() -> float:
         return _child_peak_rss_mb("_serialize_pass", path)
 
 
+def _write_layer_text(path: str) -> None:
+    """Write the layer dataset in the sparse text format."""
+    import numpy as np
+
+    from stst import data
+
+    data.serialize_sparse(_layer_dataset(np.random.default_rng(SEED + 2)), path)
+
+
+def _parse_pass(path: str) -> None:
+    from stst import data
+
+    data.parse_sparse(path)
+
+
+def _parse_memory() -> float:
+    """Peak RSS of one parse_sparse pass, after a child of its own writes the text file."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "layer.txt")
+        _child_peak_rss_mb("_write_layer_text", path)
+        return _child_peak_rss_mb("_parse_pass", path)
+
+
 def _calibrate_inputs():
     """An RBF model of CAL_N terms and CAL_ROWS rows of class +1."""
     import numpy as np
@@ -222,7 +247,10 @@ def _layer_rows(rng, memory: dict) -> dict:
     buf = io.StringIO()
     data.serialize_sparse(dataset, buf)
     text = buf.getvalue()
-    rows[f"parse_sparse {size}"] = _call_ms(lambda t: data.parse_sparse(io.StringIO(t)), [text], LAYER_REPEATS)
+    rows[f"parse_sparse {size}"] = {
+        **_call_ms(lambda t: data.parse_sparse(io.StringIO(t)), [text], LAYER_REPEATS),
+        "peak_rss_mb": memory["parse"],
+    }
     rows[f"serialize_sparse {size}"] = {
         **_call_ms(lambda d: data.serialize_sparse(d, io.StringIO()), [dataset], LAYER_REPEATS),
         "peak_rss_mb": memory["serialize"],
@@ -469,7 +497,11 @@ def measure() -> dict:
     pipeline_memory = _pipeline_memory()
     m, n = SWEEP_SIZES[-1]
     sweep_peak_rss_mb = _child_peak_rss_mb("_sweep_pass", str(m), str(n), "50")
-    layer_memory = {"serialize": _serialize_memory(), "calibrate": _child_peak_rss_mb("_calibrate_pass")}
+    layer_memory = {
+        "serialize": _serialize_memory(),
+        "parse": _parse_memory(),
+        "calibrate": _child_peak_rss_mb("_calibrate_pass"),
+    }
     rows = _cold_import_row()
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
     never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)

@@ -21,12 +21,12 @@ import numpy as np
 
 # unused here: perfbench/layers.py wraps measure_stop_error and the four
 # prefix-matrix functions by their bench names, and the imports go once those
-# bindings move to their own modules (ROADMAP item 10)
+# bindings move to their own modules (ROADMAP item 18)
 from .calibration import measure_stop_error  # noqa: F401
 from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, crossing_probability
 from .data import Dataset, write_csv
 from .errors import ParameterError, UndefinedRateError
-from .predictor import WeightedModel, _prefix_rows, _row_blocks
+from .predictor import WeightedModel, _check_theta, _prefix_rows, _row_blocks
 from .predictor import (  # noqa: F401
     attentive_from_prefix,
     budgeted_from_prefix,
@@ -192,8 +192,7 @@ def run_sweep(
     if not (_is_count(grid) and grid >= 1 or isinstance(grid, str) and grid == "exhaustive"):
         raise ParameterError(f"grid must be an integer >= 1 or 'exhaustive', got {grid!r}")
     theta = float(theta)  # an int theta still writes as a float in the CSV
-    if not math.isfinite(theta):
-        raise ParameterError(f"theta must be finite, got {theta!r}")
+    _check_theta(theta)
     if not np.any(model.mu):
         warnings.warn("model mu is all zero; sweeping uncorrected scores voids the delta calibration")
     n = model.n
@@ -277,12 +276,19 @@ def precision_recall(scores, truth) -> list[PRPoint]:
     """PR curve points from per-example scores, descending threshold order.
 
     An example is predicted positive when its score >= threshold; thresholds
-    run over the distinct observed scores.
+    run over the distinct observed scores. A NaN or infinite score, or a
+    truth label other than +1 or -1, is a ParameterError.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.int64)
+    scores, truth = np.asarray(scores, dtype=np.float64), np.asarray(truth)
     if scores.shape != truth.shape or scores.ndim != 1:
         raise ParameterError("scores and truth labels must be aligned 1-d arrays")
+    if not np.isfinite(scores).all():
+        raise ParameterError("scores must be finite, got a NaN or infinite value")
+    # checked before the int64 cast, which would truncate a label of 1.9 to 1
+    bad = ~np.isin(truth, (1, -1))
+    if bad.any():
+        raise ParameterError(f"truth labels must be +1 or -1; offending values {np.unique(truth[bad])}")
+    truth = truth.astype(np.int64)
     positives = int((truth == 1).sum())
     if positives == 0:
         raise UndefinedRateError("no positive examples in truth; recall undefined")

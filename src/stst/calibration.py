@@ -8,18 +8,20 @@ its class-conditional mean makes the conditioned score walk driftless,
 which is what the constant-boundary calibration assumes. The class to
 center on is the one opposite the rejection direction: when early stopping
 rejects negatives, mu comes from positives, so the surviving class walks
-like a bridge.
+like a bridge. Score mode holds the class's whole (N, n) raw array;
+per-term mode evaluates the terms in blocks sized by the one block budget
+of stst.data (_BLOCK_CELLS, through _block_rows).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _block_rows
 from .errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError
-from .predictor import _BLOCK_CELLS, Predictions, WeightedModel, _check_X, _raw
+from .predictor import Predictions, WeightedModel, _check_X, _raw
 # unused here: perfbench/layers.py wraps calibration.term_matrix by name, and
-# the import goes once that binding moves to stst.predictor (ROADMAP item 10)
+# the import goes once that binding moves to stst.predictor (ROADMAP item 18)
 from .predictor import term_matrix  # noqa: F401
 
 __all__ = [
@@ -67,9 +69,9 @@ def calibrate(
     Score mode holds the whole (N, n) raw array and corrects it in place
     with term_matrix's operations, so its scores are
     term_matrix(corrected, X).sum(axis=1) bit for bit. Per-term mode
-    evaluates the terms in blocks of about _BLOCK_CELLS cells and takes mu
-    and the variance of each block's columns, the same bits as over the
-    whole array.
+    evaluates the terms in blocks of _block_rows(N) columns (at least two),
+    within the one block budget of stst.data, and takes mu and the variance
+    of each block's columns, the same bits as over the whole array.
     """
     if mode not in ("score", "per_term"):
         raise ParameterError(f"unknown variance mode {mode!r}")
@@ -92,7 +94,7 @@ def calibrate(
         # block row by row but a block one column wide pairwise, in other
         # bits. So blocks are at least two columns wide, and the last one
         # takes in a single trailing column, unless n = 1.
-        width = max(2, _BLOCK_CELLS // sel.size)
+        width = max(2, _block_rows(sel.size))
         bounds = [0, *range(width, model.n - 1, width), model.n]
         mu, var = np.empty(model.n), np.empty(model.n)
         for a, b in zip(bounds, bounds[1:]):

@@ -18,7 +18,7 @@ from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude,
 from .errors import ParameterError, StstError
 from .predictor import load_model, predict_rows, save_model
 # unused here: perfbench/layers.py wraps these three by their cli names, and
-# the import goes once those bindings move to stst.predictor (ROADMAP item 10)
+# the import goes once those bindings move to stst.predictor (ROADMAP item 18)
 from .predictor import attentive_from_prefix, full_from_prefix, prefix_score_matrix  # noqa: F401
 
 __all__ = ["main"]

@@ -21,6 +21,12 @@ ParameterError, not a cast. Code that needs dense rows asks for them whole
 (dense, dense_rows); training reads CSR rows as their stored entries, and
 the batch predictors densify X one row block at a time.
 
+The one block budget of every blocked stage lives here: _BLOCK_CELLS,
+2**17 float64 cells (1 MB), and _block_rows, the rows of a given width that
+fit in it. The batch predictors' row blocks, per-term calibrate's term
+blocks, serialize_sparse's row blocks and the walks' trial blocks are all
+sized through _block_rows, which reads the budget at each call.
+
 scipy is imported the first time a sparse matrix is built or converted (a
 parse, a sparse Dataset, serializing a dense one), never by importing stst:
 it costs every process about a quarter second, and dense data, stst theory
@@ -49,9 +55,17 @@ __all__ = [
 
 # the largest feature index that fits the int64 CSR indices and shape
 _MAX_INDEX = int(np.iinfo(np.int64).max)
-# serialize_sparse formats rows of about this many cells at a time (1 MB of
-# float64, the batch predictors' block budget)
+# the one block budget (see the module docstring). Picked by timing full
+# scores of a 2100 x 2000 CSR set (2% dense) on a coordinate model: 28-30 ms
+# at 16-65 rows a block, 60 ms at 1024 rows, 72-86 ms for the whole set at
+# once; the walks ran within noise from 2**15 to 2**19 cells on 2 vCPUs.
 _BLOCK_CELLS = 2**17
+
+
+def _block_rows(width: int) -> int:
+    """Rows of `width` cells that fit in _BLOCK_CELLS; at least one. The
+    budget is read at each call, so patching it here reaches every stage."""
+    return max(1, _BLOCK_CELLS // width)
 
 
 @functools.cache
@@ -148,14 +162,16 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
         with open(source, "r", encoding="utf-8") as handle:
             return parse_sparse(handle, dim=dim)
 
-    # imported before the row lists grow: in a fresh process running the CLI
-    # pipeline, that peaked about 1 MB lower than importing it after the loop
+    # imported before the row buffers grow: in a fresh process running the
+    # CLI pipeline, that peaked about 1 MB lower than importing it after the loop
     sparse = _sparse()
-    labels: list[int] = []
-    data: list[float] = []
-    col: list[int] = []
-    indptr: list[int] = [0]
+    from array import array  # here, so that importing stst loads no array module
+    # typed buffers, 8 bytes a value, where a list holds a Python object per
+    # value, about 36 bytes more; a row's entries are gathered in lists first,
+    # since one fromlist a row is faster than an array append a value
+    labels, data, col, indptr = array("q"), array("d"), array("q"), array("q", [0])
     max_index = 0
+    too_large = None  # (index, line) of the first index past _MAX_INDEX
 
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
@@ -171,6 +187,7 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
                 raise ParseError(f"bad number in {bad!r}: only ASCII digits, no underscores", line_no)
         labels.append(_map_label(tokens[0], line_no))
         prev = 0
+        cols, vals = [], []
         for token in tokens[1:]:
             head, sep, tail = token.partition(":")
             if not sep or not head or not tail:
@@ -188,23 +205,28 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
             if index <= prev:
                 raise ParseError(f"feature index {index} not ascending (previous {prev})", line_no)
             prev = index
-            col.append(index - 1)
-            data.append(value)
+            cols.append(index - 1)
+            vals.append(value)
         # indices ascend, so a row's last index is its largest
         max_index = max(max_index, prev)
+        if prev > _MAX_INDEX:  # past int64: refused after the loop
+            too_large = too_large or (next(c + 1 for c in cols if c >= _MAX_INDEX), line_no)
+            cols = [0] * len(cols)
+        col.fromlist(cols)
+        data.fromlist(vals)
         indptr.append(len(col))
 
-    values = np.asarray(data, dtype=np.float64)
+    values = np.frombuffer(data, dtype=np.float64)
+    indptr = np.frombuffer(indptr, dtype=np.int64)
     finite = np.isfinite(values)
     if not finite.all():
         at = int(np.argmin(finite))
         # one line per row: blank lines are rejected above
         line_no = int(np.searchsorted(indptr, at, side="right"))
         raise ParseError(f"non-finite feature value {float(values[at])!r}", line_no)
-    if max_index > _MAX_INDEX:
-        at = next(i for i, c in enumerate(col) if c >= _MAX_INDEX)
-        line_no = int(np.searchsorted(indptr, at, side="right"))
-        raise ParseError(f"feature index {col[at] + 1} exceeds the largest supported index {_MAX_INDEX}", line_no)
+    if too_large is not None:
+        index, line_no = too_large
+        raise ParseError(f"feature index {index} exceeds the largest supported index {_MAX_INDEX}", line_no)
     if not labels:
         raise EmptyDatasetError("input contained no examples")
     if dim is None:
@@ -213,11 +235,8 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
         raise ParseError(f"declared dim {dim} smaller than largest index {max_index}")
     if dim < 1:
         raise ParseError("cannot infer a positive dimension from featureless input; pass dim")
-    X = sparse.csr_matrix(
-        (values, np.asarray(col, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(labels), dim),
-    )
-    return Dataset(X=X, y=np.asarray(labels, dtype=np.int64))
+    X = sparse.csr_matrix((values, np.frombuffer(col, dtype=np.int64), indptr), shape=(len(labels), dim))
+    return Dataset(X=X, y=np.frombuffer(labels, dtype=np.int64))
 
 
 def serialize_sparse(dataset: Dataset, target) -> None:
@@ -225,7 +244,7 @@ def serialize_sparse(dataset: Dataset, target) -> None:
 
     Only nonzero entries are emitted, 1-based and ascending, with repr()
     float formatting (shortest round-trip decimals). Rows are formatted and
-    written in blocks of max(1, _BLOCK_CELLS // dim) rows, so one block's
+    written in blocks of _block_rows(dim) rows, so one block's
     tokens are held at a time, never the whole file's; a dense block is
     converted to CSR on its own.
     """
@@ -234,7 +253,7 @@ def serialize_sparse(dataset: Dataset, target) -> None:
             serialize_sparse(dataset, handle)
             return
     X, m = dataset.X, dataset.n_examples
-    step = max(1, _BLOCK_CELLS // dataset.dim)
+    step = _block_rows(dataset.dim)
     for a in range(0, m, step):
         b = min(a + step, m)
         if isinstance(X, np.ndarray):

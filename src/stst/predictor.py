@@ -18,10 +18,11 @@ still live, cumsums each chunk with the row's running sum carried in, and
 drops the rows that stopped. A per-example predictor is that evaluator on a
 block of one. terms_evaluated counts terms up to the stop; the terms
 computed run to the end of the stop's chunk. predict_rows runs it on a
-whole dense or CSR feature matrix, one row block at a time; every batch
-decision under one rule goes through it. The sweep, deciding the same rows
-under many rules, takes each row block's running sums (_prefix_rows) and
-keeps only what its grid reads. prefix_score_matrix stacks those blocks
+whole dense or CSR feature matrix, one row block at a time, each block
+sized by the one block budget of stst.data (_BLOCK_CELLS, through
+_block_rows); every batch decision under one rule goes through it. The
+sweep, deciding the same rows under many rules, takes each row block's
+running sums (_prefix_rows) and keeps only what its grid reads. prefix_score_matrix stacks those blocks
 into one C-ordered (m, n) matrix, which the *_from_prefix predictors decide
 through the same labelling step; no command builds it. Every path reads raw
 term values from one kernel function.
@@ -37,6 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Direction, StoppingRule
+from .data import _block_rows
 from .errors import ModelFormatError, ParameterError
 
 __all__ = [
@@ -67,16 +69,13 @@ __all__ = [
 _FIRST_CHUNK = 128
 _GROWTH = 4
 
-# Batch row blocks: max(1, _BLOCK_CELLS // max(n, dim)) rows at a time, so a
-# block's dense features and its term values stay about 1 MB whatever m is.
-# Picked by timing full scores of a 2100 x 2000 CSR set (2% dense) on a
-# coordinate model: 28-30 ms at 16-65 rows a block, 60 ms at 1024 rows,
-# 72-86 ms for the whole set at once. RBF models, where cdist and exp
-# dominate, showed no block size clearly better. Per-term calibrate sizes
-# its term blocks by the same budget.
-_BLOCK_CELLS = 2**17
-
 MODEL_FORMAT_VERSION = 1
+
+
+def _check_theta(theta) -> None:
+    """Refuse a NaN or infinite theta, which would label every row one way."""
+    if not math.isfinite(theta):
+        raise ParameterError(f"theta must be finite, got {theta!r}")
 
 
 def _real(values, what: str) -> np.ndarray:
@@ -141,8 +140,7 @@ class WeightedModel:
         for name, values in (("weights", w), ("mu", m)):
             if not np.isfinite(values).all():
                 raise ParameterError(f"{name} must be finite, got a NaN or infinite value")
-        if not math.isfinite(self.theta):
-            raise ParameterError(f"theta must be finite, got {self.theta!r}")
+        _check_theta(self.theta)
         if not isinstance(self.dim, (int, np.integer)):
             raise ParameterError(f"dim must be an integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
@@ -402,6 +400,7 @@ def budgeted_predict(model: WeightedModel, x, b: int, theta: float) -> Predictio
     n = model.n
     if not 1 <= b <= n:
         raise ParameterError(f"budget must be in [1, {n}], got {b}")
+    _check_theta(theta)
     return _evaluate(model, x[None], b, theta)[0]
 
 
@@ -428,8 +427,10 @@ def permute_terms(model: WeightedModel, seed: int) -> WeightedModel:
 # -- batch evaluation -------------------------------------------------------
 #
 # Batch inputs are dense arrays or scipy sparse matrices, taken in row blocks
-# of about _BLOCK_CELLS cells: each block is densified and checked alone, so
-# no whole-input dense copy is made. predict_rows decides every row through
+# of _block_rows(max(n, dim)) rows, so a block's dense features and its term
+# values stay within the one block budget (data._BLOCK_CELLS, about 1 MB)
+# whatever m is: each block is densified and checked alone, so no
+# whole-input dense copy is made. predict_rows decides every row through
 # the chunked evaluator, block by block, with no (m, n) array: the batch
 # path for one rule. _prefix_rows gives one block's running sums, the step
 # the sweep streams for its many rules over the same rows.
@@ -456,7 +457,7 @@ def _row_blocks(model: WeightedModel, X):
     if X.ndim != 2 or X.shape[1] != model.dim:
         raise ParameterError(f"feature matrix must have shape (m, {model.dim}), got {X.shape}")
     m = X.shape[0]
-    step = max(1, _BLOCK_CELLS // max(model.n, model.dim))
+    step = _block_rows(max(model.n, model.dim))
 
     def blocks():
         for a in range(0, m, step):
@@ -496,6 +497,7 @@ def predict_rows(model: WeightedModel, X, theta: float, rule: StoppingRule | Non
     X may be dense or scipy sparse; the evaluator takes one row block at a
     time, so no (m, n) array is built.
     """
+    _check_theta(theta)
     if rule is not None and theta != rule.theta:
         raise ParameterError(f"theta {theta!r} differs from the rule's theta {rule.theta!r}")
     m, blocks = _row_blocks(model, X)
@@ -526,6 +528,7 @@ def budgeted_from_prefix(prefix: np.ndarray, b: int, theta: float) -> Prediction
     n = prefix.shape[1]
     if not 1 <= b <= n:
         raise ParameterError(f"budget must be in [1, {n}], got {b}")
+    _check_theta(theta)
     return _decide(prefix, b, theta)
 
 

@@ -21,16 +21,19 @@ ensemble across it; a single boundary is a grid of one.
 Trials are processed in fixed-size batches of 4096, each driven by its own
 child of one seed sequence. The batches run on a thread pool with one worker
 per usable CPU; numpy's random fills, most of the cost, release the GIL and
-run in parallel. Each batch walks its trials in blocks of
-max(1, 2**17 // n) rows through one buffer that is filled and summed in
-place, so a worker's block holds at most max(2**17, n) steps: 1 MB for
-any n <= 2**17. The rademacher and uniform fills draw a temporary of the
-block's shape (int64 and float64), and a stopping-time reduce builds a
-boolean mask of it, so the walks hold at most about
-workers * 16 * max(2**17, n) bytes at a time, whatever the trial count.
-Results are gathered in trial order and are identical, bit for bit, for any
-number of workers and any block size, since every reduction works per row
-and a batch's stream is drawn in row-major order.
+run in parallel. Each batch walks its trials in blocks sized by the one
+block budget of stst.data (_BLOCK_CELLS, 2**17 cells, through _block_rows),
+through one buffer that is filled and summed in place, so a worker's block
+holds at most max(2**17, n) steps: 1 MB for any n <= 2**17. The exact
+bridge shifts each whole block at once, with a temporary of n - 1 cells a
+walk, so it walks blocks of half as many rows and stays within the same
+1 MB. The rademacher and uniform fills draw a temporary of the block's
+shape (int64 and float64), and a stopping-time reduce builds a boolean mask
+of it, so the walks hold at most about workers * 16 * max(2**17, n) bytes
+at a time, whatever the trial count. Results are gathered in trial order
+and are identical, bit for bit, for any number of workers and any block
+size, since every reduction works per row and a batch's stream is drawn in
+row-major order.
 """
 
 import math
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfidenceParams, crossing_magnitude, expected_stop_bound
-from .data import write_csv
+from .data import _block_rows, write_csv
 from .errors import InsufficientAcceptanceError, ParameterError
 
 __all__ = [
@@ -57,16 +60,6 @@ __all__ = [
 ]
 
 _BATCH = 4096  # trials per seed child: fixes which stream draws which trial
-# steps of prefix sums held at once by one worker: 1 MB, the batch
-# predictors' budget. Picked by timing the walk-engine calls of
-# scripts/bench.py on 2 vCPUs: 2**15 to 2**19 ran within noise, while a
-# fresh `stst theory` peaked at 42.5 / 44.1 / 48.1 / 55.9 MB at
-# 2**15 / 2**17 / 2**18 / 2**19.
-_BLOCK_CELLS = 1 << 17
-# steps the exact bridge shifts at once; its temporary holds at most
-# max(_SHIFT_CELLS, n - 1) cells, where shifting a whole block at once would
-# add a block per worker to the peak memory
-_SHIFT_CELLS = 1 << 16
 
 _STEP_KINDS = ("gaussian", "rademacher", "uniform")
 
@@ -130,11 +123,6 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _rows(cells: int, width: int) -> int:
-    """Rows of `width` steps that fit in `cells`; at least one."""
-    return max(1, cells // max(width, 1))
-
-
 def _fill_steps(rng: np.random.Generator, spec: WalkSpec, out: np.ndarray) -> np.ndarray:
     """Fill out with steps drift + noise, drawn in row-major order, in place.
 
@@ -167,18 +155,18 @@ def _batches(seed: int, trials: int):
         yield np.random.default_rng(child), count
 
 
-def _walk(spec: WalkSpec, trials: int, reduce) -> list:
+def _walk(spec: WalkSpec, trials: int, reduce, row_cells: int | None = None) -> list:
     """reduce() every block of prefix sums S_1..S_n of `trials` walks.
 
     Each batch of _BATCH walks is drawn from its own seed child and walked in
-    blocks of max(1, _BLOCK_CELLS // n) rows, so a block holds at most
-    max(_BLOCK_CELLS, n) steps, through one buffer filled and summed in
-    place; the batches run on a thread pool. reduce may overwrite the block
-    it is given. The results come back in trial order and equal those of
+    blocks of _block_rows(row_cells) rows (row_cells, the cells a walk
+    holds, defaults to n), through one buffer filled and summed in place;
+    the batches run on a thread pool. reduce may overwrite the block it is
+    given. The results come back in trial order and equal those of
     whole-batch arrays bit for bit, since the fill consumes the stream in
     row-major order and cumsum and every reduction work per row.
     """
-    rows = _rows(_BLOCK_CELLS, spec.n)
+    rows = _block_rows(row_cells or spec.n)
 
     def run(job):
         rng, count = job
@@ -198,19 +186,19 @@ def _walk(spec: WalkSpec, trials: int, reduce) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _kept_maxima(spec: WalkSpec, trials: int, accept) -> np.ndarray:
+def _kept_maxima(spec: WalkSpec, trials: int, accept, row_cells: int | None = None) -> np.ndarray:
     """max(S_1..S_{n-1}) of every accepted walk, in trial order.
 
     accept(paths) returns the rows of a block to keep (a mask or a slice)
     and may rewrite the block first. With n = 1 no index precedes the
-    endpoint, and the maximum is -inf.
+    endpoint, and the maximum is -inf. row_cells is _walk's.
     """
 
     def reduce(paths):
         keep = accept(paths)
         return paths[:, :-1].max(axis=1, initial=-np.inf)[keep]
 
-    return np.concatenate(_walk(spec, trials, reduce))
+    return np.concatenate(_walk(spec, trials, reduce, row_cells))
 
 
 @dataclass(frozen=True)
@@ -288,16 +276,16 @@ def empirical_bridge_crossing_grid(
     if mode == "rejection" and not band > 0.0:
         raise ParameterError(f"band must be positive, got {band!r}")
 
+    # the exact bridge's shift temporary holds n - 1 cells a walk beside its
+    # n steps, so it walks blocks of half the rows
+    row_cells = None
     if mode == "exact":
         frac = (np.arange(1, spec.n + 1) / spec.n)[:-1]
-        step = _rows(_SHIFT_CELLS, spec.n - 1)
+        row_cells = 2 * spec.n
 
         def accept(paths):
-            # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta),
-            # shifted a few rows at a time to bound the temporary
-            for start in range(0, len(paths), step):
-                rows = paths[start : start + step]
-                rows[:, :-1] -= frac * (rows[:, -1:] - theta)
+            # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta)
+            paths[:, :-1] -= frac * (paths[:, -1:] - theta)
             return slice(None)
 
     else:
@@ -305,7 +293,7 @@ def empirical_bridge_crossing_grid(
         def accept(paths):
             return np.abs(paths[:, -1] - theta) <= band
 
-    maxima = _kept_maxima(spec, trials, accept)
+    maxima = _kept_maxima(spec, trials, accept, row_cells)
     if maxima.size == 0:
         raise InsufficientAcceptanceError(
             f"no trials accepted out of {trials}; widen the band (={band!r}) or add trials"

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from stst import Dataset, Direction, StoppingRule, bench, coordinate_model, precision_recall, predictor, run_sweep
+from stst import Dataset, Direction, StoppingRule, bench, coordinate_model, data, precision_recall, run_sweep
 from stst.bench import SweepRecord, TheoryConfig, pr_csv, run_theory_suite, sweep_csv, theory_csv
 from stst.calibration import measure_stop_error
 from stst.errors import ParameterError, UndefinedRateError
@@ -194,7 +194,7 @@ class TestStreamedSweep:
     @given(
         case=sweep_cases(),
         grid=st.sampled_from([1, 50, "exhaustive"]),
-        block_cells=st.sampled_from([1, 5, 64, predictor._BLOCK_CELLS]),
+        block_cells=st.sampled_from([1, 5, 64, data._BLOCK_CELLS]),
         record_chunk=st.sampled_from([1, 3, bench._RECORD_CHUNK]),
     )
     # a single row whose first score ties the one exhaustive tau
@@ -219,7 +219,7 @@ class TestStreamedSweep:
             return
         with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # mu may be all zero
-            patch.setattr(predictor, "_BLOCK_CELLS", block_cells)
+            patch.setattr(data, "_BLOCK_CELLS", block_cells)
             patch.setattr(bench, "_RECORD_CHUNK", record_chunk)
             got = run_sweep(model, test, theta, grid)
         want = reference_sweep(model, test, theta, grid)
@@ -290,6 +290,18 @@ class TestPrecisionRecall:
     def test_misaligned_inputs_rejected(self, scores, truth):
         with pytest.raises(ParameterError, match="aligned 1-d arrays"):
             precision_recall(scores, truth)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN score gave a threshold=nan point
+        with pytest.raises(ParameterError, match="scores must be finite"):
+            precision_recall([0.1, bad, 0.3], [1, -1, 1])
+
+    @pytest.mark.parametrize("label", [0, 2, 0.5, 1.5])
+    def test_truth_outside_plus_minus_one_rejected(self, label):
+        # a label 0 was counted as a negative, and 1.5 cast to 1
+        with pytest.raises(ParameterError, match="truth labels must be \\+1 or -1"):
+            precision_recall([0.1, 0.2, 0.3], [1, label, -1])
 
     def test_no_positives_signaled(self):
         with pytest.raises(UndefinedRateError):

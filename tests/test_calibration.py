@@ -12,7 +12,7 @@ from stst import (
     kernel_model,
     measure_stop_error,
 )
-from stst import calibration
+from stst import data
 from stst.calibration import CalibrationReport
 from stst.errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError
 from stst.predictor import _raw, term_matrix
@@ -238,7 +238,7 @@ class TestPerTermBlocks:
         y = rng.choice([1, -1], size=90)
         X_class = np.ascontiguousarray(X[y == 1])
         if width is not None:
-            monkeypatch.setattr(calibration, "_BLOCK_CELLS", width * len(X_class))
+            monkeypatch.setattr(data, "_BLOCK_CELLS", width * len(X_class))
         ds = Dataset(X=sparse.csr_matrix(X) if sparse_input else X, y=y)
         corrected, report = calibrate(model, ds, class_used=1, mode="per_term")
         # the reference: the whole raw array, as one unblocked pass holds it
@@ -262,7 +262,7 @@ class TestPerTermBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * calibration._BLOCK_CELLS + (1 << 20)
+        assert peak <= 4 * 8 * data._BLOCK_CELLS + (1 << 20)
 
 
 def _preds(*rows):

@@ -501,6 +501,17 @@ def test_pr_tau_needs_attentive_mode(pipeline, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_pr_non_finite_theta_is_a_clean_error(pipeline, tmp_path, capsys):
+    _, calibrated, test_file = pipeline
+    out = tmp_path / "pr.csv"
+    argv = ["pr", "--model", str(calibrated), "--data", str(test_file), "-o", str(out)]
+    for theta in ("nan", "inf", "-inf"):
+        assert run(argv + [f"--theta={theta}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "theta must be finite" in err
+        assert not out.exists()
+
+
 def refuse_to_parse(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a data file was read before the flags were checked")

@@ -109,6 +109,12 @@ class TestParse:
         with pytest.raises(ParseError, match=f"line 3: feature index {index} exceeds"):
             parse_text(f"+1 1:1.0\n-1 2:1.0\n+1 1:1.0 {index}:1.0\n-1 2:1.0\n")
 
+    def test_first_index_past_int64_is_named(self):
+        # a later row, and a later entry of the same row, past int64 too
+        text = f"+1 1:1.0\n-1 {2**63 + 5}:1.0 {2**63 + 9}:1.0\n+1 {10**20}:1.0\n"
+        with pytest.raises(ParseError, match=f"line 2: feature index {2**63 + 5} exceeds"):
+            parse_text(text)
+
     def test_largest_int64_index_accepted(self):
         ds = parse_text(f"+1 1:1.0 {2**63 - 1}:2.0\n")
         assert ds.dim == 2**63 - 1
@@ -121,6 +127,25 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(EmptyDatasetError):
             parse_text("")
+
+    def test_peak_memory_of_the_pipeline_file(self, tmp_path):
+        # the pipeline's 3000 x 2000 file at 2% density, 120k nonzeros: a
+        # Python int and float per nonzero took 10 MB; typed buffers take
+        # 8 bytes a value
+        import tracemalloc
+
+        rng = np.random.default_rng(43)
+        X = sparse.random(3000, 2000, density=0.02, format="csr", random_state=rng, data_rvs=rng.standard_normal)
+        path = tmp_path / "pipeline.txt"
+        serialize_sparse(Dataset(X=X, y=rng.choice([-1, 1], size=3000)), path)
+        tracemalloc.start()
+        try:
+            ds = parse_sparse(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.X.nnz == X.nnz
+        assert peak <= 4 << 20
 
 
 class TestSerialize:

@@ -9,7 +9,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "stst"
 
 # imported but unused: perfbench/layers.py wraps these by their names in
-# these modules (ROADMAP item 10 moves those bindings and empties this set)
+# these modules (ROADMAP item 18 moves those bindings and empties this set)
 PERFBENCH_BOUND = {
     ("cli", "prefix_score_matrix"),
     ("cli", "attentive_from_prefix"),

@@ -24,7 +24,7 @@ from stst import (
 )
 from scipy import sparse
 
-from stst import predictor
+from stst import data, predictor
 from stst.errors import ModelFormatError, ParameterError
 from stst.predictor import (
     _FIRST_CHUNK,
@@ -576,7 +576,7 @@ class TestRowBlocks:
 
     @staticmethod
     def small_blocks(monkeypatch, model, rows):
-        monkeypatch.setattr(predictor, "_BLOCK_CELLS", rows * max(model.n, model.dim))
+        monkeypatch.setattr(data, "_BLOCK_CELLS", rows * max(model.n, model.dim))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("m", (1, 8, 10))
@@ -596,7 +596,7 @@ class TestRowBlocks:
     def test_default_block_size(self, kind):
         rng = np.random.default_rng(44)
         model = random_model(rng, kind, n=2000)
-        rows = predictor._BLOCK_CELLS // max(model.n, model.dim)
+        rows = data._block_rows(max(model.n, model.dim))
         X = self.sparse_rows(rng, 2 * rows + 7, model.dim)  # three blocks, the last short
         whole = np.cumsum(term_matrix(model, X), axis=1)
         assert prefix_score_matrix(model, sparse.csr_matrix(X)).tobytes() == whole.tobytes()
@@ -632,6 +632,23 @@ class TestRowBlocks:
         p = predict_rows(model, X, rule.theta, rule)
         assert (p.label[0], p.score[0], p.terms[0]) == (-1, -1.0, 1)
         assert predict_rows(model, X, -3.0).label[0] == 1  # no rule, any theta
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        # a NaN or +inf theta labelled every row -1, and -inf every row +1
+        model = coordinate_model([1.0, -2.0], dim=2)
+        X = np.ones((3, 2))
+        prefix = prefix_score_matrix(model, X)
+        calls = (
+            lambda: predict_rows(model, X, theta),
+            lambda: budgeted_predict(model, X[0], 1, theta),
+            lambda: full_predict(model, X[0], theta),
+            lambda: budgeted_from_prefix(prefix, 1, theta),
+            lambda: full_from_prefix(prefix, theta),
+        )
+        for call in calls:
+            with pytest.raises(ParameterError, match=r"^theta must be finite, got (nan|inf|-inf)$"):
+                call()
 
     def test_nan_in_a_later_block(self, monkeypatch):
         rng = np.random.default_rng(46)

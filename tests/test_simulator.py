@@ -9,6 +9,7 @@ from stst import (
     ConfidenceParams,
     WalkSpec,
     crossing_magnitude,
+    data,
     empirical_bridge_crossing_grid,
     empirical_stop_error_grid,
     empirical_stopping_time,
@@ -424,18 +425,18 @@ class TestWalkEngineSmallBlocks(TestWalkEngine):
     At the default cell budget a 4096-trial batch of n <= 32 fits one
     block, so these budgets make every test cross block edges: 5-row blocks
     at n = 37, and 77-row blocks, an odd count that does not divide a batch.
-    The exact bridge shifts 3 rows of n = 37 at a time, so its shift loop
-    crosses its own row groups inside a block too.
+    The exact bridge walks half-budget blocks, 2 and 38 rows of n = 37, and
+    shifts each whole block at once.
     """
 
     @pytest.fixture(autouse=True, params=[5 * 37, 77 * 37], ids=lambda cells: f"cells{cells}")
     def small_blocks(self, request, monkeypatch):
-        monkeypatch.setattr(simulator, "_BLOCK_CELLS", request.param)
-        monkeypatch.setattr(simulator, "_SHIFT_CELLS", 3 * 36)
+        monkeypatch.setattr(data, "_BLOCK_CELLS", request.param)
 
 
 class TestBlockBound:
-    """Every block and shift holds at most max(budget, n) cells, whatever n is."""
+    """Every block, with the exact bridge's shift, holds at most max(budget, n)
+    cells, whatever n is."""
 
     @pytest.mark.parametrize("n", [1, 37, 2000, 10_000, 100_003])
     def test_walk_blocks_within_cell_budget(self, n):
@@ -443,28 +444,28 @@ class TestBlockBound:
         shapes = []
         simulator._walk(WalkSpec(n=n, seed=n), trials, lambda paths: shapes.append(paths.shape))
         assert sum(rows for rows, _ in shapes) == trials
-        assert all(width == n and rows * width <= max(simulator._BLOCK_CELLS, n) for rows, width in shapes)
+        assert all(width == n and rows * width <= max(data._BLOCK_CELLS, n) for rows, width in shapes)
         if n >= 10_000:
             assert len(shapes) > 1
 
     @pytest.mark.parametrize("n", [2, 37, 2000, 10_000, 100_003])
     def test_exact_bridge_peak_memory_within_cell_budget(self, n, monkeypatch):
-        # one worker's full block of exact bridges: the block, frac, and a
-        # shift temporary of at most max(_SHIFT_CELLS, n - 1) cells; shifting
-        # the whole block at once adds a second block (from n = 37 on, where
-        # a block holds more rows than one shift)
+        # one worker's trials of a whole walk block, which the exact bridge
+        # walks as half-budget blocks: a block of `rows` walks, its shift
+        # temporary of rows * (n - 1) cells, and frac; a block of the full
+        # budget shifted at once would hold about 1.5 times as much
         import tracemalloc
 
         monkeypatch.setattr(simulator, "_workers", lambda: 1)
-        trials = min(BATCH, simulator._rows(simulator._BLOCK_CELLS, n))
-        shift = min(trials, simulator._rows(simulator._SHIFT_CELLS, n - 1)) * (n - 1)
+        trials = min(BATCH, data._block_rows(n))
+        rows = min(trials, data._block_rows(2 * n))
         tracemalloc.start()
         try:
             empirical_bridge_crossing_grid(WalkSpec(n=n, seed=n), [1.0], trials=trials, mode="exact")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (trials * n + shift + n) + (1 << 18)
+        assert peak <= 8 * (rows * (2 * n - 1) + n) + (1 << 18)
 
     def test_walk_peak_memory_independent_of_trials(self, monkeypatch):
         # one worker's rademacher stopping-time walk at n = 100 003: buffer,
@@ -479,7 +480,7 @@ class TestBlockBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * max(simulator._BLOCK_CELLS, spec.n)
+        assert peak <= 3 * 8 * max(data._BLOCK_CELLS, spec.n)
 
 
 class TestTheoryRows:
