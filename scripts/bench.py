@@ -190,8 +190,8 @@ def _serialize_memory() -> float:
     """Peak RSS of one serialize_sparse pass, after a child of its own saves the arrays."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "layer.npz")
-        _child_peak_rss_mb("_write_layer_arrays", path)
-        return _child_peak_rss_mb("_serialize_pass", path)
+        _child("_write_layer_arrays", path)
+        return _child("_serialize_pass", path)[0]
 
 
 def _write_layer_text(path: str) -> None:
@@ -213,8 +213,8 @@ def _parse_memory() -> float:
     """Peak RSS of one parse_sparse pass, after a child of its own writes the text file."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "layer.txt")
-        _child_peak_rss_mb("_write_layer_text", path)
-        return _child_peak_rss_mb("_parse_pass", path)
+        _child("_write_layer_text", path)
+        return _child("_parse_pass", path)[0]
 
 
 def _calibrate_inputs():
@@ -364,27 +364,38 @@ def _write_pipeline_data(path: str) -> str:
     return f"cli pipeline train-calibrate-sweep-pr {PIPELINE_M}x{PIPELINE_DIM} nnz={X.nnz}"
 
 
-def _child_peak_rss_mb(call: str, *args: str) -> float:
-    """Peak RSS of `bench.<call>(*args)` run alone in a fresh child interpreter.
+def _child(call: str, *args: str, timeout: int = 0) -> tuple[float, str] | None:
+    """Run `bench.<call>(*args)` alone in a fresh child interpreter on the
+    measured stst source: its peak RSS in MiB and its standard output, or
+    None when a timeout (whole seconds, 0 for none) stopped it first.
 
     Call it before this process grows: a child's ru_maxrss starts at its
     parent's high-water mark (`python -c pass` spawned after a 200 MB
     allocation reads 218 MB), so this process's own peak when it spawns the
     child is a floor under the reading. The child's rusage comes from wait4,
-    so each reading is that child's alone.
+    so each reading is that child's alone. A timeout is the child's own
+    SIGALRM, whose default action ends it even inside a numpy call.
     """
+    import signal
     import subprocess
 
     import stst
 
     src = str(Path(stst.__file__).resolve().parents[1])
-    code = f"import sys; sys.path[:0] = sys.argv[1:3]; import bench; bench.{call}(*sys.argv[3:])"
-    child = subprocess.Popen([sys.executable, "-c", code, src, str(Path(__file__).resolve().parent), *args])
+    alarm = f"import signal; signal.alarm({timeout}); " if timeout else ""
+    code = f"{alarm}import sys; sys.path[:0] = sys.argv[1:3]; import bench; bench.{call}(*sys.argv[3:])"
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, src, str(Path(__file__).resolve().parent), *args], stdout=subprocess.PIPE, text=True
+    )
+    with child.stdout:
+        out = child.stdout.read()  # to the end, when the child exits
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
+    if timeout and child.returncode == -signal.SIGALRM:
+        return None
     if child.returncode != 0:
         raise subprocess.CalledProcessError(child.returncode, child.args)
-    return usage.ru_maxrss / 1024.0
+    return usage.ru_maxrss / 1024.0, out
 
 
 def _pipeline_memory() -> dict:
@@ -393,9 +404,9 @@ def _pipeline_memory() -> dict:
     the data file, so building the data set does not raise that floor."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "data.txt")
-        _child_peak_rss_mb("_write_pipeline_data", path)
+        _child("_write_pipeline_data", path)
         spawner = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        return {"peak_rss_mb": _child_peak_rss_mb("_pipeline_pass", path), "spawner_peak_rss_mb": spawner}
+        return {"peak_rss_mb": _child("_pipeline_pass", path)[0], "spawner_peak_rss_mb": spawner}
 
 
 def _pipeline_row(memory: dict) -> dict:
@@ -421,20 +432,12 @@ def _sweep_pass(m: str, n: str, grid: str) -> None:
 def _child_sweep_row(m: int, n: int, grid: str) -> dict:
     """Single-call times of _sweep_pass, one fresh child interpreter each;
     a child past EXHAUSTIVE_LIMIT_S is stopped and ends the row."""
-    import subprocess
-
-    import stst
-
-    src = str(Path(stst.__file__).resolve().parents[1])
-    code = "import sys; sys.path[:0] = sys.argv[1:3]; import bench; bench._sweep_pass(*sys.argv[3:])"
-    argv = [sys.executable, "-c", code, src, str(Path(__file__).resolve().parent), str(m), str(n), grid]
     times = []
     for _ in range(SWEEP_REPEATS):
-        try:
-            done = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=EXHAUSTIVE_LIMIT_S)
-        except subprocess.TimeoutExpired:
+        done = _child("_sweep_pass", str(m), str(n), grid, timeout=EXHAUSTIVE_LIMIT_S)
+        if done is None:
             return {"timed_out_after_s": EXHAUSTIVE_LIMIT_S, "calls": len(times)}
-        times.append(float(done.stdout.split()[-1]))
+        times.append(float(done[1].split()[-1]))
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3, "calls": len(times)}
 
@@ -491,16 +494,16 @@ def measure() -> dict:
     from stst import bench, predictor
     from stst.core import Direction, StoppingRule
 
-    # the children run first, while this process is small (see _child_peak_rss_mb)
-    theory_peak_rss_mb = _child_peak_rss_mb("_theory_pass", os.devnull)
-    stopping_peak_rss_mb = _child_peak_rss_mb("_stopping_time_pass")
+    # the children run first, while this process is small (see _child)
+    theory_peak_rss_mb = _child("_theory_pass", os.devnull)[0]
+    stopping_peak_rss_mb = _child("_stopping_time_pass")[0]
     pipeline_memory = _pipeline_memory()
     m, n = SWEEP_SIZES[-1]
-    sweep_peak_rss_mb = _child_peak_rss_mb("_sweep_pass", str(m), str(n), "50")
+    sweep_peak_rss_mb = _child("_sweep_pass", str(m), str(n), "50")[0]
     layer_memory = {
         "serialize": _serialize_memory(),
         "parse": _parse_memory(),
-        "calibrate": _child_peak_rss_mb("_calibrate_pass"),
+        "calibrate": _child("_calibrate_pass")[0],
     }
     rows = _cold_import_row()
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)

@@ -25,8 +25,8 @@ import numpy as np
 from .calibration import measure_stop_error  # noqa: F401
 from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, crossing_probability
 from .data import Dataset, write_csv
-from .errors import ParameterError, UndefinedRateError
-from .predictor import WeightedModel, _check_theta, _prefix_rows, _row_blocks
+from .errors import ParameterError, UndefinedRateError, check_count, check_finite, check_labels
+from .predictor import WeightedModel, _prefix_rows, _row_blocks
 from .predictor import (  # noqa: F401
     attentive_from_prefix,
     budgeted_from_prefix,
@@ -40,7 +40,6 @@ from .simulator import (
     empirical_bridge_crossing_grid,
     empirical_stop_error_grid,
     empirical_stopping_time,
-    _is_count,
 )
 
 __all__ = [
@@ -180,8 +179,9 @@ def run_sweep(
     The sweep rejects below: each grid tau sits under theta and stops predict
     -1. Stop-error rates for both modes are measured against the single full
     pass, conditioned on full label +1, the class opposite the rejection
-    direction. grid is a point count (an int >= 1, not a bool) or
-    "exhaustive", every distinct per-example minimum below theta.
+    direction. grid is a point count (an integer >= 1, as
+    errors.check_count reads it) or "exhaustive", every distinct
+    per-example minimum below theta.
 
     The test set is evaluated once, one row block at a time, with no (m, n)
     array (see _scan). Every field is what attentive_from_prefix and
@@ -189,10 +189,12 @@ def run_sweep(
     totals and label counts are exact integers, and each mean and rate is
     one division of two of them.
     """
-    if not (_is_count(grid) and grid >= 1 or isinstance(grid, str) and grid == "exhaustive"):
-        raise ParameterError(f"grid must be an integer >= 1 or 'exhaustive', got {grid!r}")
-    theta = float(theta)  # an int theta still writes as a float in the CSV
-    _check_theta(theta)
+    if not (isinstance(grid, str) and grid == "exhaustive"):
+        try:
+            check_count("grid", grid, 1)
+        except ParameterError:
+            raise ParameterError(f"grid must be an integer >= 1 or 'exhaustive', got {grid!r}") from None
+    theta = float(check_finite("theta", theta))  # an int theta still writes as a float in the CSV
     if not np.any(model.mu):
         warnings.warn("model mu is all zero; sweeping uncorrected scores voids the delta calibration")
     n = model.n
@@ -284,11 +286,7 @@ def precision_recall(scores, truth) -> list[PRPoint]:
         raise ParameterError("scores and truth labels must be aligned 1-d arrays")
     if not np.isfinite(scores).all():
         raise ParameterError("scores must be finite, got a NaN or infinite value")
-    # checked before the int64 cast, which would truncate a label of 1.9 to 1
-    bad = ~np.isin(truth, (1, -1))
-    if bad.any():
-        raise ParameterError(f"truth labels must be +1 or -1; offending values {np.unique(truth[bad])}")
-    truth = truth.astype(np.int64)
+    truth = check_labels("truth labels", truth)
     positives = int((truth == 1).sum())
     if positives == 0:
         raise UndefinedRateError("no positive examples in truth; recall undefined")
@@ -342,23 +340,19 @@ class TheoryConfig:
     def __post_init__(self):
         # every field is checked here, so a bad one fails before any walk
         # runs rather than when its own experiment starts
-        if not _is_count(self.n):
-            raise ParameterError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
-        if self.bridge_trials < 1:
-            raise ParameterError(f"bridge_trials must be >= 1, got {self.bridge_trials}")
-        if self.stop_error_trials < 1:
-            raise ParameterError(f"stop_error_trials must be >= 1, got {self.stop_error_trials}")
-        if self.stopping_trials < 2:
-            raise ParameterError(f"stopping_trials must be >= 2, got {self.stopping_trials}")
-        if not all(_is_count(n) for n in self.stopping_ns):
-            raise ParameterError(f"stopping_ns must hold integers, got {self.stopping_ns!r}")
+        check_count("n", self.n, 1)
+        check_count("bridge_trials", self.bridge_trials, 1)
+        check_count("stop_error_trials", self.stop_error_trials, 1)
+        check_count("stopping_trials", self.stopping_trials, 2)
+        try:
+            for n in self.stopping_ns:
+                check_count("stopping_ns", n, -math.inf)  # any integer: the bound is checked below
+        except ParameterError:
+            raise ParameterError(f"stopping_ns must hold integers, got {self.stopping_ns!r}") from None
         # the sqrt(n) slope is fitted through one point per distinct length
         if len(set(self.stopping_ns)) < 2 or min(self.stopping_ns) < 1:
             raise ParameterError(f"stopping_ns needs two or more distinct lengths >= 1, got {self.stopping_ns!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
 
 
 def run_theory_suite(config: TheoryConfig = TheoryConfig()) -> list[tuple[TheoryRow, bool]]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, _block_rows
-from .errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError
+from .errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError, check_count
 from .predictor import Predictions, WeightedModel, _check_X, _raw
 # unused here: perfbench/layers.py wraps calibration.term_matrix by name, and
 # the import goes once that binding moves to stst.predictor (ROADMAP item 18)
@@ -43,8 +43,7 @@ class CalibrationReport:
     def __post_init__(self):
         if not self.variance_hat > 0.0:
             raise ParameterError(f"variance_hat must be positive, got {self.variance_hat!r}")
-        if self.n_calibration < 2:
-            raise ParameterError(f"n_calibration must be >= 2, got {self.n_calibration}")
+        check_count("n_calibration", self.n_calibration, 2)
         if self.class_used not in (1, -1):
             raise ParameterError(f"class_used must be +1 or -1, got {self.class_used!r}")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import bench, calibration, data, simulator, trainer
 from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, crossing_probability
-from .errors import ParameterError, StstError
+from .errors import ParameterError, StstError, check_count, check_finite
 from .predictor import load_model, predict_rows, save_model
 # unused here: perfbench/layers.py wraps these three by their cli names, and
 # the import goes once those bindings move to stst.predictor (ROADMAP item 18)
@@ -134,6 +134,9 @@ def _cmd_train(args) -> int:
         raise ParameterError("--test-out needs --test-fraction (there is no held-out split to write)")
     if args.split_seed is not None and args.test_fraction is None:
         raise ParameterError("--split-seed needs --test-fraction (there is no split to seed)")
+    config = trainer.TrainConfig(
+        lambda_reg=args.lambda_reg, epochs=args.epochs, seed=args.seed, use_bias=not args.no_bias
+    )
     if args.data is not None:
         dataset = data.parse_sparse(args.data)
     else:
@@ -141,9 +144,6 @@ def _cmd_train(args) -> int:
     test = None
     if args.test_fraction is not None:
         dataset, test = data.split(dataset, args.test_fraction, args.split_seed or 0)
-    config = trainer.TrainConfig(
-        lambda_reg=args.lambda_reg, epochs=args.epochs, seed=args.seed, use_bias=not args.no_bias
-    )
     model = trainer.train_linear(dataset, config)
     save_model(model, args.model_out)
     if args.test_out is not None:
@@ -208,8 +208,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model = load_model(args.model)
-    test = data.parse_sparse(args.data, dim=model.dim)
+    check_finite("theta", args.theta)
     if args.grid == "exhaustive":
         grid = "exhaustive"
     else:
@@ -217,6 +216,9 @@ def _cmd_sweep(args) -> int:
             grid = int(args.grid)
         except ValueError:
             raise ParameterError(f"grid must be an integer or 'exhaustive', got {args.grid!r}") from None
+        check_count("grid", grid, 1)
+    model = load_model(args.model)
+    test = data.parse_sparse(args.data, dim=model.dim)
     records = bench.run_sweep(model, test, theta=args.theta, grid=grid)
     with _output(args.output) as stream:
         bench.sweep_csv(records, stream)
@@ -224,6 +226,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pr(args) -> int:
+    check_finite("theta", args.theta)
     rule = None
     if args.mode == "attentive":
         if args.tau is None:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateRuleError, ParameterError
+from .errors import DegenerateRuleError, ParameterError, check_finite
 
 __all__ = [
     "Direction",
@@ -76,8 +76,7 @@ class StoppingRule:
     direction: Direction
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ParameterError(f"theta must be finite, got {self.theta!r}")
+        check_finite("theta", self.theta)
         if math.isnan(self.tau):
             raise ParameterError("tau must not be NaN")
         if self.direction is Direction.REJECT_BELOW:

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ParameterError, ParseError
+from .errors import EmptyDatasetError, ParameterError, ParseError, check_count, check_labels
 
 __all__ = [
     "Dataset",
@@ -105,11 +105,7 @@ class Dataset:
             raise ParameterError(
                 f"feature rows ({self.X.shape[0]}) and labels ({self.y.shape[0]}) disagree"
             )
-        # checked before the int64 cast, which would truncate a label of 1.9 to 1
-        bad = ~np.isin(self.y, (1, -1))
-        if bad.any():
-            raise ParameterError(f"labels must be +1 or -1; offending values {np.unique(self.y[bad])}")
-        self.y = self.y.astype(np.int64, copy=False)
+        self.y = check_labels("labels", self.y)
 
     @property
     def n_examples(self) -> int:
@@ -158,6 +154,8 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
     dimension (the largest index seen); an override smaller than an observed
     index is an error. Out-of-order and duplicate indices are errors.
     """
+    if dim is not None:
+        check_count("dim", dim, 1)
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             return parse_sparse(handle, dim=dim)
@@ -230,11 +228,11 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
     if not labels:
         raise EmptyDatasetError("input contained no examples")
     if dim is None:
+        if max_index < 1:
+            raise ParseError("cannot infer a positive dimension from featureless input; pass dim")
         dim = max_index
     elif dim < max_index:
         raise ParseError(f"declared dim {dim} smaller than largest index {max_index}")
-    if dim < 1:
-        raise ParseError("cannot infer a positive dimension from featureless input; pass dim")
     X = sparse.csr_matrix((values, np.frombuffer(col, dtype=np.int64), indptr), shape=(len(labels), dim))
     return Dataset(X=X, y=np.frombuffer(labels, dtype=np.int64))
 
@@ -301,16 +299,14 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterError(f"dim must be >= 1, got {self.dim}")
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise ParameterError("class counts must be >= 1")
+        check_count("dim", self.dim, 1)
+        check_count("n_pos", self.n_pos, 1)
+        check_count("n_neg", self.n_neg, 1)
         if not self.noise_std > 0.0:
             raise ParameterError(f"noise_std must be positive, got {self.noise_std!r}")
         if self.mean_separation < 0.0:
             raise ParameterError(f"mean_separation must be >= 0, got {self.mean_separation!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -330,8 +326,7 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     """Seeded uniform split into disjoint, exhaustive (train, test) parts."""
     if not 0.0 < test_fraction < 1.0:
         raise ParameterError(f"test_fraction must be in (0, 1), got {test_fraction!r}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_count("seed", seed, 0)
     m = dataset.n_examples
     n_test = round(m * test_fraction)
     if n_test < 1 or n_test > m - 1:

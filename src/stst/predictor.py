@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import Direction, StoppingRule
 from .data import _block_rows
-from .errors import ModelFormatError, ParameterError
+from .errors import ModelFormatError, ParameterError, check_count, check_finite
 
 __all__ = [
     "KernelSpec",
@@ -70,12 +70,6 @@ _FIRST_CHUNK = 128
 _GROWTH = 4
 
 MODEL_FORMAT_VERSION = 1
-
-
-def _check_theta(theta) -> None:
-    """Refuse a NaN or infinite theta, which would label every row one way."""
-    if not math.isfinite(theta):
-        raise ParameterError(f"theta must be finite, got {theta!r}")
 
 
 def _real(values, what: str) -> np.ndarray:
@@ -140,12 +134,8 @@ class WeightedModel:
         for name, values in (("weights", w), ("mu", m)):
             if not np.isfinite(values).all():
                 raise ParameterError(f"{name} must be finite, got a NaN or infinite value")
-        _check_theta(self.theta)
-        if not isinstance(self.dim, (int, np.integer)):
-            raise ParameterError(f"dim must be an integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
-        if self.dim < 1:
-            raise ParameterError(f"dim must be >= 1, got {self.dim}")
+        check_finite("theta", self.theta)
+        object.__setattr__(self, "dim", check_count("dim", self.dim, 1))
         has_coords = self.indices is not None
         has_kernel = self.support_vectors is not None or self.kernel is not None
         if has_coords == has_kernel:
@@ -309,8 +299,7 @@ def _terms(model: WeightedModel, X: np.ndarray, a: int, b: int) -> np.ndarray:
 
 def score_term(model: WeightedModel, i: int, x) -> float:
     """Corrected weighted value of term i (0-based): w_i * (raw_i(x) - mu_i)."""
-    if not 0 <= i < model.n:
-        raise ParameterError(f"term index {i} outside [0, {model.n})")
+    check_count("term index", i, 0, model.n - 1)
     return float(_terms(model, _check_x(model, x)[None], i, i + 1)[0, 0])
 
 
@@ -397,10 +386,8 @@ def attentive_predict(model: WeightedModel, x, rule: StoppingRule) -> Prediction
 def budgeted_predict(model: WeightedModel, x, b: int, theta: float) -> Prediction:
     """Evaluate exactly the first b terms and label sign(S_b - theta)."""
     x = _check_x(model, x)
-    n = model.n
-    if not 1 <= b <= n:
-        raise ParameterError(f"budget must be in [1, {n}], got {b}")
-    _check_theta(theta)
+    check_count("budget", b, 1, model.n)
+    check_finite("theta", theta)
     return _evaluate(model, x[None], b, theta)[0]
 
 
@@ -413,8 +400,7 @@ def full_predict(model: WeightedModel, x, theta: float | None = None) -> Predict
 
 def permute_terms(model: WeightedModel, seed: int) -> WeightedModel:
     """Reorder terms (and their mu entries) by a seeded uniform permutation."""
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_count("seed", seed, 0)
     perm = np.random.default_rng(seed).permutation(model.n)
     kwargs = dict(weights=model.weights[perm], mu=model.mu[perm])
     if model.indices is not None:
@@ -497,7 +483,7 @@ def predict_rows(model: WeightedModel, X, theta: float, rule: StoppingRule | Non
     X may be dense or scipy sparse; the evaluator takes one row block at a
     time, so no (m, n) array is built.
     """
-    _check_theta(theta)
+    check_finite("theta", theta)
     if rule is not None and theta != rule.theta:
         raise ParameterError(f"theta {theta!r} differs from the rule's theta {rule.theta!r}")
     m, blocks = _row_blocks(model, X)
@@ -525,10 +511,8 @@ def attentive_from_prefix(prefix: np.ndarray, rule: StoppingRule) -> Predictions
 
 def budgeted_from_prefix(prefix: np.ndarray, b: int, theta: float) -> Predictions:
     """Budgeted predictions at budget b for every row of a prefix matrix."""
-    n = prefix.shape[1]
-    if not 1 <= b <= n:
-        raise ParameterError(f"budget must be in [1, {n}], got {b}")
-    _check_theta(theta)
+    check_count("budget", b, 1, prefix.shape[1])
+    check_finite("theta", theta)
     return _decide(prefix, b, theta)
 
 
@@ -564,26 +548,35 @@ def save_model(
         payload["sigma"] = np.float64(model.kernel.sigma if model.kernel.sigma is not None else -1.0)
     else:
         payload["indices"] = model.indices.astype(np.int64)
-    if verify_inputs is not None or verify_scores is not None:
-        if verify_inputs is None or verify_scores is None:
-            raise ParameterError("verification inputs and scores must be provided together")
-        vx, vs = np.asarray(verify_inputs), np.asarray(verify_scores)
-        if vx.dtype.kind not in "iuf" or vs.dtype.kind not in "iuf":
-            # a float64 cast would read strings of digits as numbers
-            raise ParameterError(f"verification inputs and scores must be real numbers, got {vx.dtype} and {vs.dtype}")
-        vx, vs = vx.astype(np.float64, copy=False), vs.astype(np.float64, copy=False)
-        if vx.ndim != 2 or vx.shape[0] != vs.shape[0]:
-            raise ParameterError("verification inputs and scores must align row for row")
-        if vx.shape[0] == 0:
-            raise ParameterError("verification set has no rows")
-        payload["verify_inputs"] = vx
-        payload["verify_scores"] = vs
+    verify = _verification_set(model, verify_inputs, verify_scores)
+    if verify is not None:
+        payload["verify_inputs"], payload["verify_scores"] = verify
     if isinstance(path, (str, os.PathLike)):
         # np.savez given a name appends ".npz" to one that lacks it
         with open(path, "wb") as handle:
             np.savez(handle, **payload)
     else:
         np.savez(path, **payload)
+
+
+def _verification_set(model: WeightedModel, inputs, scores) -> tuple[np.ndarray, np.ndarray] | None:
+    """A verification set as float64 (inputs, scores), or None when neither
+    half is given; raises ParameterError unless both halves are given, are
+    real numbers, and hold one score for each of one or more finite inputs
+    of the model's dimension."""
+    if inputs is None and scores is None:
+        return None
+    if inputs is None or scores is None:
+        raise ParameterError("verification inputs and scores must be provided together")
+    vx, vs = np.asarray(inputs), np.asarray(scores)
+    if vx.dtype.kind not in "iuf" or vs.dtype.kind not in "iuf":
+        # a float64 cast would read strings of digits as numbers
+        raise ParameterError(f"verification inputs and scores must be real numbers, got {vx.dtype} and {vs.dtype}")
+    if vx.ndim != 2 or vs.shape != vx.shape[:1]:
+        raise ParameterError("verification inputs and scores must align row for row")
+    if vx.shape[0] == 0:
+        raise ParameterError("verification set has no rows")
+    return _check_X(model, vx), vs.astype(np.float64, copy=False)
 
 
 def load_model(path) -> WeightedModel:

@@ -16,7 +16,10 @@ Three experiments back the three analytic claims:
     Wald's identity.
 
 The two crossing experiments take a grid of boundaries and share one path
-ensemble across it; a single boundary is a grid of one.
+ensemble across it; a single boundary is a grid of one. Walk lengths,
+seeds and trial counts go through errors.check_count and theta and drift
+through errors.check_finite, so a float or bool count, or a NaN theta, is
+a ParameterError before any walk runs.
 
 Trials are processed in fixed-size batches of 4096, each driven by its own
 child of one seed sequence. The batches run on a thread pool with one worker
@@ -45,7 +48,7 @@ import numpy as np
 
 from .core import ConfidenceParams, crossing_magnitude, expected_stop_bound
 from .data import _block_rows, write_csv
-from .errors import InsufficientAcceptanceError, ParameterError
+from .errors import InsufficientAcceptanceError, ParameterError, check_count, check_finite
 
 __all__ = [
     "WalkSpec",
@@ -64,11 +67,6 @@ _BATCH = 4096  # trials per seed child: fixes which stream draws which trial
 _STEP_KINDS = ("gaussian", "rademacher", "uniform")
 
 
-def _is_count(value) -> bool:
-    """Whether value is a Python or numpy integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class WalkSpec:
     """A seeded random walk: n steps of drift plus scaled symmetric noise.
@@ -85,18 +83,13 @@ class WalkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_count(self.n):
-            raise ParameterError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
+        check_count("n", self.n, 1)
         if self.step not in _STEP_KINDS:
             raise ParameterError(f"step must be one of {_STEP_KINDS}, got {self.step!r}")
         if not self.scale > 0.0 or math.isinf(self.scale):
             raise ParameterError(f"scale must be positive and finite, got {self.scale!r}")
-        if not math.isfinite(self.drift):
-            raise ParameterError(f"drift must be finite, got {self.drift!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_finite("drift", self.drift)
+        check_count("seed", self.seed, 0)
 
     @property
     def step_variance(self) -> float:
@@ -261,10 +254,10 @@ def empirical_bridge_crossing_grid(
     taus = [float(t) for t in taus]
     if spec.drift != 0.0:
         raise ParameterError("bridge crossing requires a driftless walk spec")
-    if any(t <= theta for t in taus):
+    check_finite("theta", theta)
+    if not all(t > theta for t in taus):  # a NaN tau exceeds nothing
         raise ParameterError(f"every tau must exceed theta={theta!r}")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    check_count("trials", trials, 1)
     if mode not in ("rejection", "exact"):
         raise ParameterError(f"unknown mode {mode!r}")
     if mode == "exact" and spec.step != "gaussian":
@@ -326,8 +319,8 @@ def empirical_stop_error_grid(
         raise ParameterError("stop-error calibration requires a driftless walk spec")
     if any(not 0.0 < d <= 1.0 for d in deltas):
         raise ParameterError("every delta must lie in (0, 1]")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    check_finite("theta", theta)
+    check_count("trials", trials, 1)
     taus = [
         theta + crossing_magnitude(ConfidenceParams(delta=d, variance=spec.total_variance), conditioning)
         for d in deltas
@@ -371,8 +364,7 @@ def empirical_stopping_time(spec: WalkSpec, delta: float, trials: int = 10_000) 
         raise ParameterError("stopping-time experiment requires positive drift")
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must lie in (0, 1), got {delta!r}")
-    if trials < 2:
-        raise ParameterError("trials must be >= 2")
+    check_count("trials", trials, 2)
     tau = crossing_magnitude(ConfidenceParams(delta=delta, variance=spec.total_variance))
 
     def reduce(paths):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ModelFormatError, ParameterError, TrainingError
-from .predictor import WeightedModel, _load, coordinate_model, predict_rows
+from .errors import ModelFormatError, ParameterError, TrainingError, check_count
+from .predictor import WeightedModel, _load, _verification_set, coordinate_model, predict_rows
 
 __all__ = [
     "TrainConfig",
@@ -40,10 +40,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lambda_reg > 0.0 or math.isinf(self.lambda_reg):
             raise ParameterError(f"lambda_reg must be positive and finite, got {self.lambda_reg!r}")
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        check_count("epochs", self.epochs, 1)
+        check_count("seed", self.seed, 0)
 
 
 def train_linear(train: Dataset, config: TrainConfig) -> WeightedModel:
@@ -137,26 +135,15 @@ def import_kernel_model(path) -> WeightedModel:
     model, fields = _load(path)
     if not model.is_kernel:
         raise ModelFormatError("container holds a coordinate model, not a kernel model")
-    if ("verify_inputs" in fields) != ("verify_scores" in fields):
-        raise ModelFormatError("malformed verification payload: needs both verify_inputs and verify_scores")
-    if "verify_inputs" in fields:
-        inputs, expected = fields["verify_inputs"], fields["verify_scores"]
-        for name, values in (("verify_inputs", inputs), ("verify_scores", expected)):
-            if values.dtype.kind not in "iuf":
-                raise ModelFormatError(f"malformed verification payload: {name} of dtype {values.dtype} is not real")
-        if inputs.size == 0:
-            raise ModelFormatError("malformed verification payload: no rows to verify")
-        try:
-            got = predict_rows(model, inputs, model.theta).score
-        except ParameterError as exc:
-            raise ModelFormatError(f"malformed verification payload: {exc}") from exc
-        if expected.shape != got.shape:
-            raise ModelFormatError(
-                f"malformed verification payload: scores of shape {expected.shape} for {got.size} inputs"
-            )
-        denom = np.maximum(np.abs(expected), 1e-30)
-        worst = float(np.max(np.abs(got - expected) / denom)) if got.size else 0.0
+    try:
+        verify = _verification_set(model, fields.get("verify_inputs"), fields.get("verify_scores"))
+    except ParameterError as exc:
+        raise ModelFormatError(f"malformed verification payload: {exc}") from exc
+    if verify is not None:
+        inputs, expected = verify
+        got = predict_rows(model, inputs, model.theta).score
         if not np.allclose(got, expected, rtol=1e-6, atol=1e-12):
+            worst = float(np.max(np.abs(got - expected) / np.maximum(np.abs(expected), 1e-30)))
             raise ModelFormatError(
                 f"imported model disagrees with exporter scores (max relative error {worst:.3e})"
             )

@@ -556,6 +556,60 @@ def test_pr_rule_errors_come_before_reading(pipeline, tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def refuse_to_read(monkeypatch):
+    """Make every reader of a model or a data file, and the synthetic generator, fail the test."""
+    def refused(*args, **kwargs):
+        raise AssertionError("an input was read before the flags were checked")
+
+    refuse_to_parse(monkeypatch)
+    monkeypatch.setattr(cli, "load_model", refused)
+    monkeypatch.setattr(data, "generate_synthetic", refused)
+
+
+def test_pr_full_mode_theta_checked_before_reading(pipeline, tmp_path, capsys, monkeypatch):
+    _, calibrated, test_file = pipeline
+    refuse_to_read(monkeypatch)
+    out = tmp_path / "pr.csv"
+    argv = ["pr", "--model", str(calibrated), "--data", str(test_file), "--mode", "full", "-o", str(out)]
+    for theta in ("nan", "inf", "-inf"):
+        assert run(argv + [f"--theta={theta}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"theta must be finite, got {theta}" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--theta=nan"], "theta must be finite, got nan"), (["--theta=-inf"], "theta must be finite, got -inf"),
+     (["--grid", "0"], "grid must be >= 1, got 0"), (["--grid", "-3"], "grid must be >= 1, got -3")],
+)
+def test_sweep_flags_checked_before_reading(pipeline, tmp_path, capsys, monkeypatch, flags, message):
+    _, calibrated, test_file = pipeline
+    refuse_to_read(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--model", str(calibrated), "--data", str(test_file), *flags, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["data", "synthetic"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--epochs", "0"], "epochs must be >= 1, got 0"), (["--seed", "-1"], "seed must be >= 0, got -1"),
+     (["--lambda", "0"], "lambda_reg must be positive and finite")],
+)
+def test_train_config_checked_before_reading(tmp_path, capsys, monkeypatch, source, flags, message):
+    refuse_to_read(monkeypatch)
+    given = ["--data", str(tmp_path / "train.txt")] if source == "data" else ["--synthetic", SYNTH]
+    outputs = ["--model-out", str(tmp_path / "m.npz"), "--test-out", str(tmp_path / "test.txt"), "-o",
+               str(tmp_path / "train.csv")]
+    assert run(["train", *given, "--test-fraction", "0.3", *flags, *outputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "key,corrupt,message",
     [
