@@ -74,6 +74,16 @@ the floor under that reading.
 Cold-import row: COLD_IMPORTS fresh interpreters, one after another, each
 running `import stst.cli` from the same stst source: the start-up every
 stst command pays before it does any work.
+
+Parse-path rows, on the layer dataset's text: parse_sparse with the
+compiled line parser switched off (stst.data._text_parser returning None),
+so every line goes through the Python reference loop, LAYER_REPEATS calls
+in one fresh child; and the first parse_sparse call of LAYER_REPEATS fresh
+children, one after another, each with an empty build cache
+(XDG_CACHE_HOME) and scipy.sparse already imported, so the row holds the
+one-time compile of the parser as set-up; warm_median_ms is each child's
+second call. On a source tree
+without a compiled parser both rows time its only path.
 """
 
 import argparse
@@ -209,12 +219,55 @@ def _parse_pass(path: str) -> None:
     data.parse_sparse(path)
 
 
-def _parse_memory() -> float:
-    """Peak RSS of one parse_sparse pass, after a child of its own writes the text file."""
+def _parse_reference_pass(path: str) -> None:
+    """Prints the time of each of LAYER_REPEATS parse_sparse calls with the
+    compiled line parser switched off."""
+    from stst import data
+
+    data._text_parser = lambda: None
+    data._sparse()  # the first parse's import of scipy.sparse stays out of the times
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    for _ in range(LAYER_REPEATS):
+        t0 = time.perf_counter()
+        data.parse_sparse(io.StringIO(text))
+        print(time.perf_counter() - t0)
+
+
+def _parse_cold_pass(path: str) -> None:
+    """Prints the times of the first and the second parse_sparse call of
+    this interpreter, with an empty build cache."""
+    from stst import data
+
+    data._sparse()  # the first parse's import of scipy.sparse stays out of the times
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    with tempfile.TemporaryDirectory() as cache:
+        os.environ["XDG_CACHE_HOME"] = cache
+        for _ in range(2):
+            t0 = time.perf_counter()
+            data.parse_sparse(io.StringIO(text))
+            print(time.perf_counter() - t0)
+
+
+def _parse_children() -> tuple[float, dict]:
+    """The peak RSS of one parse_sparse pass, and the reference-loop and
+    cold-first-call rows (see the module docstring), each in fresh children
+    after a child of its own writes the text file."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "layer.txt")
         _child("_write_layer_text", path)
-        return _child("_parse_pass", path)[0]
+        peak_rss_mb = _child("_parse_pass", path)[0]
+        reference = [float(t) for t in _child("_parse_reference_pass", path)[1].split()]
+        cold = [[float(t) for t in _child("_parse_cold_pass", path)[1].split()] for _ in range(LAYER_REPEATS)]
+    size = f"{LAYER_M}x{LAYER_DIM}"
+    return peak_rss_mb, {
+        f"parse_sparse reference loop {size}": _quartiles(reference),
+        f"parse_sparse cold first call {size}": {
+            **_quartiles([first for first, _ in cold]),
+            "warm_median_ms": statistics.median(second for _, second in cold) * 1e3,
+        },
+    }
 
 
 def _calibrate_inputs():
@@ -247,6 +300,7 @@ def _layer_rows(rng, memory: dict) -> dict:
     buf = io.StringIO()
     data.serialize_sparse(dataset, buf)
     text = buf.getvalue()
+    data.parse_sparse(io.StringIO(text))  # builds or loads the compiled parser: the cold row times that
     rows[f"parse_sparse {size}"] = {
         **_call_ms(lambda t: data.parse_sparse(io.StringIO(t)), [text], LAYER_REPEATS),
         "peak_rss_mb": memory["parse"],
@@ -438,8 +492,7 @@ def _child_sweep_row(m: int, n: int, grid: str) -> dict:
         if done is None:
             return {"timed_out_after_s": EXHAUSTIVE_LIMIT_S, "calls": len(times)}
         times.append(float(done[1].split()[-1]))
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3, "calls": len(times)}
+    return _quartiles(times)
 
 
 def _theory_pass(path: str) -> None:
@@ -484,6 +537,11 @@ def _call_ms(fn, X, repeats: int = REPEATS) -> dict:
             t0 = time.perf_counter()
             fn(x)
             times.append(time.perf_counter() - t0)
+    return _quartiles(times)
+
+
+def _quartiles(times: list) -> dict:
+    """Median and quartiles of wall times in seconds, in milliseconds."""
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"median_ms": median * 1e3, "q1_ms": q1 * 1e3, "q3_ms": q3 * 1e3, "calls": len(times)}
 
@@ -500,12 +558,13 @@ def measure() -> dict:
     pipeline_memory = _pipeline_memory()
     m, n = SWEEP_SIZES[-1]
     sweep_peak_rss_mb = _child("_sweep_pass", str(m), str(n), "50")[0]
+    parse_peak_rss_mb, parse_rows = _parse_children()
     layer_memory = {
         "serialize": _serialize_memory(),
-        "parse": _parse_memory(),
+        "parse": parse_peak_rss_mb,
         "calibrate": _child("_calibrate_pass")[0],
     }
-    rows = _cold_import_row()
+    rows = {**_cold_import_row(), **parse_rows}
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
     never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)
     for name, model, X in _models():

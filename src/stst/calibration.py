@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, _block_rows
-from .errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError, check_count
+from .errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError, check_count, check_label
 from .predictor import Predictions, WeightedModel, _check_X, _raw
 # unused here: perfbench/layers.py wraps calibration.term_matrix by name, and
 # the import goes once that binding moves to stst.predictor (ROADMAP item 18)
@@ -44,8 +44,7 @@ class CalibrationReport:
         if not self.variance_hat > 0.0:
             raise ParameterError(f"variance_hat must be positive, got {self.variance_hat!r}")
         check_count("n_calibration", self.n_calibration, 2)
-        if self.class_used not in (1, -1):
-            raise ParameterError(f"class_used must be +1 or -1, got {self.class_used!r}")
+        check_label("class_used", self.class_used)
 
 
 def calibrate(
@@ -74,8 +73,7 @@ def calibrate(
     """
     if mode not in ("score", "per_term"):
         raise ParameterError(f"unknown variance mode {mode!r}")
-    if class_used not in (1, -1):
-        raise ParameterError(f"class_used must be +1 or -1, got {class_used!r}")
+    class_used = check_label("class_used", class_used)
     sel = np.nonzero(calibration_set.y == class_used)[0]
     if sel.size < 2:
         raise CalibrationError(
@@ -115,8 +113,7 @@ def measure_stop_error(attentive: Predictions, full: Predictions, condition: int
     Both must cover the same examples in the same order; the denominator is
     the set of examples the full pass labeled as `condition`.
     """
-    if condition not in (1, -1):
-        raise ParameterError(f"condition must be +1 or -1, got {condition!r}")
+    condition = check_label("condition", condition)
     if len(attentive) != len(full):
         raise ParameterError(
             f"prediction lists are misaligned: {len(attentive)} attentive vs {len(full)} full"

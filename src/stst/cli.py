@@ -127,6 +127,15 @@ def _class_label(text: str) -> int:
     raise ParameterError(f"class must be +1 or -1, got {text!r}")
 
 
+def _check_split_flags(fraction_flag: str, fraction, seed_flag: str, seed) -> None:
+    """A split's fraction and seed, checked before any input is read. The
+    empty-side check needs the row count, so it stays in data.split."""
+    if fraction is not None and not 0.0 < fraction < 1.0:
+        raise ParameterError(f"{fraction_flag} must be in (0, 1), got {fraction!r}")
+    if seed is not None:
+        check_count(seed_flag, seed, 0)
+
+
 def _cmd_train(args) -> int:
     if (args.data is None) == (args.synthetic is None):
         raise ParameterError("train needs exactly one of --data or --synthetic")
@@ -134,6 +143,7 @@ def _cmd_train(args) -> int:
         raise ParameterError("--test-out needs --test-fraction (there is no held-out split to write)")
     if args.split_seed is not None and args.test_fraction is None:
         raise ParameterError("--split-seed needs --test-fraction (there is no split to seed)")
+    _check_split_flags("--test-fraction", args.test_fraction, "--split-seed", args.split_seed)
     config = trainer.TrainConfig(
         lambda_reg=args.lambda_reg, epochs=args.epochs, seed=args.seed, use_bias=not args.no_bias
     )
@@ -177,6 +187,7 @@ def _cmd_train(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.cal_seed is not None and args.cal_fraction is None:
         raise ParameterError("--cal-seed needs --cal-fraction (there is no slice to seed)")
+    _check_split_flags("--cal-fraction", args.cal_fraction, "--cal-seed", args.cal_seed)
     if args.paper_faithful:
         if args.cal_fraction is not None:
             raise ParameterError("--cal-fraction slices --train; --paper-faithful calibrates on the whole test set")

@@ -26,6 +26,26 @@ The one block budget of every blocked stage lives here: _BLOCK_CELLS,
 fit in it. The batch predictors' row blocks, per-term calibrate's term
 blocks, serialize_sparse's row blocks and the walks' trial blocks are all
 sized through _block_rows, which reads the budget at each call.
+parse_sparse reads its text in blocks of whole lines of about _BLOCK_CELLS
+characters, so a block's lines, their bytes and the block's parsed entries
+fit in the budget together.
+
+parse_sparse reads most lines in compiled C (_sparse_text.c), which parses
+a strict subset of the format: ASCII only, spaces and tabs between tokens,
+'\n' line ends; a label that reads as exactly 1, -1 or 0; indices
+[+]?[0-9]+ that ascend strictly and fit in int64; values
+[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?. It reads them with strtod in the "C"
+locale, which rounds as float() does, so the CSR bits are the same (a value
+past the double range is inf in both, refused with its line after the
+whole input is read). At the first line outside the subset it stops; the Python
+per-line parser (_parse_line, the reference) reads that line under its
+true line number, and the compiled one goes on after it. So blank lines,
+'\r', non-ASCII whitespace, nan and inf, labels mapped with a warning,
+indices past int64 and every ParseError take the Python path, with the
+same messages. The C is compiled with cc on the first parse, never at
+import, into $XDG_CACHE_HOME/stst (default ~/.cache/stst, mode 0700; see
+stst._native), and deleting that directory clears it. Without a C compiler
+every line goes through the Python parser, about four times slower.
 
 scipy is imported the first time a sparse matrix is built or converted (a
 parse, a sparse Dataset, serializing a dense one), never by importing stst:
@@ -143,8 +163,133 @@ def _map_label(token: str, line_no: int) -> int:
     if not math.isfinite(value):
         raise ParseError(f"non-finite label {token!r}", line_no)
     mapped = 1 if value > 0 else -1
-    warnings.warn(f"line {line_no}: label {token!r} mapped by sign to {mapped:+d}", stacklevel=3)
+    # attributed to the caller of parse_sparse, past _parse_line and _parse_block
+    warnings.warn(f"line {line_no}: label {token!r} mapped by sign to {mapped:+d}", stacklevel=5)
     return mapped
+
+
+def _parse_line(line: str, line_no: int, labels, col, data, indptr, too_large: list) -> None:
+    """Append one line's row to the buffers: the reference parser, which
+    reads every line the compiled one leaves. The first index past
+    _MAX_INDEX goes into the empty too_large list as (index, line_no)."""
+    stripped = line.strip()
+    if not stripped:
+        raise ParseError("blank line", line_no)
+    tokens = stripped.split()
+    # int() and float() also read "1_0" and non-ASCII digits, which the
+    # format does not. One test per line, not per token; a line whose only
+    # non-ASCII characters are whitespace passes.
+    if "_" in stripped or not stripped.isascii():
+        bad = next((t for t in tokens if "_" in t or not t.isascii()), None)
+        if bad is not None:
+            raise ParseError(f"bad number in {bad!r}: only ASCII digits, no underscores", line_no)
+    labels.append(_map_label(tokens[0], line_no))
+    prev = 0
+    cols, vals = [], []
+    for token in tokens[1:]:
+        head, sep, tail = token.partition(":")
+        if not sep or not head or not tail:
+            raise ParseError(f"expected index:value, got {token!r}", line_no)
+        try:
+            index = int(head)
+        except ValueError:
+            raise ParseError(f"bad feature index {head!r}", line_no) from None
+        try:
+            value = float(tail)
+        except ValueError:
+            raise ParseError(f"bad feature value {tail!r}", line_no) from None
+        if index < 1:
+            raise ParseError(f"feature indices are 1-based, got {index}", line_no)
+        if index <= prev:
+            raise ParseError(f"feature index {index} not ascending (previous {prev})", line_no)
+        prev = index
+        cols.append(index - 1)
+        vals.append(value)
+    # indices ascend, so a row's last index is its largest
+    if prev > _MAX_INDEX:  # past int64: refused after the whole input is read
+        if not too_large:
+            too_large.append((next(c + 1 for c in cols if c >= _MAX_INDEX), line_no))
+        cols = [0] * len(cols)
+    col.fromlist(cols)
+    data.fromlist(vals)
+    indptr.append(len(col))
+
+
+def _line_blocks(source):
+    """source's lines in lists of about _BLOCK_CELLS characters, whole lines each."""
+    block, size = [], 0
+    for line in source:
+        block.append(line)
+        size += len(line)
+        if size >= _BLOCK_CELLS:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+@functools.cache
+def _text_parser():
+    """stst_parse_lines of _sparse_text.c, compiled on first use, or None
+    without a C compiler (every line then goes through _parse_line)."""
+    import ctypes
+
+    from . import _native
+
+    lib = _native.load("_sparse_text")
+    if lib is None:
+        return None
+    parse = lib.stst_parse_lines
+    i64, pointer = ctypes.c_int64, ctypes.c_void_p
+    parse.argtypes = (ctypes.c_char_p, i64, ctypes.POINTER(i64), i64, pointer, pointer, pointer, pointer)
+    parse.restype = i64
+    return parse
+
+
+def _parse_block(lines: list, line_no: int, buffers: tuple, parse) -> None:
+    """Append the rows of lines, the first of which is line line_no + 1, to
+    buffers (labels, col, data, indptr and _parse_line's too_large). The
+    compiled parser reads lines until one falls outside its subset;
+    _parse_line reads that one, and the compiled parser goes on after it."""
+    labels, col, data, indptr, _ = buffers
+    if parse is None:
+        for i, line in enumerate(lines, start=line_no + 1):
+            _parse_line(line, i, *buffers)
+        return
+    import ctypes
+    import itertools
+
+    encoded = [line.encode("utf-8", "surrogatepass") for line in lines]
+    text = b"".join(encoded)
+    ends = list(itertools.accumulate(map(len, encoded)))  # the offset past each line
+    # room for every row and entry the compiled parser can read: a row ends
+    # at each '\n' or at the end, and an entry holds one ':'. The bytes
+    # object's trailing NUL ends the last number.
+    rows_out = np.empty((2, text.count(b"\n") + 1), dtype=np.int64)  # labels and row ends
+    cells = text.count(b":")
+    cols_out, vals_out = np.empty(cells, dtype=np.int64), np.empty(cells)
+    pointers = [a.ctypes.data for a in (rows_out[0], rows_out[1], cols_out, vals_out)]
+    pos, done = ctypes.c_int64(0), 0
+    while True:
+        rows = parse(text, len(text), ctypes.byref(pos), len(col), *pointers)
+        # one row a line of lines, or the rows are dropped: the compiled
+        # parser ends lines at '\n', and a stream may end them at '\r' alone
+        # (newline="\r" or "\r\n") and hold a '\n' inside a line
+        if rows and (done + rows > len(lines) or ends[done + rows - 1] != pos.value):
+            rows = 0
+        if rows:
+            entries = int(rows_out[1, rows - 1]) - len(col)
+            # frombytes takes a buffer of bytes, so each slice is viewed as one
+            labels.frombytes(rows_out[0, :rows].view(np.uint8))
+            indptr.frombytes(rows_out[1, :rows].view(np.uint8))
+            col.frombytes(cols_out[:entries].view(np.uint8))
+            data.frombytes(vals_out[:entries].view(np.uint8))
+            done += rows
+        if done == len(lines):
+            return
+        _parse_line(lines[done], line_no + done + 1, *buffers)
+        pos.value = ends[done]
+        done += 1
 
 
 def parse_sparse(source, *, dim: int | None = None) -> Dataset:
@@ -165,54 +310,15 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
     sparse = _sparse()
     from array import array  # here, so that importing stst loads no array module
     # typed buffers, 8 bytes a value, where a list holds a Python object per
-    # value, about 36 bytes more; a row's entries are gathered in lists first,
-    # since one fromlist a row is faster than an array append a value
-    labels, data, col, indptr = array("q"), array("d"), array("q"), array("q", [0])
-    max_index = 0
-    too_large = None  # (index, line) of the first index past _MAX_INDEX
-
-    for line_no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped:
-            raise ParseError("blank line", line_no)
-        tokens = stripped.split()
-        # int() and float() also read "1_0" and non-ASCII digits, which the
-        # format does not. One test per line, not per token; a line whose only
-        # non-ASCII characters are whitespace passes.
-        if "_" in stripped or not stripped.isascii():
-            bad = next((t for t in tokens if "_" in t or not t.isascii()), None)
-            if bad is not None:
-                raise ParseError(f"bad number in {bad!r}: only ASCII digits, no underscores", line_no)
-        labels.append(_map_label(tokens[0], line_no))
-        prev = 0
-        cols, vals = [], []
-        for token in tokens[1:]:
-            head, sep, tail = token.partition(":")
-            if not sep or not head or not tail:
-                raise ParseError(f"expected index:value, got {token!r}", line_no)
-            try:
-                index = int(head)
-            except ValueError:
-                raise ParseError(f"bad feature index {head!r}", line_no) from None
-            try:
-                value = float(tail)
-            except ValueError:
-                raise ParseError(f"bad feature value {tail!r}", line_no) from None
-            if index < 1:
-                raise ParseError(f"feature indices are 1-based, got {index}", line_no)
-            if index <= prev:
-                raise ParseError(f"feature index {index} not ascending (previous {prev})", line_no)
-            prev = index
-            cols.append(index - 1)
-            vals.append(value)
-        # indices ascend, so a row's last index is its largest
-        max_index = max(max_index, prev)
-        if prev > _MAX_INDEX:  # past int64: refused after the loop
-            too_large = too_large or (next(c + 1 for c in cols if c >= _MAX_INDEX), line_no)
-            cols = [0] * len(cols)
-        col.fromlist(cols)
-        data.fromlist(vals)
-        indptr.append(len(col))
+    # value, about 36 bytes more
+    labels, col, data, indptr = array("q"), array("q"), array("d"), array("q", [0])
+    too_large = []  # (index, line) of the first index past _MAX_INDEX
+    buffers = labels, col, data, indptr, too_large
+    parse = _text_parser()
+    line_no = 0
+    for lines in _line_blocks(source):
+        _parse_block(lines, line_no, buffers, parse)
+        line_no += len(lines)
 
     values = np.frombuffer(data, dtype=np.float64)
     indptr = np.frombuffer(indptr, dtype=np.int64)
@@ -222,18 +328,20 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
         # one line per row: blank lines are rejected above
         line_no = int(np.searchsorted(indptr, at, side="right"))
         raise ParseError(f"non-finite feature value {float(values[at])!r}", line_no)
-    if too_large is not None:
-        index, line_no = too_large
+    if too_large:
+        [(index, line_no)] = too_large
         raise ParseError(f"feature index {index} exceeds the largest supported index {_MAX_INDEX}", line_no)
     if not labels:
         raise EmptyDatasetError("input contained no examples")
+    indices = np.frombuffer(col, dtype=np.int64)
+    max_index = int(indices.max()) + 1 if indices.size else 0
     if dim is None:
         if max_index < 1:
             raise ParseError("cannot infer a positive dimension from featureless input; pass dim")
         dim = max_index
     elif dim < max_index:
         raise ParseError(f"declared dim {dim} smaller than largest index {max_index}")
-    X = sparse.csr_matrix((values, np.frombuffer(col, dtype=np.int64), indptr), shape=(len(labels), dim))
+    X = sparse.csr_matrix((values, indices, indptr), shape=(len(labels), dim))
     return Dataset(X=X, y=np.frombuffer(labels, dtype=np.int64))
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the one check of each
 kind of argument: a count (check_count: a Python or numpy integer, never a
-bool or a float such as 2.0), a finite scalar (check_finite) and an array
-of +1/-1 labels (check_labels).
+bool or a float such as 2.0), a finite scalar (check_finite), one +1/-1
+class label (check_label, integers only, like check_count) and an array of
++1/-1 labels (check_labels).
 """
 
 import math
@@ -80,6 +81,14 @@ def check_finite(name: str, value):
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def check_label(name: str, value) -> int:
+    """value as an int: a Python or numpy integer, not a bool, equal to +1
+    or -1. A float such as 1.0 is refused: it would be stored as given."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value not in (1, -1):
+        raise ParameterError(f"{name} must be +1 or -1, got {value!r}")
+    return int(value)
 
 
 def check_labels(name: str, y) -> np.ndarray:

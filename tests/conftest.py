@@ -15,6 +15,15 @@ BENCH_THETA = 0.0
 BENCH_DELTA = 0.1
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_build_cache(tmp_path_factory):
+    """The compiled parser is built into a cache of the session's own, not
+    the user's; child interpreters the tests start inherit it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def synthetic_bench():
     """Train and calibrate the pinned benchmark once per session."""

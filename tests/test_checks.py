@@ -2,14 +2,15 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from stst import data, predictor, simulator, trainer
 from stst.bench import TheoryConfig
-from stst.calibration import CalibrationReport
-from stst.errors import ModelFormatError, ParameterError, check_count, check_finite, check_labels
+from stst.calibration import CalibrationReport, calibrate, measure_stop_error
+from stst.errors import ModelFormatError, ParameterError, check_count, check_finite, check_label, check_labels
 
 
 class TestCheckCount:
@@ -46,6 +47,44 @@ class TestCheckFinite:
     def test_nan_and_infinities_are_refused(self, value):
         with pytest.raises(ParameterError, match=r"^theta must be finite, got "):
             check_finite("theta", value)
+
+
+class TestCheckLabel:
+    @pytest.mark.parametrize("value", [1, -1, np.int64(1), np.int8(-1)])
+    def test_plus_minus_one_integers_returned_as_int(self, value):
+        got = check_label("class_used", value)
+        assert type(got) is int and got == int(value)
+
+    @pytest.mark.parametrize("value", [1.0, -1.0, np.float64(1.0), True, np.bool_(True), 2, 0, "1", None])
+    def test_others_refused(self, value):
+        with pytest.raises(ParameterError, match=rf"^class_used must be \+1 or -1, got {re.escape(repr(value))}$"):
+            check_label("class_used", value)
+
+    @staticmethod
+    def _entry_points():
+        ds = data.Dataset(X=[[1.0], [2.0], [4.0], [3.0]], y=[1, 1, -1, -1])
+        model = predictor.coordinate_model([1.0], dim=1)
+        preds = predictor.predict_rows(model, ds.X, 2.5)
+        return {
+            "calibrate": lambda v: calibrate(model, ds, v)[1].class_used,
+            "CalibrationReport": lambda v: CalibrationReport(1.0, 2, v).class_used,
+            "measure_stop_error": lambda v: measure_stop_error(preds, preds, v),
+        }
+
+    @pytest.mark.parametrize("value", [1.0, True, 2, "1"])
+    @pytest.mark.parametrize("entry", ["calibrate", "CalibrationReport", "measure_stop_error"])
+    def test_entry_points_refuse(self, entry, value):
+        name = "condition" if entry == "measure_stop_error" else "class_used"
+        with pytest.raises(ParameterError, match=rf"^{name} must be \+1 or -1, got "):
+            self._entry_points()[entry](value)
+
+    @pytest.mark.parametrize("entry", ["calibrate", "CalibrationReport", "measure_stop_error"])
+    def test_entry_points_accept_numpy_integers(self, entry):
+        got = self._entry_points()[entry](np.int64(1))
+        if entry == "measure_stop_error":
+            assert got == 0.0
+        else:
+            assert got == 1
 
 
 class TestCheckLabels:

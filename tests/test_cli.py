@@ -611,6 +611,39 @@ def test_train_config_checked_before_reading(tmp_path, capsys, monkeypatch, sour
 
 
 @pytest.mark.parametrize(
+    "flags,message",
+    [(["--test-fraction", "1.5"], "--test-fraction must be in (0, 1), got 1.5"),
+     (["--test-fraction", "0"], "--test-fraction must be in (0, 1), got 0.0"),
+     (["--test-fraction", "nan"], "--test-fraction must be in (0, 1), got nan"),
+     (["--test-fraction", "0.5", "--split-seed", "-1"], "--split-seed must be >= 0, got -1")],
+)
+def test_train_split_flags_checked_before_reading(tmp_path, capsys, monkeypatch, flags, message):
+    refuse_to_parse(monkeypatch)
+    outputs = ["--model-out", str(tmp_path / "m.npz"), "-o", str(tmp_path / "train.csv")]
+    assert run(["train", "--data", str(tmp_path / "train.txt"), *flags, *outputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--cal-fraction", "1.5"], "--cal-fraction must be in (0, 1), got 1.5"),
+     (["--cal-fraction", "-0.25"], "--cal-fraction must be in (0, 1), got -0.25"),
+     (["--cal-fraction", "0.5", "--cal-seed", "-1"], "--cal-seed must be >= 0, got -1")],
+)
+def test_calibrate_split_flags_checked_before_reading(pipeline, tmp_path, capsys, monkeypatch, flags, message):
+    root, _, _ = pipeline
+    refuse_to_read(monkeypatch)
+    out = tmp_path / "cal.csv"
+    argv = ["calibrate", "--model", str(root / "model.npz"), "--train", str(root / "train.txt"), *flags]
+    assert run([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key,corrupt,message",
     [
         ("theta", lambda theta: np.array([theta, theta]), "'theta' must be a scalar"),

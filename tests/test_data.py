@@ -1,4 +1,6 @@
 import io
+import shutil
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -70,6 +72,10 @@ class TestParse:
             ("+1 2:1.0 2:2.0\n", "not ascending"),
             ("+1 3:3.0 3:1.0\n", "not ascending"),
             ("\n", "blank line"),
+            # a number runs to the next blank: these are single tokens
+            ("+1 1:2+3:4\n", "bad feature value '2\\+3:4'"),
+            ("+1+2:3\n", "bad label '\\+1\\+2:3'"),
+            ("-1 1:2.5e\n", "bad feature value '2.5e'"),
         ],
     )
     def test_malformed_lines(self, text, fragment):
@@ -115,6 +121,14 @@ class TestParse:
         with pytest.raises(ParseError, match=f"line 2: feature index {2**63 + 5} exceeds"):
             parse_text(text)
 
+    def test_lines_after_an_index_past_int64_are_still_read(self):
+        # that index is refused once the whole input is read, so a later
+        # line's own error, and a non-finite value, come first
+        with pytest.raises(ParseError, match="^line 4: bad label 'bogus'$"):
+            parse_text(f"+1 1:1.0\n-1 {2**63}:1.0\n+1 2:1.0\nbogus 1:1.0\n")
+        with pytest.raises(ParseError, match="^line 3: non-finite feature value inf$"):
+            parse_text(f"+1 1:1.0\n-1 {2**63}:1.0\n+1 2:1e999\n")
+
     def test_largest_int64_index_accepted(self):
         ds = parse_text(f"+1 1:1.0 {2**63 - 1}:2.0\n")
         assert ds.dim == 2**63 - 1
@@ -146,6 +160,145 @@ class TestParse:
             tracemalloc.stop()
         assert ds.X.nnz == X.nnz
         assert peak <= 4 << 20
+
+
+class TestParseReference(TestParse):
+    """Every TestParse case again with no compiled parser, so that each line
+    goes through the Python reference loop."""
+
+    @pytest.fixture(autouse=True)
+    def reference_only(self, monkeypatch):
+        monkeypatch.setattr(data, "_text_parser", lambda: None)
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("+1 0:1.0", "feature indices are 1-based, got 0"),
+        ("+1 2:1.0 2:1.0", "feature index 2 not ascending"),
+        ("-1 1:nan", "non-finite feature value nan"),
+        (f"+1 {2**63}:1.0", f"feature index {2**63} exceeds"),
+        ("", "blank line"),
+    ],
+)
+def test_error_past_the_first_block_names_its_line(monkeypatch, reference, bad, message):
+    if reference:
+        monkeypatch.setattr(data, "_text_parser", lambda: None)
+    line = "+1 1:0.25 7:-1.5 19:3.0000000000000004\n"
+    at = 3 * data._BLOCK_CELLS // len(line)  # a line of the fourth block
+    lines = [line] * (at + 10)
+    lines[at - 1] = bad + "\n"
+    with pytest.raises(ParseError, match=f"^line {at}: {message}"):
+        parse_text("".join(lines))
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
+def test_warning_past_the_first_block_names_its_line(monkeypatch, reference):
+    if reference:
+        monkeypatch.setattr(data, "_text_parser", lambda: None)
+    line = "-1 2:0.5 3:1e-3\n"
+    at = 2 * data._BLOCK_CELLS // len(line)
+    lines = [line] * at
+    lines[at - 1] = "2.5 1:1.0\n"
+    with pytest.warns(UserWarning, match=f"^line {at}: label '2.5' mapped by sign to \\+1$"):
+        ds = parse_text("".join(lines))
+    assert ds.y.tolist() == [-1] * (at - 1) + [1]
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
+def test_lines_of_a_stream_that_ends_them_at_cr_only(monkeypatch, reference):
+    # with newline="\r" a '\n' is inside a line: here the whole input is one
+    # line of 3000 '\n'-separated rows, read as one line as the stream gives it
+    if reference:
+        monkeypatch.setattr(data, "_text_parser", lambda: None)
+    with pytest.raises(ParseError, match=r"^line 1: expected index:value, got '-1'$"):
+        parse_sparse(_stream("+1 1:1.0\n-1 2:0.5\n" * 1500, "\r"))
+    with pytest.raises(ParseError, match=r"^line 1: expected index:value, got '-1'$"):
+        parse_sparse(_stream("+1 1:1.0\n-1 2:0.5\r+1 1:1.0\r", "\r"))
+    ds = parse_sparse(_stream("+1 1:1.0\r-1 2:0.5\n\r" * 1500, "\r"))
+    assert ds.y.tolist() == [1, -1] * 1500
+
+
+def _stream(text, newline):
+    """text as a file opened with the given newline mode would read it."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline=newline)
+
+
+def _outcome(text, newline, parser, block_cells):
+    """parse_sparse's result on text read with the given newline mode, line
+    parser and block budget, as the CSR bytes and labels or the
+    error, and its warnings."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        patch.setattr(data, "_text_parser", lambda: parser)
+        patch.setattr(data, "_BLOCK_CELLS", block_cells)
+        try:
+            ds = parse_sparse(_stream(text, newline))
+        except (ParseError, EmptyDatasetError) as exc:
+            result = (type(exc), str(exc))
+        else:
+            X = ds.X
+            arrays = (X.indptr, X.indices, X.data, ds.y)
+            result = (X.shape, [(a.dtype.str, a.tobytes()) for a in arrays])
+    return result, [str(w.message) for w in caught]
+
+
+def _decimal(sign, digits, point, exponent):
+    text = f"{sign}{digits[:point]}.{digits[point:]}"
+    return text if exponent is None else f"{text}e{exponent}"
+
+
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.builds(
+        _decimal,
+        st.sampled_from(["", "+", "-"]),
+        st.text("0123456789", min_size=1, max_size=25),
+        st.integers(0, 25),
+        st.none() | st.integers(-345, 330),
+    ),
+    # non-finite, subnormal, overflowing, bare-point and malformed spellings
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e400", "1e-320", "4e-324", "2e-324", "1e-400"]),
+    st.sampled_from(["1.", ".5", "+.5E+3", "-0.0", "1e", "0x10", "1_0", "\u0661"]),
+)
+_LABELS = st.sampled_from(
+    ["+1", "-1", "1", "0", "-0", "1.0", "+1e0", "-1.", "00", ".1e1", "2.0", "0.5", "-3", "nan", "inf"]
+)
+
+
+@st.composite
+def _lines(draw):
+    indices = sorted(draw(st.sets(st.integers(1, 40), max_size=5)))
+    if draw(st.integers(0, 9)) == 0:
+        indices.append(2**63 - 1 + draw(st.integers(0, 2)))  # int64's largest, and past it
+    tokens = [draw(_LABELS)]
+    for index in indices:
+        spelled = draw(st.sampled_from(["{}", "00{}", "+{}"])).format(index)
+        tokens.append(f"{spelled}:{draw(_VALUES)}")
+    line = draw(st.sampled_from(["", " "])) + tokens[0]
+    for token in tokens[1:]:
+        line += draw(st.sampled_from([" ", "\t", "  ", "\u00a0", ""])) + token
+    return line + draw(st.sampled_from(["\n", "\n", "\r\n", " \n", "\r"]))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc): only the reference parser runs")
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_lines(), max_size=12),
+    last_newline=st.booleans(),
+    newline=st.sampled_from(["\n", None, "", "\r", "\r\n"]),
+    block_cells=st.sampled_from([1, 16, 64, 2**17]),
+)
+def test_compiled_and_reference_parsers_agree(lines, last_newline, newline, block_cells):
+    compiled = data._text_parser()
+    assert compiled is not None, "cc is on PATH, but _sparse_text.c did not build or load"
+    text = "".join(lines)
+    if text and not last_newline:
+        text = text[:-1]
+    # the reference reads whole-budget blocks: the block size changes nothing
+    assert _outcome(text, newline, compiled, block_cells) == _outcome(text, newline, None, 2**17)
 
 
 class TestSerialize:

@@ -1,0 +1,84 @@
+"""The compiled line parser of stst.data: it builds without a warning,
+parse_sparse uses it, its cache is private, and importing stst builds
+nothing."""
+
+import io
+import os
+import shutil
+import stat
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from stst import _native, data
+
+CC = shutil.which("cc")
+SOURCE = Path(_native.__file__).with_name("_sparse_text.c")
+needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH: parse_sparse runs its Python loop")
+
+
+def refused(*args, **kwargs):
+    raise AssertionError("not expected to run")
+
+
+@needs_cc
+def test_sparse_text_compiles_without_warnings(tmp_path):
+    argv = [CC, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "t.so"), str(SOURCE)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@needs_cc
+def test_parse_sparse_uses_the_compiled_parser(monkeypatch):
+    compiled = data._text_parser()
+    assert compiled is not None, "cc is on PATH, but _sparse_text.c did not build or load"
+    rows = []
+
+    def counted(*args):
+        rows.append(compiled(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(data, "_text_parser", lambda: counted)
+    monkeypatch.setattr(data, "_parse_line", refused)
+    ds = data.parse_sparse(io.StringIO("+1 1:0.5 3:2.0\n-1\n 0\t2:1e-3  4:-.5E+1 \n1 +4:007"))
+    assert sum(rows) == 4
+    assert ds.y.tolist() == [1, -1, -1, 1]
+    assert ds.dense().tolist() == [[0.5, 0, 2.0, 0], [0, 0, 0, 0], [0, 1e-3, 0, -5.0], [0, 0, 0, 7.0]]
+
+
+def test_importing_the_cli_builds_nothing(tmp_path):
+    code = "import sys, stst.cli; print(len(sys.modules), 'stst._native' in sys.modules, 'subprocess' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parents[1]), XDG_CACHE_HOME=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["255", "False", "False"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_cc
+def test_build_goes_to_a_private_cache_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _native.load("_sparse_text") is not None
+    folder = tmp_path / "stst"
+    assert stat.S_IMODE(folder.stat().st_mode) == 0o700
+    [built] = folder.iterdir()
+    assert built.name.startswith("_sparse_text-") and built.suffix == ".so"
+    monkeypatch.setattr(_native, "_compile", refused)
+    assert _native.load("_sparse_text") is not None
+
+
+@needs_cc
+def test_a_cache_others_can_write_is_not_used(tmp_path, monkeypatch):
+    folder = tmp_path / "stst"
+    folder.mkdir()
+    folder.chmod(0o777)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _native.load("_sparse_text") is not None  # built in a private temporary directory
+    assert list(folder.iterdir()) == []
+
+
+def test_no_compiler_means_no_library(monkeypatch):
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.setattr(_native, "_compile", refused)
+    assert _native.load("_sparse_text") is None
