@@ -36,8 +36,9 @@ Layer rows (LAYER_REPEATS calls each): on one sparse dataset of 4000 rows x
 2000 dims at 2% density (160k nonzeros, labels from a planted direction),
 parse_sparse of its text and serialize_sparse back to text; train_linear
 for one epoch on the dense and on the CSR copy; calibrate of the trained
-model on the CSR copy; per-term calibrate of an RBF model at the perfbench
-predict workload's shape (CAL_N terms, dim CAL_DIM, CAL_ROWS class rows);
+model on the CSR copy (score mode, the default); per-term and score-mode
+calibrate of an RBF model at the perfbench predict workload's shape (CAL_N
+terms, dim CAL_DIM, CAL_ROWS class rows);
 term_matrix of coordinate, linear-kernel and RBF
 models at m = 2000 examples and n = 2000 terms (kernel dim 64), and
 prefix_score_matrix of the coordinate one; and the walk engine through
@@ -59,8 +60,8 @@ m = 10000, n = 1000 (whose dense test set alone is 80 MB), the
 serialize_sparse row (its child loads the dataset's CSR arrays, written by
 a child of its own, and writes the text to os.devnull), the parse_sparse
 row (its child parses the dataset's text file, written by a child of its
-own), the per-term
-calibrate row, and a walk-engine row running empirical_stopping_time on
+own), the two RBF
+calibrate rows, and a walk-engine row running empirical_stopping_time on
 rademacher walks of STOPPING_N steps (the theory suite's largest
 stopping-time run: scale 0.1, drift 0.1, delta 0.1, STOPPING_TRIALS
 trials), each also hold peak_rss_mb:
@@ -285,10 +286,10 @@ def _calibrate_inputs():
     return model, data.Dataset(X=rng.standard_normal((CAL_ROWS, CAL_DIM)), y=[1] * CAL_ROWS)
 
 
-def _calibrate_pass() -> None:
+def _calibrate_pass(mode: str) -> None:
     from stst import calibration
 
-    calibration.calibrate(*_calibrate_inputs(), 1, mode="per_term")
+    calibration.calibrate(*_calibrate_inputs(), 1, mode=mode)
 
 
 def _layer_rows(rng, memory: dict) -> dict:
@@ -319,10 +320,11 @@ def _layer_rows(rng, memory: dict) -> dict:
     del dense
     rows[f"calibrate {size}"] = _call_ms(lambda d: calibration.calibrate(model, d, 1), [dataset], LAYER_REPEATS)
     rbf, cal_set = _calibrate_inputs()
-    rows[f"calibrate per-term rbf n={CAL_N} dim={CAL_DIM} rows={CAL_ROWS}"] = {
-        **_call_ms(lambda d: calibration.calibrate(rbf, d, 1, mode="per_term"), [cal_set], LAYER_REPEATS),
-        "peak_rss_mb": memory["calibrate"],
-    }
+    for mode in ("per_term", "score"):
+        rows[f"calibrate {mode.replace('_', '-')} rbf n={CAL_N} dim={CAL_DIM} rows={CAL_ROWS}"] = {
+            **_call_ms(lambda d: calibration.calibrate(rbf, d, 1, mode=mode), [cal_set], LAYER_REPEATS),
+            "peak_rss_mb": memory[f"calibrate {mode}"],
+        }
 
     weights, mu = rng.standard_normal(TERM_N), 0.1 * rng.standard_normal(TERM_N)
     sv = rng.standard_normal((TERM_N, RBF_DIM))
@@ -562,7 +564,8 @@ def measure() -> dict:
     layer_memory = {
         "serialize": _serialize_memory(),
         "parse": parse_peak_rss_mb,
-        "calibrate": _child("_calibrate_pass")[0],
+        "calibrate per_term": _child("_calibrate_pass", "per_term")[0],
+        "calibrate score": _child("_calibrate_pass", "score")[0],
     }
     rows = {**_cold_import_row(), **parse_rows}
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)

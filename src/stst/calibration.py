@@ -8,9 +8,10 @@ its class-conditional mean makes the conditioned score walk driftless,
 which is what the constant-boundary calibration assumes. The class to
 center on is the one opposite the rejection direction: when early stopping
 rejects negatives, mu comes from positives, so the surviving class walks
-like a bridge. Score mode holds the class's whole (N, n) raw array;
-per-term mode evaluates the terms in blocks sized by the one block budget
-of stst.data (_BLOCK_CELLS, through _block_rows).
+like a bridge. Both variance modes evaluate each term once, in term
+blocks sized by the one block budget of stst.data (_BLOCK_CELLS, through
+_block_rows), and hold no (N, n) array. Score mode's S_n is the
+evaluator's, bit for bit: the sequential sum predict_rows carries.
 """
 
 from dataclasses import dataclass, replace
@@ -41,8 +42,8 @@ class CalibrationReport:
     class_used: int
 
     def __post_init__(self):
-        if not self.variance_hat > 0.0:
-            raise ParameterError(f"variance_hat must be positive, got {self.variance_hat!r}")
+        if not 0.0 < self.variance_hat < np.inf:
+            raise ParameterError(f"variance_hat must be positive and finite, got {self.variance_hat!r}")
         check_count("n_calibration", self.n_calibration, 2)
         check_label("class_used", self.class_used)
 
@@ -63,13 +64,15 @@ def calibrate(
     sum of w_i^2 * var(raw_i), valid when terms are independent (e.g. after
     a random permutation).
 
-    The class rows are densified once and each raw term is evaluated once.
-    Score mode holds the whole (N, n) raw array and corrects it in place
-    with term_matrix's operations, so its scores are
-    term_matrix(corrected, X).sum(axis=1) bit for bit. Per-term mode
-    evaluates the terms in blocks of _block_rows(N) columns (at least two),
-    within the one block budget of stst.data, and takes mu and the variance
-    of each block's columns, the same bits as over the whole array.
+    The class rows are densified once, and each raw term is evaluated once,
+    in blocks of _block_rows(N) columns (at least two), within the one block
+    budget of stst.data. mu is each block's column means, the same bits as
+    over the whole raw array. Per-term mode takes the variance of each
+    block's columns, again the whole array's bits. Score mode corrects each
+    block in place and carries every row's running score into the block's
+    first column, as the evaluator does, so its scores are
+    predict_rows(corrected, X, corrected.theta).score bit for bit. A zero,
+    infinite or NaN variance is a DegenerateDataError.
     """
     if mode not in ("score", "per_term"):
         raise ParameterError(f"unknown variance mode {mode!r}")
@@ -80,29 +83,30 @@ def calibrate(
             f"need at least 2 calibration examples of class {class_used:+d}, found {sel.size}"
         )
     X = _check_X(model, calibration_set.dense_rows(sel))
-    if mode == "score":
-        raw = _raw(model, X, 0, model.n)
-        corrected = replace(model, mu=raw.mean(axis=0))
-        raw -= corrected.mu
-        raw *= corrected.weights
-        variance = float(np.var(raw.sum(axis=1), ddof=1))
-    else:
-        # A kernel block is C-ordered, and numpy sums a column of a wider
-        # block row by row but a block one column wide pairwise, in other
-        # bits. So blocks are at least two columns wide, and the last one
-        # takes in a single trailing column, unless n = 1.
-        width = max(2, _block_rows(sel.size))
-        bounds = [0, *range(width, model.n - 1, width), model.n]
-        mu, var = np.empty(model.n), np.empty(model.n)
-        for a, b in zip(bounds, bounds[1:]):
-            raw = _raw(model, X, a, b)
-            mu[a:b] = raw.mean(axis=0)
+    # A kernel block is C-ordered, and numpy sums a column of a wider block
+    # row by row but a block one column wide pairwise, in other bits. So
+    # blocks are at least two columns wide, and the last one takes in a
+    # single trailing column, unless n = 1.
+    width = max(2, _block_rows(sel.size))
+    bounds = [0, *range(width, model.n - 1, width), model.n]
+    mu, var, score = np.empty(model.n), np.empty(model.n), -0.0
+    for a, b in zip(bounds, bounds[1:]):
+        raw = _raw(model, X, a, b)
+        mu[a:b] = raw.mean(axis=0)
+        if mode == "per_term":
             var[a:b] = np.var(raw, axis=0, ddof=1)
-        corrected = replace(model, mu=mu)
-        variance = float(np.sum(corrected.weights**2 * var))
-    if variance == 0.0:
+        else:
+            # _evaluate's carried sum, with -0.0 as the additive identity:
+            # numpy sums each row of an F-ordered block column by column
+            raw -= mu[a:b]
+            raw *= model.weights[a:b]
+            raw[:, 0] += score
+            score = np.asfortranarray(raw).sum(axis=1)
+    corrected = replace(model, mu=mu)
+    variance = float(np.var(score, ddof=1) if mode == "score" else np.sum(corrected.weights**2 * var))
+    if not 0.0 < variance < np.inf:
         raise DegenerateDataError(
-            f"calibration scores of class {class_used:+d} have zero variance; stopping rule undefined"
+            f"calibration scores of class {class_used:+d} have variance {variance!r}; stopping rule undefined"
         )
     return corrected, CalibrationReport(variance, int(sel.size), class_used)
 

@@ -23,8 +23,8 @@ the batch predictors densify X one row block at a time.
 
 The one block budget of every blocked stage lives here: _BLOCK_CELLS,
 2**17 float64 cells (1 MB), and _block_rows, the rows of a given width that
-fit in it. The batch predictors' row blocks, per-term calibrate's term
-blocks, serialize_sparse's row blocks and the walks' trial blocks are all
+fit in it. The batch predictors' row blocks, calibrate's term blocks,
+serialize_sparse's row blocks and the walks' trial blocks are all
 sized through _block_rows, which reads the budget at each call.
 parse_sparse reads its text in blocks of whole lines of about _BLOCK_CELLS
 characters, so a block's lines, their bytes and the block's parsed entries
@@ -46,6 +46,11 @@ same messages. The C is compiled with cc on the first parse, never at
 import, into $XDG_CACHE_HOME/stst (default ~/.cache/stst, mode 0700; see
 stst._native), and deleting that directory clears it. Without a C compiler
 every line goes through the Python parser, about four times slower.
+
+Input that is not UTF-8 is a ParseError with no line number: a stream
+decodes its text in chunks, and parse_sparse reads it a block ahead of the
+parse, so the bad byte's line is not known, and its error can come before
+the ParseError of an earlier line.
 
 scipy is imported the first time a sparse matrix is built or converted (a
 parse, a sparse Dataset, serializing a dense one), never by importing stst:
@@ -316,9 +321,12 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
     buffers = labels, col, data, indptr, too_large
     parse = _text_parser()
     line_no = 0
-    for lines in _line_blocks(source):
-        _parse_block(lines, line_no, buffers, parse)
-        line_no += len(lines)
+    try:
+        for lines in _line_blocks(source):
+            _parse_block(lines, line_no, buffers, parse)
+            line_no += len(lines)
+    except UnicodeDecodeError as exc:  # the stream decodes ahead: no true line number
+        raise ParseError(f"input is not UTF-8 text: {exc.reason}") from None
 
     values = np.frombuffer(data, dtype=np.float64)
     indptr = np.frombuffer(indptr, dtype=np.int64)

@@ -28,7 +28,8 @@ class CalibrationError(StstError):
 
 
 class DegenerateDataError(CalibrationError):
-    """Calibration scores have zero variance; no stopping rule is defined."""
+    """Calibration scores have zero or non-finite variance; no stopping rule
+    is defined."""
 
 
 class UndefinedRateError(StstError):

@@ -15,7 +15,7 @@ from stst import (
 from stst import data
 from stst.calibration import CalibrationReport
 from stst.errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError
-from stst.predictor import _raw, term_matrix
+from stst.predictor import _raw, predict_rows, term_matrix
 
 
 def small_dataset(X, y):
@@ -118,6 +118,15 @@ class TestCalibrateVariance:
             assert c0.mu.tobytes() == c1.mu.tobytes()
             assert r0.variance_hat == r1.variance_hat
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["score", "per_term"])
+    def test_non_finite_variance_refused(self, mode):
+        # scores of about 1e200 have a variance past the double range
+        model = coordinate_model([1e200, 1.0], dim=2)
+        ds = small_dataset([[0.5, 1.0], [-1.0, 2.0], [2.0, 0.0], [0.0, 0.0]], [1, 1, 1, -1])
+        with pytest.raises(DegenerateDataError, match="class \\+1 have variance inf"):
+            calibrate(model, ds, class_used=1, mode=mode)
+
     def test_needs_two_examples(self):
         model = coordinate_model([1.0], dim=1)
         ds = small_dataset([[1.0], [5.0]], [1, -1])
@@ -129,6 +138,7 @@ class TestCalibrateVariance:
         [
             (dict(variance_hat=0.0), "variance_hat must be positive"),
             (dict(variance_hat=float("nan")), "variance_hat must be positive"),
+            (dict(variance_hat=float("inf")), "variance_hat must be positive"),
             (dict(n_calibration=1), "n_calibration must be >= 2"),
             (dict(class_used=0), "class_used must be \\+1 or -1"),
         ],
@@ -192,7 +202,7 @@ class TestCalibrate:
         mu = raw.mean(axis=0)
         assert corrected.mu.tobytes() == mu.tobytes()
         if mode == "score":
-            variance = float(np.var(term_matrix(corrected, X_class).sum(axis=1), ddof=1))
+            variance = float(np.var(predict_rows(corrected, X_class, corrected.theta).score, ddof=1))
         else:
             variance = float(np.sum(corrected.weights**2 * np.var(raw, axis=0, ddof=1)))
         assert report.variance_hat == variance
@@ -211,9 +221,11 @@ class TestCalibrate:
                 calibrate(model, small_dataset([[1.0], [2.0]], labels), class_used=-1)
 
 
-class TestPerTermBlocks:
-    """Per-term calibrate evaluates its terms in blocks of about _BLOCK_CELLS
-    cells, with the bits of one pass over the whole raw array."""
+class TestTermBlocks:
+    """calibrate evaluates its terms once, in blocks of about _BLOCK_CELLS
+    cells, in both modes: mu and per-term variances have the bits of one
+    pass over the whole raw array, and score mode's scores are the
+    evaluator's."""
 
     @staticmethod
     def _model(kind, rng, n, dim):
@@ -222,16 +234,19 @@ class TestPerTermBlocks:
         spec = KernelSpec.rbf(1.3) if kind == "rbf" else KernelSpec.linear()
         return kernel_model(rng.standard_normal(n), rng.standard_normal((n, dim)), spec)
 
+    @pytest.mark.parametrize("mode", ["per_term", "score"])
     @pytest.mark.parametrize("kind", ["coordinate", "linear", "rbf"])
     @pytest.mark.parametrize("sparse_input", [False, True], ids=["dense", "csr"])
     @pytest.mark.parametrize("width", [1, 2, 3, None])
-    def test_blocks_match_whole_array_bit_for_bit(self, monkeypatch, kind, sparse_input, width):
-        # 7 terms in blocks of 1, 2 or 3 columns leave a trailing single
-        # column; None keeps the default budget, one block
+    def test_blocks_match_whole_array_bit_for_bit(self, monkeypatch, kind, sparse_input, width, mode):
+        # 37 terms in blocks of 1, 2 or 3 columns leave a trailing single
+        # column; None keeps the default budget, one block. numpy sums a
+        # C-ordered row of 8 or more cells pairwise, so for kernel models a
+        # row sum of the whole corrected array is not the evaluator's score
         from scipy import sparse
 
-        rng = np.random.default_rng(53)
-        n, dim = 7, 5
+        rng = np.random.default_rng(51)
+        n, dim = 37, 5
         model = self._model(kind, rng, n, dim)
         X = rng.standard_normal((90, dim))
         X[rng.random(X.shape) < 0.3] = 0.0
@@ -240,17 +255,59 @@ class TestPerTermBlocks:
         if width is not None:
             monkeypatch.setattr(data, "_BLOCK_CELLS", width * len(X_class))
         ds = Dataset(X=sparse.csr_matrix(X) if sparse_input else X, y=y)
-        corrected, report = calibrate(model, ds, class_used=1, mode="per_term")
+        corrected, report = calibrate(model, ds, class_used=1, mode=mode)
         # the reference: the whole raw array, as one unblocked pass holds it
         raw = _raw(model, X_class, 0, n)
-        mu, var = raw.mean(axis=0), np.var(raw, axis=0, ddof=1)
-        assert corrected.mu.tobytes() == mu.tobytes()
-        assert report.variance_hat == float(np.sum(model.weights**2 * var))
+        assert corrected.mu.tobytes() == raw.mean(axis=0).tobytes()
+        if mode == "per_term":
+            assert report.variance_hat == float(np.sum(model.weights**2 * np.var(raw, axis=0, ddof=1)))
+        else:
+            scores = predict_rows(corrected, X_class, corrected.theta).score
+            assert report.variance_hat == float(np.var(scores, ddof=1))
 
-    def test_peak_memory_within_block_budget(self):
+    @pytest.mark.parametrize("mode", ["per_term", "score"])
+    def test_each_term_evaluated_once(self, monkeypatch, mode):
+        from stst import calibration
+
+        rng = np.random.default_rng(57)
+        model = self._model("rbf", rng, 11, 4)
+        ds = small_dataset(rng.standard_normal((30, 4)), [1] * 30)
+        monkeypatch.setattr(data, "_BLOCK_CELLS", 3 * 30)
+        columns = []
+
+        def counting(model, X, a, b):
+            columns.append((a, b))
+            return _raw(model, X, a, b)
+
+        monkeypatch.setattr(calibration, "_raw", counting)
+        calibrate(model, ds, class_used=1, mode=mode)
+        assert columns == [(0, 3), (3, 6), (6, 9), (9, 11)]
+
+    @pytest.mark.parametrize("width", [3, None])
+    @pytest.mark.parametrize(
+        "sparse_input,expected", [(False, "0x1.f83273d8120d5p+4"), (True, "0x1.642aa46b15addp+3")], ids=["dense", "csr"]
+    )
+    def test_coordinate_score_variance_pinned(self, monkeypatch, sparse_input, expected, width):
+        # taken from the whole-array score path this replaced, whose
+        # F-ordered coordinate gather summed each row in order
+        from scipy import sparse
+
+        rng = np.random.default_rng(61)
+        model = coordinate_model(rng.standard_normal(40), indices=rng.integers(0, 30, 40), dim=30)
+        dense = rng.standard_normal((120, 30))
+        X = rng.standard_normal((150, 30))
+        X[rng.random(X.shape) < 0.7] = 0.0
+        y_dense, y_sparse = rng.choice([1, -1], size=120), rng.choice([1, -1], size=150)
+        ds = Dataset(X=sparse.csr_matrix(X), y=y_sparse) if sparse_input else Dataset(X=dense, y=y_dense)
+        if width is not None:
+            monkeypatch.setattr(data, "_BLOCK_CELLS", width * int((ds.y == 1).sum()))
+        assert calibrate(model, ds, class_used=1)[1].variance_hat.hex() == expected
+
+    @pytest.mark.parametrize("mode", ["per_term", "score"])
+    def test_peak_memory_within_block_budget(self, mode):
         # RBF, 4000 terms, dim 64, 500 class rows: the whole raw array is
-        # 16 MB and np.var adds two more of its size; blocks of about
-        # _BLOCK_CELLS cells hold a few MB whatever n is
+        # 16 MB; blocks of about _BLOCK_CELLS cells (and score mode's one
+        # F-ordered copy of a block) hold a few MB whatever n is
         import tracemalloc
 
         rng = np.random.default_rng(59)
@@ -258,7 +315,7 @@ class TestPerTermBlocks:
         ds = small_dataset(rng.standard_normal((500, 64)), [1] * 500)
         tracemalloc.start()
         try:
-            calibrate(model, ds, class_used=1, mode="per_term")
+            calibrate(model, ds, class_used=1, mode=mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -284,6 +284,45 @@ def test_data_is_read_at_the_model_dimension(model_dim_3, tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("train", ["--model-out", "{out}.npz", "--data"]),
+        ("calibrate", ["--model", "{model}", "--model-out", "{out}.npz", "--paper-faithful", "--test"]),
+        ("sweep", ["--model", "{model}", "--grid", "4", "--data"]),
+        ("pr", ["--model", "{model}", "--data"]),
+    ],
+)
+def test_data_that_is_not_utf8_is_a_clean_error(model_dim_3, tmp_path, capsys, monkeypatch, reference, command, flags):
+    if reference:
+        monkeypatch.setattr(data, "_text_parser", lambda: None)
+    model, _, _ = model_dim_3
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"+1 1:1.0 2:0.5\n-1 1:\xff1.0\n+1 2:2.0\n")
+    out = tmp_path / "out"
+    argv = [command, "-o", f"{out}.csv", *(f.format(model=model, out=out) for f in flags), str(bad)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: input is not UTF-8 text: invalid start byte\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "m.npz", "narrow.txt", "wide.txt"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["score", "per-term"])
+def test_calibrate_refuses_a_non_finite_variance(tmp_path, capsys, mode):
+    model = tmp_path / "m.npz"
+    predictor.save_model(predictor.coordinate_model([1e200, 1.0], dim=2), model)
+    cal = tmp_path / "cal.txt"
+    cal.write_text("+1 1:0.5 2:1.0\n+1 1:-1.0 2:2.0\n+1 1:2.0\n-1 2:1.0\n")
+    out, model_out = tmp_path / "cal.csv", tmp_path / "out.npz"
+    argv = ["calibrate", "--model", str(model), "--paper-faithful", "--test", str(cal), "--mode", mode]
+    assert run([*argv, "--model-out", str(model_out), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: calibration scores of class +1 have variance inf")
+    assert not out.exists() and not model_out.exists()
+
+
 def test_theory_subcommand_quick(tmp_path):
     out = tmp_path / "theory.csv"
     code = run(

@@ -194,6 +194,24 @@ def test_error_past_the_first_block_names_its_line(monkeypatch, reference, bad, 
 
 
 @pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
+@pytest.mark.parametrize("block", [0, 3], ids=["first-block", "fourth-block"])
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, monkeypatch, reference, block):
+    # the stream decodes ahead of the parse, so the error names no line
+    if reference:
+        monkeypatch.setattr(data, "_text_parser", lambda: None)
+    line = b"+1 1:0.25 7:-1.5 19:3.0000000000000004\n"
+    at = block * data._BLOCK_CELLS // len(line) + 2
+    lines = [line] * (at + 10)
+    lines[at - 1] = b"-1 2:\xff0.5\n"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"".join(lines))
+    for source in (path, str(path)):
+        with pytest.raises(ParseError, match="^input is not UTF-8 text: invalid start byte$") as caught:
+            parse_sparse(source)
+        assert caught.value.line is None
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
 def test_warning_past_the_first_block_names_its_line(monkeypatch, reference):
     if reference:
         monkeypatch.setattr(data, "_text_parser", lambda: None)
