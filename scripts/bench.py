@@ -8,83 +8,15 @@ label is replaced, other rows are kept):
     python scripts/bench.py --label change --out BENCH_9.json
     python scripts/bench.py --label parent --src ../parent/src --out BENCH_9.json
 
-Models: coordinate models at n = 1k / 4k / 16k / 64k (dim n, terms in a
-seeded random order) and RBF models at n = 0.5k / 2k / 8k (dim 64, sigma 8).
-Each is called three ways on the same 16 examples: attentive with the
-no-stop sentinel tau = -inf, attentive with the lowest finite tau (checked
-at every term, never crossed) and full_predict. No early stop happens, so
-every call evaluates all n terms and the rows compare evaluation cost alone.
-The models in CROSSING_ROWS are also called attentive at a tau that is
-crossed: the median of the 16 examples' lowest partial sums S_1..S_{n-1},
-so about half of them stop. Those rows hold terms_fraction, the measured
-mean of terms evaluated / n over the 16 examples.
-
-Batch rows: on a fixed prefix matrix (coordinate model, m = 10000 examples,
-n = 1000 terms), attentive_from_prefix with tau at the median of the rows'
-lowest partial sums (about half the rows stop) and budgeted_from_prefix at
-b = n/2; predict_rows in attentive mode on the same model, test set and tau,
-and in full mode, from the features (the chunked evaluator, with no prefix
-matrix); and run_sweep with grid 50 at m = 2000, n = 200 and m = 10000,
-n = 1000, and with the exhaustive grid at m = 2000, n = 200 (SWEEP_REPEATS
-calls each). The exhaustive grid at m = 10000, n = 1000 runs in
-SWEEP_REPEATS fresh child interpreters, one after another, each timing its
-own call; a child still running after EXHAUSTIVE_LIMIT_S seconds is stopped
-and the row records the limit instead (a sweep that rescans a whole prefix
-matrix per grid point takes minutes there).
-
-Layer rows (LAYER_REPEATS calls each): on one sparse dataset of 4000 rows x
-2000 dims at 2% density (160k nonzeros, labels from a planted direction),
-parse_sparse of its text and serialize_sparse back to text; train_linear
-for one epoch on the dense and on the CSR copy; calibrate of the trained
-model on the CSR copy (score mode, the default); per-term and score-mode
-calibrate of an RBF model at the perfbench predict workload's shape (CAL_N
-terms, dim CAL_DIM, CAL_ROWS class rows);
-term_matrix of coordinate, linear-kernel and RBF
-models at m = 2000 examples and n = 2000 terms (kernel dim 64), and
-prefix_score_matrix of the coordinate one; and the walk engine through
-empirical_stop_error_grid at one delta, n = 1000, 16384 trials, and through
-the exact bridge (empirical_bridge_crossing_grid, mode "exact") on the theory
-suite's unit-variance gaussian walks and four boundaries at n = 2000,
-16384 trials.
-
-End-to-end rows (LAYER_REPEATS passes each): the CLI flow train ->
-calibrate -> sweep -> pr through stst.cli.main, into a fresh temporary
-directory per pass, on a sparse text file of 3000 rows x 2000 dims at 2%
-density (labels from a planted direction, seed PIPELINE_SEED): train with a
-0.3 test split, calibrate per-term on a 0.25 slice of the training part,
-sweep with grid 50, and pr in attentive mode at the delta = 0.1 tau; and
-stst theory at the default TheoryConfig with base seed THEORY_SEED.
-
-Memory: the pipeline and theory rows, the run_sweep grid=50 row at
-m = 10000, n = 1000 (whose dense test set alone is 80 MB), the
-serialize_sparse row (its child loads the dataset's CSR arrays, written by
-a child of its own, and writes the text to os.devnull), the parse_sparse
-row (its child parses the dataset's text file, written by a child of its
-own), the two RBF
-calibrate rows, and a walk-engine row running empirical_stopping_time on
-rademacher walks of STOPPING_N steps (the theory suite's largest
-stopping-time run: scale 0.1, drift 0.1, delta 0.1, STOPPING_TRIALS
-trials), each also hold peak_rss_mb:
-the peak resident set of one more call, run alone in a fresh child
-interpreter on the same stst source before any other row, read from that
-child's own rusage (in MiB, as ru_maxrss / 1024). The pipeline's data file
-is written by a child of its own first, and the pipeline row also holds
-spawner_peak_rss_mb, this process's peak when it spawns the measured child:
-the floor under that reading.
-
-Cold-import row: COLD_IMPORTS fresh interpreters, one after another, each
-running `import stst.cli` from the same stst source: the start-up every
-stst command pays before it does any work.
-
-Parse-path rows, on the layer dataset's text: parse_sparse with the
-compiled line parser switched off (stst.data._text_parser returning None),
-so every line goes through the Python reference loop, LAYER_REPEATS calls
-in one fresh child; and the first parse_sparse call of LAYER_REPEATS fresh
-children, one after another, each with an empty build cache
-(XDG_CACHE_HOME) and scipy.sparse already imported, so the row holds the
-one-time compile of the parser as set-up; warm_median_ms is each child's
-second call. On a source tree
-without a compiled parser both rows time its only path.
+Every result row is declared once, with a comment on what it measures.
+_rows() yields them in the order they are written, each a Row: a call
+timed in this process on inputs built just before it, one call at a time.
+FRESH declares what is measured in fresh child interpreters instead, each
+Fresh row run by name through the one child entry point _run: the peak
+resident set (peak_rss_mb) of one call of a row timed here, and the rows
+that need a cold or altered interpreter. The children all run first,
+while this process is small (see _child). Times are medians and quartiles
+in ms, over LAYER_REPEATS calls unless a row says otherwise.
 """
 
 import argparse
@@ -98,7 +30,10 @@ import statistics
 import sys
 import tempfile
 import time
+from collections.abc import Callable, Sequence
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 COORDINATE_N = (1000, 4000, 16000, 64000)
@@ -123,6 +58,18 @@ PIPELINE_M, PIPELINE_DIM, PIPELINE_DENSITY = 3_000, 2_000, 0.02
 PIPELINE_SEED = 20_240_008
 THEORY_SEED = 20_240_001  # the pinned TheoryConfig base seed
 COLD_IMPORTS = 20
+
+# Row names shared by _rows() and FRESH. scipy.sparse.random stores exactly
+# round(density * m * n) entries, the nnz of each generated data set.
+LAYER = f"{LAYER_M}x{LAYER_DIM}"
+LAYER_NNZ = f"{LAYER} nnz={round(LAYER_DENSITY * LAYER_M * LAYER_DIM)}"
+SWEEP = "run_sweep grid={} m={} n={}".format
+CALIBRATE = f"calibrate {{}} rbf n={CAL_N} dim={CAL_DIM} rows={CAL_ROWS}".format
+PIPELINE_NNZ = round(PIPELINE_DENSITY * PIPELINE_M * PIPELINE_DIM)
+PIPELINE = f"cli pipeline train-calibrate-sweep-pr {PIPELINE_M}x{PIPELINE_DIM} nnz={PIPELINE_NNZ}"
+THEORY = f"cli theory default config seed={THEORY_SEED}"
+THEORY_ARGV = ["theory", "--seed", str(THEORY_SEED), "-o"]  # and the output path
+STOPPING = f"walk engine empirical_stopping_time rademacher n={STOPPING_N} trials={STOPPING_TRIALS}"
 
 
 def _models():
@@ -159,116 +106,21 @@ def _sweep_inputs(rng, m: int, n: int):
     return model, data.Dataset(X=X, y=y)
 
 
-def _layer_dataset(rng):
-    """CSR dataset with 160k nonzeros, labelled by a planted direction plus noise."""
+def _sparse_dataset(rng, m: int, dim: int, density: float, noise: float):
+    """CSR dataset labelled by a planted direction plus noise of that scale
+    (noise 0 adds +0.0 to each score, which leaves every label as it is)."""
     import numpy as np
     from scipy import sparse
 
     from stst import data
 
-    X = sparse.random(
-        LAYER_M, LAYER_DIM, density=LAYER_DENSITY, format="csr", random_state=rng, data_rvs=rng.standard_normal
-    )
-    direction = rng.standard_normal(LAYER_DIM)
-    y = np.where(X @ direction + 0.3 * rng.standard_normal(LAYER_M) >= 0.0, 1, -1)
+    X = sparse.random(m, dim, density=density, format="csr", random_state=rng, data_rvs=rng.standard_normal)
+    y = np.where(X @ rng.standard_normal(dim) + noise * rng.standard_normal(m) >= 0.0, 1, -1)
     return data.Dataset(X=X, y=y)
 
 
-def _write_layer_arrays(path: str) -> None:
-    """Save the layer dataset's CSR arrays and labels to an .npz file."""
-    import numpy as np
-
-    dataset = _layer_dataset(np.random.default_rng(SEED + 2))  # the rng _layer_rows starts from
-    X = dataset.X
-    np.savez(path, data=X.data, indices=X.indices, indptr=X.indptr, y=dataset.y)
-
-
-def _serialize_pass(path: str) -> None:
-    """serialize_sparse of the dataset saved by _write_layer_arrays, to os.devnull."""
-    import numpy as np
-    from scipy import sparse
-
-    from stst import data
-
-    with np.load(path) as z:
-        X = sparse.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(LAYER_M, LAYER_DIM))
-        dataset = data.Dataset(X=X, y=z["y"])
-    with open(os.devnull, "w", encoding="utf-8") as sink:
-        data.serialize_sparse(dataset, sink)
-
-
-def _serialize_memory() -> float:
-    """Peak RSS of one serialize_sparse pass, after a child of its own saves the arrays."""
-    with tempfile.TemporaryDirectory() as work:
-        path = os.path.join(work, "layer.npz")
-        _child("_write_layer_arrays", path)
-        return _child("_serialize_pass", path)[0]
-
-
-def _write_layer_text(path: str) -> None:
-    """Write the layer dataset in the sparse text format."""
-    import numpy as np
-
-    from stst import data
-
-    data.serialize_sparse(_layer_dataset(np.random.default_rng(SEED + 2)), path)
-
-
-def _parse_pass(path: str) -> None:
-    from stst import data
-
-    data.parse_sparse(path)
-
-
-def _parse_reference_pass(path: str) -> None:
-    """Prints the time of each of LAYER_REPEATS parse_sparse calls with the
-    compiled line parser switched off."""
-    from stst import data
-
-    data._text_parser = lambda: None
-    data._sparse()  # the first parse's import of scipy.sparse stays out of the times
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    for _ in range(LAYER_REPEATS):
-        t0 = time.perf_counter()
-        data.parse_sparse(io.StringIO(text))
-        print(time.perf_counter() - t0)
-
-
-def _parse_cold_pass(path: str) -> None:
-    """Prints the times of the first and the second parse_sparse call of
-    this interpreter, with an empty build cache."""
-    from stst import data
-
-    data._sparse()  # the first parse's import of scipy.sparse stays out of the times
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    with tempfile.TemporaryDirectory() as cache:
-        os.environ["XDG_CACHE_HOME"] = cache
-        for _ in range(2):
-            t0 = time.perf_counter()
-            data.parse_sparse(io.StringIO(text))
-            print(time.perf_counter() - t0)
-
-
-def _parse_children() -> tuple[float, dict]:
-    """The peak RSS of one parse_sparse pass, and the reference-loop and
-    cold-first-call rows (see the module docstring), each in fresh children
-    after a child of its own writes the text file."""
-    with tempfile.TemporaryDirectory() as work:
-        path = os.path.join(work, "layer.txt")
-        _child("_write_layer_text", path)
-        peak_rss_mb = _child("_parse_pass", path)[0]
-        reference = [float(t) for t in _child("_parse_reference_pass", path)[1].split()]
-        cold = [[float(t) for t in _child("_parse_cold_pass", path)[1].split()] for _ in range(LAYER_REPEATS)]
-    size = f"{LAYER_M}x{LAYER_DIM}"
-    return peak_rss_mb, {
-        f"parse_sparse reference loop {size}": _quartiles(reference),
-        f"parse_sparse cold first call {size}": {
-            **_quartiles([first for first, _ in cold]),
-            "warm_median_ms": statistics.median(second for _, second in cold) * 1e3,
-        },
-    }
+def _layer_dataset(rng):
+    return _sparse_dataset(rng, LAYER_M, LAYER_DIM, LAYER_DENSITY, 0.3)
 
 
 def _calibrate_inputs():
@@ -286,80 +138,6 @@ def _calibrate_inputs():
     return model, data.Dataset(X=rng.standard_normal((CAL_ROWS, CAL_DIM)), y=[1] * CAL_ROWS)
 
 
-def _calibrate_pass(mode: str) -> None:
-    from stst import calibration
-
-    calibration.calibrate(*_calibrate_inputs(), 1, mode=mode)
-
-
-def _layer_rows(rng, memory: dict) -> dict:
-    from stst import calibration, data, predictor, simulator, trainer
-
-    rows = {}
-    dataset = _layer_dataset(rng)
-    size = f"{LAYER_M}x{LAYER_DIM} nnz={dataset.X.nnz}"
-    buf = io.StringIO()
-    data.serialize_sparse(dataset, buf)
-    text = buf.getvalue()
-    data.parse_sparse(io.StringIO(text))  # builds or loads the compiled parser: the cold row times that
-    rows[f"parse_sparse {size}"] = {
-        **_call_ms(lambda t: data.parse_sparse(io.StringIO(t)), [text], LAYER_REPEATS),
-        "peak_rss_mb": memory["parse"],
-    }
-    rows[f"serialize_sparse {size}"] = {
-        **_call_ms(lambda d: data.serialize_sparse(d, io.StringIO()), [dataset], LAYER_REPEATS),
-        "peak_rss_mb": memory["serialize"],
-    }
-    config = trainer.TrainConfig(lambda_reg=0.01, epochs=1, seed=0)
-    dense = data.Dataset(X=dataset.dense(), y=dataset.y)
-    for kind, ds in (("dense", dense), ("csr", dataset)):
-        rows[f"train_linear {kind} {size} epochs=1"] = _call_ms(
-            lambda d: trainer.train_linear(d, config), [ds], LAYER_REPEATS
-        )
-    model = trainer.train_linear(dense, config)
-    del dense
-    rows[f"calibrate {size}"] = _call_ms(lambda d: calibration.calibrate(model, d, 1), [dataset], LAYER_REPEATS)
-    rbf, cal_set = _calibrate_inputs()
-    for mode in ("per_term", "score"):
-        rows[f"calibrate {mode.replace('_', '-')} rbf n={CAL_N} dim={CAL_DIM} rows={CAL_ROWS}"] = {
-            **_call_ms(lambda d: calibration.calibrate(rbf, d, 1, mode=mode), [cal_set], LAYER_REPEATS),
-            "peak_rss_mb": memory[f"calibrate {mode}"],
-        }
-
-    weights, mu = rng.standard_normal(TERM_N), 0.1 * rng.standard_normal(TERM_N)
-    sv = rng.standard_normal((TERM_N, RBF_DIM))
-    term_models = (
-        ("coordinate", predictor.coordinate_model(weights, mu=mu, indices=rng.permutation(TERM_N), dim=TERM_N)),
-        ("linear", predictor.kernel_model(weights, sv, predictor.KernelSpec.linear(), mu=mu)),
-        ("rbf", predictor.kernel_model(weights, sv, predictor.KernelSpec.rbf(math.sqrt(RBF_DIM)), mu=mu)),
-    )
-    for kind, term_model in term_models:
-        X = rng.standard_normal((TERM_M, term_model.dim))
-        rows[f"term_matrix {kind} m={TERM_M} n={TERM_N}"] = _call_ms(
-            lambda x: predictor.term_matrix(term_model, x), [X], LAYER_REPEATS
-        )
-
-    coordinate = term_models[0][1]
-    X = rng.standard_normal((TERM_M, TERM_N))
-    rows[f"prefix_score_matrix coordinate m={TERM_M} n={TERM_N}"] = _call_ms(
-        lambda x: predictor.prefix_score_matrix(coordinate, x), [X], LAYER_REPEATS
-    )
-
-    spec = simulator.WalkSpec(n=WALK_N, seed=SEED)
-    # named after the deleted one-delta wrapper, so that BENCH_*.json rows line up
-    rows[f"walk engine empirical_stop_error n={WALK_N} trials={WALK_TRIALS}"] = _call_ms(
-        lambda s: simulator.empirical_stop_error_grid(s, [0.1], trials=WALK_TRIALS)[0], [spec], LAYER_REPEATS
-    )
-    spec = simulator.WalkSpec(n=BRIDGE_N, scale=math.sqrt(1.0 / BRIDGE_N), seed=SEED)
-    taus = [0.5, 1.0, 1.5, 2.0]  # the theory suite's bridge boundaries
-    rows[f"walk engine empirical_bridge exact n={BRIDGE_N} trials={WALK_TRIALS}"] = _call_ms(
-        lambda s: simulator.empirical_bridge_crossing_grid(s, taus, trials=WALK_TRIALS, mode="exact"),
-        [spec],
-        LAYER_REPEATS,
-    )
-    return rows
-
-
 def _run_cli(argv: list[str]) -> None:
     from stst import cli
 
@@ -367,8 +145,19 @@ def _run_cli(argv: list[str]) -> None:
         raise RuntimeError(f"stst {argv[0]} failed")
 
 
-def _pipeline_pass(data_path: str) -> None:
-    """train -> calibrate -> sweep -> pr through the CLI, into a fresh directory."""
+def _write_pipeline(work: str) -> None:
+    """The pipeline's sparse text file, work/pipeline.txt."""
+    import numpy as np
+
+    from stst import data
+
+    dataset = _sparse_dataset(np.random.default_rng(PIPELINE_SEED), PIPELINE_M, PIPELINE_DIM, PIPELINE_DENSITY, 0.0)
+    data.serialize_sparse(dataset, os.path.join(work, "pipeline.txt"))
+
+
+def _pipeline(work: str) -> None:
+    """train -> calibrate -> sweep -> pr through the CLI on work/pipeline.txt,
+    into a fresh directory."""
     import csv
 
     import numpy as np
@@ -379,8 +168,8 @@ def _pipeline_pass(data_path: str) -> None:
     with tempfile.TemporaryDirectory() as out:
         p = lambda name: os.path.join(out, name)  # noqa: E731
         _run_cli([
-            "train", "--data", data_path, "--test-fraction", "0.3", "--split-seed", "1", "--seed", "2",
-            "--model-out", p("model.npz"), "--train-out", p("train.txt"), "--test-out", p("test.txt"),
+            "train", "--data", os.path.join(work, "pipeline.txt"), "--test-fraction", "0.3", "--split-seed", "1",
+            "--seed", "2", "--model-out", p("model.npz"), "--train-out", p("train.txt"), "--test-out", p("test.txt"),
             "-o", p("train.csv"),
         ])
         _run_cli([
@@ -403,21 +192,166 @@ def _pipeline_pass(data_path: str) -> None:
         ])
 
 
-def _write_pipeline_data(path: str) -> str:
-    """Write the pipeline's sparse text file; returns the row name."""
+def _stopping_time() -> None:
+    from stst import simulator
+
+    spec = simulator.WalkSpec(n=STOPPING_N, step="rademacher", scale=0.1, drift=0.1, seed=SEED)
+    simulator.empirical_stopping_time(spec, 0.1, trials=STOPPING_TRIALS)
+
+
+def _write_layer(work: str) -> None:
+    """The layer dataset as text, work/layer.txt, and as CSR arrays and
+    labels, work/layer.npz."""
+    import numpy as np
+
+    from stst import data
+
+    dataset = _layer_dataset(np.random.default_rng(SEED + 2))  # the layer rows' rng (_rows)
+    data.serialize_sparse(dataset, os.path.join(work, "layer.txt"))
+    X = dataset.X
+    np.savez(os.path.join(work, "layer.npz"), data=X.data, indices=X.indices, indptr=X.indptr, y=dataset.y)
+
+
+def _serialize_arrays(work: str):
+    """serialize_sparse, to os.devnull, of the arrays in work/layer.npz."""
     import numpy as np
     from scipy import sparse
 
     from stst import data
 
-    rng = np.random.default_rng(PIPELINE_SEED)
-    X = sparse.random(
-        PIPELINE_M, PIPELINE_DIM, density=PIPELINE_DENSITY, format="csr", random_state=rng,
-        data_rvs=rng.standard_normal,
-    )
-    y = np.where(X @ rng.standard_normal(PIPELINE_DIM) >= 0.0, 1, -1)
-    data.serialize_sparse(data.Dataset(X=X, y=y), path)
-    return f"cli pipeline train-calibrate-sweep-pr {PIPELINE_M}x{PIPELINE_DIM} nnz={X.nnz}"
+    with np.load(os.path.join(work, "layer.npz")) as z:
+        X = sparse.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=(LAYER_M, LAYER_DIM))
+        return partial(data.serialize_sparse, data.Dataset(X=X, y=z["y"]), os.devnull)
+
+
+def _parse_file(work: str):
+    from stst import data
+
+    return partial(data.parse_sparse, os.path.join(work, "layer.txt"))
+
+
+def _parse_text(work: str, compiled: bool = True):
+    """parse_sparse of work/layer.txt, read into a string first; compiled=False
+    switches the compiled line parser off, so that every line goes through
+    the Python reference loop."""
+    from stst import data
+
+    if not compiled:
+        data._text_parser = lambda: None
+    data._sparse()  # the first parse's import of scipy.sparse stays out of the times
+    text = Path(work, "layer.txt").read_text(encoding="utf-8")
+    return lambda: data.parse_sparse(io.StringIO(text))
+
+
+def _cold_parse(work: str):
+    """_parse_text with an empty build cache, so the first call compiles the parser."""
+    os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(dir=work)
+    return _parse_text(work)
+
+
+def _sweep(m: int, n: int, grid):
+    """run_sweep on _sweep_inputs of m rows and n terms, from seed SEED + 3."""
+    import numpy as np
+
+    from stst import bench
+
+    model, test = _sweep_inputs(np.random.default_rng(SEED + 3), m, n)
+    return lambda: bench.run_sweep(model, test, 0.0, grid=grid)
+
+
+def _calibrate(mode: str):
+    from stst import calibration
+
+    model, cal_set = _calibrate_inputs()
+    return partial(calibration.calibrate, model, cal_set, 1, mode=mode)
+
+
+def _peak(peaks, times, spawner) -> dict:
+    return {"peak_rss_mb": peaks[0]}
+
+
+def _times(peaks, times, spawner) -> dict:
+    return _quartiles([t for child in times for t in child])
+
+
+class Fresh(NamedTuple):
+    """A row measured in fresh children, one after another (see _child).
+
+    write(work), when given, first writes the row's input files into the
+    directory work, in a child of its own, once for all rows that share it:
+    building them then raises neither this process's peak nor the measured
+    child's. Each of `children` children then calls prepare(work), which
+    builds what the row needs untimed and returns the call that the child
+    times `calls` times. A child still running after `limit` seconds (0: no
+    limit) is stopped and ends the row. summary(peaks, times, spawner) makes
+    the row's keys from each child's peak RSS in MiB, each child's call
+    times in seconds and this process's own peak when it spawned them.
+    """
+
+    prepare: Callable
+    write: Callable | None = None
+    summary: Callable = _peak
+    calls: int = 1
+    children: int = 1
+    limit: int = 0
+
+
+FRESH = {
+    # The peak_rss_mb of rows timed in this process: one call, alone in a
+    # fresh interpreter. The sweep's dense test set alone is 80 MB.
+    SWEEP(50, *SWEEP_SIZES[-1]): Fresh(lambda work: _sweep(*SWEEP_SIZES[-1], 50)),
+    f"parse_sparse {LAYER_NNZ}": Fresh(_parse_file, _write_layer),
+    f"serialize_sparse {LAYER_NNZ}": Fresh(_serialize_arrays, _write_layer),
+    CALIBRATE("per-term"): Fresh(lambda work: _calibrate("per_term")),
+    CALIBRATE("score"): Fresh(lambda work: _calibrate("score")),
+    # spawner_peak_rss_mb is the floor under the child's reading (see _child)
+    PIPELINE: Fresh(
+        lambda work: partial(_pipeline, work),
+        _write_pipeline,
+        lambda peaks, times, spawner: {"peak_rss_mb": peaks[0], "spawner_peak_rss_mb": spawner},
+    ),
+    THEORY: Fresh(lambda work: partial(_run_cli, [*THEORY_ARGV, os.devnull])),
+    # the theory suite's largest stopping-time run
+    STOPPING: Fresh(lambda work: _stopping_time),
+    # Rows measured only in children. On a source tree without a compiled
+    # parser both parse rows time its only path. The Python reference loop,
+    # LAYER_REPEATS calls in one child:
+    f"parse_sparse reference loop {LAYER}": Fresh(
+        lambda work: _parse_text(work, compiled=False), _write_layer, _times, calls=LAYER_REPEATS
+    ),
+    # The first call of LAYER_REPEATS children, each with an empty build
+    # cache and scipy.sparse already imported, so the row holds the one-time
+    # compile of the parser as set-up; warm_median_ms is each child's second.
+    f"parse_sparse cold first call {LAYER}": Fresh(
+        _cold_parse,
+        _write_layer,
+        lambda peaks, times, spawner: {
+            **_quartiles([first for first, _ in times]),
+            "warm_median_ms": statistics.median(second for _, second in times) * 1e3,
+        },
+        calls=2,
+        children=LAYER_REPEATS,
+    ),
+    # SWEEP_REPEATS children, each timing its own call: a sweep that
+    # rescans a whole prefix matrix per grid point takes minutes here, and
+    # the row then records the limit instead.
+    SWEEP("exhaustive", *SWEEP_SIZES[-1]): Fresh(
+        lambda work: _sweep(*SWEEP_SIZES[-1], "exhaustive"),
+        summary=_times,
+        children=SWEEP_REPEATS,
+        limit=EXHAUSTIVE_LIMIT_S,
+    ),
+}
+
+
+def _run(name: str, work: str) -> None:
+    """The child entry point: FRESH[name]'s timed calls, printing each one's seconds."""
+    row = FRESH[name]
+    call = row.prepare(work)
+    for _ in range(row.calls):
+        t0 = time.perf_counter()
+        call()
+        print(time.perf_counter() - t0)
 
 
 def _child(call: str, *args: str, timeout: int = 0) -> tuple[float, str] | None:
@@ -454,81 +388,176 @@ def _child(call: str, *args: str, timeout: int = 0) -> tuple[float, str] | None:
     return usage.ru_maxrss / 1024.0, out
 
 
-def _pipeline_memory() -> dict:
-    """Peak RSS of one pipeline pass, and this process's own peak when it
-    spawns that pass, the floor under the reading. A child of its own writes
-    the data file, so building the data set does not raise that floor."""
+def _measure_fresh() -> dict:
+    """Every FRESH row's keys, by name."""
+    rows = {}
     with tempfile.TemporaryDirectory() as work:
-        path = os.path.join(work, "data.txt")
-        _child("_write_pipeline_data", path)
-        spawner = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        return {"peak_rss_mb": _child("_pipeline_pass", path)[0], "spawner_peak_rss_mb": spawner}
+        written = set()
+        for name, row in FRESH.items():
+            if row.write and row.write not in written:
+                _child(row.write.__name__, work)
+                written.add(row.write)
+            spawner = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            peaks, times = [], []
+            for _ in range(row.children):
+                done = _child("_run", name, work, timeout=row.limit)
+                if done is None:
+                    rows[name] = {"timed_out_after_s": row.limit, "calls": sum(map(len, times))}
+                    break
+                peaks.append(done[0])
+                times.append([float(t) for t in done[1].split()])
+            else:
+                rows[name] = row.summary(peaks, times, spawner)
+    return rows
 
 
-def _pipeline_row(memory: dict) -> dict:
-    with tempfile.TemporaryDirectory() as work:
-        path = os.path.join(work, "data.txt")
-        name = _write_pipeline_data(path)
-        return {name: {**_call_ms(_pipeline_pass, [path], LAYER_REPEATS), **memory}}
+class Row(NamedTuple):
+    """A row timed in this process: call(x) for each x of inputs, over
+    `repeats` passes, beside the fixed `keys`. A row named in FRESH adds its
+    keys; one with no call has only those."""
+
+    name: str
+    call: Callable | None = None
+    inputs: Sequence = (None,)
+    repeats: int = LAYER_REPEATS
+    keys: dict | None = None
 
 
-def _sweep_pass(m: str, n: str, grid: str) -> None:
-    """run_sweep on generated inputs of m rows and n terms; prints the
-    seconds the call took."""
-    import numpy as np
-
-    from stst import bench
-
-    model, test = _sweep_inputs(np.random.default_rng(SEED + 3), int(m), int(n))
-    t0 = time.perf_counter()
-    bench.run_sweep(model, test, 0.0, grid=grid if grid == "exhaustive" else int(grid))
-    print(time.perf_counter() - t0)
-
-
-def _child_sweep_row(m: int, n: int, grid: str) -> dict:
-    """Single-call times of _sweep_pass, one fresh child interpreter each;
-    a child past EXHAUSTIVE_LIMIT_S is stopped and ends the row."""
-    times = []
-    for _ in range(SWEEP_REPEATS):
-        done = _child("_sweep_pass", str(m), str(n), grid, timeout=EXHAUSTIVE_LIMIT_S)
-        if done is None:
-            return {"timed_out_after_s": EXHAUSTIVE_LIMIT_S, "calls": len(times)}
-        times.append(float(done[1].split()[-1]))
-    return _quartiles(times)
-
-
-def _theory_pass(path: str) -> None:
-    _run_cli(["theory", "--seed", str(THEORY_SEED), "-o", path])
-
-
-def _theory_row(peak_rss_mb: float) -> dict:
-    with tempfile.TemporaryDirectory() as out:
-        name = f"cli theory default config seed={THEORY_SEED}"
-        timing = _call_ms(_theory_pass, [os.path.join(out, "theory.csv")], LAYER_REPEATS)
-        return {name: {**timing, "peak_rss_mb": peak_rss_mb}}
-
-
-def _stopping_time_pass() -> None:
-    from stst import simulator
-
-    spec = simulator.WalkSpec(n=STOPPING_N, step="rademacher", scale=0.1, drift=0.1, seed=SEED)
-    simulator.empirical_stopping_time(spec, 0.1, trials=STOPPING_TRIALS)
-
-
-def _stopping_time_row(peak_rss_mb: float) -> dict:
-    name = f"walk engine empirical_stopping_time rademacher n={STOPPING_N} trials={STOPPING_TRIALS}"
-    timing = _call_ms(lambda _: _stopping_time_pass(), [None], LAYER_REPEATS)
-    return {name: {**timing, "peak_rss_mb": peak_rss_mb}}
-
-
-def _cold_import_row() -> dict:
+def _rows():
+    """Every row, in the order it is written. Each row's inputs are built as
+    it comes, and measure() times it before the next, so the lambdas may
+    read the loop's current model."""
     import subprocess
 
-    import stst
+    import numpy as np
 
+    import stst
+    from stst import bench, calibration, data, predictor, simulator, trainer
+    from stst.core import Direction, StoppingRule
+
+    # COLD_IMPORTS fresh interpreters, one after another, each running
+    # `import stst.cli` from the same source: the start-up every stst command
+    # pays before it does any work. A bare interpreter, not _child, whose
+    # imports of this script would add to the time.
     env = dict(os.environ, PYTHONPATH=str(Path(stst.__file__).resolve().parents[1]))
     argv = [sys.executable, "-c", "import stst.cli"]
-    return {"cli cold import": _call_ms(lambda _: subprocess.run(argv, env=env, check=True), [None], COLD_IMPORTS)}
+    yield Row("cli cold import", lambda _: subprocess.run(argv, env=env, check=True), repeats=COLD_IMPORTS)
+    yield Row(f"parse_sparse reference loop {LAYER}")
+    yield Row(f"parse_sparse cold first call {LAYER}")
+
+    # Coordinate models (dim n, terms in a seeded random order) and RBF
+    # models (dim RBF_DIM, sigma 8), each called on the same EXAMPLES
+    # examples, REPEATS passes: attentive with the no-stop sentinel
+    # tau = -inf, attentive with the lowest finite tau (checked at every
+    # term, never crossed) and full_predict. No early stop happens, so these
+    # rows compare evaluation cost alone. The CROSSING_ROWS models are also
+    # called attentive at the median of the examples' lowest partial sums
+    # S_1..S_{n-1}, so about half of them stop; terms_fraction is the
+    # measured mean of terms evaluated / n.
+    attentive = predictor.attentive_predict
+    no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
+    never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)
+    for name, model, X in _models():
+        predictor.full_predict(model, X[0])  # warm caches and lazy imports
+        yield Row(f"{name} attentive tau=-inf", lambda x: attentive(model, x, no_stop), X, REPEATS)
+        yield Row(f"{name} attentive tau=finite", lambda x: attentive(model, x, never_crossed), X, REPEATS)
+        yield Row(f"{name} full", lambda x: predictor.full_predict(model, x), X, REPEATS)
+        if name in CROSSING_ROWS:
+            tau = float(np.median(predictor.prefix_score_matrix(model, X)[:, :-1].min(axis=1)))
+            crossed = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
+            fraction = sum(attentive(model, x, crossed).terms_evaluated for x in X) / (len(X) * model.n)
+            keys = {"terms_fraction": fraction}
+            yield Row(f"{name} attentive tau=crossing", lambda x: attentive(model, x, crossed), X, REPEATS, keys)
+
+    # Batch rows, REPEATS calls each, on one coordinate model and test set:
+    # on its prefix matrix, attentive_from_prefix with tau at the median of
+    # the rows' lowest partial sums (about half the rows stop) and
+    # budgeted_from_prefix at b = n/2; then predict_rows from the features
+    # (the chunked evaluator, no prefix matrix), attentive at that tau and
+    # full.
+    rng = np.random.default_rng(SEED + 1)
+    model, test = _sweep_inputs(rng, BATCH_M, BATCH_N)
+    prefix = predictor.prefix_score_matrix(model, test.X)
+    rule = StoppingRule(0.0, float(np.median(prefix[:, :-1].min(axis=1))), Direction.REJECT_BELOW)
+    size, b = f"m={BATCH_M} n={BATCH_N}", BATCH_N // 2
+    yield Row(f"attentive_from_prefix {size}", lambda p: predictor.attentive_from_prefix(p, rule), [prefix], REPEATS)
+    yield Row(
+        f"budgeted_from_prefix {size} b={b}", lambda p: predictor.budgeted_from_prefix(p, b, 0.0), [prefix], REPEATS
+    )
+    del prefix
+    predict = partial(predictor.predict_rows, model)
+    yield Row(f"predict_rows attentive {size}", lambda X: predict(X, rule.theta, rule), [test.X], REPEATS)
+    yield Row(f"predict_rows full {size}", lambda X: predict(X, rule.theta), [test.X], REPEATS)
+
+    # run_sweep, SWEEP_REPEATS calls each, with grid 50 at both sizes and
+    # with the exhaustive grid at the small one (the large one is in FRESH)
+    for grid, (m, n) in ((50, SWEEP_SIZES[0]), (50, SWEEP_SIZES[-1]), ("exhaustive", SWEEP_SIZES[0])):
+        model, test = _sweep_inputs(rng, m, n)
+        yield Row(SWEEP(grid, m, n), lambda t: bench.run_sweep(model, t, 0.0, grid=grid), [test], SWEEP_REPEATS)
+    yield Row(SWEEP("exhaustive", *SWEEP_SIZES[-1]))
+
+    # Layer rows on one sparse dataset (labels from a planted direction):
+    # parse_sparse of its text and serialize_sparse back to text, in memory;
+    # train_linear for one epoch on the dense and on the CSR copy; calibrate
+    # of the trained model on the CSR copy (score mode, the default); both
+    # calibrate modes of an RBF model at the perfbench predict workload's
+    # shape (_calibrate_inputs).
+    rng = np.random.default_rng(SEED + 2)
+    dataset = _layer_dataset(rng)
+    buf = io.StringIO()
+    data.serialize_sparse(dataset, buf)
+    text = buf.getvalue()
+    data.parse_sparse(io.StringIO(text))  # builds or loads the compiled parser: the cold row times that
+    yield Row(f"parse_sparse {LAYER_NNZ}", lambda t: data.parse_sparse(io.StringIO(t)), [text])
+    yield Row(f"serialize_sparse {LAYER_NNZ}", lambda d: data.serialize_sparse(d, io.StringIO()), [dataset])
+    config = trainer.TrainConfig(lambda_reg=0.01, epochs=1, seed=0)
+    dense = data.Dataset(X=dataset.dense(), y=dataset.y)
+    for kind, ds in (("dense", dense), ("csr", dataset)):
+        yield Row(f"train_linear {kind} {LAYER_NNZ} epochs=1", lambda d: trainer.train_linear(d, config), [ds])
+    model = trainer.train_linear(dense, config)
+    del dense
+    yield Row(f"calibrate {LAYER_NNZ}", lambda d: calibration.calibrate(model, d, 1), [dataset])
+    rbf, cal_set = _calibrate_inputs()
+    for mode in ("per_term", "score"):
+        yield Row(CALIBRATE(mode.replace("_", "-")), lambda d: calibration.calibrate(rbf, d, 1, mode=mode), [cal_set])
+
+    # term_matrix of coordinate, linear-kernel and RBF models (kernel dim
+    # RBF_DIM), and prefix_score_matrix of the coordinate one
+    weights, mu = rng.standard_normal(TERM_N), 0.1 * rng.standard_normal(TERM_N)
+    sv = rng.standard_normal((TERM_N, RBF_DIM))
+    term_models = (
+        ("coordinate", predictor.coordinate_model(weights, mu=mu, indices=rng.permutation(TERM_N), dim=TERM_N)),
+        ("linear", predictor.kernel_model(weights, sv, predictor.KernelSpec.linear(), mu=mu)),
+        ("rbf", predictor.kernel_model(weights, sv, predictor.KernelSpec.rbf(math.sqrt(RBF_DIM)), mu=mu)),
+    )
+    size = f"m={TERM_M} n={TERM_N}"
+    for kind, term_model in term_models:
+        X = rng.standard_normal((TERM_M, term_model.dim))
+        yield Row(f"term_matrix {kind} {size}", lambda x: predictor.term_matrix(term_model, x), [X])
+    coordinate, X = term_models[0][1], rng.standard_normal((TERM_M, TERM_N))
+    yield Row(f"prefix_score_matrix coordinate {size}", lambda x: predictor.prefix_score_matrix(coordinate, x), [X])
+
+    # The walk engine through empirical_stop_error_grid at one delta (the row
+    # is named after the deleted one-delta wrapper, so that BENCH_*.json rows
+    # line up), and through the exact bridge on the theory suite's
+    # unit-variance gaussian walks and bridge boundaries.
+    spec = simulator.WalkSpec(n=WALK_N, seed=SEED)
+    stop_error = lambda s: simulator.empirical_stop_error_grid(s, [0.1], trials=WALK_TRIALS)[0]  # noqa: E731
+    yield Row(f"walk engine empirical_stop_error n={WALK_N} trials={WALK_TRIALS}", stop_error, [spec])
+    spec = simulator.WalkSpec(n=BRIDGE_N, scale=math.sqrt(1.0 / BRIDGE_N), seed=SEED)
+    taus = [0.5, 1.0, 1.5, 2.0]  # the theory suite's bridge boundaries
+    bridge = partial(simulator.empirical_bridge_crossing_grid, taus=taus, trials=WALK_TRIALS, mode="exact")
+    yield Row(f"walk engine empirical_bridge exact n={BRIDGE_N} trials={WALK_TRIALS}", bridge, [spec])
+
+    # End to end: the CLI flow train (0.3 test split) -> calibrate (per-term,
+    # on a 0.25 slice of the training part) -> sweep (grid 50) -> pr
+    # (attentive, at the delta = 0.1 tau) through stst.cli.main, each pass
+    # into a fresh directory; and stst theory at the default TheoryConfig.
+    with tempfile.TemporaryDirectory() as work:
+        _write_pipeline(work)
+        yield Row(PIPELINE, _pipeline, [work])
+        yield Row(THEORY, _run_cli, [[*THEORY_ARGV, os.path.join(work, "theory.csv")]])
+    yield Row(STOPPING, lambda _: _stopping_time())
 
 
 def _call_ms(fn, X, repeats: int = REPEATS) -> dict:
@@ -549,75 +578,11 @@ def _quartiles(times: list) -> dict:
 
 
 def measure() -> dict:
-    import numpy as np
-
-    from stst import bench, predictor
-    from stst.core import Direction, StoppingRule
-
-    # the children run first, while this process is small (see _child)
-    theory_peak_rss_mb = _child("_theory_pass", os.devnull)[0]
-    stopping_peak_rss_mb = _child("_stopping_time_pass")[0]
-    pipeline_memory = _pipeline_memory()
-    m, n = SWEEP_SIZES[-1]
-    sweep_peak_rss_mb = _child("_sweep_pass", str(m), str(n), "50")[0]
-    parse_peak_rss_mb, parse_rows = _parse_children()
-    layer_memory = {
-        "serialize": _serialize_memory(),
-        "parse": parse_peak_rss_mb,
-        "calibrate per_term": _child("_calibrate_pass", "per_term")[0],
-        "calibrate score": _child("_calibrate_pass", "score")[0],
-    }
-    rows = {**_cold_import_row(), **parse_rows}
-    no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
-    never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)
-    for name, model, X in _models():
-        predictor.full_predict(model, X[0])  # warm caches and lazy imports
-        rows[f"{name} attentive tau=-inf"] = _call_ms(lambda x: predictor.attentive_predict(model, x, no_stop), X)
-        rows[f"{name} attentive tau=finite"] = _call_ms(
-            lambda x: predictor.attentive_predict(model, x, never_crossed), X
-        )
-        rows[f"{name} full"] = _call_ms(lambda x: predictor.full_predict(model, x), X)
-        if name in CROSSING_ROWS:
-            tau = float(np.median(predictor.prefix_score_matrix(model, X)[:, :-1].min(axis=1)))
-            crossed = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
-            terms = [predictor.attentive_predict(model, x, crossed).terms_evaluated for x in X]
-            rows[f"{name} attentive tau=crossing"] = {
-                **_call_ms(lambda x: predictor.attentive_predict(model, x, crossed), X),
-                "terms_fraction": sum(terms) / (len(terms) * model.n),
-            }
-
-    rng = np.random.default_rng(SEED + 1)
-    model, test = _sweep_inputs(rng, BATCH_M, BATCH_N)
-    prefix = predictor.prefix_score_matrix(model, test.X)
-    tau = float(np.median(prefix[:, :-1].min(axis=1)))
-    rule = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
-    size = f"m={BATCH_M} n={BATCH_N}"
-    rows[f"attentive_from_prefix {size}"] = _call_ms(lambda p: predictor.attentive_from_prefix(p, rule), [prefix])
-    rows[f"budgeted_from_prefix {size} b={BATCH_N // 2}"] = _call_ms(
-        lambda p: predictor.budgeted_from_prefix(p, BATCH_N // 2, 0.0), [prefix]
-    )
-    del prefix
-    rows[f"predict_rows attentive {size}"] = _call_ms(
-        lambda X: predictor.predict_rows(model, X, rule.theta, rule), [test.X]
-    )
-    rows[f"predict_rows full {size}"] = _call_ms(lambda X: predictor.predict_rows(model, X, rule.theta), [test.X])
-    for m, n in SWEEP_SIZES:
-        model, test = _sweep_inputs(rng, m, n)
-        rows[f"run_sweep grid=50 m={m} n={n}"] = _call_ms(
-            lambda t: bench.run_sweep(model, t, 0.0, grid=50), [test], SWEEP_REPEATS
-        )
-    rows[f"run_sweep grid=50 m={m} n={n}"]["peak_rss_mb"] = sweep_peak_rss_mb
-    m, n = SWEEP_SIZES[0]
-    model, test = _sweep_inputs(rng, m, n)
-    rows[f"run_sweep grid=exhaustive m={m} n={n}"] = _call_ms(
-        lambda t: bench.run_sweep(model, t, 0.0, grid="exhaustive"), [test], SWEEP_REPEATS
-    )
-    m, n = SWEEP_SIZES[-1]
-    rows[f"run_sweep grid=exhaustive m={m} n={n}"] = _child_sweep_row(m, n, "exhaustive")
-    rows.update(_layer_rows(np.random.default_rng(SEED + 2), layer_memory))
-    rows.update(_pipeline_row(pipeline_memory))
-    rows.update(_theory_row(theory_peak_rss_mb))
-    rows.update(_stopping_time_row(stopping_peak_rss_mb))
+    fresh = _measure_fresh()  # first, while this process is small (see _child)
+    rows = {}
+    for row in _rows():
+        timed = _call_ms(row.call, row.inputs, row.repeats) if row.call else {}
+        rows[row.name] = {**timed, **(row.keys or {}), **fresh.pop(row.name, {})}
     return rows
 
 

@@ -99,11 +99,15 @@ def calibrate(
             # _evaluate's carried sum, with -0.0 as the additive identity:
             # numpy sums each row of an F-ordered block column by column
             raw -= mu[a:b]
-            raw *= model.weights[a:b]
-            raw[:, 0] += score
-            score = np.asfortranarray(raw).sum(axis=1)
+            with np.errstate(over="ignore"):  # see the variance below
+                raw *= model.weights[a:b]
+                raw[:, 0] += score
+                score = np.asfortranarray(raw).sum(axis=1)
     corrected = replace(model, mu=mu)
-    variance = float(np.var(score, ddof=1) if mode == "score" else np.sum(corrected.weights**2 * var))
+    # an overflow here or in the weighted scores ends as the non-finite
+    # variance refused next, which says all a warning would
+    with np.errstate(over="ignore"):
+        variance = float(np.var(score, ddof=1) if mode == "score" else np.sum(corrected.weights**2 * var))
     if not 0.0 < variance < np.inf:
         raise DegenerateDataError(
             f"calibration scores of class {class_used:+d} have variance {variance!r}; stopping rule undefined"

@@ -25,13 +25,19 @@ __all__ = ["main"]
 
 
 def _parse_synthetic(text: str) -> data.SyntheticSpec:
-    """Parse 'dim=20,n_pos=500,n_neg=500,sep=4,std=1,seed=7'."""
+    """Parse 'dim=20,n_pos=500,n_neg=500,sep=4,std=1,seed=7' (seed defaults
+    to 0); an unknown or repeated field is an error, not a silent default."""
     fields = {}
     for part in text.split(","):
         key, sep, value = part.partition("=")
+        key = key.strip()
         if not sep:
             raise ParameterError(f"bad synthetic spec fragment {part!r}")
-        fields[key.strip()] = value.strip()
+        if key not in ("dim", "n_pos", "n_neg", "sep", "std", "seed"):
+            raise ParameterError(f"unknown synthetic spec field {key!r}")
+        if key in fields:
+            raise ParameterError(f"synthetic spec repeats field {key!r}")
+        fields[key] = value.strip()
     try:
         return data.SyntheticSpec(
             dim=int(fields["dim"]),

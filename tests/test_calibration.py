@@ -118,7 +118,7 @@ class TestCalibrateVariance:
             assert c0.mu.tobytes() == c1.mu.tobytes()
             assert r0.variance_hat == r1.variance_hat
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["score", "per_term"])
     def test_non_finite_variance_refused(self, mode):
         # scores of about 1e200 have a variance past the double range

@@ -308,7 +308,7 @@ def test_data_that_is_not_utf8_is_a_clean_error(model_dim_3, tmp_path, capsys, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "m.npz", "narrow.txt", "wide.txt"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["score", "per-term"])
 def test_calibrate_refuses_a_non_finite_variance(tmp_path, capsys, mode):
     model = tmp_path / "m.npz"
@@ -319,7 +319,7 @@ def test_calibrate_refuses_a_non_finite_variance(tmp_path, capsys, mode):
     argv = ["calibrate", "--model", str(model), "--paper-faithful", "--test", str(cal), "--mode", mode]
     assert run([*argv, "--model-out", str(model_out), "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: calibration scores of class +1 have variance inf")
+    assert err == "error: calibration scores of class +1 have variance inf; stopping rule undefined\n"
     assert not out.exists() and not model_out.exists()
 
 
@@ -500,6 +500,8 @@ def test_calibrate_class_flag(pipeline, tmp_path, capsys, text, row):
     [
         ("dim=12,n_pos,n_neg=80,sep=4,std=1", "bad synthetic spec fragment 'n_pos'"),
         ("dim=12,n_pos=80,n_neg=80,sep=4", "synthetic spec missing field 'std'"),
+        ("dim=5,n_pos=20,n_neg=20,sep=4,std=1,sed=7", "unknown synthetic spec field 'sed'"),
+        ("dim=5,n_pos=20,n_neg=20,sep=4,std=1,seed=7,seed=8", "synthetic spec repeats field 'seed'"),
     ],
 )
 def test_bad_synthetic_spec_is_a_clean_error(tmp_path, capsys, spec, message):
@@ -549,6 +551,14 @@ def test_pr_non_finite_theta_is_a_clean_error(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "theta must be finite" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_simulate_bridge_non_finite_theta_is_a_clean_error(tmp_path, capsys, theta):
+    out = tmp_path / "bridge.csv"
+    assert run([*SIMULATE_ARGV, f"--theta={theta}", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: theta must be finite, got {theta}\n"
+    assert not out.exists()
 
 
 def refuse_to_parse(monkeypatch):

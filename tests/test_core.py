@@ -191,6 +191,11 @@ class TestCrossingProbability:
         with pytest.raises(ParameterError):
             crossing_probability(0.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ParameterError, match=f"^theta must be finite, got {theta!r}$"):
+            crossing_probability(1.0, theta, 1.0)
+
     def test_in_unit_interval(self):
         for tau in (1e-6, 0.3, 1.0, 10.0):
             for theta in (-5.0, 0.0, tau * 0.99):
