@@ -199,6 +199,21 @@ def _stopping_time() -> None:
     simulator.empirical_stopping_time(spec, 0.1, trials=STOPPING_TRIALS)
 
 
+def _cold_stopping_time(work: str):
+    """_stopping_time with an empty build cache, so the first call compiles the walk kernels."""
+    os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(dir=work)
+    return _stopping_time
+
+
+def _theory_reference(work: str):
+    """stst theory with the walk kernels switched off, so that every block
+    is reduced by the numpy reference."""
+    from stst import simulator
+
+    simulator._kernels = lambda: None
+    return partial(_run_cli, [*THEORY_ARGV, os.devnull])
+
+
 def _write_layer(work: str) -> None:
     """The layer dataset as text, work/layer.txt, and as CSR arrays and
     labels, work/layer.npz."""
@@ -274,6 +289,14 @@ def _times(peaks, times, spawner) -> dict:
     return _quartiles([t for child in times for t in child])
 
 
+def _cold_and_warm(peaks, times, spawner) -> dict:
+    """Each child's first call, and the median of each child's second."""
+    return {
+        **_quartiles([first for first, _ in times]),
+        "warm_median_ms": statistics.median(second for _, second in times) * 1e3,
+    }
+
+
 class Fresh(NamedTuple):
     """A row measured in fresh children, one after another (see _child).
 
@@ -323,15 +346,18 @@ FRESH = {
     # cache and scipy.sparse already imported, so the row holds the one-time
     # compile of the parser as set-up; warm_median_ms is each child's second.
     f"parse_sparse cold first call {LAYER}": Fresh(
-        _cold_parse,
-        _write_layer,
-        lambda peaks, times, spawner: {
-            **_quartiles([first for first, _ in times]),
-            "warm_median_ms": statistics.median(second for _, second in times) * 1e3,
-        },
-        calls=2,
-        children=LAYER_REPEATS,
+        _cold_parse, _write_layer, _cold_and_warm, calls=2, children=LAYER_REPEATS
     ),
+    # The same for the walk kernels: the first stopping-time run of
+    # LAYER_REPEATS children, each with an empty build cache, so the row
+    # holds the one-time compile of _walk.c; warm_median_ms is the second.
+    # On a source tree without the kernels both walk rows time numpy.
+    f"{STOPPING} cold first call": Fresh(
+        _cold_stopping_time, summary=_cold_and_warm, calls=2, children=LAYER_REPEATS
+    ),
+    # stst theory on the numpy reference of the walk reductions, the path
+    # taken without a C compiler, LAYER_REPEATS calls in one child
+    f"{THEORY} numpy reference": Fresh(_theory_reference, summary=_times, calls=LAYER_REPEATS),
     # SWEEP_REPEATS children, each timing its own call: a sweep that
     # rescans a whole prefix matrix per grid point takes minutes here, and
     # the row then records the limit instead.
@@ -558,6 +584,8 @@ def _rows():
         yield Row(PIPELINE, _pipeline, [work])
         yield Row(THEORY, _run_cli, [[*THEORY_ARGV, os.path.join(work, "theory.csv")]])
     yield Row(STOPPING, lambda _: _stopping_time())
+    yield Row(f"{STOPPING} cold first call")
+    yield Row(f"{THEORY} numpy reference")
 
 
 def _call_ms(fn, X, repeats: int = REPEATS) -> dict:

@@ -145,10 +145,11 @@ def crossing_probability(tau: float, theta: float, variance: float) -> float:
     """Probability that a driftless walk pinned at theta crosses tau.
 
     exp(-2*tau*(tau - theta)/variance), on the upward orientation: requires
-    a finite theta < tau and tau > 0 (endpoint below the boundary, boundary
-    above the start). Outside that domain the expression is no probability:
-    it exceeds 1 for theta < tau < 0.
+    finite tau and theta with theta < tau and tau > 0 (endpoint below the
+    boundary, boundary above the start). Outside that domain the expression
+    is no probability: it exceeds 1 for theta < tau < 0.
     """
+    check_finite("tau", tau)
     check_finite("theta", theta)
     if math.isnan(variance) or variance <= 0.0:
         raise ParameterError(f"variance must be positive, got {variance!r}")

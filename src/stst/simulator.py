@@ -23,22 +23,41 @@ a ParameterError before any walk runs.
 
 Trials are processed in fixed-size batches of 4096, each driven by its own
 child of one seed sequence. The batches run on a thread pool with one worker
-per usable CPU; numpy's random fills, most of the cost, release the GIL and
-run in parallel. Each batch walks its trials in blocks sized by the one
+per usable CPU. Each batch draws its trials in blocks sized by the one
 block budget of stst.data (_BLOCK_CELLS, 2**17 cells, through _block_rows),
-through one buffer that is filled and summed in place, so a worker's block
-holds at most max(2**17, n) steps: 1 MB for any n <= 2**17. The exact
-bridge shifts each whole block at once, with a temporary of n - 1 cells a
-walk, so it walks blocks of half as many rows and stays within the same
-1 MB. The rademacher and uniform fills draw a temporary of the block's
-shape (int64 and float64), and a stopping-time reduce builds a boolean mask
-of it, so the walks hold at most about workers * 16 * max(2**17, n) bytes
-at a time, whatever the trial count. Results are gathered in trial order
-and are identical, bit for bit, for any number of workers and any block
-size, since every reduction works per row and a batch's stream is drawn in
-row-major order.
+so a worker's block holds at most max(2**17, n) draws: 1 MB for any
+n <= 2**17.
+
+Every experiment reduces a walk to two numbers: max(S_1..S_{n-1}) and S_n
+for the crossing grids (for the exact bridge, the maximum of the pinned
+bridge S_i - (i/n)(S_n - theta)), and the first crossing time T with S_T
+for the stopping time. Each block of raw draws goes to a compiled row
+kernel (_walk.c, built with cc on first use, never at import; see
+stst._native) that fuses the step arithmetic raw*scale + drift, the
+running sum and the row reduction in one pass over the block; a
+stopping-time scan stops at the crossing, though every step is still
+drawn. A ctypes call releases the GIL, so the workers' random fills and
+kernels all run in parallel. The kernels write no temporary of the block's
+shape; what remains beside the block buffer is the draw itself when it is
+not drawn into the buffer: the rademacher int64 array (and the uniform
+float64 array). Each block keeps only its accepted maxima.
+
+Without a C compiler the same two reductions run in numpy, the reference
+the kernels are tested against: the step arithmetic in place in the
+block, np.cumsum, then the reduction. np.cumsum holds the GIL, so there the
+workers take turns on it. The exact bridge's shift there needs a temporary
+of n - 1 cells a walk, so the exact bridge walks blocks of half as many
+rows (on both paths), and a stopping-time reduce builds a boolean mask of
+the block. Either way the walks hold at most about workers * 17 * max(2**17, n) bytes at a
+time, whatever the trial count. Both paths give the same results, bit for
+bit: the kernels round each product and sum as numpy does
+(-ffp-contract=off) and add the steps one after another, as np.cumsum
+does. Results are gathered in trial order and are identical for any number
+of workers and any block size, since every reduction works per row and a
+batch's stream is drawn in row-major order.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -116,26 +135,105 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_steps(rng: np.random.Generator, spec: WalkSpec, out: np.ndarray) -> np.ndarray:
-    """Fill out with steps drift + noise, drawn in row-major order, in place.
+@functools.cache
+def _kernels():
+    """The row kernels of _walk.c, compiled on first use, or None without a
+    C compiler (every block is then reduced by the numpy reference)."""
+    import ctypes
 
-    The values equal drift + scale*noise drawn as one array, bit for bit:
-    the stream is consumed in the same order, and x*scale, x + drift are the
-    same products and sums.
-    """
+    from . import _native
+
+    lib = _native.load("_walk")
+    if lib is None:
+        return None
+    i64, f64, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.stst_walk_high_end.argtypes = (pointer, pointer, i64, i64, f64, f64, pointer, f64, pointer, pointer)
+    lib.stst_walk_first_crossing.argtypes = (pointer, pointer, i64, i64, f64, f64, f64, pointer, pointer)
+    lib.stst_walk_high_end.restype = lib.stst_walk_first_crossing.restype = None
+    return lib
+
+
+def _draw(rng: np.random.Generator, spec: WalkSpec, out: np.ndarray) -> np.ndarray:
+    """A block of raw draws of out's shape, in row-major order: standard
+    normals filled into out, rademacher 0/1 as a new int64 array, or
+    uniforms on [-scale, scale] as a new float64 array. Step j is
+    raw_j*_raw_scale(spec) + drift, with 2k - 1 in place of a rademacher k."""
     if spec.step == "gaussian":
-        rng.standard_normal(out=out)
-        out *= spec.scale
-    elif spec.step == "rademacher":
-        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
-        out -= 1.0
-        out *= spec.scale
-    else:
-        # drawn whole: numpy forms low + (high - low)*u in C, where a compiler
-        # may fuse the multiply-add and round once where ours would round twice
-        out[...] = rng.uniform(-spec.scale, spec.scale, size=out.shape)
+        return rng.standard_normal(out=out)
+    if spec.step == "rademacher":
+        return rng.integers(0, 2, size=out.shape)
+    # drawn whole: numpy forms low + (high - low)*u in C, where a compiler
+    # may fuse the multiply-add and round once where ours would round twice
+    return rng.uniform(-spec.scale, spec.scale, size=out.shape)
+
+
+def _raw_scale(spec: WalkSpec) -> float:
+    """The factor of a raw draw in its step; a uniform draw comes scaled."""
+    return 1.0 if spec.step == "uniform" else spec.scale
+
+
+def _prefix_sums(spec: WalkSpec, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The numpy reference: S_1..S_n of every row of a block of raw draws,
+    formed in out, which may be raw itself. Each step is rounded twice,
+    raw*scale then + drift, and np.cumsum adds them one after another."""
+    if raw.dtype == np.int64:
+        raw = np.subtract(np.multiply(raw, 2.0, out=out), 1.0, out=out)
+    np.multiply(raw, _raw_scale(spec), out=out)
     out += spec.drift
-    return out
+    return np.cumsum(out, axis=1, out=out)
+
+
+def _kernel_args(spec: WalkSpec, raw: np.ndarray) -> tuple:
+    """The leading arguments of either kernel for a block of raw draws: the
+    float64 draws or the int64 rademacher draws (the other one NULL), the
+    block's shape, the raw scale and the drift. The kernels read the block
+    through its address, so anything but a C-ordered 2-d block of those
+    dtypes is refused."""
+    if raw.ndim != 2 or not raw.flags.c_contiguous or raw.dtype not in (np.float64, np.int64):
+        raise ValueError(f"a walk block must be C-ordered 2-d float64 or int64, got {raw.dtype} {raw.shape}")
+    x, k = (None, raw.ctypes.data) if raw.dtype == np.int64 else (raw.ctypes.data, None)
+    return (x, k, *raw.shape, _raw_scale(spec), spec.drift)
+
+
+def _high_end(kernels, spec: WalkSpec, raw, out, frac=None, theta: float = 0.0):
+    """(max(S_1..S_{n-1}), S_n) of every row of a block of raw draws; the
+    maximum is -inf for n = 1. With frac (gaussian walks only), it is the
+    maximum of the bridge pinned at theta, S_i - frac_i*(S_n - theta).
+    The compiled kernel when given, else the numpy reference; out (raw's
+    shape) and raw may be overwritten."""
+    if kernels is None:
+        paths = _prefix_sums(spec, raw, out)
+        end = paths[:, -1].copy()
+        if frac is not None:
+            paths[:, :-1] -= frac * (end[:, None] - theta)
+        return paths[:, :-1].max(axis=1, initial=-np.inf), end
+    args = _kernel_args(spec, raw)
+    pinned = None
+    if frac is not None:
+        if frac.shape != (raw.shape[1] - 1,) or frac.dtype != np.float64 or not frac.flags.c_contiguous:
+            raise ValueError(f"frac must be C-ordered float64 of n - 1 = {raw.shape[1] - 1} cells")
+        if raw.dtype != np.float64:
+            raise ValueError("the pinned bridge reads float64 (gaussian) draws")
+        pinned = frac.ctypes.data
+    high, end = np.empty((2, raw.shape[0]))
+    kernels.stst_walk_high_end(*args, pinned, theta, high.ctypes.data, end.ctypes.data)
+    return high, end
+
+
+def _first_crossing(kernels, spec: WalkSpec, raw, out, tau: float):
+    """(T, S_T) of every row of a block of raw draws: T is the first i with
+    S_i >= tau, or n when no sum reaches tau. The compiled kernel when
+    given, else the numpy reference; out (raw's shape) may be overwritten."""
+    if kernels is None:
+        paths = _prefix_sums(spec, raw, out)
+        rows = np.arange(paths.shape[0])
+        hit = paths >= tau
+        first = hit.argmax(axis=1)
+        t = np.where(hit[rows, first], first + 1, spec.n)
+        return t, paths[rows, t - 1]
+    t, stop = np.empty(raw.shape[0], dtype=np.int64), np.empty(raw.shape[0])
+    kernels.stst_walk_first_crossing(*_kernel_args(spec, raw), tau, t.ctypes.data, stop.ctypes.data)
+    return t, stop
 
 
 def _batches(seed: int, trials: int):
@@ -148,16 +246,16 @@ def _batches(seed: int, trials: int):
         yield np.random.default_rng(child), count
 
 
-def _walk(spec: WalkSpec, trials: int, reduce, row_cells: int | None = None) -> list:
-    """reduce() every block of prefix sums S_1..S_n of `trials` walks.
+def _walk_draws(spec: WalkSpec, trials: int, reduce, row_cells: int | None = None) -> list:
+    """reduce(raw, out) of every block of raw draws (see _draw) of `trials`
+    walks; out is a float64 block of raw's shape that reduce may overwrite.
 
     Each batch of _BATCH walks is drawn from its own seed child and walked in
     blocks of _block_rows(row_cells) rows (row_cells, the cells a walk
-    holds, defaults to n), through one buffer filled and summed in place;
-    the batches run on a thread pool. reduce may overwrite the block it is
-    given. The results come back in trial order and equal those of
-    whole-batch arrays bit for bit, since the fill consumes the stream in
-    row-major order and cumsum and every reduction work per row.
+    holds, defaults to n), each out a view of one buffer; the batches run on
+    a thread pool. The results come back in trial order and equal those of
+    whole-batch arrays bit for bit, since the draws consume the stream in
+    row-major order and every reduction works per row.
     """
     rows = _block_rows(row_cells or spec.n)
 
@@ -166,8 +264,8 @@ def _walk(spec: WalkSpec, trials: int, reduce, row_cells: int | None = None) -> 
         buf = np.empty((min(count, rows), spec.n))
         results = []
         for start in range(0, count, rows):
-            block = _fill_steps(rng, spec, buf[: count - start])
-            results.append(reduce(np.cumsum(block, axis=1, out=block)))
+            out = buf[: count - start]
+            results.append(reduce(_draw(rng, spec, out), out))
         return results
 
     jobs = list(_batches(spec.seed, trials))
@@ -179,19 +277,27 @@ def _walk(spec: WalkSpec, trials: int, reduce, row_cells: int | None = None) -> 
         pool.shutdown(cancel_futures=True)
 
 
-def _kept_maxima(spec: WalkSpec, trials: int, accept, row_cells: int | None = None) -> np.ndarray:
-    """max(S_1..S_{n-1}) of every accepted walk, in trial order.
+def _walk(spec: WalkSpec, trials: int, reduce, row_cells: int | None = None) -> list:
+    """reduce() every block of prefix sums S_1..S_n of `trials` walks, formed
+    by the numpy reference; reduce may overwrite the block it is given."""
+    return _walk_draws(spec, trials, lambda raw, out: reduce(_prefix_sums(spec, raw, out)), row_cells)
 
-    accept(paths) returns the rows of a block to keep (a mask or a slice)
-    and may rewrite the block first. With n = 1 no index precedes the
-    endpoint, and the maximum is -inf. row_cells is _walk's.
-    """
 
-    def reduce(paths):
-        keep = accept(paths)
-        return paths[:, :-1].max(axis=1, initial=-np.inf)[keep]
+def _kept_maxima(spec: WalkSpec, trials: int, keep, frac=None, theta: float = 0.0) -> np.ndarray:
+    """max(S_1..S_{n-1}) of every walk whose endpoint keep(S_n) keeps (a mask
+    or a slice), in trial order; with frac, the maxima of the bridges pinned
+    at theta (see _high_end). Each block keeps its own maxima."""
+    kernels = _kernels()  # built once, before the workers start
+    # the numpy bridge's shift temporary holds n - 1 cells a walk beside its
+    # n steps, so it walks blocks of half the rows; the kernels need none,
+    # but half blocks keep their peak resident set about 0.5 MB lower too
+    row_cells = 2 * spec.n if frac is not None else None
 
-    return np.concatenate(_walk(spec, trials, reduce, row_cells))
+    def reduce(raw, out):
+        high, end = _high_end(kernels, spec, raw, out, frac, theta)
+        return high[keep(end)]
+
+    return np.concatenate(_walk_draws(spec, trials, reduce, row_cells))
 
 
 @dataclass(frozen=True)
@@ -269,24 +375,12 @@ def empirical_bridge_crossing_grid(
     if mode == "rejection" and not band > 0.0:
         raise ParameterError(f"band must be positive, got {band!r}")
 
-    # the exact bridge's shift temporary holds n - 1 cells a walk beside its
-    # n steps, so it walks blocks of half the rows
-    row_cells = None
     if mode == "exact":
+        # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta)
         frac = (np.arange(1, spec.n + 1) / spec.n)[:-1]
-        row_cells = 2 * spec.n
-
-        def accept(paths):
-            # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta)
-            paths[:, :-1] -= frac * (paths[:, -1:] - theta)
-            return slice(None)
-
+        maxima = _kept_maxima(spec, trials, lambda end: slice(None), frac, theta)
     else:
-
-        def accept(paths):
-            return np.abs(paths[:, -1] - theta) <= band
-
-    maxima = _kept_maxima(spec, trials, accept, row_cells)
+        maxima = _kept_maxima(spec, trials, lambda end: np.abs(end - theta) <= band)
     if maxima.size == 0:
         raise InsufficientAcceptanceError(
             f"no trials accepted out of {trials}; widen the band (={band!r}) or add trials"
@@ -325,7 +419,7 @@ def empirical_stop_error_grid(
         theta + crossing_magnitude(ConfidenceParams(delta=d, variance=spec.total_variance), conditioning)
         for d in deltas
     ]
-    maxima = _kept_maxima(spec, trials, lambda paths: paths[:, -1] < theta)
+    maxima = _kept_maxima(spec, trials, lambda end: end < theta)
     if maxima.size == 0:
         raise InsufficientAcceptanceError(f"no trials with endpoint below theta out of {trials}")
     return _estimates(maxima, taus, trials)
@@ -367,14 +461,8 @@ def empirical_stopping_time(spec: WalkSpec, delta: float, trials: int = 10_000) 
     check_count("trials", trials, 2)
     tau = crossing_magnitude(ConfidenceParams(delta=delta, variance=spec.total_variance))
 
-    def reduce(paths):
-        rows = np.arange(paths.shape[0])
-        hit = paths >= tau
-        first = hit.argmax(axis=1)
-        t = np.where(hit[rows, first], first + 1, spec.n)
-        return t, paths[rows, t - 1]
-
-    results = _walk(spec, trials, reduce)
+    kernels = _kernels()  # built once, before the workers start
+    results = _walk_draws(spec, trials, lambda raw, out: _first_crossing(kernels, spec, raw, out, tau))
     times = np.concatenate([t for t, _ in results])
     endpoints = np.concatenate([e for _, e in results])
     # a censored walk ends below tau; every other one stops at S_T >= tau

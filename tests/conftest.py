@@ -1,8 +1,9 @@
+import shutil
 from types import SimpleNamespace
 
 import pytest
 
-from stst import SyntheticSpec, TrainConfig, calibrate, generate_synthetic, split, train_linear
+from stst import SyntheticSpec, TrainConfig, calibrate, generate_synthetic, simulator, split, train_linear
 
 # Pinned synthetic benchmark: dim 20, 500/500, separation 4, noise 1. The
 # seeds below are frozen so every benchmark-derived number in the suite is a
@@ -22,6 +23,20 @@ def private_build_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def walk_kernels(request, monkeypatch):
+    """Run a test on each body of the walk reductions: the compiled row
+    kernels of _walk.c, and the numpy reference they fall back to without a
+    C compiler."""
+    if request.param == "numpy":
+        monkeypatch.setattr(simulator, "_kernels", lambda: None)
+    elif shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: the walks run the numpy reference")
+    else:
+        assert simulator._kernels() is not None, "cc is on PATH, but _walk.c did not build or load"
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -188,7 +188,7 @@ def test_simulate_stop_error_closed_form_is_sign_conditioned_rate(tmp_path):
     assert abs(estimate - closed) <= max(4.0 * stderr, 0.1 * closed)
 
 
-def test_theory_golden_digest(tmp_path):
+def test_theory_golden_digest(tmp_path, walk_kernels):
     # sha256 of the CSV the whole-batch walk loops wrote for these flags;
     # any change to the walk streams, their order, or the row arithmetic
     # changes it
@@ -561,6 +561,20 @@ def test_simulate_bridge_non_finite_theta_is_a_clean_error(tmp_path, capsys, the
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_simulate_bridge_non_finite_tau_is_a_clean_error(tmp_path, capsys, monkeypatch, tau):
+    # --tau=inf ran the walk and wrote an estimate of 0.0
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran before tau was checked")
+
+    monkeypatch.setattr(simulator, "empirical_bridge_crossing_grid", no_walk)
+    out = tmp_path / "bridge.csv"
+    argv = ["simulate", "--experiment", "bridge", "--n", "50", f"--tau={tau}", "--trials", "200", "-o", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: tau must be finite, got {tau}\n"
+    assert not out.exists()
+
+
 def refuse_to_parse(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a data file was read before the flags were checked")
@@ -804,7 +818,7 @@ SIMULATE_DIGESTS = {
 }
 
 
-def test_simulate_golden_digests(tmp_path):
+def test_simulate_golden_digests(tmp_path, walk_kernels):
     bridge = ["--experiment", "bridge", "--n", "200", "--scale", "0.0707", "--trials", "20000"]
     runs = {
         "bridge_exact": [*bridge, "--tau", "0.8", "--theta", "-0.3", "--mode", "exact", "--seed", "3"],

@@ -196,6 +196,12 @@ class TestCrossingProbability:
         with pytest.raises(ParameterError, match=f"^theta must be finite, got {theta!r}$"):
             crossing_probability(1.0, theta, 1.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        # an infinite tau read 0.0; nan and -inf were blamed on theta < tau
+        with pytest.raises(ParameterError, match=f"^tau must be finite, got {tau!r}$"):
+            crossing_probability(tau, 0.0, 1.0)
+
     def test_in_unit_interval(self):
         for tau in (1e-6, 0.3, 1.0, 10.0):
             for theta in (-5.0, 0.0, tau * 0.99):

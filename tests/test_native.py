@@ -1,6 +1,6 @@
-"""The compiled line parser of stst.data: it builds without a warning,
-parse_sparse uses it, its cache is private, and importing stst builds
-nothing."""
+"""The compiled helpers of stst: every C source builds without a warning,
+parse_sparse and the walks use them, their cache is private, and importing
+stst builds nothing."""
 
 import io
 import os
@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from stst import _native, data
+from stst import _native, data, simulator
 
 CC = shutil.which("cc")
 SOURCE = Path(_native.__file__).with_name("_sparse_text.c")
+C_SOURCES = sorted(SOURCE.parent.glob("*.c"))
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH: parse_sparse runs its Python loop")
 
 
@@ -24,8 +25,9 @@ def refused(*args, **kwargs):
 
 
 @needs_cc
-def test_sparse_text_compiles_without_warnings(tmp_path):
-    argv = [CC, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "t.so"), str(SOURCE)]
+@pytest.mark.parametrize("source", C_SOURCES, ids=lambda path: path.name)
+def test_compiles_without_warnings(tmp_path, source):
+    argv = [CC, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "t.so"), str(source)]
     done = subprocess.run(argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
@@ -46,6 +48,17 @@ def test_parse_sparse_uses_the_compiled_parser(monkeypatch):
     assert sum(rows) == 4
     assert ds.y.tolist() == [1, -1, -1, 1]
     assert ds.dense().tolist() == [[0.5, 0, 2.0, 0], [0, 0, 0, 0], [0, 1e-3, 0, -5.0], [0, 0, 0, 7.0]]
+
+
+@needs_cc
+def test_the_walks_use_the_compiled_kernels(monkeypatch):
+    assert simulator._kernels() is not None, "cc is on PATH, but _walk.c did not build or load"
+    monkeypatch.setattr(simulator, "_prefix_sums", refused)
+    gaussian, rademacher = simulator.WalkSpec(n=40, seed=1), simulator.WalkSpec(n=40, step="rademacher", drift=0.2)
+    simulator.empirical_bridge_crossing_grid(gaussian, [1.0], trials=500, mode="exact")
+    simulator.empirical_bridge_crossing_grid(gaussian, [1.0], trials=500)
+    simulator.empirical_stop_error_grid(gaussian, [0.1], trials=500)
+    simulator.empirical_stopping_time(rademacher, 0.1, trials=500)
 
 
 def test_importing_the_cli_builds_nothing(tmp_path):

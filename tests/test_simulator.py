@@ -1,4 +1,5 @@
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -332,6 +333,7 @@ def reference_stopping_time(spec, tau, trials):
 STEPS = [("gaussian", 0.3), ("rademacher", 0.3), ("uniform", 0.5)]
 
 
+@pytest.mark.usefixtures("walk_kernels")
 class TestWalkEngine:
     @pytest.mark.parametrize("n", [1, 37])
     @pytest.mark.parametrize("step,scale", STEPS)
@@ -426,7 +428,7 @@ class TestWalkEngineSmallBlocks(TestWalkEngine):
     block, so these budgets make every test cross block edges: 5-row blocks
     at n = 37, and 77-row blocks, an odd count that does not divide a batch.
     The exact bridge walks half-budget blocks, 2 and 38 rows of n = 37, and
-    shifts each whole block at once.
+    the numpy reference shifts each whole block at once.
     """
 
     @pytest.fixture(autouse=True, params=[5 * 37, 77 * 37], ids=lambda cells: f"cells{cells}")
@@ -434,6 +436,74 @@ class TestWalkEngineSmallBlocks(TestWalkEngine):
         monkeypatch.setattr(data, "_BLOCK_CELLS", request.param)
 
 
+class TestRowKernels:
+    """The compiled row reductions against the numpy reference on one block
+    of raw draws, bit for bit."""
+
+    @pytest.fixture
+    def kernels(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on PATH: the walks run the numpy reference")
+        kernels = simulator._kernels()
+        assert kernels is not None, "cc is on PATH, but _walk.c did not build or load"
+        return kernels
+
+    @staticmethod
+    def both(kernels, reduction, spec, raw, *args):
+        """reduction on the compiled and the numpy body, each on its own copy
+        of the block (both may overwrite it), as raw bytes."""
+        out = []
+        for body in (kernels, None):
+            block = raw.copy()
+            out.append([a.tobytes() for a in reduction(body, spec, block, np.empty(raw.shape), *args)])
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    @pytest.mark.parametrize("drift", [0.0, -0.25])
+    @pytest.mark.parametrize("step,scale", STEPS)
+    def test_high_end_and_first_crossing(self, kernels, step, scale, drift, n):
+        spec = WalkSpec(n=n, step=step, scale=scale, drift=drift)
+        raw = simulator._draw(np.random.default_rng(n), spec, np.empty((53, n)))
+        compiled, reference = self.both(kernels, simulator._high_end, spec, raw)
+        assert compiled == reference
+        for tau in (-0.5, 0.2, 10.0):  # the last is never reached: every walk is censored
+            compiled, reference = self.both(kernels, simulator._first_crossing, spec, raw, tau)
+            assert compiled == reference
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_pinned_bridge(self, kernels, n):
+        spec = WalkSpec(n=n, scale=0.3)
+        frac = (np.arange(1, n + 1) / n)[:-1]
+        raw = simulator._draw(np.random.default_rng(n), spec, np.empty((53, n)))
+        compiled, reference = self.both(kernels, simulator._high_end, spec, raw, frac, -0.05)
+        assert compiled == reference
+
+    def test_blocks_the_kernels_cannot_read_are_refused(self, kernels):
+        spec = WalkSpec(n=4)
+        block = np.zeros((6, 4))
+        for bad in (block[:, ::2], block.astype(np.float32), block.T, block[0]):
+            with pytest.raises(ValueError, match="C-ordered 2-d float64 or int64"):
+                simulator._first_crossing(kernels, spec, bad, np.empty(bad.shape), 1.0)
+        for frac in (np.zeros(4), np.zeros(3, dtype=np.float32), np.zeros(6)[::2]):
+            with pytest.raises(ValueError, match="frac must be"):
+                simulator._high_end(kernels, spec, block, block, frac)
+        with pytest.raises(ValueError, match="pinned bridge reads float64"):
+            simulator._high_end(kernels, spec, np.zeros((6, 4), dtype=np.int64), block, np.zeros(3))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_negative_zero_first_step(self, kernels, n):
+        # np.cumsum copies S_1 = step_0; a sum started from 0.0 would read +0.0
+        spec = WalkSpec(n=n, drift=-0.0)
+        raw = np.array([[-0.0] * n, [0.0] * n])
+        for args in ((), ((np.arange(1, n + 1) / n)[:-1], 0.0)):
+            compiled, reference = self.both(kernels, simulator._high_end, spec, raw, *args)
+            assert compiled == reference
+        compiled, reference = self.both(kernels, simulator._first_crossing, spec, raw, 1.0)
+        assert compiled == reference
+        assert np.signbit(np.frombuffer(compiled[1])).tolist() == [True, False]
+
+
+@pytest.mark.usefixtures("walk_kernels")
 class TestBlockBound:
     """Every block, with the exact bridge's shift, holds at most max(budget, n)
     cells, whatever n is."""
