@@ -146,13 +146,14 @@ def crossing_probability(tau: float, theta: float, variance: float) -> float:
 
     exp(-2*tau*(tau - theta)/variance), on the upward orientation: requires
     finite tau and theta with theta < tau and tau > 0 (endpoint below the
-    boundary, boundary above the start). Outside that domain the expression
-    is no probability: it exceeds 1 for theta < tau < 0.
+    boundary, boundary above the start), and a positive, finite variance.
+    Outside that domain the expression is no probability: it exceeds 1 for
+    theta < tau < 0, and reads 1 for an infinite variance.
     """
     check_finite("tau", tau)
     check_finite("theta", theta)
-    if math.isnan(variance) or variance <= 0.0:
-        raise ParameterError(f"variance must be positive, got {variance!r}")
+    if not 0.0 < variance < math.inf:  # NaN fails every comparison
+        raise ParameterError(f"variance must be positive and finite, got {variance!r}")
     if not tau > theta:
         raise ParameterError(
             f"requires theta < tau (endpoint already beyond the boundary): tau={tau!r} theta={theta!r}"
@@ -165,11 +166,12 @@ def crossing_probability(tau: float, theta: float, variance: float) -> float:
 def expected_stop_bound(params: ConfidenceParams, step_bound: float, drift: float) -> float:
     """Upper estimate of the mean number of terms before an upward crossing.
 
-    (crossing_magnitude + k) / drift, for steps bounded by k with positive
-    per-step mean. Scales as sqrt(n) when variance grows linearly in n.
+    (crossing_magnitude + k) / drift, for steps bounded by k with positive,
+    finite per-step mean. Scales as sqrt(n) when variance grows linearly in
+    n. An infinite k (gaussian steps carry no bound) gives an infinite bound.
     """
-    if math.isnan(drift) or drift <= 0.0:
-        raise ParameterError(f"drift must be positive, got {drift!r}")
+    if not 0.0 < drift < math.inf:
+        raise ParameterError(f"drift must be positive and finite, got {drift!r}")
     if math.isnan(step_bound) or step_bound < 0.0:
         raise ParameterError(f"step bound must be nonnegative, got {step_bound!r}")
     return (crossing_magnitude(params) + step_bound) / drift

@@ -16,17 +16,19 @@ Three experiments back the three analytic claims:
     Wald's identity.
 
 The two crossing experiments take a grid of boundaries and share one path
-ensemble across it; a single boundary is a grid of one. Walk lengths,
-seeds and trial counts go through errors.check_count and theta and drift
-through errors.check_finite, so a float or bool count, or a NaN theta, is
-a ParameterError before any walk runs.
+ensemble across it; a single boundary is a grid of one, and an empty grid
+is refused. Walk lengths, seeds and trial counts go through
+errors.check_count and theta, drift and the bridge's taus through
+errors.check_finite, so a float or bool count, a NaN theta or an infinite
+tau is a ParameterError before any walk runs; so is an infinite band.
 
 Trials are processed in fixed-size batches of 4096, each driven by its own
 child of one seed sequence. The batches run on a thread pool with one worker
 per usable CPU. Each batch draws its trials in blocks sized by the one
 block budget of stst.data (_BLOCK_CELLS, 2**17 cells, through _block_rows),
-so a worker's block holds at most max(2**17, n) draws: 1 MB for any
-n <= 2**17.
+so a block holds at most max(2**17, n) draws: 1 MB for any n <= 2**17.
+Each block is a new array of 8-byte draws (float64 normals and uniforms,
+int64 rademacher 0/1), and the reduction of its walks is all it keeps.
 
 Every experiment reduces a walk to two numbers: max(S_1..S_{n-1}) and S_n
 for the crossing grids (for the exact bridge, the maximum of the pinned
@@ -38,23 +40,25 @@ running sum and the row reduction in one pass over the block; a
 stopping-time scan stops at the crossing, though every step is still
 drawn. A ctypes call releases the GIL, so the workers' random fills and
 kernels all run in parallel. The kernels write no temporary of the block's
-shape; what remains beside the block buffer is the draw itself when it is
-not drawn into the buffer: the rademacher int64 array (and the uniform
-float64 array). Each block keeps only its accepted maxima.
+shape, so a worker holds its draws and nothing else of their size: about
+8 bytes a cell of one block.
 
 Without a C compiler the same two reductions run in numpy, the reference
-the kernels are tested against: the step arithmetic in place in the
-block, np.cumsum, then the reduction. np.cumsum holds the GIL, so there the
-workers take turns on it. The exact bridge's shift there needs a temporary
-of n - 1 cells a walk, so the exact bridge walks blocks of half as many
-rows (on both paths), and a stopping-time reduce builds a boolean mask of
-the block. Either way the walks hold at most about workers * 17 * max(2**17, n) bytes at a
-time, whatever the trial count. Both paths give the same results, bit for
-bit: the kernels round each product and sum as numpy does
-(-ffp-contract=off) and add the steps one after another, as np.cumsum
-does. Results are gathered in trial order and are identical for any number
-of workers and any block size, since every reduction works per row and a
-batch's stream is drawn in row-major order.
+the kernels are tested against: the step arithmetic in place in a float64
+block (a rademacher int64 block gets one new float64 array), np.cumsum,
+then the reduction. np.cumsum holds the GIL, so there the workers take
+turns on it. The exact bridge's shift there needs a temporary of n - 1
+cells a walk, so the exact bridge walks blocks of half as many rows (on
+both paths), and a stopping-time reduce builds a boolean mask of the
+block: at most 17 bytes a cell (rademacher draws, their sums and the mask).
+The walks hold at most about workers * 8 * max(2**17, n) bytes
+at a time with the kernels, and workers * 17 * max(2**17, n) without,
+whatever the trial count. Both paths give the same results, bit for bit:
+the kernels round each product and sum as numpy does (-ffp-contract=off)
+and add the steps one after another, as np.cumsum does. Results are
+gathered in trial order and are identical for any number of workers and
+any block size, since every reduction works per row and a batch's stream
+is drawn in row-major order.
 """
 
 import functools
@@ -153,18 +157,17 @@ def _kernels():
     return lib
 
 
-def _draw(rng: np.random.Generator, spec: WalkSpec, out: np.ndarray) -> np.ndarray:
-    """A block of raw draws of out's shape, in row-major order: standard
-    normals filled into out, rademacher 0/1 as a new int64 array, or
-    uniforms on [-scale, scale] as a new float64 array. Step j is
-    raw_j*_raw_scale(spec) + drift, with 2k - 1 in place of a rademacher k."""
+def _draw(rng: np.random.Generator, spec: WalkSpec, shape: tuple) -> np.ndarray:
+    """A new block of raw draws of `shape`, in row-major order: standard
+    normals, rademacher 0/1 as int64, or uniforms on [-scale, scale]. Step j
+    is raw_j*_raw_scale(spec) + drift, with 2k - 1 in place of a rademacher k."""
     if spec.step == "gaussian":
-        return rng.standard_normal(out=out)
+        return rng.standard_normal(shape)
     if spec.step == "rademacher":
-        return rng.integers(0, 2, size=out.shape)
+        return rng.integers(0, 2, size=shape)
     # drawn whole: numpy forms low + (high - low)*u in C, where a compiler
     # may fuse the multiply-add and round once where ours would round twice
-    return rng.uniform(-spec.scale, spec.scale, size=out.shape)
+    return rng.uniform(-spec.scale, spec.scale, size=shape)
 
 
 def _raw_scale(spec: WalkSpec) -> float:
@@ -172,15 +175,17 @@ def _raw_scale(spec: WalkSpec) -> float:
     return 1.0 if spec.step == "uniform" else spec.scale
 
 
-def _prefix_sums(spec: WalkSpec, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _prefix_sums(spec: WalkSpec, raw: np.ndarray) -> np.ndarray:
     """The numpy reference: S_1..S_n of every row of a block of raw draws,
-    formed in out, which may be raw itself. Each step is rounded twice,
-    raw*scale then + drift, and np.cumsum adds them one after another."""
+    formed in raw itself when it is float64 (an int64 rademacher block gets
+    one new float64 array). Each step is rounded twice, raw*scale then
+    + drift, and np.cumsum adds them one after another."""
     if raw.dtype == np.int64:
-        raw = np.subtract(np.multiply(raw, 2.0, out=out), 1.0, out=out)
-    np.multiply(raw, _raw_scale(spec), out=out)
-    out += spec.drift
-    return np.cumsum(out, axis=1, out=out)
+        raw = np.multiply(raw, 2.0)
+        raw -= 1.0
+    raw *= _raw_scale(spec)
+    raw += spec.drift
+    return np.cumsum(raw, axis=1, out=raw)
 
 
 def _kernel_args(spec: WalkSpec, raw: np.ndarray) -> tuple:
@@ -195,14 +200,14 @@ def _kernel_args(spec: WalkSpec, raw: np.ndarray) -> tuple:
     return (x, k, *raw.shape, _raw_scale(spec), spec.drift)
 
 
-def _high_end(kernels, spec: WalkSpec, raw, out, frac=None, theta: float = 0.0):
+def _high_end(kernels, spec: WalkSpec, raw, frac=None, theta: float = 0.0):
     """(max(S_1..S_{n-1}), S_n) of every row of a block of raw draws; the
     maximum is -inf for n = 1. With frac (gaussian walks only), it is the
     maximum of the bridge pinned at theta, S_i - frac_i*(S_n - theta).
-    The compiled kernel when given, else the numpy reference; out (raw's
-    shape) and raw may be overwritten."""
+    The compiled kernel when given, else the numpy reference, which may
+    overwrite raw."""
     if kernels is None:
-        paths = _prefix_sums(spec, raw, out)
+        paths = _prefix_sums(spec, raw)
         end = paths[:, -1].copy()
         if frac is not None:
             paths[:, :-1] -= frac * (end[:, None] - theta)
@@ -220,12 +225,12 @@ def _high_end(kernels, spec: WalkSpec, raw, out, frac=None, theta: float = 0.0):
     return high, end
 
 
-def _first_crossing(kernels, spec: WalkSpec, raw, out, tau: float):
+def _first_crossing(kernels, spec: WalkSpec, raw, tau: float):
     """(T, S_T) of every row of a block of raw draws: T is the first i with
     S_i >= tau, or n when no sum reaches tau. The compiled kernel when
-    given, else the numpy reference; out (raw's shape) may be overwritten."""
+    given, else the numpy reference, which may overwrite raw."""
     if kernels is None:
-        paths = _prefix_sums(spec, raw, out)
+        paths = _prefix_sums(spec, raw)
         rows = np.arange(paths.shape[0])
         hit = paths >= tau
         first = hit.argmax(axis=1)
@@ -247,26 +252,21 @@ def _batches(seed: int, trials: int):
 
 
 def _walk_draws(spec: WalkSpec, trials: int, reduce, row_cells: int | None = None) -> list:
-    """reduce(raw, out) of every block of raw draws (see _draw) of `trials`
-    walks; out is a float64 block of raw's shape that reduce may overwrite.
+    """reduce(raw) of every block of raw draws (see _draw) of `trials` walks;
+    each block is drawn new, so reduce may overwrite or keep it.
 
     Each batch of _BATCH walks is drawn from its own seed child and walked in
     blocks of _block_rows(row_cells) rows (row_cells, the cells a walk
-    holds, defaults to n), each out a view of one buffer; the batches run on
-    a thread pool. The results come back in trial order and equal those of
-    whole-batch arrays bit for bit, since the draws consume the stream in
-    row-major order and every reduction works per row.
+    holds, defaults to n); the batches run on a thread pool. The results
+    come back in trial order and equal those of whole-batch arrays bit for
+    bit, since the draws consume the stream in row-major order and every
+    reduction works per row.
     """
     rows = _block_rows(row_cells or spec.n)
 
     def run(job):
         rng, count = job
-        buf = np.empty((min(count, rows), spec.n))
-        results = []
-        for start in range(0, count, rows):
-            out = buf[: count - start]
-            results.append(reduce(_draw(rng, spec, out), out))
-        return results
+        return [reduce(_draw(rng, spec, (min(rows, count - start), spec.n))) for start in range(0, count, rows)]
 
     jobs = list(_batches(spec.seed, trials))
     pool = ThreadPoolExecutor(max_workers=min(_workers(), len(jobs)))
@@ -275,12 +275,6 @@ def _walk_draws(spec: WalkSpec, trials: int, reduce, row_cells: int | None = Non
     finally:
         # after an error or an interrupt, batches not yet started never run
         pool.shutdown(cancel_futures=True)
-
-
-def _walk(spec: WalkSpec, trials: int, reduce, row_cells: int | None = None) -> list:
-    """reduce() every block of prefix sums S_1..S_n of `trials` walks, formed
-    by the numpy reference; reduce may overwrite the block it is given."""
-    return _walk_draws(spec, trials, lambda raw, out: reduce(_prefix_sums(spec, raw, out)), row_cells)
 
 
 def _kept_maxima(spec: WalkSpec, trials: int, keep, frac=None, theta: float = 0.0) -> np.ndarray:
@@ -293,8 +287,8 @@ def _kept_maxima(spec: WalkSpec, trials: int, keep, frac=None, theta: float = 0.
     # but half blocks keep their peak resident set about 0.5 MB lower too
     row_cells = 2 * spec.n if frac is not None else None
 
-    def reduce(raw, out):
-        high, end = _high_end(kernels, spec, raw, out, frac, theta)
+    def reduce(raw):
+        high, end = _high_end(kernels, spec, raw, frac, theta)
         return high[keep(end)]
 
     return np.concatenate(_walk_draws(spec, trials, reduce, row_cells))
@@ -344,11 +338,12 @@ def empirical_bridge_crossing_grid(
     spec : WalkSpec
         Must be driftless; the pinned-endpoint claim is for driftless walks.
     taus : sequence of float
-        Boundaries, each strictly above theta.
+        Boundaries, at least one, each finite and strictly above theta.
     band : float, optional
-        Rejection half-width around theta for endpoint acceptance. Defaults
-        to 0.1 * sqrt(total variance). Rejection mode only: exact mode
-        raises ParameterError when it is given.
+        Rejection half-width around theta for endpoint acceptance, positive
+        and finite (an infinite band would accept every walk, unpinned).
+        Defaults to 0.1 * sqrt(total variance). Rejection mode only: exact
+        mode raises ParameterError when it is given.
     mode : {"rejection", "exact"}
         "rejection" keeps walks whose endpoint lands within the band.
         "exact" (gaussian steps only) pins the endpoint by the bridge
@@ -358,11 +353,15 @@ def empirical_bridge_crossing_grid(
     strictly before the endpoint.
     """
     taus = [float(t) for t in taus]
+    if not taus:  # an empty grid would walk every trial for no estimate
+        raise ParameterError("taus must not be empty")
     if spec.drift != 0.0:
         raise ParameterError("bridge crossing requires a driftless walk spec")
     check_finite("theta", theta)
     if not all(t > theta for t in taus):  # a NaN tau exceeds nothing
         raise ParameterError(f"every tau must exceed theta={theta!r}")
+    for tau in taus:
+        check_finite("tau", tau)
     check_count("trials", trials, 1)
     if mode not in ("rejection", "exact"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -372,8 +371,8 @@ def empirical_bridge_crossing_grid(
         raise ParameterError("band is read only in rejection mode; exact mode pins every endpoint")
     if band is None:
         band = 0.1 * math.sqrt(spec.total_variance)
-    if mode == "rejection" and not band > 0.0:
-        raise ParameterError(f"band must be positive, got {band!r}")
+    if mode == "rejection" and not 0.0 < band < math.inf:
+        raise ParameterError(f"band must be positive and finite, got {band!r}")
 
     if mode == "exact":
         # the bridge before its endpoint: B_i = W_i - (i/n)(W_n - theta)
@@ -409,6 +408,8 @@ def empirical_stop_error_grid(
     pinned at theta; measured here it gives 2*Phi(-2m/sd), about 0.3*delta.
     """
     deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ParameterError("deltas must not be empty")
     if spec.drift != 0.0:
         raise ParameterError("stop-error calibration requires a driftless walk spec")
     if any(not 0.0 < d <= 1.0 for d in deltas):
@@ -462,7 +463,7 @@ def empirical_stopping_time(spec: WalkSpec, delta: float, trials: int = 10_000) 
     tau = crossing_magnitude(ConfidenceParams(delta=delta, variance=spec.total_variance))
 
     kernels = _kernels()  # built once, before the workers start
-    results = _walk_draws(spec, trials, lambda raw, out: _first_crossing(kernels, spec, raw, out, tau))
+    results = _walk_draws(spec, trials, lambda raw: _first_crossing(kernels, spec, raw, tau))
     times = np.concatenate([t for t, _ in results])
     endpoints = np.concatenate([e for _, e in results])
     # a censored walk ends below tau; every other one stops at S_T >= tau

@@ -575,6 +575,15 @@ def test_simulate_bridge_non_finite_tau_is_a_clean_error(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_simulate_bridge_infinite_band_is_a_clean_error(tmp_path, capsys):
+    # --band=inf accepted every walk and wrote its unpinned rate against the
+    # pinned closed form
+    out = tmp_path / "bridge.csv"
+    assert run([*SIMULATE_ARGV, "--band=inf", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: band must be positive and finite, got inf\n"
+    assert not out.exists()
+
+
 def refuse_to_parse(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a data file was read before the flags were checked")

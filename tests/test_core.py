@@ -202,6 +202,12 @@ class TestCrossingProbability:
         with pytest.raises(ParameterError, match=f"^tau must be finite, got {tau!r}$"):
             crossing_probability(tau, 0.0, 1.0)
 
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_variance_rejected(self, variance):
+        # an infinite variance read 1.0, a crossing for certain
+        with pytest.raises(ParameterError, match=f"^variance must be positive and finite, got {variance!r}$"):
+            crossing_probability(1.0, 0.0, variance)
+
     def test_in_unit_interval(self):
         for tau in (1e-6, 0.3, 1.0, 10.0):
             for theta in (-5.0, 0.0, tau * 0.99):
@@ -272,3 +278,15 @@ class TestExpectedStopBound:
             expected_stop_bound(p, step_bound=1.0, drift=-0.3)
         with pytest.raises(ParameterError):
             expected_stop_bound(p, step_bound=-1.0, drift=0.5)
+
+    @pytest.mark.parametrize("step_bound", [1.0, math.inf])
+    @pytest.mark.parametrize("drift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_drift_rejected(self, drift, step_bound):
+        # an infinite drift read 0.0, or NaN beside an infinite step bound
+        p = ConfidenceParams(delta=0.1, variance=1.0)
+        with pytest.raises(ParameterError, match=f"^drift must be positive and finite, got {drift!r}$"):
+            expected_stop_bound(p, step_bound=step_bound, drift=drift)
+
+    def test_unbounded_steps_give_an_unbounded_estimate(self):
+        # gaussian steps carry no bound k
+        assert expected_stop_bound(ConfidenceParams(delta=0.1, variance=1.0), math.inf, 0.5) == math.inf

@@ -26,15 +26,17 @@ from stst.simulator import (
 
 
 def walk_paths(spec, trials):
-    """Every prefix-sum path the walk engine draws, in trial order.
-
-    The engine reuses its block buffer, so each block is copied out.
-    """
-    return np.concatenate(simulator._walk(spec, trials, lambda paths: paths.copy()))
+    """Every prefix-sum path the walk engine draws, in trial order, summed
+    by the numpy reference."""
+    return np.concatenate(simulator._walk_draws(spec, trials, lambda raw: simulator._prefix_sums(spec, raw)))
 
 
 def walk_endpoints(spec, trials):
-    return np.concatenate(simulator._walk(spec, trials, lambda paths: paths[:, -1].copy()))
+    return walk_paths(spec, trials)[:, -1]
+
+
+def refused_walk(*args, **kwargs):
+    raise AssertionError("a walk ran before its arguments were checked")
 
 
 class TestSimulateWalk:
@@ -160,9 +162,22 @@ class TestBridgeCrossing:
             empirical_bridge_crossing_grid(driftless, [1.0], trials=0)
         with pytest.raises(ParameterError, match="unknown mode 'pinned'"):
             empirical_bridge_crossing_grid(driftless, [1.0], trials=100, mode="pinned")
-        for band in (0.0, -1.0, math.nan):
-            with pytest.raises(ParameterError, match="band must be positive"):
+        for band in (0.0, -1.0, math.nan, math.inf):  # an infinite band accepted every walk, unpinned
+            with pytest.raises(ParameterError, match="band must be positive and finite"):
                 empirical_bridge_crossing_grid(driftless, [1.0], trials=100, band=band)
+
+    @pytest.mark.parametrize(
+        "taus,message",
+        [
+            ([], "^taus must not be empty$"),  # walked every trial for no estimate
+            ([0.5, math.inf], "^tau must be finite, got inf$"),  # read 0.0
+        ],
+        ids=["empty-grid", "infinite-tau"],
+    )
+    def test_refused_before_any_walk(self, monkeypatch, taus, message):
+        monkeypatch.setattr(simulator, "_walk_draws", refused_walk)
+        with pytest.raises(ParameterError, match=message):
+            empirical_bridge_crossing_grid(WalkSpec(n=10, seed=0), taus, trials=100)
 
     def test_determinism(self):
         spec = unit_variance_spec(n=500, seed=10)
@@ -213,6 +228,11 @@ class TestStopError:
             empirical_stop_error_grid(WalkSpec(n=10, seed=0), [0.1], trials=100, conditioning="endpoint")
         with pytest.raises(ParameterError):
             empirical_stop_error_grid(WalkSpec(n=10, seed=0), [0.1], trials=0)
+
+    def test_empty_grid_refused_before_any_walk(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_walk_draws", refused_walk)
+        with pytest.raises(ParameterError, match="^deltas must not be empty$"):
+            empirical_stop_error_grid(WalkSpec(n=10, seed=0), [], trials=100)
 
     def test_insufficient_acceptance(self):
         # no endpoint of a ten-step unit walk lies below theta = -1e6
@@ -378,7 +398,7 @@ class TestWalkEngine:
 
     @pytest.mark.parametrize("step,scale", STEPS)
     def test_simulate_walk_matches_whole_array(self, step, scale):
-        # the block-wise in-place fill and cumsum against whole-batch arrays
+        # the block-wise draws and in-place cumsum against whole-batch arrays
         spec = WalkSpec(n=300, step=step, scale=scale, drift=-0.25, seed=113)
         want = np.concatenate(list(reference_paths(spec, TRIALS)))
         assert walk_paths(spec, TRIALS).tobytes() == want.tobytes()
@@ -436,34 +456,32 @@ class TestWalkEngineSmallBlocks(TestWalkEngine):
         monkeypatch.setattr(data, "_BLOCK_CELLS", request.param)
 
 
+@pytest.fixture
+def kernels():
+    """The compiled row kernels; skips without a C compiler."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: the walks run the numpy reference")
+    kernels = simulator._kernels()
+    assert kernels is not None, "cc is on PATH, but _walk.c did not build or load"
+    return kernels
+
+
 class TestRowKernels:
     """The compiled row reductions against the numpy reference on one block
     of raw draws, bit for bit."""
 
-    @pytest.fixture
-    def kernels(self):
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler (cc) on PATH: the walks run the numpy reference")
-        kernels = simulator._kernels()
-        assert kernels is not None, "cc is on PATH, but _walk.c did not build or load"
-        return kernels
-
     @staticmethod
     def both(kernels, reduction, spec, raw, *args):
         """reduction on the compiled and the numpy body, each on its own copy
-        of the block (both may overwrite it), as raw bytes."""
-        out = []
-        for body in (kernels, None):
-            block = raw.copy()
-            out.append([a.tobytes() for a in reduction(body, spec, block, np.empty(raw.shape), *args)])
-        return out
+        of the block (the numpy body may overwrite it), as raw bytes."""
+        return [[a.tobytes() for a in reduction(body, spec, raw.copy(), *args)] for body in (kernels, None)]
 
     @pytest.mark.parametrize("n", [1, 2, 37])
     @pytest.mark.parametrize("drift", [0.0, -0.25])
     @pytest.mark.parametrize("step,scale", STEPS)
     def test_high_end_and_first_crossing(self, kernels, step, scale, drift, n):
         spec = WalkSpec(n=n, step=step, scale=scale, drift=drift)
-        raw = simulator._draw(np.random.default_rng(n), spec, np.empty((53, n)))
+        raw = simulator._draw(np.random.default_rng(n), spec, (53, n))
         compiled, reference = self.both(kernels, simulator._high_end, spec, raw)
         assert compiled == reference
         for tau in (-0.5, 0.2, 10.0):  # the last is never reached: every walk is censored
@@ -474,7 +492,7 @@ class TestRowKernels:
     def test_pinned_bridge(self, kernels, n):
         spec = WalkSpec(n=n, scale=0.3)
         frac = (np.arange(1, n + 1) / n)[:-1]
-        raw = simulator._draw(np.random.default_rng(n), spec, np.empty((53, n)))
+        raw = simulator._draw(np.random.default_rng(n), spec, (53, n))
         compiled, reference = self.both(kernels, simulator._high_end, spec, raw, frac, -0.05)
         assert compiled == reference
 
@@ -483,12 +501,12 @@ class TestRowKernels:
         block = np.zeros((6, 4))
         for bad in (block[:, ::2], block.astype(np.float32), block.T, block[0]):
             with pytest.raises(ValueError, match="C-ordered 2-d float64 or int64"):
-                simulator._first_crossing(kernels, spec, bad, np.empty(bad.shape), 1.0)
+                simulator._first_crossing(kernels, spec, bad, 1.0)
         for frac in (np.zeros(4), np.zeros(3, dtype=np.float32), np.zeros(6)[::2]):
             with pytest.raises(ValueError, match="frac must be"):
-                simulator._high_end(kernels, spec, block, block, frac)
+                simulator._high_end(kernels, spec, block, frac)
         with pytest.raises(ValueError, match="pinned bridge reads float64"):
-            simulator._high_end(kernels, spec, np.zeros((6, 4), dtype=np.int64), block, np.zeros(3))
+            simulator._high_end(kernels, spec, np.zeros((6, 4), dtype=np.int64), np.zeros(3))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_negative_zero_first_step(self, kernels, n):
@@ -512,7 +530,7 @@ class TestBlockBound:
     def test_walk_blocks_within_cell_budget(self, n):
         trials = 64  # several blocks at n = 10 000 and 100 003
         shapes = []
-        simulator._walk(WalkSpec(n=n, seed=n), trials, lambda paths: shapes.append(paths.shape))
+        simulator._walk_draws(WalkSpec(n=n, seed=n), trials, lambda raw: shapes.append(raw.shape))
         assert sum(rows for rows, _ in shapes) == trials
         assert all(width == n and rows * width <= max(data._BLOCK_CELLS, n) for rows, width in shapes)
         if n >= 10_000:
@@ -538,8 +556,9 @@ class TestBlockBound:
         assert peak <= 8 * (rows * (2 * n - 1) + n) + (1 << 18)
 
     def test_walk_peak_memory_independent_of_trials(self, monkeypatch):
-        # one worker's rademacher stopping-time walk at n = 100 003: buffer,
-        # int64 draw and hit mask, about 17 bytes a cell of one block
+        # one worker's rademacher stopping-time walk at n = 100 003: at most
+        # the int64 draws, the numpy reference's float64 sums and its hit
+        # mask, about 17 bytes a cell of one block
         import tracemalloc
 
         monkeypatch.setattr(simulator, "_workers", lambda: 1)
@@ -551,6 +570,23 @@ class TestBlockBound:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * max(data._BLOCK_CELLS, spec.n)
+
+
+@pytest.mark.parametrize("step", ["rademacher", "uniform"])
+def test_compiled_stopping_time_holds_only_its_draws(kernels, monkeypatch, step):
+    # one worker's stopping-time walk at n = 100 003 on the kernels: a block
+    # is its 8-byte draws, with no buffer or temporary of its shape beside it
+    import tracemalloc
+
+    monkeypatch.setattr(simulator, "_workers", lambda: 1)
+    spec = WalkSpec(n=100_003, step=step, scale=1.0, drift=0.1, seed=5)
+    tracemalloc.start()
+    try:
+        empirical_stopping_time(spec, 0.1, trials=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * max(data._BLOCK_CELLS, spec.n)
 
 
 class TestTheoryRows:
