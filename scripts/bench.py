@@ -34,11 +34,14 @@ from collections.abc import Callable, Sequence
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 COORDINATE_N = (1000, 4000, 16000, 64000)
 RBF_N = (500, 2000, 8000)
 RBF_DIM = 64
+RBF_WIDTHS = ((RBF_DIM, 2_000), (784, 2_000), (5_000, 500))  # (dim, n) of the RBF distance rows
+RBF_BATCH_M = 256
 EXAMPLES = 16
 CROSSING_ROWS = ("coordinate n=1000", "rbf n=2000")
 REPEATS = 5
@@ -70,6 +73,7 @@ PIPELINE = f"cli pipeline train-calibrate-sweep-pr {PIPELINE_M}x{PIPELINE_DIM} n
 THEORY = f"cli theory default config seed={THEORY_SEED}"
 THEORY_ARGV = ["theory", "--seed", str(THEORY_SEED), "-o"]  # and the output path
 STOPPING = f"walk engine empirical_stopping_time rademacher n={STOPPING_N} trials={STOPPING_TRIALS}"
+RBF_COLD = "rbf n={1} dim={0} full cold first call".format(*RBF_WIDTHS[0])
 
 
 def _models():
@@ -84,13 +88,33 @@ def _models():
         )
         yield f"coordinate n={n}", model, rng.standard_normal((EXAMPLES, n))
     for n in RBF_N:
-        model = predictor.kernel_model(
-            rng.standard_normal(n),
-            rng.standard_normal((n, RBF_DIM)),
-            predictor.KernelSpec.rbf(math.sqrt(RBF_DIM)),
-            mu=0.1 * rng.standard_normal(n),
-        )
-        yield f"rbf n={n}", model, rng.standard_normal((EXAMPLES, RBF_DIM))
+        yield f"rbf n={n}", _rbf_model(rng, RBF_DIM, n), rng.standard_normal((EXAMPLES, RBF_DIM))
+
+
+def _rbf_model(rng, dim: int, n: int):
+    """An RBF model of n standard normal support vectors of dimension dim, sigma sqrt(dim)."""
+    from stst import predictor
+
+    return predictor.kernel_model(
+        rng.standard_normal(n),
+        rng.standard_normal((n, dim)),
+        predictor.KernelSpec.rbf(math.sqrt(dim)),
+        mu=0.1 * rng.standard_normal(n),
+    )
+
+
+def _cold_rbf(work: str):
+    """full_predict of the first RBF_WIDTHS model with an empty build cache:
+    the first call compiles the RBF distance kernel (on a source tree
+    without it, the first call imports scipy.spatial instead)."""
+    import numpy as np
+
+    from stst import predictor
+
+    os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(dir=work)
+    rng = np.random.default_rng(SEED + 5)
+    model = _rbf_model(rng, *RBF_WIDTHS[0])
+    return partial(predictor.full_predict, model, rng.standard_normal(RBF_DIM))
 
 
 def _sweep_inputs(rng, m: int, n: int):
@@ -348,6 +372,10 @@ FRESH = {
     f"parse_sparse cold first call {LAYER}": Fresh(
         _cold_parse, _write_layer, _cold_and_warm, calls=2, children=LAYER_REPEATS
     ),
+    # The same for the RBF distance kernel: the first full_predict of
+    # LAYER_REPEATS children, each with an empty build cache, so the row
+    # holds the one-time compile of _terms.c; warm_median_ms is the second.
+    RBF_COLD: Fresh(_cold_rbf, summary=_cold_and_warm, calls=2, children=LAYER_REPEATS),
     # The same for the walk kernels: the first stopping-time run of
     # LAYER_REPEATS children, each with an empty build cache, so the row
     # holds the one-time compile of _walk.c; warm_median_ms is the second.
@@ -494,6 +522,29 @@ def _rows():
             fraction = sum(attentive(model, x, crossed).terms_evaluated for x in X) / (len(X) * model.n)
             keys = {"terms_fraction": fraction}
             yield Row(f"{name} attentive tau=crossing", lambda x: attentive(model, x, crossed), X, REPEATS, keys)
+
+    # RBF full evaluation at each of RBF_WIDTHS (the break-even map of the
+    # compiled distances): full_predict on EXAMPLES examples, REPEATS
+    # passes, and one predict_rows call on RBF_BATCH_M rows, LAYER_REPEATS
+    # calls. Each row is followed at once by its "numpy reference", the
+    # same calls with predictor._kernels switched off: the cdist path taken
+    # without a C compiler. On a source tree without the kernel both time
+    # cdist. Then the cold first call.
+    predictor._cdist()  # the reference rows' import of scipy.spatial stays out of the times
+    rng = np.random.default_rng(SEED + 5)
+    for dim, n in RBF_WIDTHS:
+        rbf, X = _rbf_model(rng, dim, n), rng.standard_normal((EXAMPLES, dim))
+        batch = rng.standard_normal((RBF_BATCH_M, dim))
+        predictor.full_predict(rbf, X[0])  # packs the support vectors, outside the times
+        size = f"m={RBF_BATCH_M} n={n} dim={dim}"
+        for row in (
+            Row(f"rbf n={n} dim={dim} full", lambda x: predictor.full_predict(rbf, x), X, REPEATS),
+            Row(f"predict_rows full rbf {size}", lambda b: predictor.predict_rows(rbf, b, 0.0), [batch]),
+        ):
+            yield row
+            with mock.patch.object(predictor, "_kernels", lambda: None, create=True):
+                yield row._replace(name=f"{row.name} numpy reference")
+    yield Row(RBF_COLD)
 
     # Batch rows, REPEATS calls each, on one coordinate model and test set:
     # on its prefix matrix, attentive_from_prefix with tau at the median of

@@ -26,6 +26,13 @@ running sums (_prefix_rows) and keeps only what its grid reads. prefix_score_mat
 into one C-ordered (m, n) matrix, which the *_from_prefix predictors decide
 through the same labelling step; no command builds it. Every path reads raw
 term values from one kernel function.
+
+RBF terms take their squared distances from _terms.c, compiled on the
+first RBF evaluation (stst._native) and run over a copy of the support
+vectors packed in panels of eight (WeightedModel._panels, n * dim * 8
+bytes per model): the same additions as scipy's cdist, so the same bits.
+cdist is left only as the path without a C compiler, and the reference
+the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -94,6 +101,13 @@ class KernelSpec:
         if self.kind == "rbf":
             if self.sigma is None or not (self.sigma > 0.0) or math.isinf(self.sigma):
                 raise ParameterError(f"rbf kernel requires sigma > 0, got {self.sigma!r}")
+            # _raw divides every squared distance by -2 sigma^2
+            try:
+                width = 2.0 * float(self.sigma) ** 2
+            except OverflowError:
+                width = math.inf
+            if not 0.0 < width < math.inf:
+                raise ParameterError(f"rbf kernel requires 2 * sigma**2 finite and nonzero, got sigma {self.sigma!r}")
 
     @classmethod
     def linear(cls) -> "KernelSpec":
@@ -165,6 +179,18 @@ class WeightedModel:
     @property
     def n(self) -> int:
         return int(self.weights.size)
+
+    @functools.cached_property
+    def _panels(self) -> np.ndarray:
+        """The support vectors packed for _terms.c, built on first use:
+        rows 8p..8p+7 form panel p, row 8p+q's coordinate j is
+        [p, j, q], and the last panel is zero-padded. n * dim * 8 bytes."""
+        n, dim = self.support_vectors.shape
+        panels = np.zeros((-(-n // 8), dim, 8))
+        for q in range(8):
+            rows = self.support_vectors[q::8]
+            panels[: len(rows), :, q] = rows
+        return panels
 
     @property
     def is_kernel(self) -> bool:
@@ -266,12 +292,44 @@ def _check_X(model: WeightedModel, X) -> np.ndarray:
 
 @functools.cache
 def _cdist():
-    """scipy's cdist, imported on first use: only RBF models need it, and
-    importing scipy.spatial costs every process about a quarter second.
-    Cached, since an import statement per chunk costs about 1 us."""
+    """scipy's cdist, the RBF distances without a C compiler and the
+    reference _terms.c is tested against. Imported on first use: importing
+    scipy.spatial costs every process about a quarter second. Cached, since
+    an import statement per chunk costs about 1 us."""
     from scipy.spatial.distance import cdist
 
     return cdist
+
+
+@functools.cache
+def _kernels():
+    """stst_sqeuclidean of _terms.c, compiled on first use, or None without
+    a C compiler (RBF distances then come from _cdist)."""
+    import ctypes
+
+    from . import _native
+
+    lib = _native.load("_terms")
+    if lib is None:
+        return None
+    sqeuclidean = lib.stst_sqeuclidean
+    i64, pointer = ctypes.c_int64, ctypes.c_void_p
+    sqeuclidean.argtypes = (pointer, i64, i64, pointer, i64, i64, pointer)
+    sqeuclidean.restype = None
+    return sqeuclidean
+
+
+def _sqeuclidean(model: WeightedModel, X: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Squared distances of every row of X to support vectors [a, b): a
+    fresh (m, b - a) array, the same bits as cdist's "sqeuclidean"."""
+    kernel = _kernels()
+    if kernel is None:
+        return _cdist()(X, model.support_vectors[a:b], "sqeuclidean")
+    if X.dtype != np.float64 or not X.flags.c_contiguous:  # the kernel reads X through its address
+        raise ValueError(f"an RBF block must be C-ordered float64, got {X.dtype}")
+    out = np.empty((X.shape[0], b - a))
+    kernel(X.ctypes.data, X.shape[0], model.dim, model._panels.ctypes.data, a, b, out.ctypes.data)
+    return out
 
 
 def _raw(model: WeightedModel, X: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -280,11 +338,10 @@ def _raw(model: WeightedModel, X: np.ndarray, a: int, b: int) -> np.ndarray:
     same bits whatever the bounds and whatever other rows are in the block."""
     if model.indices is not None:
         return X[:, model.indices[a:b]]
-    sv = model.support_vectors[a:b]
     if model.kernel.kind == "linear":
         # a BLAS gemm rounds a row differently with other rows around it
-        return np.einsum("ij,kj->ki", sv, X)
-    raw = _cdist()(X, sv, "sqeuclidean")
+        return np.einsum("ij,kj->ki", model.support_vectors[a:b], X)
+    raw = _sqeuclidean(model, X, a, b)
     raw /= -2.0 * model.kernel.sigma**2
     return np.exp(raw, out=raw)
 

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from stst import SyntheticSpec, TrainConfig, calibrate, generate_synthetic, simulator, split, train_linear
+from stst import SyntheticSpec, TrainConfig, calibrate, generate_synthetic, predictor, simulator, split, train_linear
 
 # Pinned synthetic benchmark: dim 20, 500/500, separation 4, noise 1. The
 # seeds below are frozen so every benchmark-derived number in the suite is a
@@ -18,11 +18,23 @@ BENCH_DELTA = 0.1
 
 @pytest.fixture(scope="session", autouse=True)
 def private_build_cache(tmp_path_factory):
-    """The compiled parser is built into a cache of the session's own, not
+    """The compiled helpers are built into a cache of the session's own, not
     the user's; child interpreters the tests start inherit it."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
+
+
+def _kernel_body(param: str, monkeypatch, module, source: str, fallback: str) -> str:
+    """Switch module._kernels off unless param is "compiled"; else check
+    that cc built and loaded source, or skip the test without cc."""
+    if param != "compiled":
+        monkeypatch.setattr(module, "_kernels", lambda: None)
+    elif shutil.which("cc") is None:
+        pytest.skip(f"no C compiler (cc) on PATH: {fallback}")
+    else:
+        assert module._kernels() is not None, f"cc is on PATH, but {source} did not build or load"
+    return param
 
 
 @pytest.fixture(params=["compiled", "numpy"])
@@ -30,13 +42,15 @@ def walk_kernels(request, monkeypatch):
     """Run a test on each body of the walk reductions: the compiled row
     kernels of _walk.c, and the numpy reference they fall back to without a
     C compiler."""
-    if request.param == "numpy":
-        monkeypatch.setattr(simulator, "_kernels", lambda: None)
-    elif shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) on PATH: the walks run the numpy reference")
-    else:
-        assert simulator._kernels() is not None, "cc is on PATH, but _walk.c did not build or load"
-    return request.param
+    return _kernel_body(request.param, monkeypatch, simulator, "_walk.c", "the walks run the numpy reference")
+
+
+@pytest.fixture(params=["compiled", "cdist"])
+def term_kernels(request, monkeypatch):
+    """Run a test on each body of the RBF squared distances: the compiled
+    panel kernel of _terms.c, and scipy's cdist it falls back to without a
+    C compiler."""
+    return _kernel_body(request.param, monkeypatch, predictor, "_terms.c", "RBF distances come from cdist")
 
 
 @pytest.fixture(scope="session")

@@ -148,6 +148,7 @@ def _random_models(rng, count):
     return models
 
 
+@pytest.mark.usefixtures("term_kernels")  # kernel models on both RBF distance bodies
 def test_criterion_4_algorithmic_equivalences():
     rng = np.random.default_rng(20_240_004)
     pairs = 0
@@ -241,6 +242,7 @@ def test_criterion_7_computation_savings(bench_sweep, synthetic_bench):
     assert ok
 
 
+@pytest.mark.usefixtures("term_kernels")  # kernel models on both RBF distance bodies
 def test_criterion_8_serialization_round_trips(tmp_path):
     rng = np.random.default_rng(20_240_008)
     # sparse text format: 1000 random datasets

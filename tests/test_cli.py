@@ -250,6 +250,23 @@ def test_pr_builds_no_prefix_matrix(pipeline, tmp_path, monkeypatch):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PIPELINE_DIGESTS[name]
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e200])
+def test_pr_refuses_a_sigma_without_a_finite_nonzero_width(tmp_path, capsys, sigma):
+    # before the check, 1e-200 labelled every row from a NaN score and
+    # 1e200 ended in a bare OverflowError
+    model = tmp_path / "m.npz"
+    predictor.save_model(predictor.kernel_model([1.0, 1.0], [[0.0], [1.0]], predictor.KernelSpec.rbf(1.0)), model)
+    fields = dict(np.load(model))
+    fields["sigma"] = np.float64(sigma)
+    np.savez(model, **fields)
+    test_file, out = tmp_path / "test.txt", tmp_path / "out.csv"
+    test_file.write_text("+1\n-1 1:0.5\n")
+    assert run(["pr", "--model", str(model), "--data", str(test_file), "--theta", "-0.5", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2 * sigma**2 finite and nonzero" in err
+    assert not out.exists()
+
+
 @pytest.fixture
 def model_dim_3(tmp_path):
     """A 3-feature model, a test file whose rows never touch feature 3, and

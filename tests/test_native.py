@@ -1,6 +1,6 @@
 """The compiled helpers of stst: every C source builds without a warning,
-parse_sparse and the walks use them, their cache is private, and importing
-stst builds nothing."""
+parse_sparse, the walks and RBF evaluation use them, their cache is
+private, and importing stst builds nothing."""
 
 import io
 import os
@@ -59,6 +59,32 @@ def test_the_walks_use_the_compiled_kernels(monkeypatch):
     simulator.empirical_bridge_crossing_grid(gaussian, [1.0], trials=500)
     simulator.empirical_stop_error_grid(gaussian, [0.1], trials=500)
     simulator.empirical_stopping_time(rademacher, 0.1, trials=500)
+
+
+@needs_cc
+def test_compiled_rbf_evaluation_never_imports_scipy_spatial():
+    # every path that reads RBF term values: per-term calibration, the
+    # per-example and batch evaluators, and score_term
+    code = """if True:
+        import sys
+        import numpy as np
+        from stst import calibration, data, predictor
+        from stst.core import Direction, StoppingRule
+
+        rng = np.random.default_rng(5)
+        sv = rng.standard_normal((40, 3))
+        model = predictor.kernel_model(rng.standard_normal(40), sv, predictor.KernelSpec.rbf(1.5))
+        cal = data.Dataset(X=rng.standard_normal((6, 3)), y=np.ones(6, dtype=np.int64))
+        model, _ = calibration.calibrate(model, cal, 1, mode="per_term")
+        rule = StoppingRule(0.0, -0.5, Direction.REJECT_BELOW)
+        predictor.attentive_predict(model, rng.standard_normal(3), rule)
+        predictor.predict_rows(model, rng.standard_normal((5, 3)), 0.0, rule)
+        predictor.score_term(model, 7, rng.standard_normal(3))
+        print(predictor._kernels() is not None, sorted(m for m in sys.modules if m.startswith("scipy.spatial")))
+    """
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parents[1]))  # the session's build cache too
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["True", "[]"]
 
 
 def test_importing_the_cli_builds_nothing(tmp_path):

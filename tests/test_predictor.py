@@ -1,5 +1,6 @@
 import io
 import math
+import shutil
 import sys
 from dataclasses import replace
 
@@ -71,6 +72,7 @@ def brute_force_prefix(model, x):
     return sums
 
 
+@pytest.mark.usefixtures("term_kernels")
 class TestScoreTerm:
     def test_linear_coordinate(self):
         model = coordinate_model([2.0], dim=1)
@@ -294,6 +296,7 @@ def bits(p):
     return (p.label, float(p.reported_score).hex(), p.terms_evaluated, p.stopped_early)
 
 
+@pytest.mark.usefixtures("term_kernels")
 class TestChunkBoundaries:
     """The chunked scan against a term-by-term reference, bit for bit (==)."""
 
@@ -362,6 +365,90 @@ class TestChunkBoundaries:
                     alone = [score_term(model, i, x) for i in range(model.n)]
                     whole = full_predict(model, x, 0.0).reported_score
                     assert np.cumsum(alone)[-1] == whole
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH: RBF distances come from cdist")
+class TestSquaredDistances:
+    """_terms.c's panel kernel against cdist's "sqeuclidean", byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def compiled(self):
+        assert predictor._kernels() is not None, "cc is on PATH, but _terms.c did not build or load"
+
+    @staticmethod
+    def assert_same_bytes(model, X, a, b):
+        got = predictor._sqeuclidean(model, X, a, b)
+        want = predictor._cdist()(X, model.support_vectors[a:b], "sqeuclidean")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", (1, 2, 3, 7, 8, 9, 16, 17, 64, 300, 784))
+    def test_every_bound_pair_equals_cdist(self, dim):
+        # n = 21: two full panels and a padded one; every [a, b), aligned or not
+        rng = np.random.default_rng(dim)
+        model = kernel_model(np.ones(21), rng.standard_normal((21, dim)) * 3.0, KernelSpec.rbf(1.0))
+        X = rng.standard_normal((3, dim))
+        for a in range(21):
+            for b in range(a + 1, 22):
+                self.assert_same_bytes(model, X, a, b)
+
+    def test_rows_and_sizes(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 5, 9, 37, 1003):
+            dim = int(rng.integers(1, 40))
+            model = kernel_model(np.ones(n), rng.standard_normal((n, dim)), KernelSpec.rbf(2.0))
+            for m in (1, 4, 33):
+                self.assert_same_bytes(model, rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-3, 4), 0, n)
+
+    def test_zero_distances_and_signed_zeros(self):
+        sv = np.array([[0.0, -0.0, 1.5], [-0.0, -0.0, -0.0], [0.25, 0.0, -3.0]] * 3)
+        model = kernel_model(np.ones(9), sv, KernelSpec.rbf(1.0))
+        X = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0], [0.25, -0.0, -3.0], [0.0, 0.0, 0.0]])
+        for a, b in ((0, 9), (2, 7), (8, 9)):
+            self.assert_same_bytes(model, X, a, b)
+        d = predictor._sqeuclidean(model, X, 0, 9)
+        # a row equal to a support vector is at +0.0, whatever the signs of its zeros
+        for i, j in ((0, 0), (1, 1), (1, 4), (2, 2), (3, 1), (3, 7)):
+            assert d[i, j] == 0.0 and math.copysign(1.0, d[i, j]) == 1.0
+
+    def test_squares_that_overflow_or_underflow(self):
+        rng = np.random.default_rng(11)
+        scales = np.array([1e200, 1e160, 1e-160, 1e-200, 1.0])
+        sv = rng.standard_normal((13, 5)) * scales
+        model = kernel_model(np.ones(13), sv, KernelSpec.rbf(1.0))
+        X = np.vstack([-sv[:4], rng.standard_normal((2, 5)) * scales])
+        self.assert_same_bytes(model, X, 0, 13)
+        self.assert_same_bytes(model, X, 3, 12)
+        d = predictor._sqeuclidean(model, X, 0, 13)
+        assert np.isinf(d).all()  # each row has a 1e200 coordinate away from every support vector
+        tiny = kernel_model([1.0], [[1e-200, 1e-160]], KernelSpec.rbf(1.0))
+        X = np.array([[-1e-200, 0.0], [0.0, 1e-160]])
+        self.assert_same_bytes(tiny, X, 0, 1)
+        d = predictor._sqeuclidean(tiny, X, 0, 1)
+        assert 0.0 < d[0, 0] < 1e-300 and d[1, 0] == 0.0  # a subnormal square; squares that underflow to 0
+
+    def test_raw_values_equal_the_cdist_path(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        model = random_model(rng, "rbf", n=45, dim=17)
+        X = rng.standard_normal((6, 17))
+        bounds = ((0, 45), (3, 20), (44, 45))
+        compiled = [predictor._raw(model, X, a, b) for a, b in bounds]
+        monkeypatch.setattr(predictor, "_kernels", lambda: None)
+        for got, (a, b) in zip(compiled, bounds):
+            assert got.tobytes() == predictor._raw(model, X, a, b).tobytes()
+
+    def test_a_block_the_kernel_cannot_read_is_refused(self):
+        model = kernel_model(np.ones(3), np.zeros((3, 4)), KernelSpec.rbf(1.0))
+        for X in (np.zeros((4, 2)).T, np.zeros((2, 4), np.float32)):
+            with pytest.raises(ValueError, match="an RBF block must be C-ordered float64"):
+                predictor._sqeuclidean(model, X, 0, 3)
+
+    def test_panel_layout(self):
+        sv = np.arange(33.0).reshape(11, 3)
+        panels = kernel_model(np.ones(11), sv, KernelSpec.rbf(1.0))._panels
+        assert panels.shape == (2, 3, 8) and panels.flags.c_contiguous
+        for i in range(11):
+            assert panels[i // 8, :, i % 8].tolist() == sv[i].tolist()
+        assert not panels[1, :, 3:].any()  # the padding
 
 
 class TestNonFiniteFeatures:
@@ -456,6 +543,7 @@ class TestPermuteTerms:
             permute_terms(coordinate_model([1.0, 2.0], dim=2), -3)
 
 
+@pytest.mark.usefixtures("term_kernels")
 class TestBatchPaths:
     def test_single_term_model_never_stops_early(self):
         model = coordinate_model([1.0], dim=1)
@@ -565,6 +653,7 @@ class TestInPlaceTermMatrix:
             assert np.array_equal(terms[j], [score_term(model, i, X[j]) for i in range(model.n)])
 
 
+@pytest.mark.usefixtures("term_kernels")
 class TestRowBlocks:
     """Batch paths that densify and evaluate a row block at a time."""
 
@@ -816,6 +905,16 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="must be finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_sigma_without_a_finite_nonzero_width_rejected(self, tmp_path, sigma):
+        path = tmp_path / "m.npz"
+        save_model(random_model(np.random.default_rng(38), "rbf", n=2, dim=1), path)
+        data = dict(np.load(path))
+        data["sigma"] = np.float64(sigma)
+        np.savez(path, **data)
+        with pytest.raises(ModelFormatError, match=r"2 \* sigma\*\*2 finite and nonzero"):
+            load_model(path)
+
 
 class TestModelValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -896,6 +995,9 @@ class TestModelValidation:
             ("rbf", -1.0, "^rbf kernel requires sigma > 0"),
             ("rbf", math.nan, "^rbf kernel requires sigma > 0"),
             ("rbf", math.inf, "^rbf kernel requires sigma > 0"),
+            # -2 sigma^2 rounds to -0.0, or its square overflows
+            ("rbf", 1e-200, r"^rbf kernel requires 2 \* sigma\*\*2 finite and nonzero, got sigma 1e-200"),
+            ("rbf", 1e200, r"^rbf kernel requires 2 \* sigma\*\*2 finite and nonzero, got sigma 1e\+200"),
         ],
     )
     def test_invalid_kernel_spec_rejected(self, kind, sigma, match):
