@@ -17,6 +17,12 @@ resident set (peak_rss_mb) of one call of a row timed here, and the rows
 that need a cold or altered interpreter. The children all run first,
 while this process is small (see _child). Times are medians and quartiles
 in ms, over LAYER_REPEATS calls unless a row says otherwise.
+
+Only readings of one run compare safely: a row beside its "numpy
+reference" row, or a cold row's first call beside its warm_median_ms. A
+parent run and a change run read each row at different times, and the
+host drifts between them, so a row that reaches no changed code can still
+move from one run to the other.
 """
 
 import argparse
@@ -103,15 +109,32 @@ def _rbf_model(rng, dim: int, n: int):
     )
 
 
-def _cold_rbf(work: str):
-    """full_predict of the first RBF_WIDTHS model with an empty build cache:
-    the first call compiles the RBF distance kernel (on a source tree
+def _cold(prepare: Callable) -> Callable:
+    """prepare(work) with an empty build cache, so that the first call
+    compiles the helper the row reaches."""
+
+    def cold(work: str):
+        os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(dir=work)
+        return prepare(work)
+
+    return cold
+
+
+def _switched_off(module, accessor: str):
+    """A patch that makes module.<accessor>, a compiled helper's accessor,
+    return None: the path taken without a C compiler. create=True, since a
+    parent source tree measured by this script may predate the helper."""
+    return mock.patch.object(module, accessor, lambda: None, create=True)
+
+
+def _rbf_full(work: str):
+    """full_predict of the first RBF_WIDTHS model on one example. Under
+    _cold its first call compiles the RBF distance kernel (on a source tree
     without it, the first call imports scipy.spatial instead)."""
     import numpy as np
 
     from stst import predictor
 
-    os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(dir=work)
     rng = np.random.default_rng(SEED + 5)
     model = _rbf_model(rng, *RBF_WIDTHS[0])
     return partial(predictor.full_predict, model, rng.standard_normal(RBF_DIM))
@@ -223,18 +246,12 @@ def _stopping_time() -> None:
     simulator.empirical_stopping_time(spec, 0.1, trials=STOPPING_TRIALS)
 
 
-def _cold_stopping_time(work: str):
-    """_stopping_time with an empty build cache, so the first call compiles the walk kernels."""
-    os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(dir=work)
-    return _stopping_time
-
-
 def _theory_reference(work: str):
     """stst theory with the walk kernels switched off, so that every block
     is reduced by the numpy reference."""
     from stst import simulator
 
-    simulator._kernels = lambda: None
+    _switched_off(simulator, "_kernels").start()
     return partial(_run_cli, [*THEORY_ARGV, os.devnull])
 
 
@@ -276,16 +293,10 @@ def _parse_text(work: str, compiled: bool = True):
     from stst import data
 
     if not compiled:
-        data._text_parser = lambda: None
+        _switched_off(data, "_text_parser").start()
     data._sparse()  # the first parse's import of scipy.sparse stays out of the times
     text = Path(work, "layer.txt").read_text(encoding="utf-8")
     return lambda: data.parse_sparse(io.StringIO(text))
-
-
-def _cold_parse(work: str):
-    """_parse_text with an empty build cache, so the first call compiles the parser."""
-    os.environ["XDG_CACHE_HOME"] = tempfile.mkdtemp(dir=work)
-    return _parse_text(work)
 
 
 def _sweep(m: int, n: int, grid):
@@ -370,18 +381,18 @@ FRESH = {
     # cache and scipy.sparse already imported, so the row holds the one-time
     # compile of the parser as set-up; warm_median_ms is each child's second.
     f"parse_sparse cold first call {LAYER}": Fresh(
-        _cold_parse, _write_layer, _cold_and_warm, calls=2, children=LAYER_REPEATS
+        _cold(_parse_text), _write_layer, _cold_and_warm, calls=2, children=LAYER_REPEATS
     ),
     # The same for the RBF distance kernel: the first full_predict of
     # LAYER_REPEATS children, each with an empty build cache, so the row
     # holds the one-time compile of _terms.c; warm_median_ms is the second.
-    RBF_COLD: Fresh(_cold_rbf, summary=_cold_and_warm, calls=2, children=LAYER_REPEATS),
+    RBF_COLD: Fresh(_cold(_rbf_full), summary=_cold_and_warm, calls=2, children=LAYER_REPEATS),
     # The same for the walk kernels: the first stopping-time run of
     # LAYER_REPEATS children, each with an empty build cache, so the row
     # holds the one-time compile of _walk.c; warm_median_ms is the second.
     # On a source tree without the kernels both walk rows time numpy.
     f"{STOPPING} cold first call": Fresh(
-        _cold_stopping_time, summary=_cold_and_warm, calls=2, children=LAYER_REPEATS
+        _cold(lambda work: _stopping_time), summary=_cold_and_warm, calls=2, children=LAYER_REPEATS
     ),
     # stst theory on the numpy reference of the walk reductions, the path
     # taken without a C compiler, LAYER_REPEATS calls in one child
@@ -542,7 +553,7 @@ def _rows():
             Row(f"predict_rows full rbf {size}", lambda b: predictor.predict_rows(rbf, b, 0.0), [batch]),
         ):
             yield row
-            with mock.patch.object(predictor, "_kernels", lambda: None, create=True):
+            with _switched_off(predictor, "_kernels"):
                 yield row._replace(name=f"{row.name} numpy reference")
     yield Row(RBF_COLD)
 

@@ -241,14 +241,10 @@ def _text_parser():
 
     from . import _native
 
-    lib = _native.load("_sparse_text")
-    if lib is None:
-        return None
-    parse = lib.stst_parse_lines
     i64, pointer = ctypes.c_int64, ctypes.c_void_p
-    parse.argtypes = (ctypes.c_char_p, i64, ctypes.POINTER(i64), i64, pointer, pointer, pointer, pointer)
-    parse.restype = i64
-    return parse
+    arguments = (ctypes.c_char_p, i64, ctypes.POINTER(i64), i64, pointer, pointer, pointer, pointer)
+    lib = _native.load("_sparse_text", stst_parse_lines=(arguments, i64))
+    return None if lib is None else lib.stst_parse_lines
 
 
 def _parse_block(lines: list, line_no: int, buffers: tuple, parse) -> None:

@@ -309,14 +309,9 @@ def _kernels():
 
     from . import _native
 
-    lib = _native.load("_terms")
-    if lib is None:
-        return None
-    sqeuclidean = lib.stst_sqeuclidean
     i64, pointer = ctypes.c_int64, ctypes.c_void_p
-    sqeuclidean.argtypes = (pointer, i64, i64, pointer, i64, i64, pointer)
-    sqeuclidean.restype = None
-    return sqeuclidean
+    lib = _native.load("_terms", stst_sqeuclidean=((pointer, i64, i64, pointer, i64, i64, pointer), None))
+    return None if lib is None else lib.stst_sqeuclidean
 
 
 def _sqeuclidean(model: WeightedModel, X: np.ndarray, a: int, b: int) -> np.ndarray:

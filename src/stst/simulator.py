@@ -147,14 +147,12 @@ def _kernels():
 
     from . import _native
 
-    lib = _native.load("_walk")
-    if lib is None:
-        return None
     i64, f64, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.stst_walk_high_end.argtypes = (pointer, pointer, i64, i64, f64, f64, pointer, f64, pointer, pointer)
-    lib.stst_walk_first_crossing.argtypes = (pointer, pointer, i64, i64, f64, f64, f64, pointer, pointer)
-    lib.stst_walk_high_end.restype = lib.stst_walk_first_crossing.restype = None
-    return lib
+    return _native.load(
+        "_walk",
+        stst_walk_high_end=((pointer, pointer, i64, i64, f64, f64, pointer, f64, pointer, pointer), None),
+        stst_walk_first_crossing=((pointer, pointer, i64, i64, f64, f64, f64, pointer, pointer), None),
+    )
 
 
 def _draw(rng: np.random.Generator, spec: WalkSpec, shape: tuple) -> np.ndarray:

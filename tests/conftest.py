@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from stst import SyntheticSpec, TrainConfig, calibrate, generate_synthetic, predictor, simulator, split, train_linear
+from stst import SyntheticSpec, TrainConfig, calibrate, data, generate_synthetic, predictor, simulator, split, train_linear
 
 # Pinned synthetic benchmark: dim 20, 500/500, separation 4, noise 1. The
 # seeds below are frozen so every benchmark-derived number in the suite is a
@@ -25,15 +25,16 @@ def private_build_cache(tmp_path_factory):
         yield
 
 
-def _kernel_body(param: str, monkeypatch, module, source: str, fallback: str) -> str:
-    """Switch module._kernels off unless param is "compiled"; else check
-    that cc built and loaded source, or skip the test without cc."""
+def _kernel_body(param: str, monkeypatch, module, source: str, fallback: str, accessor: str = "_kernels") -> str:
+    """Switch the helper's accessor, module.<accessor>, off unless param is
+    "compiled"; else check that cc built and loaded source, or skip the
+    test without cc."""
     if param != "compiled":
-        monkeypatch.setattr(module, "_kernels", lambda: None)
+        monkeypatch.setattr(module, accessor, lambda: None)
     elif shutil.which("cc") is None:
         pytest.skip(f"no C compiler (cc) on PATH: {fallback}")
     else:
-        assert module._kernels() is not None, f"cc is on PATH, but {source} did not build or load"
+        assert getattr(module, accessor)() is not None, f"cc is on PATH, but {source} did not build or load"
     return param
 
 
@@ -51,6 +52,15 @@ def term_kernels(request, monkeypatch):
     panel kernel of _terms.c, and scipy's cdist it falls back to without a
     C compiler."""
     return _kernel_body(request.param, monkeypatch, predictor, "_terms.c", "RBF distances come from cdist")
+
+
+@pytest.fixture(params=["compiled", "reference"])
+def parse_kernels(request, monkeypatch):
+    """Run a test on each body of parse_sparse's line parser: the compiled
+    parser of _sparse_text.c, and the Python reference loop every line goes
+    through without a C compiler."""
+    fallback = "every line goes through the Python reference loop"
+    return _kernel_body(request.param, monkeypatch, data, "_sparse_text.c", fallback, accessor="_text_parser")
 
 
 @pytest.fixture(scope="session")

@@ -215,7 +215,7 @@ PIPELINE_DIGESTS = {
 }
 
 
-def test_pipeline_golden_digests(pipeline, tmp_path):
+def test_pipeline_golden_digests(pipeline, tmp_path, parse_kernels):
     root, calibrated, test_file = pipeline
     common = ["--model", str(calibrated), "--data", str(test_file)]
     runs = {
@@ -301,7 +301,6 @@ def test_data_is_read_at_the_model_dimension(model_dim_3, tmp_path, capsys, comm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
 @pytest.mark.parametrize(
     "command,flags",
     [
@@ -311,9 +310,7 @@ def test_data_is_read_at_the_model_dimension(model_dim_3, tmp_path, capsys, comm
         ("pr", ["--model", "{model}", "--data"]),
     ],
 )
-def test_data_that_is_not_utf8_is_a_clean_error(model_dim_3, tmp_path, capsys, monkeypatch, reference, command, flags):
-    if reference:
-        monkeypatch.setattr(data, "_text_parser", lambda: None)
+def test_data_that_is_not_utf8_is_a_clean_error(model_dim_3, tmp_path, capsys, parse_kernels, command, flags):
     model, _, _ = model_dim_3
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"+1 1:1.0 2:0.5\n-1 1:\xff1.0\n+1 2:2.0\n")

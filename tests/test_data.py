@@ -28,6 +28,7 @@ def parse_text(text, **kw):
     return parse_sparse(io.StringIO(text), **kw)
 
 
+@pytest.mark.usefixtures("parse_kernels")
 class TestParse:
     def test_basic_line(self):
         ds = parse_text("+1 1:0.5 3:2.0\n")
@@ -162,16 +163,6 @@ class TestParse:
         assert peak <= 4 << 20
 
 
-class TestParseReference(TestParse):
-    """Every TestParse case again with no compiled parser, so that each line
-    goes through the Python reference loop."""
-
-    @pytest.fixture(autouse=True)
-    def reference_only(self, monkeypatch):
-        monkeypatch.setattr(data, "_text_parser", lambda: None)
-
-
-@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
 @pytest.mark.parametrize(
     "bad,message",
     [
@@ -182,9 +173,7 @@ class TestParseReference(TestParse):
         ("", "blank line"),
     ],
 )
-def test_error_past_the_first_block_names_its_line(monkeypatch, reference, bad, message):
-    if reference:
-        monkeypatch.setattr(data, "_text_parser", lambda: None)
+def test_error_past_the_first_block_names_its_line(parse_kernels, bad, message):
     line = "+1 1:0.25 7:-1.5 19:3.0000000000000004\n"
     at = 3 * data._BLOCK_CELLS // len(line)  # a line of the fourth block
     lines = [line] * (at + 10)
@@ -193,12 +182,9 @@ def test_error_past_the_first_block_names_its_line(monkeypatch, reference, bad, 
         parse_text("".join(lines))
 
 
-@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
 @pytest.mark.parametrize("block", [0, 3], ids=["first-block", "fourth-block"])
-def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, monkeypatch, reference, block):
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, parse_kernels, block):
     # the stream decodes ahead of the parse, so the error names no line
-    if reference:
-        monkeypatch.setattr(data, "_text_parser", lambda: None)
     line = b"+1 1:0.25 7:-1.5 19:3.0000000000000004\n"
     at = block * data._BLOCK_CELLS // len(line) + 2
     lines = [line] * (at + 10)
@@ -211,10 +197,7 @@ def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, monkeypatch, referenc
         assert caught.value.line is None
 
 
-@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
-def test_warning_past_the_first_block_names_its_line(monkeypatch, reference):
-    if reference:
-        monkeypatch.setattr(data, "_text_parser", lambda: None)
+def test_warning_past_the_first_block_names_its_line(parse_kernels):
     line = "-1 2:0.5 3:1e-3\n"
     at = 2 * data._BLOCK_CELLS // len(line)
     lines = [line] * at
@@ -224,12 +207,9 @@ def test_warning_past_the_first_block_names_its_line(monkeypatch, reference):
     assert ds.y.tolist() == [-1] * (at - 1) + [1]
 
 
-@pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
-def test_lines_of_a_stream_that_ends_them_at_cr_only(monkeypatch, reference):
+def test_lines_of_a_stream_that_ends_them_at_cr_only(parse_kernels):
     # with newline="\r" a '\n' is inside a line: here the whole input is one
     # line of 3000 '\n'-separated rows, read as one line as the stream gives it
-    if reference:
-        monkeypatch.setattr(data, "_text_parser", lambda: None)
     with pytest.raises(ParseError, match=r"^line 1: expected index:value, got '-1'$"):
         parse_sparse(_stream("+1 1:1.0\n-1 2:0.5\n" * 1500, "\r"))
     with pytest.raises(ParseError, match=r"^line 1: expected index:value, got '-1'$"):

@@ -1,7 +1,10 @@
 """The compiled helpers of stst: every C source builds without a warning,
-parse_sparse, the walks and RBF evaluation use them, their cache is
-private, and importing stst builds nothing."""
+parse_sparse, the walks and RBF evaluation use them, they give the same
+bytes as the Python paths without a compiler, their cache is private, a
+failing compiler runs once, only _native types them, and importing stst
+builds nothing."""
 
+import ast
 import io
 import os
 import shutil
@@ -10,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stst import _native, data, simulator
@@ -17,7 +21,7 @@ from stst import _native, data, simulator
 CC = shutil.which("cc")
 SOURCE = Path(_native.__file__).with_name("_sparse_text.c")
 C_SOURCES = sorted(SOURCE.parent.glob("*.c"))
-needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH: parse_sparse runs its Python loop")
+needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH: every helper takes its Python path")
 
 
 def refused(*args, **kwargs):
@@ -103,7 +107,7 @@ def test_build_goes_to_a_private_cache_once(tmp_path, monkeypatch):
     assert stat.S_IMODE(folder.stat().st_mode) == 0o700
     [built] = folder.iterdir()
     assert built.name.startswith("_sparse_text-") and built.suffix == ".so"
-    monkeypatch.setattr(_native, "_compile", refused)
+    monkeypatch.setattr(subprocess, "run", refused)
     assert _native.load("_sparse_text") is not None
 
 
@@ -119,5 +123,84 @@ def test_a_cache_others_can_write_is_not_used(tmp_path, monkeypatch):
 
 def test_no_compiler_means_no_library(monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda name: None)
-    monkeypatch.setattr(_native, "_compile", refused)
+    monkeypatch.setattr(subprocess, "run", refused)
     assert _native.load("_sparse_text") is None
+
+
+def test_no_home_means_no_cache_and_no_folder_here(tmp_path, monkeypatch):
+    # with neither HOME nor a password entry, expanduser returns "~" as it is
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HOME", raising=False)
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+    assert _native._cache_dir() is None
+    _native.load("_sparse_text")  # built in a private temporary directory, or no cc
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_compiler_runs_once(tmp_path, monkeypatch):
+    runs, bin_dir = tmp_path / "runs", tmp_path / "bin"
+    bin_dir.mkdir()
+    stub = bin_dir / "cc"
+    stub.write_text(f"#!/bin/sh\necho run >> '{runs}'\nexit 1\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _native.load("_terms") is None
+    assert runs.read_text().splitlines() == ["run"]
+
+
+def test_only_native_types_the_helpers():
+    # a helper's functions get their argtypes and restype through the keywords of _native.load
+    typed = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.parent.glob("*.py"))
+        if path.name != "_native.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in ("argtypes", "restype")
+    ]
+    assert typed == []
+
+
+END_TO_END = """if True:
+    import sys
+    from pathlib import Path
+    import numpy as np
+    from stst import cli, data, predictor, simulator
+    from stst.core import Direction, StoppingRule
+
+    folder = Path(sys.argv[1])
+    ds = data.parse_sparse(str(folder.parent / "small.txt"))
+    arrays = (ds.X.indptr, ds.X.indices, ds.X.data, ds.y)
+    (folder / "parse.bin").write_bytes(b"".join(a.tobytes() for a in arrays))
+    rng = np.random.default_rng(11)
+    model = predictor.kernel_model(rng.standard_normal(300), rng.standard_normal((300, 5)), predictor.KernelSpec.rbf(2.0))
+    rule = StoppingRule(0.0, -0.5, Direction.REJECT_BELOW)
+    p = predictor.predict_rows(model, rng.standard_normal((40, 5)), 0.0, rule)
+    (folder / "predict.bin").write_bytes(b"".join(a.tobytes() for a in (p.label, p.score, p.terms, p.stopped)))
+    theory = ["--n", "200", "--bridge-trials", "400", "--stop-error-trials", "400", "--stopping-trials", "100"]
+    assert cli.main(["theory", *theory, "--seed", "7", "-o", str(folder / "theory.csv")]) == 0
+    print(data._text_parser() is not None, predictor._kernels() is not None, simulator._kernels() is not None)
+"""
+
+
+@needs_cc
+def test_without_cc_every_output_is_the_same_bytes(tmp_path):
+    # two fresh children: cc on PATH, and a PATH that holds no cc
+    rng = np.random.default_rng(3)
+    lines = [f"{1 - 2 * (i % 2):+d} 1:{rng.standard_normal()!r} 4:{rng.standard_normal():.3e}\n" for i in range(200)]
+    (tmp_path / "small.txt").write_text("".join(lines))
+    (tmp_path / "empty").mkdir()
+    outputs, caches = {}, {}
+    for side, path in (("cc", os.environ["PATH"]), ("no-cc", str(tmp_path / "empty"))):
+        folder, caches[side] = tmp_path / side, tmp_path / f"{side}-cache"
+        folder.mkdir()
+        caches[side].mkdir()
+        env = dict(os.environ, PYTHONPATH=str(SOURCE.parents[1]), PATH=path, XDG_CACHE_HOME=str(caches[side]))
+        done = subprocess.run([sys.executable, "-c", END_TO_END, str(folder)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [str(side == "cc")] * 3
+        outputs[side] = {name: (folder / name).read_bytes() for name in ("parse.bin", "predict.bin", "theory.csv")}
+    assert outputs["cc"] == outputs["no-cc"]
+    assert sorted(built.name.split("-")[0] for built in (caches["cc"] / "stst").iterdir()) == ["_sparse_text", "_terms", "_walk"]
+    assert list(caches["no-cc"].iterdir()) == []
