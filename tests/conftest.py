@@ -3,7 +3,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from stst import SyntheticSpec, TrainConfig, calibrate, data, generate_synthetic, predictor, simulator, split, train_linear
+from stst import (
+    SyntheticSpec,
+    TrainConfig,
+    calibrate,
+    data,
+    generate_synthetic,
+    predictor,
+    simulator,
+    split,
+    train_linear,
+)
 
 # Pinned synthetic benchmark: dim 20, 500/500, separation 4, noise 1. The
 # seeds below are frozen so every benchmark-derived number in the suite is a

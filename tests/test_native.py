@@ -131,7 +131,7 @@ def test_no_home_means_no_cache_and_no_folder_here(tmp_path, monkeypatch):
     # with neither HOME nor a password entry, expanduser returns "~" as it is
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("HOME", raising=False)
-    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
     monkeypatch.setattr(os.path, "expanduser", lambda path: path)
     assert _native._cache_dir() is None
     _native.load("_sparse_text")  # built in a private temporary directory, or no cc
@@ -148,6 +148,7 @@ def test_a_failing_compiler_runs_once(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     assert _native.load("_terms") is None
     assert runs.read_text().splitlines() == ["run"]
+    assert list((tmp_path / "cache" / "stst").iterdir()) == []  # no partial file left
 
 
 def test_only_native_types_the_helpers():
@@ -174,7 +175,8 @@ END_TO_END = """if True:
     arrays = (ds.X.indptr, ds.X.indices, ds.X.data, ds.y)
     (folder / "parse.bin").write_bytes(b"".join(a.tobytes() for a in arrays))
     rng = np.random.default_rng(11)
-    model = predictor.kernel_model(rng.standard_normal(300), rng.standard_normal((300, 5)), predictor.KernelSpec.rbf(2.0))
+    sv = rng.standard_normal((300, 5))
+    model = predictor.kernel_model(rng.standard_normal(300), sv, predictor.KernelSpec.rbf(2.0))
     rule = StoppingRule(0.0, -0.5, Direction.REJECT_BELOW)
     p = predictor.predict_rows(model, rng.standard_normal((40, 5)), 0.0, rule)
     (folder / "predict.bin").write_bytes(b"".join(a.tobytes() for a in (p.label, p.score, p.terms, p.stopped)))
@@ -202,5 +204,6 @@ def test_without_cc_every_output_is_the_same_bytes(tmp_path):
         assert done.stdout.split() == [str(side == "cc")] * 3
         outputs[side] = {name: (folder / name).read_bytes() for name in ("parse.bin", "predict.bin", "theory.csv")}
     assert outputs["cc"] == outputs["no-cc"]
-    assert sorted(built.name.split("-")[0] for built in (caches["cc"] / "stst").iterdir()) == ["_sparse_text", "_terms", "_walk"]
+    built = sorted(path.name.split("-")[0] for path in (caches["cc"] / "stst").iterdir())
+    assert built == ["_sparse_text", "_terms", "_walk"]
     assert list(caches["no-cc"].iterdir()) == []
