@@ -516,9 +516,8 @@ def _rows():
     # tau = -inf, attentive with the lowest finite tau (checked at every
     # term, never crossed) and full_predict. No early stop happens, so these
     # rows compare evaluation cost alone. The CROSSING_ROWS models are also
-    # called attentive at the median of the examples' lowest partial sums
-    # S_1..S_{n-1}, so about half of them stop; terms_fraction is the
-    # measured mean of terms evaluated / n.
+    # called attentive under _crossing's rule, so about half the examples
+    # stop, with its terms_fraction and computed_fraction.
     attentive = predictor.attentive_predict
     no_stop = StoppingRule(0.0, -math.inf, Direction.REJECT_BELOW)
     never_crossed = StoppingRule(0.0, -sys.float_info.max, Direction.REJECT_BELOW)
@@ -528,19 +527,19 @@ def _rows():
         yield Row(f"{name} attentive tau=finite", lambda x: attentive(model, x, never_crossed), X, REPEATS)
         yield Row(f"{name} full", lambda x: predictor.full_predict(model, x), X, REPEATS)
         if name in CROSSING_ROWS:
-            tau = float(np.median(predictor.prefix_score_matrix(model, X)[:, :-1].min(axis=1)))
-            crossed = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
-            fraction = sum(attentive(model, x, crossed).terms_evaluated for x in X) / (len(X) * model.n)
-            keys = {"terms_fraction": fraction}
+            crossed, keys = _crossing(model, X)
             yield Row(f"{name} attentive tau=crossing", lambda x: attentive(model, x, crossed), X, REPEATS, keys)
 
-    # RBF full evaluation at each of RBF_WIDTHS (the break-even map of the
-    # compiled distances): full_predict on EXAMPLES examples, REPEATS
-    # passes, and one predict_rows call on RBF_BATCH_M rows, LAYER_REPEATS
-    # calls. Each row is followed at once by its "numpy reference", the
-    # same calls with predictor._kernels switched off: the cdist path taken
-    # without a C compiler. On a source tree without the kernel both time
-    # cdist. Then the cold first call.
+    # RBF evaluation at each of RBF_WIDTHS (the break-even map of the
+    # compiled evaluator), full and attentive: per example on EXAMPLES
+    # examples, REPEATS passes, and one predict_rows call on RBF_BATCH_M
+    # rows, LAYER_REPEATS calls. The attentive rows stop at the median of
+    # the rows' lowest partial sums S_1..S_{n-1}, so about half the rows
+    # stop (_crossing). Each row is followed at once by its "numpy reference",
+    # the same calls with predictor._kernels switched off: cdist and the
+    # numpy scan, the path taken without a C compiler, so the two compare
+    # within one run. On a source tree without the kernel both time cdist.
+    # Then the cold first call.
     predictor._cdist()  # the reference rows' import of scipy.spatial stays out of the times
     rng = np.random.default_rng(SEED + 5)
     for dim, n in RBF_WIDTHS:
@@ -548,9 +547,23 @@ def _rows():
         batch = rng.standard_normal((RBF_BATCH_M, dim))
         predictor.full_predict(rbf, X[0])  # packs the support vectors, outside the times
         size = f"m={RBF_BATCH_M} n={n} dim={dim}"
+        (each, each_keys), (rows, rows_keys) = _crossing(rbf, X), _crossing(rbf, batch)
         for row in (
             Row(f"rbf n={n} dim={dim} full", lambda x: predictor.full_predict(rbf, x), X, REPEATS),
+            Row(
+                f"rbf n={n} dim={dim} attentive tau=crossing",
+                lambda x: attentive(rbf, x, each),
+                X,
+                REPEATS,
+                each_keys,
+            ),
             Row(f"predict_rows full rbf {size}", lambda b: predictor.predict_rows(rbf, b, 0.0), [batch]),
+            Row(
+                f"predict_rows attentive rbf {size}",
+                lambda b: predictor.predict_rows(rbf, b, 0.0, rows),
+                [batch],
+                keys=rows_keys,
+            ),
         ):
             yield row
             with _switched_off(predictor, "_kernels"):
@@ -648,6 +661,29 @@ def _rows():
     yield Row(STOPPING, lambda _: _stopping_time())
     yield Row(f"{STOPPING} cold first call")
     yield Row(f"{THEORY} numpy reference")
+
+
+def _crossing(model, X) -> tuple:
+    """A rule that stops at the median of the rows of X's lowest partial
+    sums S_1..S_{n-1}, so that about half of them stop, and its keys: the
+    mean terms counted (the stop position) over n, terms_fraction, and the
+    mean terms computed (to the end of the stop's chunk) over n,
+    computed_fraction."""
+    import numpy as np
+
+    from stst import predictor
+    from stst.core import Direction, StoppingRule
+
+    n = model.n
+    tau = float(np.median(predictor.prefix_score_matrix(model, X)[:, :-1].min(axis=1)))
+    rule = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
+    terms = predictor.predict_rows(model, X, 0.0, rule).terms
+    ends, size = [0], predictor._FIRST_CHUNK
+    while ends[-1] < n:
+        ends.append(min(ends[-1] + size, n))
+        size *= predictor._GROWTH
+    computed = np.array(ends)[np.searchsorted(ends, terms)]
+    return rule, {"terms_fraction": terms.mean() / n, "computed_fraction": computed.mean() / n}
 
 
 def _call_ms(fn, X, repeats: int = REPEATS) -> dict:

@@ -14,13 +14,13 @@ _block_rows), and hold no (N, n) array. Score mode's S_n is the
 evaluator's, bit for bit: the sequential sum predict_rows carries.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, _block_rows
 from .errors import CalibrationError, DegenerateDataError, ParameterError, UndefinedRateError, check_count, check_label
-from .predictor import Predictions, WeightedModel, _check_X, _raw
+from .predictor import Predictions, WeightedModel, _check_X, _raw, _with_mu
 # unused here: perfbench/layers.py wraps calibration.term_matrix by name, and
 # the import goes once that binding moves to stst.predictor (ROADMAP item 18)
 from .predictor import term_matrix  # noqa: F401
@@ -103,7 +103,7 @@ def calibrate(
                 raw *= model.weights[a:b]
                 raw[:, 0] += score
                 score = np.asfortranarray(raw).sum(axis=1)
-    corrected = replace(model, mu=mu)
+    corrected = _with_mu(model, mu)  # an RBF model's packed panels are shared, not built again
     # an overflow here or in the weighted scores ends as the non-finite
     # variance refused next, which says all a warning would
     with np.errstate(over="ignore"):

@@ -14,25 +14,32 @@ full predictor bit for bit.
 
 One chunked evaluator decides a block of examples: it evaluates chunks of
 128, 512, 2048, ... terms (one chunk when nothing can stop) for the rows
-still live, cumsums each chunk with the row's running sum carried in, and
-drops the rows that stopped. A per-example predictor is that evaluator on a
-block of one. terms_evaluated counts terms up to the stop; the terms
-computed run to the end of the stop's chunk. predict_rows runs it on a
-whole dense or CSR feature matrix, one row block at a time, each block
-sized by the one block budget of stst.data (_BLOCK_CELLS, through
-_block_rows); every batch decision under one rule goes through it. The
-sweep, deciding the same rows under many rules, takes each row block's
-running sums (_prefix_rows) and keeps only what its grid reads. prefix_score_matrix stacks those blocks
-into one C-ordered (m, n) matrix, which the *_from_prefix predictors decide
-through the same labelling step; no command builds it. Every path reads raw
-term values from one kernel function.
+still live, an index array, and runs one scan over each chunk's raw
+values: correct each value, add it to the row's running sum carried in
+from the last chunk, and stop the row at its first crossing, dropping it
+from the live rows. A per-example predictor is that evaluator on a block
+of one. terms_evaluated counts terms up to the stop; the terms computed
+run to the end of the stop's chunk. predict_rows runs it on a whole dense
+or CSR feature matrix, one row block at a time, each block sized by the
+one block budget of stst.data (_BLOCK_CELLS, through _block_rows); every
+batch decision under one rule goes through it. The sweep, deciding the
+same rows under many rules, takes each row block's running sums
+(_prefix_rows) and keeps only what its grid reads. prefix_score_matrix
+stacks those blocks into one C-ordered (m, n) matrix, which the
+*_from_prefix predictors decide through the same labelling step; no
+command builds it. Every path reads raw term values from one kernel
+function.
 
-RBF terms take their squared distances from _terms.c, compiled on the
-first RBF evaluation (stst._native) and run over a copy of the support
-vectors packed in panels of eight (WeightedModel._panels, n * dim * 8
-bytes per model): the same additions as scipy's cdist, so the same bits.
-cdist is left only as the path without a C compiler, and the reference
-the kernel is tested against.
+_terms.c, compiled on first use (stst._native), holds the evaluator's
+scan, stst_scan, and the RBF squared distances, stst_sqeuclidean, which
+read the live rows through their indices and run over a copy of the
+support vectors packed in panels of eight (WeightedModel._panels, n * dim
+* 8 bytes per model, shared by the model calibrate derives). With
+-ffp-contract=off the scan rounds as numpy's in-place correction and
+np.cumsum do, and the distances add as scipy's cdist does, so every path
+gives the same bits; only np.exp stays numpy's. Without a C compiler the
+scan runs in numpy (_scan) and the distances come from cdist: the
+fallback, and the reference the compiled code is tested against.
 """
 
 from __future__ import annotations
@@ -71,8 +78,10 @@ __all__ = [
 ]
 
 # Evaluator chunks: _FIRST_CHUNK terms, then _GROWTH times the last.
-# Each chunk pays 10-20 us of dispatch, so sizes must grow; a small first
-# chunk bounds the terms computed past an early stop. Picked by timing.
+# A compiled RBF chunk pays about 5 us of dispatch (its distance and scan
+# calls and np.exp, on a 2-vCPU x86-64 VM), so sizes must grow; a small
+# first chunk bounds the terms computed past an early stop. Picked by
+# timing.
 _FIRST_CHUNK = 128
 _GROWTH = 4
 
@@ -139,12 +148,14 @@ class WeightedModel:
     def __post_init__(self):
         w = _real(self.weights, "weights")
         m = _real(self.mu, "mu")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "mu", m)
         if w.ndim != 1 or w.size < 1:
             raise ParameterError("weights must be a nonempty 1-d array")
         if m.shape != w.shape:
             raise ParameterError(f"mu shape {m.shape} does not match weights shape {w.shape}")
+        # contiguous: _terms.c reads both through their addresses
+        w, m = np.ascontiguousarray(w), np.ascontiguousarray(m)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "mu", m)
         for name, values in (("weights", w), ("mu", m)):
             if not np.isfinite(values).all():
                 raise ParameterError(f"{name} must be finite, got a NaN or infinite value")
@@ -191,6 +202,13 @@ class WeightedModel:
             rows = self.support_vectors[q::8]
             panels[: len(rows), :, q] = rows
         return panels
+
+    @functools.cached_property
+    def _addresses(self) -> tuple[int, int, int]:
+        """The addresses _terms.c reads mu, the weights and (RBF models,
+        else 0) the panels at, read once: each read costs about 1 us."""
+        rbf = self.kernel is not None and self.kernel.kind == "rbf"
+        return self.mu.ctypes.data, self.weights.ctypes.data, self._panels.ctypes.data if rbf else 0
 
     @property
     def is_kernel(self) -> bool:
@@ -303,41 +321,59 @@ def _cdist():
 
 @functools.cache
 def _kernels():
-    """stst_sqeuclidean of _terms.c, compiled on first use, or None without
-    a C compiler (RBF distances then come from _cdist)."""
+    """The library of _terms.c, compiled on first use, with its two
+    functions typed, or None without a C compiler (RBF distances then come
+    from _cdist, and every chunk is scanned by _scan)."""
     import ctypes
 
     from . import _native
 
-    i64, pointer = ctypes.c_int64, ctypes.c_void_p
-    lib = _native.load("_terms", stst_sqeuclidean=((pointer, i64, i64, pointer, i64, i64, pointer), None))
-    return None if lib is None else lib.stst_sqeuclidean
+    i64, f64, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    return _native.load(
+        "_terms",
+        stst_sqeuclidean=((pointer, pointer, i64, i64, pointer, i64, i64, f64, pointer), None),
+        stst_scan=((pointer, i64, i64, i64, pointer, pointer, f64, i64, i64, pointer, i64, pointer, pointer), i64),
+    )
 
 
-def _sqeuclidean(model: WeightedModel, X: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Squared distances of every row of X to support vectors [a, b): a
-    fresh (m, b - a) array, the same bits as cdist's "sqeuclidean"."""
-    kernel = _kernels()
-    if kernel is None:
-        return _cdist()(X, model.support_vectors[a:b], "sqeuclidean")
+def _sqeuclidean(model: WeightedModel, X: np.ndarray, a: int, b: int, divisor: float = 1.0) -> np.ndarray:
+    """Squared distances of every row of X to support vectors [a, b), each
+    divided by divisor: a fresh (m, b - a) array, the same bits as cdist's
+    "sqeuclidean" divided in place."""
+    lib = _kernels()
+    if lib is None:
+        d = _cdist()(X, model.support_vectors[a:b], "sqeuclidean")
+        d /= divisor
+        return d
+    _check_block(X)
+    m, panels_at = X.shape[0], model._addresses[2]
+    out = np.empty((m, b - a))
+    lib.stst_sqeuclidean(X.ctypes.data, None, m, model.dim, panels_at, a, b, divisor, out.ctypes.data)
+    return out
+
+
+def _check_block(X: np.ndarray) -> None:
     if X.dtype != np.float64 or not X.flags.c_contiguous:  # the kernel reads X through its address
         raise ValueError(f"an RBF block must be C-ordered float64, got {X.dtype}")
-    out = np.empty((X.shape[0], b - a))
-    kernel(X.ctypes.data, X.shape[0], model.dim, model._panels.ctypes.data, a, b, out.ctypes.data)
-    return out
+
+
+def _divisor(model: WeightedModel) -> float:
+    """An RBF model's exponents are its squared distances over this."""
+    return -2.0 * model.kernel.sigma**2
 
 
 def _raw(model: WeightedModel, X: np.ndarray, a: int, b: int) -> np.ndarray:
     """Raw evaluator values of terms [a, b) for every row of a checked,
-    C-contiguous (m, dim) block: a fresh (m, b - a) array. Each value is the
-    same bits whatever the bounds and whatever other rows are in the block."""
+    C-contiguous (m, dim) block: a fresh (m, b - a) array, F-ordered for
+    coordinate models (calibrate's column means depend on it). Each value
+    is the same bits whatever the bounds and whatever other rows are in
+    the block."""
     if model.indices is not None:
         return X[:, model.indices[a:b]]
     if model.kernel.kind == "linear":
         # a BLAS gemm rounds a row differently with other rows around it
         return np.einsum("ij,kj->ki", model.support_vectors[a:b], X)
-    raw = _sqeuclidean(model, X, a, b)
-    raw /= -2.0 * model.kernel.sigma**2
+    raw = _sqeuclidean(model, X, a, b, _divisor(model))
     return np.exp(raw, out=raw)
 
 
@@ -355,15 +391,46 @@ def score_term(model: WeightedModel, i: int, x) -> float:
     return float(_terms(model, _check_x(model, x)[None], i, i + 1)[0, 0])
 
 
-def _stops(rule: StoppingRule | None) -> bool:
-    return rule is not None and not math.isinf(rule.tau)
+def _side(rule: StoppingRule | None) -> int:
+    """The side of tau a running sum stops on: -1 below, +1 above, 0 for
+    no rule or an infinite tau (nothing can stop)."""
+    if rule is None or math.isinf(rule.tau):
+        return 0
+    return -1 if rule.direction is Direction.REJECT_BELOW else 1
 
 
-def _first_crossing(S: np.ndarray, rule: StoppingRule):
+def _first_crossing(S: np.ndarray, tau: float, side: int):
     """Per row of S: (any, k) for the first k with S[j, k] strictly beyond
-    the rule's tau. S is a chunk of running sums or a whole prefix matrix."""
-    crossed = S < rule.tau if rule.direction is Direction.REJECT_BELOW else S > rule.tau
+    tau on side (nonzero). S is a chunk of running sums or a whole prefix
+    matrix."""
+    crossed = S < tau if side < 0 else S > tau
     return crossed.any(axis=1), crossed.argmax(axis=1)
+
+
+def _scan(raw, mu, w, tau: float, side: int, a: int, rows, live: int, s, terms) -> int:
+    """The numpy body of _terms.c's stst_scan, with its contract: the path
+    without a C compiler and the reference the compiled scan is tested
+    against. raw holds terms [a, a + width) of the live rows rows[:live],
+    row for row, and is overwritten. Each row's corrected values are added
+    to its running sum s[j] in order, until the first sum strictly beyond
+    tau on side; s[j] gets that sum and terms[j] the count added. The rows
+    that did not stop move to the front of rows; returns their count."""
+    width = raw.shape[1]
+    live_rows = rows[:live]
+    raw -= mu[a : a + width]
+    raw *= w[a : a + width]
+    raw[:, 0] += s[live_rows]  # the carried sum: fl(S + v) as one whole-row cumsum adds it
+    np.cumsum(raw, axis=1, out=raw)
+    k = np.full(live, width - 1)
+    hit = np.zeros(live, bool)
+    if side:
+        hit, first = _first_crossing(raw, tau, side)
+        k[hit] = first[hit]
+    s[live_rows] = raw[np.arange(live), k]
+    terms[live_rows] = a + k + 1
+    kept = live_rows[~hit]
+    rows[: kept.size] = kept
+    return kept.size
 
 
 def _outcome(
@@ -376,7 +443,7 @@ def _outcome(
     theta (ties positive) gives it its side's label. stopped is terms < n,
     so a budget below n counts as an early stop. s is overwritten.
     """
-    if _stops(rule):
+    if _side(rule):
         s[terms < cap] = rule.tau
     return Predictions(label=np.where(s >= theta, 1, -1), score=s, terms=terms, stopped=terms < n)
 
@@ -388,36 +455,57 @@ def _evaluate(
 
     A row stops at the first count i < cap with S_i strictly beyond
     rule.tau. Terms are evaluated in chunks (the schedule above, or one
-    chunk when nothing can stop) for the rows still live; carrying each
-    row's running sum into its chunk's first value makes the chunk's cumsum
-    the same additions, fl(S + v), as one whole-row cumsum. Stopped rows
-    leave the block, so their later terms are never computed.
+    chunk when nothing can stop) for the live rows, an index array. Each
+    chunk's raw values go to one scan (stst_scan, or _scan without a C
+    compiler), which carries each row's running sum in, the same additions
+    fl(S + v) as one whole-row cumsum, stops rows and drops them from the
+    live rows, so their later terms are never computed. One scratch buffer
+    holds the running sums, the counts, the live rows and, compiled, an RBF
+    chunk's raw values, which the distance kernel writes for the live rows
+    alone. A coordinate chunk gathers only its own cells; a linear chunk
+    reads a copy of the live rows.
     """
     m = X.shape[0]
-    terms, s = np.full(m, cap), np.zeros(m)
-    rows = np.arange(m)  # each live row's index in the caller's block
-    carry = -0.0  # the additive identity: -0.0 + v is v, even for v = -0.0
-    stops = _stops(rule)
-    size = _FIRST_CHUNK if stops else cap
-    a = 0
-    while True:
+    side = _side(rule)
+    tau = rule.tau if side else 0.0
+    lib = _kernels()
+    rbf = lib is not None and model.kernel is not None and model.kernel.kind == "rbf"
+    buf = np.empty(3 * m + (m * cap if rbf else 0))
+    s, terms, rows = buf[:m], buf[m : 2 * m].view(np.int64), buf[2 * m : 3 * m].view(np.int64)
+    s.fill(-0.0)  # the additive identity: -0.0 + v is v, even for v = -0.0
+    rows[:] = np.arange(m)
+    if lib is not None:  # each address is read once a call: a read costs about 1 us
+        at = buf.ctypes.data
+        s_at, terms_at, rows_at, raw_at = at, at + 8 * m, at + 16 * m, at + 24 * m
+        mu_at, w_at, panels_at = model._addresses
+    if rbf:
+        _check_block(X)
+        x_at, divisor = X.ctypes.data, _divisor(model)
+    live, a, size = m, 0, _FIRST_CHUNK if side else cap
+    while live:
         b = min(a + size, cap)
-        seg = _terms(model, X, a, b)
-        seg[:, 0] += carry
-        np.cumsum(seg, axis=1, out=seg)
+        if rbf:
+            lib.stst_sqeuclidean(x_at, rows_at, live, model.dim, panels_at, a, b, divisor, raw_at)
+            raw = buf[3 * m : 3 * m + live * (b - a)]
+            np.exp(raw, out=raw)
+            live = lib.stst_scan(raw_at, b - a, 1, b - a, mu_at, w_at, tau, side, a, rows_at, live, s_at, terms_at)
+        else:
+            if live == m:
+                raw = _raw(model, X, a, b)
+            elif model.indices is not None:
+                raw = X[rows[:live, None], model.indices[a:b]]
+            else:
+                raw = _raw(model, X[rows[:live]], a, b)
+            if lib is None:
+                live = _scan(raw, model.mu, model.weights, tau, side, a, rows, live, s, terms)
+            else:
+                steps = [stride // 8 for stride in raw.strides]
+                args = (mu_at, w_at, tau, side, a, rows_at, live, s_at, terms_at)
+                live = lib.stst_scan(raw.ctypes.data, *steps, b - a, *args)
         if b == cap:
-            s[rows] = seg[:, -1]  # a crossing at cap itself is no early stop
-        if stops:
-            hit, k = _first_crossing(seg, rule)
-            if hit.any():
-                terms[rows[hit]] = a + k[hit] + 1
-                live = ~hit
-                rows, X, seg = rows[live], X[live], seg[live]
-        if b == cap or not rows.size:
-            return _outcome(terms, s, model.n, cap, theta, rule)
-        carry = seg[:, -1]
-        a = b
-        size *= _GROWTH
+            break
+        a, size = b, size * _GROWTH
+    return _outcome(terms, s, model.n, cap, theta, rule)
 
 
 def attentive_predict(model: WeightedModel, x, rule: StoppingRule) -> Prediction:
@@ -448,6 +536,15 @@ def full_predict(model: WeightedModel, x, theta: float | None = None) -> Predict
     if theta is None:
         theta = model.theta
     return budgeted_predict(model, x, model.n, theta)
+
+
+def _with_mu(model: WeightedModel, mu: np.ndarray) -> WeightedModel:
+    """model with mu in place of its own. The support vectors stay the same
+    array, so packed panels the model has built go with them."""
+    derived = replace(model, mu=mu)
+    if "_panels" in vars(model) and derived.support_vectors is model.support_vectors:
+        vars(derived)["_panels"] = model._panels
+    return derived
 
 
 def permute_terms(model: WeightedModel, seed: int) -> WeightedModel:
@@ -547,12 +644,17 @@ def predict_rows(model: WeightedModel, X, theta: float, rule: StoppingRule | Non
 
 
 def _decide(prefix: np.ndarray, cap: int, theta: float, rule: StoppingRule | None = None) -> Predictions:
-    """_evaluate's decisions, read off a whole prefix matrix."""
+    """_evaluate's decisions, read off a whole prefix matrix. Its rows are
+    searched for their crossings a row block at a time, so no mask of the
+    matrix's shape is built."""
     m, n = prefix.shape
     terms = np.full(m, cap)
-    if _stops(rule):
-        hit, k = _first_crossing(prefix[:, :cap], rule)
-        terms = np.where(hit, k + 1, cap)
+    side = _side(rule)
+    if side:
+        step = _block_rows(cap)
+        for a in range(0, m, step):
+            hit, k = _first_crossing(prefix[a : a + step, :cap], rule.tau, side)
+            terms[a : a + step] = np.where(hit, k + 1, cap)
     return _outcome(terms, prefix[np.arange(m), terms - 1], n, cap, theta, rule)
 
 

@@ -44,16 +44,16 @@ shape, so a worker holds its draws and nothing else of their size: about
 8 bytes a cell of one block.
 
 Without a C compiler the same two reductions run in numpy, the reference
-the kernels are tested against: the step arithmetic in place in a float64
-block (a rademacher int64 block gets one new float64 array), np.cumsum,
-then the reduction. np.cumsum holds the GIL, so there the workers take
-turns on it. The exact bridge's shift there needs a temporary of n - 1
-cells a walk, so the exact bridge walks blocks of half as many rows (on
-both paths), and a stopping-time reduce builds a boolean mask of the
-block: at most 17 bytes a cell (rademacher draws, their sums and the mask).
-The walks hold at most about workers * 8 * max(2**17, n) bytes
-at a time with the kernels, and workers * 17 * max(2**17, n) without,
-whatever the trial count. Both paths give the same results, bit for bit:
+the kernels are tested against: the step arithmetic in place in the block
+(a rademacher int64 block is turned into float64 steps in its own memory,
+a slice at a time), np.cumsum, then the reduction. np.cumsum holds the
+GIL, so there the workers take turns on it. The exact bridge's shift there
+needs a temporary of n - 1 cells a walk, so the exact bridge walks blocks
+of half as many rows (on both paths), and a stopping-time reduce builds a
+boolean mask of the block: about 9 bytes a cell (the sums and the mask).
+The walks hold at most about workers * 8 * max(2**17, n) bytes at a time
+with the kernels, and about workers * 9 * max(2**17, n) without, whatever
+the trial count. Both paths give the same results, bit for bit:
 the kernels round each product and sum as numpy does (-ffp-contract=off)
 and add the steps one after another, as np.cumsum does. Results are
 gathered in trial order and are identical for any number of workers and
@@ -86,6 +86,7 @@ __all__ = [
 ]
 
 _BATCH = 4096  # trials per seed child: fixes which stream draws which trial
+_CAST_CELLS = 8192  # int64 draws turned into float64 steps at a time, without a copy of the block
 
 _STEP_KINDS = ("gaussian", "rademacher", "uniform")
 
@@ -174,12 +175,17 @@ def _raw_scale(spec: WalkSpec) -> float:
 
 
 def _prefix_sums(spec: WalkSpec, raw: np.ndarray) -> np.ndarray:
-    """The numpy reference: S_1..S_n of every row of a block of raw draws,
-    formed in raw itself when it is float64 (an int64 rademacher block gets
-    one new float64 array). Each step is rounded twice, raw*scale then
-    + drift, and np.cumsum adds them one after another."""
+    """The numpy reference: S_1..S_n of every row of a C-ordered block of
+    raw draws (as _draw makes them), formed in raw's own memory. An int64
+    rademacher block becomes its float64 values 2k - 1 in place,
+    _CAST_CELLS at a time (numpy copies only the slice it overwrites), so
+    the block is never held twice. Each step is rounded twice, raw*scale
+    then + drift, and np.cumsum adds them one after another."""
     if raw.dtype == np.int64:
-        raw = np.multiply(raw, 2.0)
+        ints, raw = raw.reshape(-1), raw.view(np.float64)
+        cells = raw.reshape(-1)
+        for i in range(0, cells.size, _CAST_CELLS):
+            np.multiply(ints[i : i + _CAST_CELLS], 2.0, out=cells[i : i + _CAST_CELLS])
         raw -= 1.0
     raw *= _raw_scale(spec)
     raw += spec.drift

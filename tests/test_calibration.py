@@ -207,6 +207,18 @@ class TestCalibrate:
             variance = float(np.sum(corrected.weights**2 * np.var(raw, axis=0, ddof=1)))
         assert report.variance_hat == variance
 
+    @pytest.mark.parametrize("mode", ["score", "per_term"])
+    def test_calibrated_model_shares_the_packed_panels(self, mode):
+        # the support vectors stay one array, so the panels are packed once
+        rng = np.random.default_rng(31)
+        model = kernel_model(rng.standard_normal(20), rng.standard_normal((20, 3)), KernelSpec.rbf(1.3))
+        panels = model._panels
+        corrected, _ = calibrate(model, small_dataset(rng.standard_normal((8, 3)), [1] * 8), class_used=1, mode=mode)
+        assert corrected.support_vectors is model.support_vectors
+        assert corrected._panels is panels
+        assert corrected._addresses[2] == panels.ctypes.data
+        assert corrected.mu.tobytes() != model.mu.tobytes()
+
     def test_error_order_kept(self):
         model = coordinate_model([1.0], dim=1)
         # the mode is checked first, then that the class has two rows

@@ -180,6 +180,11 @@ END_TO_END = """if True:
     rule = StoppingRule(0.0, -0.5, Direction.REJECT_BELOW)
     p = predictor.predict_rows(model, rng.standard_normal((40, 5)), 0.0, rule)
     (folder / "predict.bin").write_bytes(b"".join(a.tobytes() for a in (p.label, p.score, p.terms, p.stopped)))
+    deep = StoppingRule(0.0, -4.0, Direction.REJECT_BELOW)  # stops in the first chunk, the second, or never
+    each = [predictor.attentive_predict(model, x, deep) for x in rng.standard_normal((40, 5))]
+    fields = [(p.label, p.reported_score, p.terms_evaluated, p.stopped_early) for p in each]
+    (folder / "attentive.bin").write_bytes(np.array(fields, dtype=np.float64).tobytes())
+    assert 0 < sum(p.stopped_early for p in each) < 40
     theory = ["--n", "200", "--bridge-trials", "400", "--stop-error-trials", "400", "--stopping-trials", "100"]
     assert cli.main(["theory", *theory, "--seed", "7", "-o", str(folder / "theory.csv")]) == 0
     print(data._text_parser() is not None, predictor._kernels() is not None, simulator._kernels() is not None)
@@ -202,7 +207,8 @@ def test_without_cc_every_output_is_the_same_bytes(tmp_path):
         done = subprocess.run([sys.executable, "-c", END_TO_END, str(folder)], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == [str(side == "cc")] * 3
-        outputs[side] = {name: (folder / name).read_bytes() for name in ("parse.bin", "predict.bin", "theory.csv")}
+        names = ("parse.bin", "predict.bin", "attentive.bin", "theory.csv")
+        outputs[side] = {name: (folder / name).read_bytes() for name in names}
     assert outputs["cc"] == outputs["no-cc"]
     built = sorted(path.name.split("-")[0] for path in (caches["cc"] / "stst").iterdir())
     assert built == ["_sparse_text", "_terms", "_walk"]

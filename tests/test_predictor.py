@@ -367,6 +367,136 @@ class TestChunkBoundaries:
                     assert np.cumsum(alone)[-1] == whole
 
 
+def walk_model(steps):
+    """A coordinate model whose running sums on x = steps are the exact
+    partial sums of steps (weights 1, mu 0)."""
+    return coordinate_model(np.ones(len(steps)))
+
+
+def walk(sums):
+    """The steps whose running sums are sums (small integers: exact)."""
+    return np.diff(np.asarray(sums, dtype=float), prepend=0.0)
+
+
+@pytest.fixture
+def scans(term_kernels, monkeypatch):
+    """The chunk scans _evaluate runs, on the body term_kernels picked: a
+    list that gets each scan's live row count."""
+    seen = []
+    lib = predictor._kernels()
+    if lib is None:
+        body = predictor._scan
+        monkeypatch.setattr(predictor, "_scan", lambda *args: seen.append(args[7]) or body(*args))
+    else:
+        body = lib.stst_scan
+        monkeypatch.setattr(lib, "stst_scan", lambda *args: seen.append(args[10]) or body(*args))
+    return seen
+
+
+@pytest.mark.usefixtures("term_kernels")
+class TestScan:
+    """The one scan per chunk, on both bodies: correct, add, stop."""
+
+    @pytest.mark.parametrize("sign,direction", ((1.0, Direction.REJECT_BELOW), (-1.0, Direction.REJECT_ABOVE)))
+    def test_a_tie_at_tau_does_not_stop(self, sign, direction):
+        # S touches tau = -2 (or +2) at terms 1, 128 (the first chunk's last)
+        # and 129 (the second's first) and first passes it at term 200
+        n = 300
+        sums = np.zeros(n)
+        sums[[0, 127, 128]] = -2.0
+        sums[199] = -3.0
+        X = sign * np.vstack([walk(sums), walk(np.maximum(sums, -2.0))])
+        rule = StoppingRule(0.0, sign * -2.0, direction)
+        got = _evaluate(walk_model(sums), X, n, 0.0, rule)
+        assert list(map(bits, got)) == [(int(-sign), (sign * -2.0).hex(), 200, True), (1, (0.0).hex(), n, False)]
+        for j in range(2):
+            assert bits(attentive_predict(walk_model(sums), X[j], rule)) == bits(got[j])
+
+    @pytest.mark.parametrize("n", (129, 640, 641))
+    def test_a_crossing_at_the_last_term_is_not_an_early_stop(self, n):
+        # n = 129 and 641 end on a chunk one term wide; 640 ends the second chunk
+        sums = np.full(n, -1.0)
+        sums[-1] = -5.0
+        rule = StoppingRule(0.0, -2.0, Direction.REJECT_BELOW)
+        p = attentive_predict(walk_model(sums), walk(sums), rule)
+        assert bits(p) == (-1, (-5.0).hex(), n, False)
+        below = sums.copy()
+        below[-2] = -3.0  # a crossing at the last term but one stops early
+        p = attentive_predict(walk_model(below), walk(below), rule)
+        assert bits(p) == (-1, (-2.0).hex(), n - 1, True)
+
+    def test_negative_zero_carries_and_terms(self):
+        # every value -0.0 (x = -0.0, w = 1) or +0.0 (w = -1): the carried sum
+        # keeps -0.0 across every chunk edge until a +0.0 value is added
+        n = 700
+        x = np.full(n, -0.0)
+        rule = StoppingRule(0.0, -1.0, Direction.REJECT_BELOW)
+        for weights, sign in ((np.ones(n), -1.0), (np.r_[np.ones(n - 1), -1.0], 1.0)):
+            model = coordinate_model(weights)
+            for p in (full_predict(model, x, 0.0), attentive_predict(model, x, rule)):
+                assert p.reported_score == 0.0 and math.copysign(1.0, p.reported_score) == sign
+                assert p.terms_evaluated == n and not p.stopped_early
+                assert float(p.reported_score).hex() == float(split_prefix(model, x)[-1]).hex()
+        mu = np.full(n, -0.0)  # -0.0 - -0.0 is +0.0
+        p = full_predict(coordinate_model(np.ones(n), mu=mu), x, 0.0)
+        assert math.copysign(1.0, p.reported_score) == 1.0
+
+    def test_every_row_stops_in_the_first_chunk(self, scans):
+        rng = np.random.default_rng(8)
+        model = monotone_model(rng, "rbf", 1000, -1.0)
+        X = rng.standard_normal((6, model.dim))
+        prefix = prefix_score_matrix(model, X)
+        rule = StoppingRule(0.0, float(prefix[:, :_FIRST_CHUNK].min(axis=1).max()) + 1e-9, Direction.REJECT_BELOW)
+        got = _evaluate(model, X, model.n, 0.0, rule)
+        assert scans == [6]
+        assert (got.terms <= _FIRST_CHUNK).all() and got.stopped.all()
+        assert list(map(bits, got)) == list(map(bits, attentive_from_prefix(prefix, rule)))
+
+    def test_live_rows_shrink_chunk_by_chunk(self, scans):
+        # rows stop in the first, second and third chunks; three never stop
+        n = 3000
+        sums = np.zeros((6, n))
+        for j, stop in enumerate((5, 300, 2000)):
+            sums[j, stop - 1 :] = -9.0
+        X = np.vstack([walk(row) for row in sums])
+        rule = StoppingRule(0.0, -1.0, Direction.REJECT_BELOW)
+        got = _evaluate(walk_model(sums[0]), X, n, 0.0, rule)
+        assert scans == [6, 5, 4, 3]
+        assert got.terms.tolist() == [5, 300, 2000, n, n, n]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_rows(self, scans, kind):
+        model = random_model(np.random.default_rng(2), kind, n=200)
+        got = _evaluate(model, np.empty((0, model.dim)), model.n, 0.0, StoppingRule(0.0, -1.0, Direction.REJECT_BELOW))
+        assert len(got) == 0 and scans == []
+        assert len(predict_rows(model, np.empty((0, model.dim)), 0.0)) == 0
+
+    def test_one_term_chunks(self):
+        rng = np.random.default_rng(4)
+        for kind in KINDS:
+            model = random_model(rng, kind, n=129)
+            x = rng.standard_normal(model.dim)
+            prefix = split_prefix(model, x)
+            assert budgeted_predict(model, x, 1, 0.0).reported_score == prefix[0]
+            for b in (128, 129):
+                assert budgeted_predict(model, x, b, 0.0).reported_score == prefix[b - 1]
+
+    def test_coordinate_chunks_are_read_in_their_layout(self):
+        # a coordinate chunk of every row is F-ordered (calibrate's column
+        # means depend on it), one of the rows still live C-ordered; the
+        # scan reads either in place
+        rng = np.random.default_rng(7)
+        model = random_model(rng, "coordinate", n=900, dim=50)
+        X = rng.standard_normal((9, 50))
+        raw = predictor._raw(model, X, 0, 128)
+        assert raw.flags.f_contiguous and not raw.flags.c_contiguous
+        prefix = prefix_score_matrix(model, X)
+        rule = StoppingRule(0.0, float(np.median(prefix[:, :-1].min(axis=1))), Direction.REJECT_BELOW)
+        got = _evaluate(model, X, model.n, 0.0, rule)
+        assert (got.terms <= _FIRST_CHUNK).any() and not got.stopped.all()
+        assert list(map(bits, got)) == list(map(bits, attentive_from_prefix(prefix, rule)))
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH: RBF distances come from cdist")
 class TestSquaredDistances:
     """_terms.c's panel kernel against cdist's "sqeuclidean", byte for byte."""
@@ -442,6 +572,31 @@ class TestSquaredDistances:
             with pytest.raises(ValueError, match="an RBF block must be C-ordered float64"):
                 predictor._sqeuclidean(model, X, 0, 3)
 
+    def test_a_divisor_gives_cdist_divided(self):
+        # _raw's exponents: the squared distances over -2 sigma^2, numpy's in-place division
+        rng = np.random.default_rng(17)
+        sv = np.vstack([rng.standard_normal((20, 6)) * 3.0, np.zeros((1, 6))])
+        model = kernel_model(np.ones(21), sv, KernelSpec.rbf(0.7))
+        X = np.vstack([rng.standard_normal((3, 6)), np.zeros((1, 6))])  # a row at distance +0.0
+        for divisor in (-2.0 * 0.7**2, -2.0, 3.0, 1e-300):
+            for a, b in ((0, 21), (5, 13)):
+                want = predictor._cdist()(X, model.support_vectors[a:b], "sqeuclidean")
+                want /= divisor
+                assert predictor._sqeuclidean(model, X, a, b, divisor).tobytes() == want.tobytes()
+        assert math.copysign(1.0, predictor._sqeuclidean(model, X, 0, 21, -2.0)[3, 20]) == -1.0
+
+    def test_live_rows_are_read_through_their_indices(self):
+        rng = np.random.default_rng(19)
+        model = kernel_model(np.ones(37), rng.standard_normal((37, 9)), KernelSpec.rbf(1.0))
+        X = rng.standard_normal((7, 9))
+        for rows in ([6, 0, 3], [2], [4, 4, 1, 5]):
+            index = np.array(rows, dtype=np.int64)
+            out = np.empty((len(rows), 30))
+            panels = model._addresses[2]
+            kernel = predictor._kernels().stst_sqeuclidean
+            kernel(X.ctypes.data, index.ctypes.data, len(rows), 9, panels, 3, 33, -2.0, out.ctypes.data)
+            assert out.tobytes() == predictor._sqeuclidean(model, X[rows], 3, 33, -2.0).tobytes()
+
     def test_panel_layout(self):
         sv = np.arange(33.0).reshape(11, 3)
         panels = kernel_model(np.ones(11), sv, KernelSpec.rbf(1.0))._panels
@@ -449,6 +604,87 @@ class TestSquaredDistances:
         for i in range(11):
             assert panels[i // 8, :, i % 8].tolist() == sv[i].tolist()
         assert not panels[1, :, 3:].any()  # the padding
+
+
+def scanned(body, raw, mu, w, tau, side, a, live_rows, sums):
+    """One scan of raw by body ("compiled" or "numpy") from running sums
+    sums of rows 0..len(sums)-1: (live count, live rows, sums, terms), the
+    terms of rows not scanned left at -7."""
+    rows = np.array([*live_rows, 99], dtype=np.int64)  # one slot past the live rows, never read
+    s, terms = sums.copy(), np.full(len(sums), -7)
+    live = len(live_rows)
+    if body == "numpy":
+        count = predictor._scan(raw.copy(order="K"), mu, w, tau, side, a, rows, live, s, terms)
+    else:
+        args = (mu.ctypes.data, w.ctypes.data, tau, side, a, rows.ctypes.data, live, s.ctypes.data, terms.ctypes.data)
+        steps = [stride // 8 for stride in raw.strides]
+        count = predictor._kernels().stst_scan(raw.ctypes.data, *steps, raw.shape[1], *args)
+    return count, rows[:count].tolist(), s.tobytes(), terms.tolist()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH: every chunk is scanned by _scan")
+class TestCompiledScan:
+    """_terms.c's stst_scan against its numpy body, _scan, byte for byte."""
+
+    @staticmethod
+    def layouts(raw):
+        # C-ordered, F-ordered (the coordinate gather), and a strided view
+        wide = np.repeat(raw, 2, axis=1)
+        return raw, np.asfortranarray(raw), wide[:, ::2]
+
+    @staticmethod
+    def assert_same(*args):
+        got, want = scanned("compiled", *args), scanned("numpy", *args)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_chunks_every_layout(self, seed):
+        rng = np.random.default_rng(seed)
+        m, width, a = 7, int(rng.integers(1, 40)), int(rng.integers(0, 5))
+        mu = rng.standard_normal(a + width + 3) * 0.1
+        w = rng.standard_normal(a + width + 3)
+        sums = rng.standard_normal(m)
+        sums[0] = -0.0
+        live_rows = rng.permutation(m)[: int(rng.integers(1, m + 1))]
+        raw = rng.standard_normal((len(live_rows), width))
+        raw[0, 0] = -0.0
+        walks = np.cumsum((raw - mu[a : a + width]) * w[a : a + width], axis=1)
+        for tau in (float(np.median(walks)), 0.0, -1.5):
+            for side in (-1, 0, 1):
+                for layout in self.layouts(raw):
+                    self.assert_same(layout, mu, w, tau, side, a, live_rows, sums)
+
+    @pytest.mark.parametrize("side", (-1, 1))
+    def test_ties_do_not_stop(self, side):
+        # every running sum touches tau = side * 2 without passing it, then the last row passes it
+        raw = side * np.array([[2.0, 0.0, -2.0, 2.0], [1.0, 1.0, 0.0, -0.0], [2.0, -0.0, 0.0, 1.0]])
+        ones, zeros = np.ones(4), np.zeros(4)
+        sums = np.full(3, -0.0)
+        count, rows, s, terms = self.assert_same(raw, zeros, ones, side * 2.0, side, 0, [0, 1, 2], sums)
+        assert (count, rows, terms) == (2, [0, 1], [4, 4, 4])
+        assert np.frombuffer(s).tolist() == [side * 2.0, side * 2.0, side * 3.0]
+
+    def test_negative_zeros(self):
+        # -0.0 carried in and -0.0 values keep the sum -0.0; a +0.0 value makes it +0.0
+        raw = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
+        count, rows, s, terms = self.assert_same(raw, np.zeros(2), np.ones(2), -1.0, -1, 0, [0, 1, 2], np.full(3, -0.0))
+        assert [math.copysign(1.0, v) for v in np.frombuffer(s)] == [-1.0, 1.0, 1.0]
+        minus = np.full(2, -0.0)  # -0.0 - -0.0 is +0.0
+        count, rows, s, terms = self.assert_same(raw[:1], minus, np.ones(2), -1.0, -1, 0, [0], np.full(3, -0.0))
+        assert math.copysign(1.0, np.frombuffer(s)[0]) == 1.0
+
+    def test_one_term_and_no_rows(self):
+        raw = np.array([[-3.0], [1.0]])
+        count, rows, s, terms = self.assert_same(raw, np.zeros(9), np.ones(9), -2.0, -1, 8, [1, 0], np.full(2, -0.0))
+        assert (count, rows, terms) == (1, [0], [9, 9])
+        assert self.assert_same(raw[:0], np.zeros(9), np.ones(9), -2.0, -1, 8, [], np.zeros(2))[0] == 0
+
+    def test_stops_at_the_first_crossing_only(self):
+        # the first sum beyond tau stops the row; its sum there is kept
+        raw = np.array([[1.0, -4.0, 5.0, -9.0], [0.5, 0.5, 0.5, 0.5]])
+        count, rows, s, terms = self.assert_same(raw, np.zeros(4), np.ones(4), -2.0, -1, 0, [0, 1], np.zeros(2))
+        assert (count, rows, terms, np.frombuffer(s).tolist()) == (1, [1], [2, 4], [-3.0, 2.0])
 
 
 class TestNonFiniteFeatures:
@@ -651,6 +887,28 @@ class TestInPlaceTermMatrix:
         # the in-place correction makes the same roundings as w * (raw - mu)
         for j in range(len(X)):
             assert np.array_equal(terms[j], [score_term(model, i, X[j]) for i in range(model.n)])
+
+
+def test_prefix_decisions_build_no_mask_of_the_matrix():
+    # the crossing search reads a row block at a time: a bool mask of the
+    # whole (1000, 2000) prefix would take 2 MB
+    import tracemalloc
+
+    rng = np.random.default_rng(43)
+    prefix = np.cumsum(rng.standard_normal((1000, 2000)), axis=1)
+    for direction, tau in ((Direction.REJECT_BELOW, -20.0), (Direction.REJECT_ABOVE, 20.0)):
+        rule = StoppingRule(0.0, tau, direction)
+        crossed = prefix[:, :-1] < tau if direction is Direction.REJECT_BELOW else prefix[:, :-1] > tau
+        want = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 2000)
+        assert 0 < (want < 2000).sum() < 1000
+        tracemalloc.start()
+        try:
+            got = attentive_from_prefix(prefix, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.terms.tolist() == want.tolist()
+        assert peak <= data._BLOCK_CELLS + 64 * len(prefix)
 
 
 @pytest.mark.usefixtures("term_kernels")

@@ -589,6 +589,37 @@ def test_compiled_stopping_time_holds_only_its_draws(kernels, monkeypatch, step)
     assert peak <= 1.25 * 8 * max(data._BLOCK_CELLS, spec.n)
 
 
+@pytest.mark.parametrize("n", [10_000, 100_003])
+def test_numpy_stopping_time_holds_its_draws_once(monkeypatch, n):
+    # one worker's rademacher stopping-time walk on the numpy reference: the
+    # int64 draws become float64 steps in their own memory, so a block is its
+    # 8-byte cells and the stop mask (about 9 bytes a cell), not 13 to 17
+    # with a float64 copy beside the draws
+    import tracemalloc
+
+    monkeypatch.setattr(simulator, "_workers", lambda: 1)
+    monkeypatch.setattr(simulator, "_kernels", lambda: None)
+    spec = WalkSpec(n=n, step="rademacher", scale=1.0, drift=0.1, seed=5)
+    tracemalloc.start()
+    try:
+        empirical_stopping_time(spec, 0.1, trials=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * max(data._BLOCK_CELLS, n)
+
+
+def test_rademacher_steps_cast_in_place():
+    # the numpy reference's steps of an int64 block: 2k - 1 scaled, in k's memory, bit for bit
+    spec = WalkSpec(n=20_000, step="rademacher", scale=0.3, drift=0.05)
+    k = np.random.default_rng(9).integers(0, 2, size=(3, spec.n))
+    want = np.cumsum((k * 2.0 - 1.0) * 0.3 + 0.05, axis=1)
+    got = simulator._prefix_sums(spec, k.copy())
+    assert got.tobytes() == want.tobytes()
+    block = k.copy()
+    assert np.shares_memory(simulator._prefix_sums(spec, block), block)
+
+
 class TestTheoryRows:
     def test_accepted_cannot_exceed_trials(self):
         with pytest.raises(ParameterError, match="accepted cannot exceed trials_used"):
