@@ -678,10 +678,7 @@ def _crossing(model, X) -> tuple:
     tau = float(np.median(predictor.prefix_score_matrix(model, X)[:, :-1].min(axis=1)))
     rule = StoppingRule(0.0, tau, Direction.REJECT_BELOW)
     terms = predictor.predict_rows(model, X, 0.0, rule).terms
-    ends, size = [0], predictor._FIRST_CHUNK
-    while ends[-1] < n:
-        ends.append(min(ends[-1] + size, n))
-        size *= predictor._GROWTH
+    ends = [b for _, b in predictor._chunks(n, -1)]
     computed = np.array(ends)[np.searchsorted(ends, terms)]
     return rule, {"terms_fraction": terms.mean() / n, "computed_fraction": computed.mean() / n}
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -77,7 +77,7 @@ __all__ = [
     "load_model",
 ]
 
-# Evaluator chunks: _FIRST_CHUNK terms, then _GROWTH times the last.
+# Evaluator chunks (_chunks): _FIRST_CHUNK terms, then _GROWTH times the last.
 # A compiled RBF chunk pays about 5 us of dispatch (its distance and scan
 # calls and np.exp, on a 2-vCPU x86-64 VM), so sizes must grow; a small
 # first chunk bounds the terms computed past an early stop. Picked by
@@ -210,6 +210,12 @@ class WeightedModel:
         rbf = self.kernel is not None and self.kernel.kind == "rbf"
         return self.mu.ctypes.data, self.weights.ctypes.data, self._panels.ctypes.data if rbf else 0
 
+    def __getstate__(self) -> dict:
+        """The fields alone: a copy or an unpickled model builds its own
+        caches, since the cached addresses point into this model's arrays
+        and are invalid for any other's."""
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
     @property
     def is_kernel(self) -> bool:
         return self.kernel is not None
@@ -336,7 +342,7 @@ def _kernels():
     )
 
 
-def _sqeuclidean(model: WeightedModel, X: np.ndarray, a: int, b: int, divisor: float = 1.0) -> np.ndarray:
+def _sqeuclidean(model: WeightedModel, X: np.ndarray, a: int, b: int, divisor: float) -> np.ndarray:
     """Squared distances of every row of X to support vectors [a, b), each
     divided by divisor: a fresh (m, b - a) array, the same bits as cdist's
     "sqeuclidean" divided in place."""
@@ -448,18 +454,29 @@ def _outcome(
     return Predictions(label=np.where(s >= theta, 1, -1), score=s, terms=terms, stopped=terms < n)
 
 
+def _chunks(cap: int, side: int):
+    """The evaluator's chunks of terms [0, cap), as (a, b) bounds:
+    _FIRST_CHUNK terms, then _GROWTH times the last, or one chunk when
+    nothing can stop (side 0)."""
+    a, size = 0, _FIRST_CHUNK if side else cap
+    while a < cap:
+        b = min(a + size, cap)
+        yield a, b
+        a, size = b, size * _GROWTH
+
+
 def _evaluate(
     model: WeightedModel, X: np.ndarray, cap: int, theta: float, rule: StoppingRule | None = None
 ) -> Predictions:
     """Decide every row of a checked block from its first cap terms.
 
     A row stops at the first count i < cap with S_i strictly beyond
-    rule.tau. Terms are evaluated in chunks (the schedule above, or one
-    chunk when nothing can stop) for the live rows, an index array. Each
-    chunk's raw values go to one scan (stst_scan, or _scan without a C
-    compiler), which carries each row's running sum in, the same additions
-    fl(S + v) as one whole-row cumsum, stops rows and drops them from the
-    live rows, so their later terms are never computed. One scratch buffer
+    rule.tau. Terms are evaluated in chunks (_chunks) for the live rows,
+    an index array. Each chunk's raw values go to one scan (stst_scan, or
+    _scan without a C compiler), which carries each row's running sum in,
+    the same additions fl(S + v) as one whole-row cumsum, stops rows and
+    drops them from the live rows, so their later terms are never
+    computed. One scratch buffer
     holds the running sums, the counts, the live rows and, compiled, an RBF
     chunk's raw values, which the distance kernel writes for the live rows
     alone. A coordinate chunk gathers only its own cells; a linear chunk
@@ -481,30 +498,25 @@ def _evaluate(
     if rbf:
         _check_block(X)
         x_at, divisor = X.ctypes.data, _divisor(model)
-    live, a, size = m, 0, _FIRST_CHUNK if side else cap
-    while live:
-        b = min(a + size, cap)
-        if rbf:
+    live = m
+    for a, b in _chunks(cap, side):
+        if not live:
+            break
+        if rbf:  # the live rows' distances, read through their indices
             lib.stst_sqeuclidean(x_at, rows_at, live, model.dim, panels_at, a, b, divisor, raw_at)
             raw = buf[3 * m : 3 * m + live * (b - a)]
             np.exp(raw, out=raw)
-            live = lib.stst_scan(raw_at, b - a, 1, b - a, mu_at, w_at, tau, side, a, rows_at, live, s_at, terms_at)
+        elif live == m:
+            raw = _raw(model, X, a, b)
+        elif model.indices is not None:
+            raw = X[rows[:live, None], model.indices[a:b]]
         else:
-            if live == m:
-                raw = _raw(model, X, a, b)
-            elif model.indices is not None:
-                raw = X[rows[:live, None], model.indices[a:b]]
-            else:
-                raw = _raw(model, X[rows[:live]], a, b)
-            if lib is None:
-                live = _scan(raw, model.mu, model.weights, tau, side, a, rows, live, s, terms)
-            else:
-                steps = [stride // 8 for stride in raw.strides]
-                args = (mu_at, w_at, tau, side, a, rows_at, live, s_at, terms_at)
-                live = lib.stst_scan(raw.ctypes.data, *steps, b - a, *args)
-        if b == cap:
-            break
-        a, size = b, size * _GROWTH
+            raw = _raw(model, X[rows[:live]], a, b)
+        if lib is None:
+            live = _scan(raw, model.mu, model.weights, tau, side, a, rows, live, s, terms)
+        else:
+            chunk = (raw_at, b - a, 1) if rbf else (raw.ctypes.data, *[step // 8 for step in raw.strides])
+            live = lib.stst_scan(*chunk, b - a, mu_at, w_at, tau, side, a, rows_at, live, s_at, terms_at)
     return _outcome(terms, s, model.n, cap, theta, rule)
 
 
@@ -644,17 +656,13 @@ def predict_rows(model: WeightedModel, X, theta: float, rule: StoppingRule | Non
 
 
 def _decide(prefix: np.ndarray, cap: int, theta: float, rule: StoppingRule | None = None) -> Predictions:
-    """_evaluate's decisions, read off a whole prefix matrix. Its rows are
-    searched for their crossings a row block at a time, so no mask of the
-    matrix's shape is built."""
+    """_evaluate's decisions, read off a whole prefix matrix."""
     m, n = prefix.shape
     terms = np.full(m, cap)
     side = _side(rule)
     if side:
-        step = _block_rows(cap)
-        for a in range(0, m, step):
-            hit, k = _first_crossing(prefix[a : a + step, :cap], rule.tau, side)
-            terms[a : a + step] = np.where(hit, k + 1, cap)
+        hit, k = _first_crossing(prefix[:, :cap], rule.tau, side)
+        terms = np.where(hit, k + 1, cap)
     return _outcome(terms, prefix[np.arange(m), terms - 1], n, cap, theta, rule)
 
 

@@ -1,5 +1,8 @@
+import copy
+import gc
 import io
 import math
+import pickle
 import shutil
 import sys
 from dataclasses import replace
@@ -507,7 +510,7 @@ class TestSquaredDistances:
 
     @staticmethod
     def assert_same_bytes(model, X, a, b):
-        got = predictor._sqeuclidean(model, X, a, b)
+        got = predictor._sqeuclidean(model, X, a, b, 1.0)
         want = predictor._cdist()(X, model.support_vectors[a:b], "sqeuclidean")
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -535,7 +538,7 @@ class TestSquaredDistances:
         X = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0], [0.25, -0.0, -3.0], [0.0, 0.0, 0.0]])
         for a, b in ((0, 9), (2, 7), (8, 9)):
             self.assert_same_bytes(model, X, a, b)
-        d = predictor._sqeuclidean(model, X, 0, 9)
+        d = predictor._sqeuclidean(model, X, 0, 9, 1.0)
         # a row equal to a support vector is at +0.0, whatever the signs of its zeros
         for i, j in ((0, 0), (1, 1), (1, 4), (2, 2), (3, 1), (3, 7)):
             assert d[i, j] == 0.0 and math.copysign(1.0, d[i, j]) == 1.0
@@ -548,12 +551,12 @@ class TestSquaredDistances:
         X = np.vstack([-sv[:4], rng.standard_normal((2, 5)) * scales])
         self.assert_same_bytes(model, X, 0, 13)
         self.assert_same_bytes(model, X, 3, 12)
-        d = predictor._sqeuclidean(model, X, 0, 13)
+        d = predictor._sqeuclidean(model, X, 0, 13, 1.0)
         assert np.isinf(d).all()  # each row has a 1e200 coordinate away from every support vector
         tiny = kernel_model([1.0], [[1e-200, 1e-160]], KernelSpec.rbf(1.0))
         X = np.array([[-1e-200, 0.0], [0.0, 1e-160]])
         self.assert_same_bytes(tiny, X, 0, 1)
-        d = predictor._sqeuclidean(tiny, X, 0, 1)
+        d = predictor._sqeuclidean(tiny, X, 0, 1, 1.0)
         assert 0.0 < d[0, 0] < 1e-300 and d[1, 0] == 0.0  # a subnormal square; squares that underflow to 0
 
     def test_raw_values_equal_the_cdist_path(self, monkeypatch):
@@ -570,7 +573,7 @@ class TestSquaredDistances:
         model = kernel_model(np.ones(3), np.zeros((3, 4)), KernelSpec.rbf(1.0))
         for X in (np.zeros((4, 2)).T, np.zeros((2, 4), np.float32)):
             with pytest.raises(ValueError, match="an RBF block must be C-ordered float64"):
-                predictor._sqeuclidean(model, X, 0, 3)
+                predictor._sqeuclidean(model, X, 0, 3, 1.0)
 
     def test_a_divisor_gives_cdist_divided(self):
         # _raw's exponents: the squared distances over -2 sigma^2, numpy's in-place division
@@ -889,28 +892,6 @@ class TestInPlaceTermMatrix:
             assert np.array_equal(terms[j], [score_term(model, i, X[j]) for i in range(model.n)])
 
 
-def test_prefix_decisions_build_no_mask_of_the_matrix():
-    # the crossing search reads a row block at a time: a bool mask of the
-    # whole (1000, 2000) prefix would take 2 MB
-    import tracemalloc
-
-    rng = np.random.default_rng(43)
-    prefix = np.cumsum(rng.standard_normal((1000, 2000)), axis=1)
-    for direction, tau in ((Direction.REJECT_BELOW, -20.0), (Direction.REJECT_ABOVE, 20.0)):
-        rule = StoppingRule(0.0, tau, direction)
-        crossed = prefix[:, :-1] < tau if direction is Direction.REJECT_BELOW else prefix[:, :-1] > tau
-        want = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, 2000)
-        assert 0 < (want < 2000).sum() < 1000
-        tracemalloc.start()
-        try:
-            got = attentive_from_prefix(prefix, rule)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got.terms.tolist() == want.tolist()
-        assert peak <= data._BLOCK_CELLS + 64 * len(prefix)
-
-
 @pytest.mark.usefixtures("term_kernels")
 class TestRowBlocks:
     """Batch paths that densify and evaluate a row block at a time."""
@@ -1172,6 +1153,37 @@ class TestSerialization:
         np.savez(path, **data)
         with pytest.raises(ModelFormatError, match=r"2 \* sigma\*\*2 finite and nonzero"):
             load_model(path)
+
+
+@pytest.mark.usefixtures("term_kernels")
+class TestCopiedModels:
+    """A copied or unpickled model builds its own caches: the cached
+    addresses point into the original's arrays."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("how", ("deepcopy", "pickle"))
+    def test_a_used_model_copies_without_its_caches(self, kind, how):
+        rng = np.random.default_rng(47)
+        model = random_model(rng, kind, n=700)
+        X = rng.standard_normal((6, model.dim))
+        prefix = prefix_score_matrix(model, X)
+        rule = StoppingRule(0.0, float(np.median(prefix[:, :-1].min(axis=1))), Direction.REJECT_BELOW)
+
+        def outputs(m):
+            per_example = [bits(f(m, x)) for x in X for f in (full_predict, lambda m, x: attentive_predict(m, x, rule))]
+            batch = predict_rows(m, X, 0.0, rule)
+            return per_example, batch.score.tobytes(), batch.terms.tolist()
+
+        want = outputs(model)
+        if predictor._kernels() is not None:
+            assert "_addresses" in vars(model)
+        copied = copy.deepcopy(model) if how == "deepcopy" else pickle.loads(pickle.dumps(model))
+        del model
+        gc.collect()
+        assert "_addresses" not in vars(copied) and "_panels" not in vars(copied)
+        assert outputs(copied) == want
+        if predictor._kernels() is not None:
+            assert copied._addresses[:2] == (copied.mu.ctypes.data, copied.weights.ctypes.data)
 
 
 class TestModelValidation:
