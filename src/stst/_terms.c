@@ -97,14 +97,15 @@ void stst_sqeuclidean(const double *x, const int64_t *rows, int64_t count, int64
    rows: row r's raw value of term a+k is raw[r*row_step + k*term_step].
    Row j = rows[r] adds its corrected values to its running sum, in order,
    s = s + (raw - mu[a+k]) * w[a+k], starting from sums[j] (-0.0 before
-   its first term), and stops at the first s strictly beyond tau: below it
-   for side -1, above it for side +1, never for side 0. sums[j] gets s and
-   terms[j] the count of terms added. The rows that did not stop are kept
-   at the front of rows, in order; returns their count. With
-   -ffp-contract=off each value and sum rounds as numpy's in-place
-   t -= mu; t *= w, the carry into t[0] and np.cumsum do. */
+   its first term), and stops at the first s strictly outside (lo, hi),
+   s < lo or s > hi: a sum equal to a bound goes on, and an infinite bound
+   is never crossed. sums[j] gets s and terms[j] the count of terms added.
+   The rows that did not stop are kept at the front of rows, in order;
+   returns their count. With -ffp-contract=off each value and sum rounds
+   as numpy's in-place t -= mu; t *= w, the carry into t[0] and np.cumsum
+   do. */
 int64_t stst_scan(const double *raw, int64_t row_step, int64_t term_step, int64_t width, const double *mu,
-                  const double *w, double tau, int64_t side, int64_t a, int64_t *rows, int64_t count,
+                  const double *w, double lo, double hi, int64_t a, int64_t *rows, int64_t count,
                   double *sums, int64_t *terms)
 {
     int64_t kept = 0;
@@ -117,7 +118,7 @@ int64_t stst_scan(const double *raw, int64_t row_step, int64_t term_step, int64_
         int stop = 0;
         for (; k < width && !stop; k++) {
             s = s + (v[k * term_step] - mu[k]) * w[k];
-            stop = side < 0 ? s < tau : side > 0 && s > tau;
+            stop = s < lo || s > hi;
         }
         sums[j] = s;
         terms[j] = a + k;

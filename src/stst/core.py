@@ -68,7 +68,8 @@ class StoppingRule:
     An infinite tau on the rejection side (-inf for REJECT_BELOW, +inf for
     REJECT_ABOVE) is the documented no-stop sentinel. The other infinity
     lies on the wrong side of any finite theta, so the side check rejects
-    it with DegenerateRuleError, and a NaN tau is a ParameterError.
+    it with DegenerateRuleError, and a NaN tau is a ParameterError, as is
+    a direction that is not a Direction (its string value, say).
     """
 
     theta: float
@@ -76,6 +77,8 @@ class StoppingRule:
     direction: Direction
 
     def __post_init__(self):
+        if not isinstance(self.direction, Direction):
+            raise ParameterError(f"direction must be a Direction, got {self.direction!r}")
         check_finite("theta", self.theta)
         if math.isnan(self.tau):
             raise ParameterError("tau must not be NaN")

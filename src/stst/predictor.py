@@ -7,28 +7,31 @@ stored support vector (kernel models), corrected by a per-term mean mu:
     value_i(x) = w_i * (raw_i(x) - mu_i),    S_i = value_1 + ... + value_i
 
 Attentive prediction walks the terms in order and stops at the first partial
-sum strictly beyond the rule's stop threshold; budgeted prediction always
-evaluates a fixed count. All evaluation paths share one accumulation scheme
-(sequential cumulative sum over term values), so reduced forms agree with the
-full predictor bit for bit.
+sum strictly outside two bounds (lo, hi): below lo or above hi, while a sum
+equal to a bound goes on. _bounds maps a rule to them: (tau, +inf) for
+REJECT_BELOW, (-inf, tau) for REJECT_ABOVE, and (-inf, +inf), which no sum
+is outside, for no rule and for the no-stop sentinel (an infinite tau).
+Budgeted prediction always evaluates a fixed count. All evaluation paths
+share one accumulation scheme (sequential cumulative sum over term values),
+so reduced forms agree with the full predictor bit for bit.
 
 One chunked evaluator decides a block of examples: it evaluates chunks of
-128, 512, 2048, ... terms (one chunk when nothing can stop) for the rows
-still live, an index array, and runs one scan over each chunk's raw
+128, 512, 2048, ... terms (one chunk when both bounds are infinite) for the
+rows still live, an index array, and runs one scan over each chunk's raw
 values: correct each value, add it to the row's running sum carried in
-from the last chunk, and stop the row at its first crossing, dropping it
-from the live rows. A per-example predictor is that evaluator on a block
-of one. terms_evaluated counts terms up to the stop; the terms computed
-run to the end of the stop's chunk. predict_rows runs it on a whole dense
-or CSR feature matrix, one row block at a time, each block sized by the
-one block budget of stst.data (_BLOCK_CELLS, through _block_rows); every
-batch decision under one rule goes through it. The sweep, deciding the
-same rows under many rules, takes each row block's running sums
-(_prefix_rows) and keeps only what its grid reads. prefix_score_matrix
-stacks those blocks into one C-ordered (m, n) matrix, which the
-*_from_prefix predictors decide through the same labelling step; no
-command builds it. Every path reads raw term values from one kernel
-function.
+from the last chunk, and stop the row at its first sum outside (lo, hi),
+dropping it from the live rows. A per-example predictor is that evaluator
+on a block of one. terms_evaluated counts terms up to the stop; the terms
+computed run to the end of the stop's chunk. predict_rows runs it on a
+whole dense or CSR feature matrix, one row block at a time, each block
+sized by the one block budget of stst.data (_BLOCK_CELLS, through
+_block_rows); every batch decision under one rule goes through it. The
+sweep, deciding the same rows under many rules, takes each row block's
+running sums (_prefix_rows) and keeps only what its grid reads.
+prefix_score_matrix stacks those blocks into one C-ordered (m, n) matrix,
+which the *_from_prefix predictors decide through the same labelling step,
+searching it a row block at a time; no command builds it. Every path reads
+raw term values from one kernel function.
 
 _terms.c, compiled on first use (stst._native), holds the evaluator's
 scan, stst_scan, and the RBF squared distances, stst_sqeuclidean, which
@@ -338,7 +341,7 @@ def _kernels():
     return _native.load(
         "_terms",
         stst_sqeuclidean=((pointer, pointer, i64, i64, pointer, i64, i64, f64, pointer), None),
-        stst_scan=((pointer, i64, i64, i64, pointer, pointer, f64, i64, i64, pointer, i64, pointer, pointer), i64),
+        stst_scan=((pointer, i64, i64, i64, pointer, pointer, f64, f64, i64, pointer, i64, pointer, pointer), i64),
     )
 
 
@@ -397,29 +400,32 @@ def score_term(model: WeightedModel, i: int, x) -> float:
     return float(_terms(model, _check_x(model, x)[None], i, i + 1)[0, 0])
 
 
-def _side(rule: StoppingRule | None) -> int:
-    """The side of tau a running sum stops on: -1 below, +1 above, 0 for
-    no rule or an infinite tau (nothing can stop)."""
-    if rule is None or math.isinf(rule.tau):
-        return 0
-    return -1 if rule.direction is Direction.REJECT_BELOW else 1
+def _bounds(rule: StoppingRule | None) -> tuple[float, float]:
+    """The bounds (lo, hi) a running sum stops strictly outside of under
+    rule: the only reader of rule.direction. An infinite tau, the no-stop
+    sentinel, gives (-inf, +inf), as no rule does."""
+    if rule is None:
+        return -math.inf, math.inf
+    if rule.direction is Direction.REJECT_BELOW:
+        return rule.tau, math.inf
+    return -math.inf, rule.tau
 
 
-def _first_crossing(S: np.ndarray, tau: float, side: int):
-    """Per row of S: (any, k) for the first k with S[j, k] strictly beyond
-    tau on side (nonzero). S is a chunk of running sums or a whole prefix
-    matrix."""
-    crossed = S < tau if side < 0 else S > tau
+def _first_crossing(S: np.ndarray, lo: float, hi: float):
+    """Per row of S: (any, k) for the first k with S[j, k] strictly outside
+    (lo, hi). S is a chunk of running sums or a block of prefix rows."""
+    crossed = S < lo
+    crossed |= S > hi
     return crossed.any(axis=1), crossed.argmax(axis=1)
 
 
-def _scan(raw, mu, w, tau: float, side: int, a: int, rows, live: int, s, terms) -> int:
+def _scan(raw, mu, w, lo: float, hi: float, a: int, rows, live: int, s, terms) -> int:
     """The numpy body of _terms.c's stst_scan, with its contract: the path
     without a C compiler and the reference the compiled scan is tested
     against. raw holds terms [a, a + width) of the live rows rows[:live],
     row for row, and is overwritten. Each row's corrected values are added
-    to its running sum s[j] in order, until the first sum strictly beyond
-    tau on side; s[j] gets that sum and terms[j] the count added. The rows
+    to its running sum s[j] in order, until the first sum strictly outside
+    (lo, hi); s[j] gets that sum and terms[j] the count added. The rows
     that did not stop move to the front of rows; returns their count."""
     width = raw.shape[1]
     live_rows = rows[:live]
@@ -427,11 +433,8 @@ def _scan(raw, mu, w, tau: float, side: int, a: int, rows, live: int, s, terms) 
     raw *= w[a : a + width]
     raw[:, 0] += s[live_rows]  # the carried sum: fl(S + v) as one whole-row cumsum adds it
     np.cumsum(raw, axis=1, out=raw)
-    k = np.full(live, width - 1)
-    hit = np.zeros(live, bool)
-    if side:
-        hit, first = _first_crossing(raw, tau, side)
-        k[hit] = first[hit]
+    hit, first = _first_crossing(raw, lo, hi)
+    k = np.where(hit, first, width - 1)
     s[live_rows] = raw[np.arange(live), k]
     terms[live_rows] = a + k + 1
     kept = live_rows[~hit]
@@ -444,21 +447,22 @@ def _outcome(
 ) -> Predictions:
     """Label and report each row from its count and its running sum there.
 
-    A row that stopped before cap reports the rule's tau, which lies
-    strictly on the rule's side of theta, so labelling every score against
-    theta (ties positive) gives it its side's label. stopped is terms < n,
-    so a budget below n counts as an early stop. s is overwritten.
+    A row that stopped before cap crossed the rule's one finite bound, tau,
+    and reports it; tau lies strictly on the rejected side of theta, so
+    labelling every score against theta (ties positive) gives the row that
+    side's label. stopped is terms < n, so a budget below n counts as an
+    early stop. s is overwritten.
     """
-    if _side(rule):
+    if rule is not None:
         s[terms < cap] = rule.tau
     return Predictions(label=np.where(s >= theta, 1, -1), score=s, terms=terms, stopped=terms < n)
 
 
-def _chunks(cap: int, side: int):
+def _chunks(cap: int, stops: bool):
     """The evaluator's chunks of terms [0, cap), as (a, b) bounds:
     _FIRST_CHUNK terms, then _GROWTH times the last, or one chunk when
-    nothing can stop (side 0)."""
-    a, size = 0, _FIRST_CHUNK if side else cap
+    nothing can stop."""
+    a, size = 0, _FIRST_CHUNK if stops else cap
     while a < cap:
         b = min(a + size, cap)
         yield a, b
@@ -470,21 +474,21 @@ def _evaluate(
 ) -> Predictions:
     """Decide every row of a checked block from its first cap terms.
 
-    A row stops at the first count i < cap with S_i strictly beyond
-    rule.tau. Terms are evaluated in chunks (_chunks) for the live rows,
-    an index array. Each chunk's raw values go to one scan (stst_scan, or
-    _scan without a C compiler), which carries each row's running sum in,
-    the same additions fl(S + v) as one whole-row cumsum, stops rows and
-    drops them from the live rows, so their later terms are never
-    computed. One scratch buffer
+    A row stops at the first count i < cap with S_i strictly outside
+    _bounds(rule), (lo, hi); with both bounds infinite nothing stops.
+    Terms are evaluated in chunks (_chunks, one chunk when nothing stops)
+    for the live rows, an index array. Each chunk's raw values go to one
+    scan (stst_scan, or _scan without a C compiler), which carries each
+    row's running sum in, the same additions fl(S + v) as one whole-row
+    cumsum, stops rows and drops them from the live rows, so their later
+    terms are never computed. One scratch buffer
     holds the running sums, the counts, the live rows and, compiled, an RBF
     chunk's raw values, which the distance kernel writes for the live rows
     alone. A coordinate chunk gathers only its own cells; a linear chunk
     reads a copy of the live rows.
     """
     m = X.shape[0]
-    side = _side(rule)
-    tau = rule.tau if side else 0.0
+    lo, hi = _bounds(rule)
     lib = _kernels()
     rbf = lib is not None and model.kernel is not None and model.kernel.kind == "rbf"
     buf = np.empty(3 * m + (m * cap if rbf else 0))
@@ -499,7 +503,7 @@ def _evaluate(
         _check_block(X)
         x_at, divisor = X.ctypes.data, _divisor(model)
     live = m
-    for a, b in _chunks(cap, side):
+    for a, b in _chunks(cap, -math.inf < lo or hi < math.inf):
         if not live:
             break
         if rbf:  # the live rows' distances, read through their indices
@@ -513,10 +517,10 @@ def _evaluate(
         else:
             raw = _raw(model, X[rows[:live]], a, b)
         if lib is None:
-            live = _scan(raw, model.mu, model.weights, tau, side, a, rows, live, s, terms)
+            live = _scan(raw, model.mu, model.weights, lo, hi, a, rows, live, s, terms)
         else:
             chunk = (raw_at, b - a, 1) if rbf else (raw.ctypes.data, *[step // 8 for step in raw.strides])
-            live = lib.stst_scan(*chunk, b - a, mu_at, w_at, tau, side, a, rows_at, live, s_at, terms_at)
+            live = lib.stst_scan(*chunk, b - a, mu_at, w_at, lo, hi, a, rows_at, live, s_at, terms_at)
     return _outcome(terms, s, model.n, cap, theta, rule)
 
 
@@ -656,13 +660,16 @@ def predict_rows(model: WeightedModel, X, theta: float, rule: StoppingRule | Non
 
 
 def _decide(prefix: np.ndarray, cap: int, theta: float, rule: StoppingRule | None = None) -> Predictions:
-    """_evaluate's decisions, read off a whole prefix matrix."""
+    """_evaluate's decisions, read off a whole prefix matrix. A rule's first
+    crossings are searched _block_rows(cap) rows at a time, so no mask of
+    the whole matrix is built; with no rule every row runs to cap."""
     m, n = prefix.shape
     terms = np.full(m, cap)
-    side = _side(rule)
-    if side:
-        hit, k = _first_crossing(prefix[:, :cap], rule.tau, side)
-        terms = np.where(hit, k + 1, cap)
+    if rule is not None:
+        step = _block_rows(cap)
+        for a in range(0, m, step):
+            hit, k = _first_crossing(prefix[a : a + step, :cap], *_bounds(rule))
+            terms[a : a + step][hit] = k[hit] + 1
     return _outcome(terms, prefix[np.arange(m), terms - 1], n, cap, theta, rule)
 
 

@@ -146,6 +146,14 @@ class TestStoppingRuleInvariants:
         with pytest.raises(DegenerateRuleError, match="REJECT_ABOVE requires tau > theta"):
             StoppingRule(theta=0.0, tau=-math.inf, direction=Direction.REJECT_ABOVE)
 
+    @pytest.mark.parametrize("direction", ("reject_below", "reject_above", None, -1))
+    def test_rejects_a_direction_that_is_not_a_direction(self, direction):
+        # the string "reject_below" used to pass as REJECT_ABOVE: stop upward, label +1
+        with pytest.raises(ParameterError, match=f"direction must be a Direction, got {direction!r}"):
+            StoppingRule(0.0, 1.0, direction)
+        with pytest.raises(ParameterError, match="direction must be a Direction"):
+            make_stopping_rule(0.0, ConfidenceParams(delta=0.1, variance=1.0), direction)
+
     def test_sentinel_infinities(self):
         # the no-stop sentinels are valid rules
         StoppingRule(theta=0.0, tau=-math.inf, direction=Direction.REJECT_BELOW)

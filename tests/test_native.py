@@ -5,8 +5,10 @@ failing compiler runs once, only _native types them, and importing stst
 builds nothing."""
 
 import ast
+import ctypes
 import io
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stst import _native, data, simulator
+from stst import _native, data, predictor, simulator
 
 CC = shutil.which("cc")
 SOURCE = Path(_native.__file__).with_name("_sparse_text.c")
@@ -161,6 +163,40 @@ def test_only_native_types_the_helpers():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in ("argtypes", "restype")
     ]
     assert typed == []
+
+
+def c_prototypes(source: Path) -> dict:
+    """Each exported stst_ function of a C source: its name and (result,
+    argument kinds), each kind "double", "int64_t" or "pointer"."""
+    text = re.sub(r"/\*.*?\*/", "", source.read_text(encoding="utf-8"), flags=re.S)
+    kind = lambda declaration: "pointer" if "*" in declaration else declaration.split()[-2]  # noqa: E731
+    return {
+        name: (result, [kind(argument) for argument in arguments.split(",")])
+        for result, name, arguments in re.findall(r"^(\w+)\s+(stst_\w+)\s*\(([^)]*)\)\s*\{", text, re.M)
+    }
+
+
+def ctypes_kind(t) -> str:
+    if t is None:
+        return "void"
+    if t in (ctypes.c_void_p, ctypes.c_char_p) or issubclass(t, ctypes._Pointer):
+        return "pointer"
+    return {ctypes.c_double: "double", ctypes.c_int64: "int64_t"}[t]
+
+
+def test_each_signature_given_to_load_matches_its_c_prototype(monkeypatch):
+    # each accessor's keywords to _native.load, captured with nothing compiled
+    given = {}
+    monkeypatch.setattr(_native, "load", lambda name, **signatures: given.setdefault(name, signatures) and None)
+    for accessor in (predictor._kernels, simulator._kernels, data._text_parser):
+        accessor.__wrapped__()
+    assert sorted(given) == [path.stem for path in C_SOURCES]
+    for name, signatures in given.items():
+        typed = {
+            function: (ctypes_kind(restype), [ctypes_kind(t) for t in argtypes])
+            for function, (argtypes, restype) in signatures.items()
+        }
+        assert typed == c_prototypes(SOURCE.with_name(f"{name}.c")), name
 
 
 END_TO_END = """if True:

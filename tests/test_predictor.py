@@ -396,6 +396,14 @@ def scans(term_kernels, monkeypatch):
     return seen
 
 
+def test_bounds_of_each_rule():
+    assert predictor._bounds(StoppingRule(0.0, -1.5, Direction.REJECT_BELOW)) == (-1.5, math.inf)
+    assert predictor._bounds(StoppingRule(0.0, 1.5, Direction.REJECT_ABOVE)) == (-math.inf, 1.5)
+    # no rule and the no-stop sentinels: nothing lies outside (-inf, +inf)
+    for rule in (None, NO_STOP, StoppingRule(0.0, math.inf, Direction.REJECT_ABOVE)):
+        assert predictor._bounds(rule) == (-math.inf, math.inf)
+
+
 @pytest.mark.usefixtures("term_kernels")
 class TestScan:
     """The one scan per chunk, on both bodies: correct, add, stop."""
@@ -473,6 +481,18 @@ class TestScan:
         got = _evaluate(model, np.empty((0, model.dim)), model.n, 0.0, StoppingRule(0.0, -1.0, Direction.REJECT_BELOW))
         assert len(got) == 0 and scans == []
         assert len(predict_rows(model, np.empty((0, model.dim)), 0.0)) == 0
+
+    @pytest.mark.parametrize("tau", (-math.inf, math.inf, None))
+    def test_nothing_can_stop_is_one_scan(self, scans, tau):
+        # a sentinel rule or none: one chunk of every term, the full decisions
+        rng = np.random.default_rng(6)
+        model = random_model(rng, "rbf", n=700)
+        X = rng.standard_normal((5, model.dim))
+        direction = Direction.REJECT_BELOW if tau == -math.inf else Direction.REJECT_ABOVE
+        rule = None if tau is None else StoppingRule(0.0, tau, direction)
+        got = _evaluate(model, X, model.n, 0.0, rule)
+        assert scans == [5]
+        assert list(map(bits, got)) == list(map(bits, full_from_prefix(prefix_score_matrix(model, X), 0.0)))
 
     def test_one_term_chunks(self):
         rng = np.random.default_rng(4)
@@ -609,7 +629,7 @@ class TestSquaredDistances:
         assert not panels[1, :, 3:].any()  # the padding
 
 
-def scanned(body, raw, mu, w, tau, side, a, live_rows, sums):
+def scanned(body, raw, mu, w, lo, hi, a, live_rows, sums):
     """One scan of raw by body ("compiled" or "numpy") from running sums
     sums of rows 0..len(sums)-1: (live count, live rows, sums, terms), the
     terms of rows not scanned left at -7."""
@@ -617,9 +637,9 @@ def scanned(body, raw, mu, w, tau, side, a, live_rows, sums):
     s, terms = sums.copy(), np.full(len(sums), -7)
     live = len(live_rows)
     if body == "numpy":
-        count = predictor._scan(raw.copy(order="K"), mu, w, tau, side, a, rows, live, s, terms)
+        count = predictor._scan(raw.copy(order="K"), mu, w, lo, hi, a, rows, live, s, terms)
     else:
-        args = (mu.ctypes.data, w.ctypes.data, tau, side, a, rows.ctypes.data, live, s.ctypes.data, terms.ctypes.data)
+        args = (mu.ctypes.data, w.ctypes.data, lo, hi, a, rows.ctypes.data, live, s.ctypes.data, terms.ctypes.data)
         steps = [stride // 8 for stride in raw.strides]
         count = predictor._kernels().stst_scan(raw.ctypes.data, *steps, raw.shape[1], *args)
     return count, rows[:count].tolist(), s.tobytes(), terms.tolist()
@@ -653,41 +673,58 @@ class TestCompiledScan:
         raw = rng.standard_normal((len(live_rows), width))
         raw[0, 0] = -0.0
         walks = np.cumsum((raw - mu[a : a + width]) * w[a : a + width], axis=1)
+        # each tau as a lower bound, as an upper one, no bound, and two finite bounds
+        bounds = [(-math.inf, math.inf), tuple(map(float, np.quantile(walks, (0.3, 0.7))))]
         for tau in (float(np.median(walks)), 0.0, -1.5):
-            for side in (-1, 0, 1):
-                for layout in self.layouts(raw):
-                    self.assert_same(layout, mu, w, tau, side, a, live_rows, sums)
+            bounds += [(tau, math.inf), (-math.inf, tau)]
+        for lo, hi in bounds:
+            for layout in self.layouts(raw):
+                self.assert_same(layout, mu, w, lo, hi, a, live_rows, sums)
 
     @pytest.mark.parametrize("side", (-1, 1))
     def test_ties_do_not_stop(self, side):
-        # every running sum touches tau = side * 2 without passing it, then the last row passes it
+        # every running sum touches the bound side * 2 without passing it, then the last row passes it
         raw = side * np.array([[2.0, 0.0, -2.0, 2.0], [1.0, 1.0, 0.0, -0.0], [2.0, -0.0, 0.0, 1.0]])
         ones, zeros = np.ones(4), np.zeros(4)
         sums = np.full(3, -0.0)
-        count, rows, s, terms = self.assert_same(raw, zeros, ones, side * 2.0, side, 0, [0, 1, 2], sums)
+        lo, hi = (-2.0, math.inf) if side < 0 else (-math.inf, 2.0)
+        count, rows, s, terms = self.assert_same(raw, zeros, ones, lo, hi, 0, [0, 1, 2], sums)
         assert (count, rows, terms) == (2, [0, 1], [4, 4, 4])
         assert np.frombuffer(s).tolist() == [side * 2.0, side * 2.0, side * 3.0]
+
+    def test_ties_at_both_bounds_do_not_stop(self):
+        # rows 0 and 1 touch -2 and 2 without passing either; row 2 passes 2, row 3 passes -2
+        raw = np.array([[-2.0, 0.0, 4.0, 0.0], [2.0, -4.0, 4.0, -0.0], [-2.0, 4.0, 1.0, 0.0], [2.0, -4.0, -1.0, 9.0]])
+        ones, zeros = np.ones(4), np.zeros(4)
+        count, rows, s, terms = self.assert_same(raw, zeros, ones, -2.0, 2.0, 0, [0, 1, 2, 3], np.full(4, -0.0))
+        assert (count, rows, terms) == (2, [0, 1], [4, 4, 3, 3])
+        assert np.frombuffer(s).tolist() == [2.0, 2.0, 3.0, -3.0]
 
     def test_negative_zeros(self):
         # -0.0 carried in and -0.0 values keep the sum -0.0; a +0.0 value makes it +0.0
         raw = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
-        count, rows, s, terms = self.assert_same(raw, np.zeros(2), np.ones(2), -1.0, -1, 0, [0, 1, 2], np.full(3, -0.0))
+        bounds = (-1.0, math.inf)
+        count, rows, s, terms = self.assert_same(raw, np.zeros(2), np.ones(2), *bounds, 0, [0, 1, 2], np.full(3, -0.0))
         assert [math.copysign(1.0, v) for v in np.frombuffer(s)] == [-1.0, 1.0, 1.0]
         minus = np.full(2, -0.0)  # -0.0 - -0.0 is +0.0
-        count, rows, s, terms = self.assert_same(raw[:1], minus, np.ones(2), -1.0, -1, 0, [0], np.full(3, -0.0))
+        count, rows, s, terms = self.assert_same(raw[:1], minus, np.ones(2), *bounds, 0, [0], np.full(3, -0.0))
         assert math.copysign(1.0, np.frombuffer(s)[0]) == 1.0
 
     def test_one_term_and_no_rows(self):
         raw = np.array([[-3.0], [1.0]])
-        count, rows, s, terms = self.assert_same(raw, np.zeros(9), np.ones(9), -2.0, -1, 8, [1, 0], np.full(2, -0.0))
+        bounds = (-2.0, math.inf)
+        count, rows, s, terms = self.assert_same(raw, np.zeros(9), np.ones(9), *bounds, 8, [1, 0], np.full(2, -0.0))
         assert (count, rows, terms) == (1, [0], [9, 9])
-        assert self.assert_same(raw[:0], np.zeros(9), np.ones(9), -2.0, -1, 8, [], np.zeros(2))[0] == 0
+        assert self.assert_same(raw[:0], np.zeros(9), np.ones(9), *bounds, 8, [], np.zeros(2))[0] == 0
 
     def test_stops_at_the_first_crossing_only(self):
         # the first sum beyond tau stops the row; its sum there is kept
         raw = np.array([[1.0, -4.0, 5.0, -9.0], [0.5, 0.5, 0.5, 0.5]])
-        count, rows, s, terms = self.assert_same(raw, np.zeros(4), np.ones(4), -2.0, -1, 0, [0, 1], np.zeros(2))
+        count, rows, s, terms = self.assert_same(raw, np.zeros(4), np.ones(4), -2.0, math.inf, 0, [0, 1], np.zeros(2))
         assert (count, rows, terms, np.frombuffer(s).tolist()) == (1, [1], [2, 4], [-3.0, 2.0])
+        # with an upper bound too, row 0 still stops at -3.0 and row 1 passes 1.5 at its last term
+        count, rows, s, terms = self.assert_same(raw, np.zeros(4), np.ones(4), -2.0, 1.5, 0, [0, 1], np.zeros(2))
+        assert (count, rows, terms, np.frombuffer(s).tolist()) == (0, [], [2, 4], [-3.0, 2.0])
 
 
 class TestNonFiniteFeatures:
