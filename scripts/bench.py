@@ -280,6 +280,14 @@ def _serialize_arrays(work: str):
         return partial(data.serialize_sparse, data.Dataset(X=X, y=z["y"]), os.devnull)
 
 
+def _serialize_reference(dataset) -> None:
+    """serialize_sparse of dataset, in memory, on the Python reference writer."""
+    from stst import data
+
+    with _switched_off(data, "_text_writer"):
+        data.serialize_sparse(dataset, io.StringIO())
+
+
 def _parse_file(work: str):
     from stst import data
 
@@ -598,7 +606,9 @@ def _rows():
     yield Row(SWEEP("exhaustive", *SWEEP_SIZES[-1]))
 
     # Layer rows on one sparse dataset (labels from a planted direction):
-    # parse_sparse of its text and serialize_sparse back to text, in memory;
+    # parse_sparse of its text and serialize_sparse back to text, in memory,
+    # the latter also on its Python reference writer (the path without a C
+    # compiler; on a source tree without a compiled writer, its only path);
     # train_linear for one epoch on the dense and on the CSR copy; calibrate
     # of the trained model on the CSR copy (score mode, the default); both
     # calibrate modes of an RBF model at the perfbench predict workload's
@@ -611,6 +621,7 @@ def _rows():
     data.parse_sparse(io.StringIO(text))  # builds or loads the compiled parser: the cold row times that
     yield Row(f"parse_sparse {LAYER_NNZ}", lambda t: data.parse_sparse(io.StringIO(t)), [text])
     yield Row(f"serialize_sparse {LAYER_NNZ}", lambda d: data.serialize_sparse(d, io.StringIO()), [dataset])
+    yield Row(f"serialize_sparse reference {LAYER_NNZ}", _serialize_reference, [dataset])
     config = trainer.TrainConfig(lambda_reg=0.01, epochs=1, seed=0)
     dense = data.Dataset(X=dataset.dense(), y=dataset.y)
     for kind, ds in (("dense", dense), ("csr", dataset)):

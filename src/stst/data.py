@@ -7,10 +7,11 @@ The on-disk format is the usual sparse labeled text: one example per line,
 with 1-based, strictly ascending indices that fit in int64, and numbers in
 ASCII digits without underscore digit groups. Labels 0 and -1 map to -1 and
 positive labels to +1; any other finite label maps by sign with a warning.
-A NaN or infinite label or feature value is a ParseError. Values are
-written back with repr(), the shortest decimal that round-trips a double, so
-parse(serialize(d)) reproduces d exactly. The CLI's CSVs use the same float
-rule, through write_csv.
+A NaN or infinite label or feature value is a ParseError, and
+serialize_sparse refuses one with a ParameterError before it writes a byte.
+Values are written back as repr() writes them, the shortest decimal that
+round-trips a double, so parse(serialize(d)) reproduces d exactly. The CLI's
+CSVs use the same float rule, through write_csv.
 
 A Dataset is its features and labels, nothing else. It holds the features
 as a dense float64 array or as a canonical CSR matrix (sorted indices, no
@@ -42,10 +43,19 @@ per-line parser (_parse_line, the reference) reads that line under its
 true line number, and the compiled one goes on after it. So blank lines,
 '\r', non-ASCII whitespace, nan and inf, labels mapped with a warning,
 indices past int64 and every ParseError take the Python path, with the
-same messages. The C is compiled with cc on the first parse, never at
-import, into $XDG_CACHE_HOME/stst (default ~/.cache/stst, mode 0700; see
+same messages. The C is compiled with cc on the first parse or write, never
+at import, into $XDG_CACHE_HOME/stst (default ~/.cache/stst, mode 0700; see
 stst._native), and deleting that directory clears it. Without a C compiler
 every line goes through the Python parser, about four times slower.
+
+serialize_sparse writes whole blocks of lines in the same C, which formats
+every finite double exactly as repr() does: the shortest digits that read
+back to it, the nearest to it when there are several (Ryu), in
+float.__repr__'s layout. Its output is the bytes of the Python reference
+writer (_reference_rows, one repr() a value), which it falls back to without
+a C compiler, about twelve times slower. A path target gets the bytes as
+they are; a text stream gets them decoded as ASCII. write_csv keeps repr():
+a CSV holds a few hundred floats, not a data set's.
 
 Input that is not UTF-8 is a ParseError with no line number: a stream
 decodes its text in chunks, and parse_sparse reads it a block ahead of the
@@ -234,17 +244,31 @@ def _line_blocks(source):
 
 
 @functools.cache
-def _text_parser():
-    """stst_parse_lines of _sparse_text.c, compiled on first use, or None
-    without a C compiler (every line then goes through _parse_line)."""
+def _text_lib():
+    """_sparse_text.c compiled and loaded on first use, or None without a C
+    compiler."""
     import ctypes
 
     from . import _native
 
     i64, pointer = ctypes.c_int64, ctypes.c_void_p
-    arguments = (ctypes.c_char_p, i64, ctypes.POINTER(i64), i64, pointer, pointer, pointer, pointer)
-    lib = _native.load("_sparse_text", stst_parse_lines=(arguments, i64))
+    parse = (ctypes.c_char_p, i64, ctypes.POINTER(i64), i64, pointer, pointer, pointer, pointer)
+    write = (i64, pointer, pointer, pointer, pointer, pointer)
+    return _native.load("_sparse_text", stst_parse_lines=(parse, i64), stst_format_rows=(write, i64))
+
+
+def _text_parser():
+    """stst_parse_lines of _sparse_text.c, or None without a C compiler
+    (every line then goes through _parse_line)."""
+    lib = _text_lib()
     return None if lib is None else lib.stst_parse_lines
+
+
+def _text_writer():
+    """stst_format_rows of _sparse_text.c, or None without a C compiler
+    (every block then goes through _reference_rows)."""
+    lib = _text_lib()
+    return None if lib is None else lib.stst_format_rows
 
 
 def _parse_block(lines: list, line_no: int, buffers: tuple, parse) -> None:
@@ -349,21 +373,42 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
     return Dataset(X=X, y=np.frombuffer(labels, dtype=np.int64))
 
 
-def serialize_sparse(dataset: Dataset, target) -> None:
-    """Write a Dataset in the sparse labeled text format.
+def _check_finite(X) -> None:
+    """ParameterError naming the first non-finite value of X, a dense array
+    or a CSR matrix, in row-major order; the format holds finite values
+    only. min and max find one without a temporary array."""
+    values = X if isinstance(X, np.ndarray) else X.data
+    if values.size == 0 or (math.isfinite(values.min()) and math.isfinite(values.max())):
+        return
+    if isinstance(X, np.ndarray):
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(X))[0])
+    else:
+        at = int(np.argmin(np.isfinite(values)))
+        row, col = int(np.searchsorted(X.indptr, at, side="right")) - 1, int(X.indices[at])
+    value = float(X[row, col])
+    raise ParameterError(f"cannot write the non-finite feature value {value!r} at row {row}, column {col}")
 
-    Only nonzero entries are emitted, 1-based and ascending, with repr()
-    float formatting (shortest round-trip decimals). Rows are formatted and
-    written in blocks of _block_rows(dim) rows, so one block's
-    tokens are held at a time, never the whole file's; a dense block is
-    converted to CSR on its own.
-    """
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            serialize_sparse(dataset, handle)
-            return
+
+def _reference_rows(labels, indptr, indices, values) -> str:
+    """The lines of a block of CSR rows, each value through repr(): the
+    reference the compiled writer is tested against, and its path without a
+    C compiler. indptr starts at 0."""
+    keep = values != 0.0  # also drops -0.0
+    tokens = [f"{index}:{value!r}" for index, value in zip((indices[keep] + 1).tolist(), values[keep].tolist())]
+    # bounds[i]:bounds[i + 1] are the kept tokens of the block's row i
+    bounds = np.concatenate(([0], np.cumsum(keep)))[indptr].tolist()
+    rows = enumerate(labels.tolist())
+    return "".join(" ".join([f"{label:+d}", *tokens[bounds[i] : bounds[i + 1]]]) + "\n" for i, label in rows)
+
+
+def _text_blocks(dataset: Dataset):
+    """The text of dataset as bytes-like blocks of _block_rows(dim) rows."""
+    write = _text_writer()
     X, m = dataset.X, dataset.n_examples
     step = _block_rows(dataset.dim)
+    # the most bytes a row and an entry take: its label and "\n"; " ", the
+    # index, ":" and at most 24 for a value ("-1.2345678901234567e-308")
+    row_bytes, entry_bytes = 3, len(str(dataset.dim)) + 26
     for a in range(0, m, step):
         b = min(a + step, m)
         if isinstance(X, np.ndarray):
@@ -372,12 +417,34 @@ def serialize_sparse(dataset: Dataset, target) -> None:
         else:  # array views: scipy's own row slice costs about 50 us a block
             lo, hi = X.indptr[a], X.indptr[b]
             indptr, indices, values = X.indptr[a : b + 1] - lo, X.indices[lo:hi], X.data[lo:hi]
-        keep = values != 0.0  # also drops -0.0
-        tokens = [f"{index}:{value!r}" for index, value in zip((indices[keep] + 1).tolist(), values[keep].tolist())]
-        # bounds[i]:bounds[i + 1] are the kept tokens of the block's row i
-        bounds = np.concatenate(([0], np.cumsum(keep)))[indptr].tolist()
-        for i, label in enumerate(dataset.y[a:b].tolist()):
-            target.write(" ".join([f"{label:+d}", *tokens[bounds[i] : bounds[i + 1]]]) + "\n")
+        if write is None:
+            yield _reference_rows(dataset.y[a:b], indptr, indices, values).encode("ascii")
+            continue
+        arrays = [np.ascontiguousarray(x, dtype=np.int64) for x in (dataset.y[a:b], indptr, indices)]
+        arrays.append(np.ascontiguousarray(values, dtype=np.float64))
+        out = np.empty(row_bytes * (b - a) + entry_bytes * values.size, dtype=np.uint8)
+        size = write(b - a, *(x.ctypes.data for x in arrays), out.ctypes.data)
+        yield memoryview(out)[:size]
+
+
+def serialize_sparse(dataset: Dataset, target) -> None:
+    """Write a Dataset in the sparse labeled text format.
+
+    Only nonzero entries are emitted, 1-based and ascending, with repr()
+    float formatting (shortest round-trip decimals). A NaN or infinite
+    feature value is a ParameterError, raised before anything is written.
+    Rows are formatted and written in blocks of _block_rows(dim) rows, so
+    one block's text is held at a time, never the whole file's; a dense
+    block is converted to CSR on its own.
+    """
+    _check_finite(dataset.X)
+    if isinstance(target, (str, Path)):
+        with open(target, "wb") as handle:
+            for block in _text_blocks(dataset):
+                handle.write(block)
+        return
+    for block in _text_blocks(dataset):
+        target.write(str(block, "ascii"))
 
 
 def _csv_field(value) -> str:

@@ -413,9 +413,15 @@ def _bounds(rule: StoppingRule | None) -> tuple[float, float]:
 
 def _first_crossing(S: np.ndarray, lo: float, hi: float):
     """Per row of S: (any, k) for the first k with S[j, k] strictly outside
-    (lo, hi). S is a chunk of running sums or a block of prefix rows."""
-    crossed = S < lo
-    crossed |= S > hi
+    (lo, hi). S is a chunk of running sums or a block of prefix rows. An
+    infinite bound stops nothing, so only a finite one is compared."""
+    if lo == -math.inf:
+        crossed = S > hi
+    elif hi == math.inf:
+        crossed = S < lo
+    else:
+        crossed = S < lo
+        crossed |= S > hi
     return crossed.any(axis=1), crossed.argmax(axis=1)
 
 

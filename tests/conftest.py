@@ -73,6 +73,15 @@ def parse_kernels(request, monkeypatch):
     return _kernel_body(request.param, monkeypatch, data, "_sparse_text.c", fallback, accessor="_text_parser")
 
 
+@pytest.fixture(params=["compiled", "reference"])
+def write_kernels(request, monkeypatch):
+    """Run a test on each body of serialize_sparse's row writer: the
+    compiled writer of _sparse_text.c, and the Python reference every block
+    goes through without a C compiler."""
+    fallback = "every block goes through the Python reference writer"
+    return _kernel_body(request.param, monkeypatch, data, "_sparse_text.c", fallback, accessor="_text_writer")
+
+
 @pytest.fixture(scope="session")
 def synthetic_bench():
     """Train and calibrate the pinned benchmark once per session."""

@@ -37,6 +37,12 @@ def test_rows_are_unique_and_those_of_the_newest_bench_file(script):
     assert set(script.FRESH) <= set(names)
 
 
+def test_the_reference_writer_row_follows_the_compiled_one(script):
+    names = [row.name for row in script._rows()]
+    compiled = names.index("serialize_sparse 4000x2000 nnz=160000")
+    assert names[compiled + 1] == "serialize_sparse reference 4000x2000 nnz=160000"
+
+
 def test_nnz_in_row_names_counts_the_generated_data(script, tmp_path):
     layer = script._layer_dataset(np.random.default_rng(script.SEED + 2))
     script._write_pipeline(str(tmp_path))

@@ -21,6 +21,13 @@ def run(argv):
     return main(argv)
 
 
+def train_argv(root):
+    """stst train on SYNTH, writing its model, split files and CSV into root."""
+    argv = ["train", "--synthetic", SYNTH, "--test-fraction", "0.3", "--split-seed", "11", "--epochs", "3"]
+    argv += ["--seed", "13", "--model-out", str(root / "model.npz"), "--train-out", str(root / "train.txt")]
+    return argv + ["--test-out", str(root / "test.txt"), "-o", str(root / "train.csv")]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """train -> calibrate once; several tests reuse the artifacts."""
@@ -28,30 +35,7 @@ def pipeline(tmp_path_factory):
     model = root / "model.npz"
     train_file = root / "train.txt"
     test_file = root / "test.txt"
-    code = run(
-        [
-            "train",
-            "--synthetic",
-            SYNTH,
-            "--test-fraction",
-            "0.3",
-            "--split-seed",
-            "11",
-            "--epochs",
-            "3",
-            "--seed",
-            "13",
-            "--model-out",
-            str(model),
-            "--train-out",
-            str(train_file),
-            "--test-out",
-            str(test_file),
-            "-o",
-            str(root / "train.csv"),
-        ]
-    )
-    assert code == 0
+    assert run(train_argv(root)) == 0
     calibrated = root / "calibrated.npz"
     code = run(
         [
@@ -230,6 +214,21 @@ def test_pipeline_golden_digests(pipeline, tmp_path, parse_kernels):
         assert run(argv + ["-o", str(paths[name])]) == 0
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == PIPELINE_DIGESTS
+
+
+# sha256 of the --train-out and --test-out files of the `pipeline` fixture's
+# train run. Captured at the commit before the compiled writer, when every
+# value went through repr().
+SPLIT_DIGESTS = {
+    "train.txt": "334eee475802595882c461a77a2d9bb1f0bd42c15c6075c8f8b8420a9efa4505",
+    "test.txt": "a2a6f95c13bb81e5719f5454e633e365ea946d008187b140c436c40631708eda",
+}
+
+
+def test_split_files_golden_digests(tmp_path, write_kernels):
+    assert run(train_argv(tmp_path)) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SPLIT_DIGESTS}
+    assert digests == SPLIT_DIGESTS
 
 
 def test_pr_builds_no_prefix_matrix(pipeline, tmp_path, monkeypatch):

@@ -1,11 +1,16 @@
 import io
+import math
+import re
 import shutil
+import struct
+import sys
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -299,6 +304,7 @@ def test_compiled_and_reference_parsers_agree(lines, last_newline, newline, bloc
     assert _outcome(text, newline, compiled, block_cells) == _outcome(text, newline, None, 2**17)
 
 
+@pytest.mark.usefixtures("write_kernels")
 class TestSerialize:
     def test_round_trip_exact_small(self):
         text = "+1 1:0.5 3:2.0\n-1\n+1 2:-1.25e-07\n"
@@ -398,6 +404,22 @@ class TestSerialize:
             finally:
                 tracemalloc.stop()
         assert peak <= 2 << 20
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_refused_before_any_byte(self, tmp_path, layout, bad):
+        # parse_sparse refuses a non-finite value, so the writer must not write one
+        X = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, bad], [math.nan, 0.0, 4.0]])
+        ds = Dataset(X=X if layout == "dense" else sparse.csr_matrix(X), y=np.array([1, -1, 1]))
+        message = re.escape(f"non-finite feature value {bad!r} at row 1, column 2")
+        buf = io.StringIO()
+        with pytest.raises(ParameterError, match=message):
+            serialize_sparse(ds, buf)
+        assert buf.getvalue() == ""
+        path = tmp_path / "refused.txt"
+        with pytest.raises(ParameterError, match=message):
+            serialize_sparse(ds, path)
+        assert not path.exists()
 
 
 class TestWriteCsv:
@@ -527,7 +549,7 @@ class TestSparseInput:
             assert np.array_equal(again.y, ds.y)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     rows=st.lists(
         st.tuples(
@@ -538,7 +560,8 @@ class TestSparseInput:
         max_size=6,
     )
 )
-def test_round_trip_property(rows):
+def test_round_trip_property(write_kernels, rows):
+    # the fixture switches the writer's body once, for every example
     dim = max(len(vals) for _, vals in rows)
     X = np.zeros((len(rows), dim))
     for i, (_, vals) in enumerate(rows):
@@ -549,6 +572,117 @@ def test_round_trip_property(rows):
     again = parse_sparse(io.StringIO(buf.getvalue()), dim=dim)
     assert np.array_equal(ds.dense(), again.dense())
     assert np.array_equal(ds.y, again.y)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc): only the reference writer")
+
+
+def written(values) -> list:
+    """Each nonzero value as serialize_sparse's compiled writer writes it: a
+    one-column dataset, one row a value."""
+    assert data._text_writer() is not None, "cc is on PATH, but _sparse_text.c did not build or load"
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    X = sparse.csr_matrix((values, np.zeros(n, dtype=np.int64), np.arange(n + 1)), shape=(n, 1))
+    buf = io.StringIO()
+    serialize_sparse(Dataset(X=X, y=np.ones(n, dtype=np.int64)), buf)
+    return [line.removeprefix("+1 1:") for line in buf.getvalue().splitlines()]
+
+
+def signed(values) -> list:
+    return [v for value in values for v in (value, -value)]
+
+
+def from_bits(bits) -> np.ndarray:
+    """The finite nonzero doubles among the uint64 bit patterns bits."""
+    values = np.asarray(bits, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values) & (values != 0.0)]
+
+
+def ties() -> list:
+    """The two doubles around each n * 10**k (n < 100, k < 40) that lies
+    exactly half way between them. The decimal is shorter than either's
+    repr, and reads back to the one with an even mantissa only: an
+    interval's end counts only for an even mantissa."""
+    found = []
+    for k in range(40):
+        for n in range(1, 100):
+            exact = n * 10**k
+            below = float(exact)
+            if below > exact:
+                below = math.nextafter(below, 0.0)
+            above = math.nextafter(below, math.inf)
+            if Fraction(below) + Fraction(above) == 2 * exact:
+                found += [below, above]
+    return found
+
+
+@needs_cc
+class TestCompiledWriterIsRepr:
+    """The compiled writer's values, byte for byte as repr() writes them."""
+
+    def test_a_million_bit_patterns_and_a_million_normals(self):
+        rng = np.random.default_rng(2024)
+        bits = from_bits(rng.integers(0, 2**64, size=1_001_000, dtype=np.uint64, endpoint=False))[:1_000_000]
+        values = np.concatenate([bits, rng.standard_normal(1_000_000)])
+        assert values.size == 2_000_000
+        assert written(values) == [repr(v) for v in values.tolist()]
+
+    def test_powers_of_two_subnormals_and_the_largest_double(self):
+        rng = np.random.default_rng(5)
+        values = [math.ldexp(1.0, e) for e in range(-1074, 1024)]  # an uneven interval each, but 2**-1074
+        values += [k * 5e-324 for k in range(1, 3000)]
+        values += from_bits(rng.integers(1, 2**52, size=5000, dtype=np.uint64)).tolist()  # random subnormals
+        top, least_normal = sys.float_info.max, sys.float_info.min
+        values += [top, math.nextafter(top, 0.0), least_normal, math.nextafter(least_normal, 0.0)]
+        assert 5e-324 in values and top == 1.7976931348623157e308
+        assert written(signed(values)) == [repr(v) for v in signed(values)]
+
+    def test_where_repr_switches_between_fixed_and_exponent_form(self):
+        values = []
+        for point in (1e-05, 0.0001, 1e16, 1000000000000000.0):
+            values += [math.nextafter(point, 0.0), point, math.nextafter(point, math.inf)]
+        got = written(signed(values))
+        assert got == [repr(v) for v in signed(values)]
+        # each point is the third of its six: below, -below, point, -point, above, -above
+        assert got[2::6] == ["1e-05", "0.0001", "1e+16", "1000000000000000.0"]
+        assert got[12:18:2] == ["9999999999999998.0", "1e+16", "1.0000000000000002e+16"]
+
+    def test_integral_values_and_one_to_seventeen_digits(self):
+        rng = np.random.default_rng(9)
+        values = [float(i) for i in range(1, 100_000)] + [10.0**k for k in range(23)]
+        values += [float(2**53 + i) for i in range(-5, 6)] + [float(i) for i in rng.integers(1, 2**63, size=2000)]
+        for digits in range(1, 18):
+            for _ in range(300):
+                mantissa = int(rng.integers(10 ** (digits - 1), 10**digits))
+                value = float(f"{mantissa}e{int(rng.integers(-330, 310))}")
+                if math.isfinite(value) and value != 0.0:
+                    values.append(value)
+        assert written(signed(values)) == [repr(v) for v in signed(values)]
+
+    def test_ties_at_the_ends_of_the_interval(self):
+        values = ties()
+        assert len(values) >= 72 and repr(1e23) == "1e+23"
+        assert written(signed(values)) == [repr(v) for v in signed(values)]
+        assert written([1e23, math.nextafter(1e23, math.inf)]) == ["1e+23", "1.0000000000000001e+23"]
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@needs_cc
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(_BIT_PATTERNS, st.floats(allow_nan=False, allow_infinity=False)).filter(
+            lambda v: math.isfinite(v) and v != 0.0
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_compiled_writer_is_repr_on_drawn_doubles(values):
+    assert written(values) == [repr(v) for v in values]
 
 
 class TestSynthetic:

@@ -188,7 +188,7 @@ def test_each_signature_given_to_load_matches_its_c_prototype(monkeypatch):
     # each accessor's keywords to _native.load, captured with nothing compiled
     given = {}
     monkeypatch.setattr(_native, "load", lambda name, **signatures: given.setdefault(name, signatures) and None)
-    for accessor in (predictor._kernels, simulator._kernels, data._text_parser):
+    for accessor in (predictor._kernels, simulator._kernels, data._text_lib):
         accessor.__wrapped__()
     assert sorted(given) == [path.stem for path in C_SOURCES]
     for name, signatures in given.items():
@@ -223,7 +223,12 @@ END_TO_END = """if True:
     assert 0 < sum(p.stopped_early for p in each) < 40
     theory = ["--n", "200", "--bridge-trials", "400", "--stop-error-trials", "400", "--stopping-trials", "100"]
     assert cli.main(["theory", *theory, "--seed", "7", "-o", str(folder / "theory.csv")]) == 0
-    print(data._text_parser() is not None, predictor._kernels() is not None, simulator._kernels() is not None)
+    scaled = rng.standard_normal((60, 8)) * 10.0 ** rng.integers(-320, 300, size=(60, 8))
+    scaled[rng.random((60, 8)) < 0.3] = 0.0
+    data.serialize_sparse(ds, str(folder / "written.txt"))
+    data.serialize_sparse(data.Dataset(X=scaled, y=np.where(scaled[:, 0] >= 0, 1, -1)), str(folder / "scaled.txt"))
+    print(data._text_parser() is not None, data._text_writer() is not None, predictor._kernels() is not None,
+          simulator._kernels() is not None)
 """
 
 
@@ -242,8 +247,8 @@ def test_without_cc_every_output_is_the_same_bytes(tmp_path):
         env = dict(os.environ, PYTHONPATH=str(SOURCE.parents[1]), PATH=path, XDG_CACHE_HOME=str(caches[side]))
         done = subprocess.run([sys.executable, "-c", END_TO_END, str(folder)], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == [str(side == "cc")] * 3
-        names = ("parse.bin", "predict.bin", "attentive.bin", "theory.csv")
+        assert done.stdout.split() == [str(side == "cc")] * 4
+        names = ("parse.bin", "predict.bin", "attentive.bin", "theory.csv", "written.txt", "scaled.txt")
         outputs[side] = {name: (folder / name).read_bytes() for name in names}
     assert outputs["cc"] == outputs["no-cc"]
     built = sorted(path.name.split("-")[0] for path in (caches["cc"] / "stst").iterdir())
