@@ -17,9 +17,10 @@
    double gets its shortest decimal digits that read back to it, the
    nearest such digits when there are several, by Ryu (Adams, "Ryu: fast
    float-to-string conversion", PLDI 2018), and float.__repr__'s layout.
-   The algorithm's tables of powers of five are computed here when the
-   library is loaded, with exact multi-word integer arithmetic. It needs
-   a compiler with unsigned __int128. */
+   The algorithm's tables of powers of five are passed in by the caller
+   (stst.data builds them from Python's exact integers), so the writer
+   keeps no state of its own. It needs a compiler with unsigned
+   __int128. */
 #define _GNU_SOURCE
 #include <locale.h>
 #include <stdint.h>
@@ -148,80 +149,17 @@ stop:
    them in decimal, floored, to about 17 digits (vm, vr, vp). Digits are
    then removed from all three while vp and vm still differ in what is
    left, and the last removed digit of vr rounds the result, half to even
-   when the rest of vr was exactly zero. */
+   when the rest of vr was exactly zero.
+
+   The caller passes the tables as pow5, one array of rows {low 64 bits,
+   high 64 bits}: row i < POW5_COUNT is floor(5^i * 2^(125 - b)), and row
+   POW5_COUNT + q, for q up to 290, is floor(2^(b - 1 + 125) / 5^q) + 1,
+   b the bit length of 5^i or 5^q. */
 
 typedef unsigned __int128 uint128;
 
 #define POW5_BITS 125
-#define POW5_COUNT 326      /* 5^i for i up to -e2 - q, at most 325 */
-#define POW5_INV_COUNT 291  /* 2^k / 5^q for q up to 290 */
-#define POW5_WORDS 25       /* 32-bit words of 5^325 (755 bits) and twice it */
-
-/* pow5_split[i] is floor(5^i * 2^(125 - b)), b the bit length of 5^i;
-   pow5_inv_split[q] is floor(2^(b - 1 + 125) / 5^q) + 1. Each is {low 64
-   bits, high 64 bits}. */
-static uint64_t pow5_split[POW5_COUNT][2], pow5_inv_split[POW5_INV_COUNT][2];
-
-/* Bit b of the little-endian number w; 0 below bit 0. */
-static unsigned bit_at(const uint32_t *w, int b) { return b < 0 ? 0 : (w[b / 32] >> (b % 32)) & 1; }
-
-/* Whether w >= v, both of `words` words. */
-static int at_least(const uint32_t *w, const uint32_t *v, int words)
-{
-    for (int i = words - 1; i >= 0; i--)
-        if (w[i] != v[i])
-            return w[i] > v[i];
-    return 1;
-}
-
-__attribute__((constructor)) static void build_pow5_tables(void)
-{
-    uint32_t pow[POW5_WORDS] = {1}, rem[POW5_WORDS];
-    int bits = 1; /* the bit length of pow, 5^i */
-    for (int i = 0; i < POW5_COUNT; i++) {
-        int words = bits / 32 + 1; /* room for the remainder's one extra bit */
-        uint128 top = 0, quot = 0;
-        for (int b = bits - 1; b >= bits - POW5_BITS; b--)
-            top = top << 1 | bit_at(pow, b);
-        pow5_split[i][0] = (uint64_t)top;
-        pow5_split[i][1] = (uint64_t)(top >> 64);
-        if (i < POW5_INV_COUNT) {
-            /* long division of 2^(bits - 1) followed by POW5_BITS zero bits,
-               one quotient bit a step; the first step's remainder is at
-               most 5^i, so every quotient bit is 0 or 1 */
-            memset(rem, 0, sizeof rem);
-            rem[(bits - 1) / 32] = 1u << ((bits - 1) % 32);
-            for (int step = 0; step <= POW5_BITS; step++) {
-                if (step > 0)
-                    for (int w = words - 1; w >= 0; w--)
-                        rem[w] = rem[w] << 1 | (w > 0 ? rem[w - 1] >> 31 : 0);
-                quot <<= 1;
-                if (at_least(rem, pow, words)) {
-                    uint64_t borrow = 0;
-                    for (int w = 0; w < words; w++) {
-                        uint64_t d = (uint64_t)rem[w] - pow[w] - borrow;
-                        rem[w] = (uint32_t)d;
-                        borrow = d >> 63;
-                    }
-                    quot |= 1;
-                }
-            }
-            quot += 1;
-            pow5_inv_split[i][0] = (uint64_t)quot;
-            pow5_inv_split[i][1] = (uint64_t)(quot >> 64);
-        }
-        uint64_t carry = 0;
-        for (int w = 0; w < POW5_WORDS; w++) {
-            uint64_t t = (uint64_t)pow[w] * 5 + carry;
-            pow[w] = (uint32_t)t;
-            carry = t >> 32;
-        }
-        int high = POW5_WORDS - 1;
-        while (pow[high] == 0)
-            high--;
-        bits = 32 * high + 32 - __builtin_clz(pow[high]);
-    }
-}
+#define POW5_COUNT 326 /* 5^i for i up to -e2 - q, at most 325 */
 
 /* ceil(log2(5^e)), 1 for e = 0; floor(log10(2^e)); floor(log10(5^e)). */
 static int32_t pow5_bits(int32_t e) { return (int32_t)((((uint32_t)e * 1217359) >> 19) + 1); }
@@ -247,7 +185,7 @@ static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
 
 /* The shortest round-trip digits of the finite nonzero double with the
    given mantissa and exponent fields: the value is *digits * 10^*exp10. */
-static void shortest(uint64_t mantissa, uint32_t exponent, uint64_t *digits, int32_t *exp10)
+static void shortest(const uint64_t *pow5, uint64_t mantissa, uint32_t exponent, uint64_t *digits, int32_t *exp10)
 {
     /* 2 extra bits, so that the interval's ends are integral */
     int32_t e2 = (exponent ? (int32_t)exponent : 1) - 1023 - 52 - 2;
@@ -264,10 +202,11 @@ static void shortest(uint64_t mantissa, uint32_t exponent, uint64_t *digits, int
     if (e2 >= 0) {
         int32_t q = log10_pow2(e2) - (e2 > 3);
         int32_t j = -e2 + q + POW5_BITS + pow5_bits(q) - 1;
+        const uint64_t *inv = pow5 + 2 * (POW5_COUNT + q);
         e10 = q;
-        vr = mul_shift(mv, pow5_inv_split[q], j);
-        vp = mul_shift(mv + 2, pow5_inv_split[q], j);
-        vm = mul_shift(mv - 1 - mm_shift, pow5_inv_split[q], j);
+        vr = mul_shift(mv, inv, j);
+        vp = mul_shift(mv + 2, inv, j);
+        vm = mul_shift(mv - 1 - mm_shift, inv, j);
         if (q <= 21) {
             /* only one of mv, mv + 2 and mv - 1 - mm_shift can be a multiple of 5 */
             if (mv % 5 == 0)
@@ -281,10 +220,11 @@ static void shortest(uint64_t mantissa, uint32_t exponent, uint64_t *digits, int
         int32_t q = log10_pow5(-e2) - (-e2 > 1);
         int32_t i = -e2 - q;
         int32_t j = q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *split = pow5 + 2 * i;
         e10 = q + e2;
-        vr = mul_shift(mv, pow5_split[i], j);
-        vp = mul_shift(mv + 2, pow5_split[i], j);
-        vm = mul_shift(mv - 1 - mm_shift, pow5_split[i], j);
+        vr = mul_shift(mv, split, j);
+        vp = mul_shift(mv + 2, split, j);
+        vm = mul_shift(mv - 1 - mm_shift, split, j);
         if (q <= 1) {
             vr_zeros = 1;
             if (even)
@@ -339,20 +279,18 @@ static void shortest(uint64_t mantissa, uint32_t exponent, uint64_t *digits, int
 }
 
 /* digit_pairs[2i], digit_pairs[2i + 1] are the two digits of i < 100;
-   pow10[i] is 10^i. Both are filled in when the library is loaded. */
-static char digit_pairs[200];
-static uint64_t pow10[20];
-
-__attribute__((constructor)) static void build_digit_tables(void)
-{
-    for (int i = 0; i < 100; i++) {
-        digit_pairs[2 * i] = (char)('0' + i / 10);
-        digit_pairs[2 * i + 1] = (char)('0' + i % 10);
-    }
-    pow10[0] = 1;
-    for (int i = 1; i < 20; i++)
-        pow10[i] = 10 * pow10[i - 1];
-}
+   pow10[i] is 10^i. */
+static const char digit_pairs[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+static const uint64_t pow10[20] = {
+    1ull, 10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull, 10000000ull, 100000000ull, 1000000000ull,
+    10000000000ull, 100000000000ull, 1000000000000ull, 10000000000000ull, 100000000000000ull,
+    1000000000000000ull, 10000000000000000ull, 100000000000000000ull, 1000000000000000000ull,
+    10000000000000000000ull};
 
 /* The number of decimal digits of v >= 1. */
 static int digit_count(uint64_t v)
@@ -392,14 +330,14 @@ static char *put_zeros(char *p, int n)
    point when -4 < point <= 16, with ".0" on an integral value, and
    d1.d2..dn e[+-]XX otherwise, the exponent signed and of two digits or
    more. */
-static char *put_double(char *p, double value)
+static char *put_double(char *p, double value, const uint64_t *pow5)
 {
     uint64_t bits, digits;
     int32_t exp10;
     memcpy(&bits, &value, sizeof bits);
     if (bits >> 63)
         *p++ = '-';
-    shortest(bits & ((1ull << 52) - 1), (uint32_t)(bits >> 52) & 0x7ff, &digits, &exp10);
+    shortest(pow5, bits & ((1ull << 52) - 1), (uint32_t)(bits >> 52) & 0x7ff, &digits, &exp10);
     int n = digit_count(digits), point = n + exp10;
     if (point > -4 && point <= 16) {
         if (point <= 0) {
@@ -435,9 +373,10 @@ static char *put_double(char *p, double value)
    indptr[r + 1]) whose value is not +-0.0, with index indices[k] + 1 and
    value as repr() writes it, then '\n'. Every value must be finite. The
    caller gives room for 3 bytes a row and, an entry, 26 bytes and the
-   digits of the largest index. Returns the bytes written. */
+   digits of the largest index, and gives pow5, the writer's tables of
+   powers of five. Returns the bytes written. */
 int64_t stst_format_rows(int64_t rows, const int64_t *labels, const int64_t *indptr, const int64_t *indices,
-                         const double *values, char *out)
+                         const double *values, const uint64_t *pow5, char *out)
 {
     char *p = out;
     for (int64_t r = 0; r < rows; r++) {
@@ -450,7 +389,7 @@ int64_t stst_format_rows(int64_t rows, const int64_t *labels, const int64_t *ind
             *p = ' ';
             put_digits(p + 1 + n, index);
             p[1 + n] = ':';
-            p = put_double(p + 2 + n, values[k]);
+            p = put_double(p + 2 + n, values[k], pow5);
         }
         *p++ = '\n';
     }

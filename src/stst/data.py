@@ -51,7 +51,9 @@ every line goes through the Python parser, about four times slower.
 serialize_sparse writes whole blocks of lines in the same C, which formats
 every finite double exactly as repr() does: the shortest digits that read
 back to it, the nearest to it when there are several (Ryu), in
-float.__repr__'s layout. Its output is the bytes of the Python reference
+float.__repr__'s layout. Ryu's tables of powers of five are built here, on
+the first write, from Python's exact integers (_pow5_tables), and passed to
+the C with each block. Its output is the bytes of the Python reference
 writer (_reference_rows, one repr() a value), which it falls back to without
 a C compiler, about twelve times slower. A path target gets the bytes as
 they are; a text stream gets them decoded as ASCII. write_csv keeps repr():
@@ -70,9 +72,9 @@ and stst simulate use none of it.
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -253,7 +255,7 @@ def _text_lib():
 
     i64, pointer = ctypes.c_int64, ctypes.c_void_p
     parse = (ctypes.c_char_p, i64, ctypes.POINTER(i64), i64, pointer, pointer, pointer, pointer)
-    write = (i64, pointer, pointer, pointer, pointer, pointer)
+    write = (i64, pointer, pointer, pointer, pointer, pointer, pointer)
     return _native.load("_sparse_text", stst_parse_lines=(parse, i64), stst_format_rows=(write, i64))
 
 
@@ -269,6 +271,19 @@ def _text_writer():
     (every block then goes through _reference_rows)."""
     lib = _text_lib()
     return None if lib is None else lib.stst_format_rows
+
+
+@functools.cache
+def _pow5_tables() -> np.ndarray:
+    """The compiled writer's tables of powers of five (Ryu), read-only: 617
+    rows of {low 64 bits, high 64 bits}. Row i < 326 is floor(5^i * 2^(125 - b))
+    and row 326 + q is floor(2^(b - 1 + 125) / 5^q) + 1, b the bit length of
+    5^i or 5^q."""
+    rows = [(5**i << 125) >> (5**i).bit_length() for i in range(326)]
+    rows += [(1 << ((5**q).bit_length() + 124)) // 5**q + 1 for q in range(291)]
+    tables = np.array([(row & (2**64 - 1), row >> 64) for row in rows], dtype=np.uint64)
+    tables.flags.writeable = False
+    return tables
 
 
 def _parse_block(lines: list, line_no: int, buffers: tuple, parse) -> None:
@@ -326,7 +341,7 @@ def parse_sparse(source, *, dim: int | None = None) -> Dataset:
     """
     if dim is not None:
         check_count("dim", dim, 1)
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as handle:
             return parse_sparse(handle, dim=dim)
 
@@ -409,6 +424,7 @@ def _text_blocks(dataset: Dataset):
     # the most bytes a row and an entry take: its label and "\n"; " ", the
     # index, ":" and at most 24 for a value ("-1.2345678901234567e-308")
     row_bytes, entry_bytes = 3, len(str(dataset.dim)) + 26
+    pow5 = None if write is None else _pow5_tables().ctypes.data  # read once: about 2 us a read
     for a in range(0, m, step):
         b = min(a + step, m)
         if isinstance(X, np.ndarray):
@@ -423,7 +439,7 @@ def _text_blocks(dataset: Dataset):
         arrays = [np.ascontiguousarray(x, dtype=np.int64) for x in (dataset.y[a:b], indptr, indices)]
         arrays.append(np.ascontiguousarray(values, dtype=np.float64))
         out = np.empty(row_bytes * (b - a) + entry_bytes * values.size, dtype=np.uint8)
-        size = write(b - a, *(x.ctypes.data for x in arrays), out.ctypes.data)
+        size = write(b - a, *(x.ctypes.data for x in arrays), pow5, out.ctypes.data)
         yield memoryview(out)[:size]
 
 
@@ -438,7 +454,7 @@ def serialize_sparse(dataset: Dataset, target) -> None:
     block is converted to CSR on its own.
     """
     _check_finite(dataset.X)
-    if isinstance(target, (str, Path)):
+    if isinstance(target, (str, os.PathLike)):
         with open(target, "wb") as handle:
             for block in _text_blocks(dataset):
                 handle.write(block)

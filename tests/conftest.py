@@ -25,6 +25,11 @@ BENCH_TRAIN_CONFIG = TrainConfig(lambda_reg=0.01, epochs=5, seed=303)
 BENCH_THETA = 0.0
 BENCH_DELTA = 0.1
 
+# Added to _native.FLAGS, this builds _terms.c with its CPU check defined to
+# 0: the plain two-lane distance body that CPUs without AVX2 run, tested on
+# a CPU that has it.
+PLAIN_TERMS_FLAG = "-D__builtin_cpu_supports(feature)=0"
+
 
 @pytest.fixture(scope="session", autouse=True)
 def private_build_cache(tmp_path_factory):

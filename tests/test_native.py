@@ -18,11 +18,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import PLAIN_TERMS_FLAG
 from stst import _native, data, predictor, simulator
 
 CC = shutil.which("cc")
 SOURCE = Path(_native.__file__).with_name("_sparse_text.c")
 C_SOURCES = sorted(SOURCE.parent.glob("*.c"))
+# each source as it is built, and _terms.c built with only its plain body
+BUILDS = [pytest.param(path, (), id=path.name) for path in C_SOURCES]
+BUILDS.append(pytest.param(SOURCE.with_name("_terms.c"), (PLAIN_TERMS_FLAG,), id="_terms.c-plain"))
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler (cc) on PATH: every helper takes its Python path")
 
 
@@ -31,9 +35,9 @@ def refused(*args, **kwargs):
 
 
 @needs_cc
-@pytest.mark.parametrize("source", C_SOURCES, ids=lambda path: path.name)
-def test_compiles_without_warnings(tmp_path, source):
-    argv = [CC, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "t.so"), str(source)]
+@pytest.mark.parametrize("source, flags", BUILDS)
+def test_compiles_without_warnings(tmp_path, source, flags):
+    argv = [CC, *_native.FLAGS, *flags, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "t.so"), str(source)]
     done = subprocess.run(argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

@@ -28,7 +28,8 @@ from stst import (
 )
 from scipy import sparse
 
-from stst import data, predictor
+from conftest import PLAIN_TERMS_FLAG
+from stst import _native, data, predictor
 from stst.errors import ModelFormatError, ParameterError
 from stst.predictor import (
     _FIRST_CHUNK,
@@ -524,9 +525,20 @@ class TestScan:
 class TestSquaredDistances:
     """_terms.c's panel kernel against cdist's "sqeuclidean", byte for byte."""
 
-    @pytest.fixture(autouse=True)
-    def compiled(self):
-        assert predictor._kernels() is not None, "cc is on PATH, but _terms.c did not build or load"
+    @pytest.fixture(autouse=True, params=["dispatched", "plain"])
+    def body(self, request, monkeypatch, tmp_path):
+        """Run each test on the body the CPU check picks (AVX2 where the CPU
+        has it) and on the plain body, built in a cache of the test's own
+        with the CPU check defined to 0."""
+        kernels = predictor._kernels  # a test may patch the accessor away
+        if request.param == "plain":
+            monkeypatch.setattr(_native, "FLAGS", (*_native.FLAGS, PLAIN_TERMS_FLAG))
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+            kernels.cache_clear()
+        assert kernels() is not None, "cc is on PATH, but _terms.c did not build or load"
+        yield
+        if request.param == "plain":
+            kernels.cache_clear()
 
     @staticmethod
     def assert_same_bytes(model, X, a, b):
