@@ -36,6 +36,7 @@ import statistics
 import sys
 import tempfile
 import time
+import warnings
 from collections.abc import Callable, Sequence
 from functools import partial
 from pathlib import Path
@@ -58,6 +59,7 @@ SWEEP_REPEATS = 3
 EXHAUSTIVE_LIMIT_S = 120
 LAYER_M, LAYER_DIM, LAYER_DENSITY = 4_000, 2_000, 0.02
 LAYER_REPEATS = 3
+MAPPED_EVERY = 64
 TERM_M, TERM_N = 2_000, 2_000
 CAL_N, CAL_DIM, CAL_ROWS = 4_000, 64, 500
 WALK_N, WALK_TRIALS = 1_000, 16_384
@@ -305,6 +307,15 @@ def _parse_text(work: str, compiled: bool = True):
     data._sparse()  # the first parse's import of scipy.sparse stays out of the times
     text = Path(work, "layer.txt").read_text(encoding="utf-8")
     return lambda: data.parse_sparse(io.StringIO(text))
+
+
+def _parse_quietly(text: str) -> None:
+    """parse_sparse of text, with its warnings ignored."""
+    from stst import data
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        data.parse_sparse(io.StringIO(text))
 
 
 def _sweep(m: int, n: int, grid):
@@ -620,6 +631,13 @@ def _rows():
     text = buf.getvalue()
     data.parse_sparse(io.StringIO(text))  # builds or loads the compiled parser: the cold row times that
     yield Row(f"parse_sparse {LAYER_NNZ}", lambda t: data.parse_sparse(io.StringIO(t)), [text])
+    # the same text with every MAPPED_EVERY-th label spelled 2 or -2: a
+    # label mapped by sign, with a warning (ignored here), which the
+    # compiled parser leaves to the Python one. At about 130 lines a block,
+    # every block holds one.
+    lines = text.splitlines(keepends=True)
+    lines[::MAPPED_EVERY] = [f"{line[0]}2{line[2:]}" for line in lines[::MAPPED_EVERY]]
+    yield Row(f"parse_sparse {LAYER} mapped label every {MAPPED_EVERY} lines", _parse_quietly, ["".join(lines)])
     yield Row(f"serialize_sparse {LAYER_NNZ}", lambda d: data.serialize_sparse(d, io.StringIO()), [dataset])
     yield Row(f"serialize_sparse reference {LAYER_NNZ}", _serialize_reference, [dataset])
     config = trainer.TrainConfig(lambda_reg=0.01, epochs=1, seed=0)

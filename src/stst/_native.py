@@ -1,11 +1,14 @@
 """Compile, load and type the package's C helpers on first use.
 
-load("name", function=(argtypes, restype), ...) compiles name.c, beside
-this file, with the system C compiler (cc), loads it as a ctypes.CDLL and
-gives each named function its argument and result types. It returns None
-when there is no compiler or the compiler fails; callers then keep to
-their Python code. Nothing is compiled at import, and no other module
-types a helper.
+load("name") compiles name.c, beside this file, with the system C compiler
+(cc), loads it as a ctypes.CDLL and types each of its stst_ functions from
+the function's definition in name.c, the one place a signature is written:
+double is c_double, int64_t is c_int64, a void result is None, and any
+pointer is c_void_p, which takes an address, None or a bytes object. Any
+other C type is a TypeError at load, never a function left untyped. load
+returns None when there is no compiler or the compiler fails; callers then
+keep to their Python code. Nothing is compiled at import, and no other
+module types a helper or names a ctypes type.
 
 The library goes into the user's cache, $XDG_CACHE_HOME/stst (default
 ~/.cache/stst); a root that is not an absolute path, such as a home that
@@ -25,6 +28,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import re
 import shutil
 import sys
 import tempfile
@@ -35,6 +39,26 @@ __all__ = ["FLAGS", "load"]
 # -ffp-contract=off: no fused multiply-add, so arithmetic rounds as written
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
+# the ctypes type of each C type a signature may use; any pointer is c_void_p
+_C_TYPES = {"double": ctypes.c_double, "int64_t": ctypes.c_int64, "void": None}
+# an exported definition: its result type (a line of its own allowed), name
+# and parameters, then the opening brace, here or on the next line
+_DEFINITION = re.compile(r"^(\w[\w\s*]*?)\s*\b(stst_\w+)\s*\(([^)]*)\)\s*\{", re.M)
+
+
+def _prototypes(source: str) -> dict:
+    """Each stst_ function defined in the C source text, as its name and
+    (argtypes, restype); a TypeError for a type not in _C_TYPES."""
+    typed = {}
+    for result, name, parameters in _DEFINITION.findall(re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)):
+        kinds = []
+        for declaration in [result, *([] if parameters.strip() in ("", "void") else parameters.split(","))]:
+            words = [word for word in declaration.split() if word != "const"]
+            if "*" not in declaration and words[0] not in _C_TYPES:
+                raise TypeError(f"{name}: no ctypes type for the C declaration {declaration.strip()!r}")
+            kinds.append(ctypes.c_void_p if "*" in declaration else _C_TYPES[words[0]])
+        typed[name] = (kinds[1:], kinds[0])
+    return typed
 
 
 def _cache_dir() -> Path | None:
@@ -86,18 +110,19 @@ def _build(compiler: str, source: Path, target: Path) -> ctypes.CDLL | None:
     return ctypes.CDLL(str(target))
 
 
-def load(name: str, **signatures: tuple) -> ctypes.CDLL | None:
-    """name.c compiled and loaded, or None without a working C compiler.
-    Each keyword names a function of name.c and gives its (argtypes,
-    restype), which the returned library's function is given."""
+def load(name: str) -> ctypes.CDLL | None:
+    """name.c compiled and loaded, with each of its stst_ functions typed
+    from its definition, or None without a working C compiler."""
     compiler = shutil.which("cc")
     if compiler is None:
         return None
     source = Path(__file__).with_name(f"{name}.c")
     try:
-        key = hashlib.sha256(source.read_bytes())
+        code = source.read_bytes()
     except OSError:  # an install that left the source out
         return None
+    signatures = _prototypes(code.decode("utf-8"))
+    key = hashlib.sha256(code)
     key.update(" ".join([*FLAGS, sys.platform, platform.machine()]).encode())
     filename = f"{name}-{key.hexdigest()[:32]}.so"
     lib, folder = None, _cache_dir()

@@ -1,10 +1,11 @@
 /* Compiled line parser and row writer for stst.data.
 
-   The parser (stst_parse_lines) reads whole lines of a strict subset of
-   the sparse labeled text format and stops at the first line outside it,
-   which the Python per-line parser then reads under its true line number.
-   The subset: ASCII only, tokens separated by spaces and tabs, lines
-   ending in '\n' (or the end of the buffer); a label that reads as exactly
+   The parser (stst_parse_lines) reads a whole buffer of lines of a strict
+   subset of the sparse labeled text format, or refuses the buffer if one
+   line is outside it; the Python per-line parser then reads every line of
+   that buffer, under its true line number. The subset: ASCII only, tokens
+   separated by spaces and tabs, lines ending in '\n' (or the end of the
+   buffer); a label that reads as exactly
    1, -1 or 0; indices [+]?[0-9]+ that ascend strictly from 1 and fit in
    int64; values [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?. Every line in the
    subset reads to the same numbers as in Python: strtod and float() both
@@ -83,26 +84,27 @@ static int read_decimal(const char **p, const char *end, double *value)
     return 1;
 }
 
-/* Parses lines of buf[*pos:len]. Row r gets labels[r] (+1 or -1) and
+/* Parses the lines of buf[0:len]. Row r gets labels[r] (+1 or -1) and
    ends[r], base plus the entries read so far; entries go to cols (0-based)
-   and vals. The caller gives room for one row more than there are '\n'
-   left in the buffer and for an entry per ':', and buf[len] must exist and
-   end every number (a bytes object's trailing NUL does). Returns the rows read; *pos is left at the
-   start of the first line not read. */
-int64_t stst_parse_lines(const char *buf, int64_t len, int64_t *pos, int64_t base, int64_t *labels,
-                         int64_t *ends, int64_t *cols, double *vals)
+   and vals. The caller gives room for one row more than there are '\n' in
+   the buffer and for an entry per ':', and buf[len] must exist and end
+   every number (a bytes object's trailing NUL does). Returns the rows read
+   when every line is in the subset, else -1: the buffer is read whole or
+   not at all. */
+int64_t stst_parse_lines(const char *buf, int64_t len, int64_t base, int64_t *labels, int64_t *ends, int64_t *cols,
+                         double *vals)
 {
-    const char *p = buf + *pos, *end = buf + len;
+    const char *p = buf, *end = buf + len;
     int64_t rows = 0, k = 0;
     if (c_locale == (locale_t)0)
-        return 0;
+        return -1;
     while (p < end) {
-        int64_t prev = 0, entries = k;
-        double label, value;
+        int64_t prev = 0;
+        double label;
         while (p < end && is_blank(*p))
             p++;
         if (!read_decimal(&p, end, &label) || !(label == 1.0 || label == -1.0 || label == 0.0))
-            break;
+            return -1;
         for (;;) {
             int64_t index = 0;
             while (p < end && is_blank(*p))
@@ -112,29 +114,25 @@ int64_t stst_parse_lines(const char *buf, int64_t len, int64_t *pos, int64_t bas
             if (*p == '+')
                 p++;
             if (p == end || !is_digit(*p))
-                goto stop;
+                return -1;
             for (; p < end && is_digit(*p); p++) {
                 if (index > (INT64_MAX - (*p - '0')) / 10)
-                    goto stop;
+                    return -1;
                 index = 10 * index + (*p - '0');
             }
             if (p == end || *p != ':' || index <= prev)
-                goto stop;
+                return -1;
             p++;
-            if (!read_decimal(&p, end, &value))
-                goto stop;
-            cols[entries] = index - 1;
-            vals[entries++] = value;
+            if (!read_decimal(&p, end, &vals[k]))
+                return -1;
+            cols[k++] = index - 1;
             prev = index;
         }
         labels[rows] = label == 1.0 ? 1 : -1;
-        k = entries;
         ends[rows++] = base + k;
         if (p < end)
             p++;
-        *pos = p - buf;
     }
-stop:
     return rows;
 }
 

@@ -25,7 +25,7 @@ import numpy as np
 from .calibration import measure_stop_error  # noqa: F401
 from .core import ConfidenceParams, Direction, StoppingRule, crossing_magnitude, crossing_probability
 from .data import Dataset, write_csv
-from .errors import ParameterError, UndefinedRateError, check_count, check_finite, check_labels
+from .errors import ParameterError, UndefinedRateError, check_count, check_finite, check_labels, check_real
 from .predictor import WeightedModel, _prefix_rows, _row_blocks
 from .predictor import (  # noqa: F401
     attentive_from_prefix,
@@ -278,10 +278,10 @@ def precision_recall(scores, truth) -> list[PRPoint]:
     """PR curve points from per-example scores, descending threshold order.
 
     An example is predicted positive when its score >= threshold; thresholds
-    run over the distinct observed scores. A NaN or infinite score, or a
-    truth label other than +1 or -1, is a ParameterError.
+    run over the distinct observed scores. A score that is text, complex,
+    NaN or infinite, or a truth label other than +1 or -1, is a ParameterError.
     """
-    scores, truth = np.asarray(scores, dtype=np.float64), np.asarray(truth)
+    scores, truth = check_real("scores", np.asarray(scores)).astype(np.float64, copy=False), np.asarray(truth)
     if scores.shape != truth.shape or scores.ndim != 1:
         raise ParameterError("scores and truth labels must be aligned 1-d arrays")
     if not np.isfinite(scores).all():

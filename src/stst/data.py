@@ -31,22 +31,24 @@ parse_sparse reads its text in blocks of whole lines of about _BLOCK_CELLS
 characters, so a block's lines, their bytes and the block's parsed entries
 fit in the budget together.
 
-parse_sparse reads most lines in compiled C (_sparse_text.c), which parses
+parse_sparse reads each block in compiled C (_sparse_text.c), which parses
 a strict subset of the format: ASCII only, spaces and tabs between tokens,
 '\n' line ends; a label that reads as exactly 1, -1 or 0; indices
 [+]?[0-9]+ that ascend strictly and fit in int64; values
 [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?. It reads them with strtod in the "C"
 locale, which rounds as float() does, so the CSR bits are the same (a value
 past the double range is inf in both, refused with its line after the
-whole input is read). At the first line outside the subset it stops; the Python
-per-line parser (_parse_line, the reference) reads that line under its
-true line number, and the compiled one goes on after it. So blank lines,
-'\r', non-ASCII whitespace, nan and inf, labels mapped with a warning,
-indices past int64 and every ParseError take the Python path, with the
-same messages. The C is compiled with cc on the first parse or write, never
-at import, into $XDG_CACHE_HOME/stst (default ~/.cache/stst, mode 0700; see
-stst._native), and deleting that directory clears it. Without a C compiler
-every line goes through the Python parser, about four times slower.
+whole input is read). It reads a block whole or refuses it: when one line
+is outside the subset, the Python per-line parser (_parse_line, the
+reference) reads every line of that block, under its true line number. So
+blank lines, '\r', non-ASCII whitespace, nan and inf, labels mapped with a
+warning, indices past int64 and every ParseError take the Python path, with
+the same messages, and a block holding a mapped label or odd whitespace
+parses at Python speed. The C is compiled with cc on the first parse or
+write, never at import, into $XDG_CACHE_HOME/stst (default ~/.cache/stst,
+mode 0700; see stst._native), and deleting that directory clears it.
+Without a C compiler every line goes through the Python parser, about four
+times slower.
 
 serialize_sparse writes whole blocks of lines in the same C, which formats
 every finite double exactly as repr() does: the shortest digits that read
@@ -78,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ParameterError, ParseError, check_count, check_labels
+from .errors import EmptyDatasetError, ParameterError, ParseError, check_count, check_labels, check_real
 
 __all__ = [
     "Dataset",
@@ -121,19 +123,17 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        # the float64 and int64 casts would drop imaginary parts with only a warning
-        if np.iscomplexobj(self.X) or np.iscomplexobj(self.y):
-            raise ParameterError("features and labels must be real, got a complex value")
-        self.y = np.asarray(self.y)
+        # checked before the float64 and int64 casts
+        self.y = check_real("labels", np.asarray(self.y))
         if hasattr(self.X, "tocsr"):
-            X = _sparse().csr_matrix(self.X, dtype=np.float64)
+            X = _sparse().csr_matrix(check_real("features", self.X), dtype=np.float64)
             if not X.has_canonical_format:
                 # csr_matrix(X) may share X's arrays; sum_duplicates sorts in place
                 X = X.copy()
                 X.sum_duplicates()
             self.X = X
         else:
-            self.X = np.asarray(self.X, dtype=np.float64)
+            self.X = check_real("features", np.asarray(self.X)).astype(np.float64, copy=False)
             if self.X.ndim != 2:
                 raise ParameterError("feature matrix must be 2-d")
         if self.X.shape[0] == 0:
@@ -249,14 +249,9 @@ def _line_blocks(source):
 def _text_lib():
     """_sparse_text.c compiled and loaded on first use, or None without a C
     compiler."""
-    import ctypes
-
     from . import _native
 
-    i64, pointer = ctypes.c_int64, ctypes.c_void_p
-    parse = (ctypes.c_char_p, i64, ctypes.POINTER(i64), i64, pointer, pointer, pointer, pointer)
-    write = (i64, pointer, pointer, pointer, pointer, pointer, pointer)
-    return _native.load("_sparse_text", stst_parse_lines=(parse, i64), stst_format_rows=(write, i64))
+    return _native.load("_sparse_text")
 
 
 def _text_parser():
@@ -289,47 +284,32 @@ def _pow5_tables() -> np.ndarray:
 def _parse_block(lines: list, line_no: int, buffers: tuple, parse) -> None:
     """Append the rows of lines, the first of which is line line_no + 1, to
     buffers (labels, col, data, indptr and _parse_line's too_large). The
-    compiled parser reads lines until one falls outside its subset;
-    _parse_line reads that one, and the compiled parser goes on after it."""
+    compiled parser reads the whole block or refuses it; _parse_line reads
+    every line of a block it refuses."""
     labels, col, data, indptr, _ = buffers
-    if parse is None:
-        for i, line in enumerate(lines, start=line_no + 1):
-            _parse_line(line, i, *buffers)
-        return
-    import ctypes
-    import itertools
-
-    encoded = [line.encode("utf-8", "surrogatepass") for line in lines]
-    text = b"".join(encoded)
-    ends = list(itertools.accumulate(map(len, encoded)))  # the offset past each line
-    # room for every row and entry the compiled parser can read: a row ends
-    # at each '\n' or at the end, and an entry holds one ':'. The bytes
-    # object's trailing NUL ends the last number.
-    rows_out = np.empty((2, text.count(b"\n") + 1), dtype=np.int64)  # labels and row ends
-    cells = text.count(b":")
-    cols_out, vals_out = np.empty(cells, dtype=np.int64), np.empty(cells)
-    pointers = [a.ctypes.data for a in (rows_out[0], rows_out[1], cols_out, vals_out)]
-    pos, done = ctypes.c_int64(0), 0
-    while True:
-        rows = parse(text, len(text), ctypes.byref(pos), len(col), *pointers)
-        # one row a line of lines, or the rows are dropped: the compiled
-        # parser ends lines at '\n', and a stream may end them at '\r' alone
-        # (newline="\r" or "\r\n") and hold a '\n' inside a line
-        if rows and (done + rows > len(lines) or ends[done + rows - 1] != pos.value):
-            rows = 0
-        if rows:
+    if parse is not None:
+        text = "".join(lines).encode("utf-8", "surrogatepass")
+        # room for every row and entry the compiled parser can read: a row
+        # ends at each '\n' or at the end, and an entry holds one ':'. The
+        # bytes object's trailing NUL ends the last number.
+        rows_out = np.empty((2, text.count(b"\n") + 1), dtype=np.int64)  # labels and row ends
+        cells = text.count(b":")
+        cols_out, vals_out = np.empty(cells, dtype=np.int64), np.empty(cells)
+        outputs = (rows_out[0], rows_out[1], cols_out, vals_out)
+        rows = parse(text, len(text), len(col), *(a.ctypes.data for a in outputs))
+        # one row a line, or the block is refused: the compiled parser ends
+        # lines at '\n', and a stream may end them at '\r' alone (newline="\r"
+        # or "\r\n") and hold a '\n' inside a line
+        if rows == len(lines):
             entries = int(rows_out[1, rows - 1]) - len(col)
             # frombytes takes a buffer of bytes, so each slice is viewed as one
             labels.frombytes(rows_out[0, :rows].view(np.uint8))
             indptr.frombytes(rows_out[1, :rows].view(np.uint8))
             col.frombytes(cols_out[:entries].view(np.uint8))
             data.frombytes(vals_out[:entries].view(np.uint8))
-            done += rows
-        if done == len(lines):
             return
-        _parse_line(lines[done], line_no + done + 1, *buffers)
-        pos.value = ends[done]
-        done += 1
+    for i, line in enumerate(lines, start=line_no + 1):
+        _parse_line(line, i, *buffers)
 
 
 def parse_sparse(source, *, dim: int | None = None) -> Dataset:

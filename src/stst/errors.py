@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the one check of each
 kind of argument: a count (check_count: a Python or numpy integer, never a
-bool or a float such as 2.0), a finite scalar (check_finite), one +1/-1
-class label (check_label, integers only, like check_count) and an array of
-+1/-1 labels (check_labels).
+bool or a float such as 2.0), a finite scalar (check_finite), an array of
+real numbers (check_real), one +1/-1 class label (check_label, integers
+only, like check_count) and an array of +1/-1 labels (check_labels).
 """
 
 import math
@@ -84,6 +84,17 @@ def check_finite(name: str, value):
     return value
 
 
+def check_real(name: str, values):
+    """values, an array or a sparse matrix, refused unless its dtype is bool,
+    integer or float: a float64 cast would drop a complex value's imaginary
+    part with only a warning, and read a string of digits as a number."""
+    if values.dtype.kind == "c":
+        raise ParameterError(f"{name} must be real, got a complex value")
+    if values.dtype.kind not in "biuf":
+        raise ParameterError(f"{name} must be real numbers, got dtype {values.dtype}")
+    return values
+
+
 def check_label(name: str, value) -> int:
     """value as an int: a Python or numpy integer, not a bool, equal to +1
     or -1. A float such as 1.0 is refused: it would be stored as given."""
@@ -94,8 +105,11 @@ def check_label(name: str, value) -> int:
 
 def check_labels(name: str, y) -> np.ndarray:
     """y as an int64 array, refused unless every entry is +1 or -1. Checked
-    before the cast, which would truncate a label of 1.9 to 1."""
+    before the cast, which would truncate a label of 1.9 to 1. A bool array
+    is refused whole, as check_label refuses a bool: True would read as +1."""
     y = np.asarray(y)
+    if y.dtype == np.bool_:
+        raise ParameterError(f"{name} must be +1 or -1, got bools")
     bad = ~np.isin(y, (1, -1))
     if bad.any():
         raise ParameterError(f"{name} must be +1 or -1; offending values {np.unique(y[bad])}")

@@ -56,7 +56,7 @@ import numpy as np
 
 from .core import Direction, StoppingRule
 from .data import _block_rows
-from .errors import ModelFormatError, ParameterError, check_count, check_finite
+from .errors import ModelFormatError, ParameterError, check_count, check_finite, check_real
 
 __all__ = [
     "KernelSpec",
@@ -92,12 +92,8 @@ MODEL_FORMAT_VERSION = 1
 
 
 def _real(values, what: str) -> np.ndarray:
-    """values as a float64 array. Complex input is an error: a float64 cast
-    would drop the imaginary parts with only a warning."""
-    a = np.asarray(values)
-    if a.dtype.kind == "c":
-        raise ParameterError(f"{what} must be real, got a complex value")
-    return a.astype(np.float64, copy=False)
+    """values as a float64 array, refused unless bools, integers or floats."""
+    return check_real(what, np.asarray(values)).astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -330,19 +326,12 @@ def _cdist():
 
 @functools.cache
 def _kernels():
-    """The library of _terms.c, compiled on first use, with its two
-    functions typed, or None without a C compiler (RBF distances then come
-    from _cdist, and every chunk is scanned by _scan)."""
-    import ctypes
-
+    """The library of _terms.c, compiled on first use, or None without a C
+    compiler (RBF distances then come from _cdist, and every chunk is
+    scanned by _scan)."""
     from . import _native
 
-    i64, f64, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    return _native.load(
-        "_terms",
-        stst_sqeuclidean=((pointer, pointer, i64, i64, pointer, i64, i64, f64, pointer), None),
-        stst_scan=((pointer, i64, i64, i64, pointer, pointer, f64, f64, i64, pointer, i64, pointer, pointer), i64),
-    )
+    return _native.load("_terms")
 
 
 def _sqeuclidean(model: WeightedModel, X: np.ndarray, a: int, b: int, divisor: float) -> np.ndarray:
@@ -743,10 +732,7 @@ def _verification_set(model: WeightedModel, inputs, scores) -> tuple[np.ndarray,
         return None
     if inputs is None or scores is None:
         raise ParameterError("verification inputs and scores must be provided together")
-    vx, vs = np.asarray(inputs), np.asarray(scores)
-    if vx.dtype.kind not in "iuf" or vs.dtype.kind not in "iuf":
-        # a float64 cast would read strings of digits as numbers
-        raise ParameterError(f"verification inputs and scores must be real numbers, got {vx.dtype} and {vs.dtype}")
+    vx, vs = np.asarray(inputs), check_real("verification scores", np.asarray(scores))  # _check_X checks vx
     if vx.ndim != 2 or vs.shape != vx.shape[:1]:
         raise ParameterError("verification inputs and scores must align row for row")
     if vx.shape[0] == 0:
@@ -776,10 +762,10 @@ def _load(path) -> tuple[WeightedModel, dict]:
 
 
 def _model_from_fields(data: dict) -> WeightedModel:
-    def field(key, scalar=False, integer=False):
+    def field(key, scalar=False, integer=False, real=False):
         value = data[key]
-        if value.dtype.kind == "c":
-            raise ModelFormatError(f"model container field {key!r} must be real, got dtype {value.dtype}")
+        if real:  # a ParameterError, which _load reports as an invalid container
+            check_real(f"model container field {key!r}", value)
         if scalar and value.ndim != 0:
             raise ModelFormatError(f"model container field {key!r} must be a scalar, got shape {value.shape}")
         if integer and not np.issubdtype(value.dtype, np.integer):
@@ -793,7 +779,7 @@ def _model_from_fields(data: dict) -> WeightedModel:
     fields = {
         "weights": data["weights"],
         "mu": data["mu"],
-        "theta": float(field("theta", scalar=True)),
+        "theta": float(field("theta", scalar=True, real=True)),
         "dim": int(field("dim", scalar=True, integer=True)),
     }
     if kind == "coordinate":
@@ -805,7 +791,7 @@ def _model_from_fields(data: dict) -> WeightedModel:
             if key not in data:
                 raise ModelFormatError(f"kernel model container missing field {key!r}")
         kernel_kind = str(field("kernel_kind", scalar=True))
-        sigma = float(field("sigma", scalar=True))
+        sigma = float(field("sigma", scalar=True, real=True))
         spec = KernelSpec(kernel_kind, sigma if kernel_kind == "rbf" else None)
         return WeightedModel(**fields, support_vectors=data["support_vectors"], kernel=spec)
     raise ModelFormatError(f"unknown model kind {kind!r}")

@@ -144,16 +144,9 @@ def _workers() -> int:
 def _kernels():
     """The row kernels of _walk.c, compiled on first use, or None without a
     C compiler (every block is then reduced by the numpy reference)."""
-    import ctypes
-
     from . import _native
 
-    i64, f64, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    return _native.load(
-        "_walk",
-        stst_walk_high_end=((pointer, pointer, i64, i64, f64, f64, pointer, f64, pointer, pointer), None),
-        stst_walk_first_crossing=((pointer, pointer, i64, i64, f64, f64, f64, pointer, pointer), None),
-    )
+    return _native.load("_walk")
 
 
 def _draw(rng: np.random.Generator, spec: WalkSpec, shape: tuple) -> np.ndarray:

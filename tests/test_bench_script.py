@@ -2,6 +2,7 @@
 checked without timing anything or starting a child interpreter."""
 
 import importlib.util
+import io
 import json
 import re
 from pathlib import Path
@@ -49,3 +50,21 @@ def test_nnz_in_row_names_counts_the_generated_data(script, tmp_path):
     pipeline = data.parse_sparse(str(tmp_path / "pipeline.txt"))
     assert script.LAYER_NNZ.endswith(f" nnz={layer.X.nnz}")
     assert script.PIPELINE.endswith(f" nnz={pipeline.X.nnz}")
+
+
+def test_the_mapped_label_row_parses_to_the_layer_data(script):
+    # _rows() stops at the row: the rows after it build nothing
+    for row in script._rows():
+        if row.name == f"parse_sparse {script.LAYER_NNZ}":
+            plain = row.inputs[0]
+        elif row.name == f"parse_sparse {script.LAYER} mapped label every {script.MAPPED_EVERY} lines":
+            mapped = row.inputs[0]
+            break
+    changed = [i for i, (a, b) in enumerate(zip(plain.splitlines(), mapped.splitlines(), strict=True)) if a != b]
+    assert changed == list(range(0, script.LAYER_M, script.MAPPED_EVERY))
+    assert all(mapped.splitlines()[i][:3] in ("+2 ", "-2 ") for i in changed)
+    with pytest.warns(UserWarning, match="mapped by sign") as caught:
+        got = data.parse_sparse(io.StringIO(mapped))
+    assert len(caught) == len(changed)
+    want = data.parse_sparse(io.StringIO(plain))
+    assert np.array_equal(got.y, want.y) and (got.X != want.X).nnz == 0

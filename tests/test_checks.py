@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 from stst import data, predictor, simulator, trainer
-from stst.bench import TheoryConfig
+from stst.bench import TheoryConfig, precision_recall
 from stst.calibration import CalibrationReport, calibrate, measure_stop_error
-from stst.errors import ModelFormatError, ParameterError, check_count, check_finite, check_label, check_labels
+from stst.errors import (
+    ModelFormatError,
+    ParameterError,
+    check_count,
+    check_finite,
+    check_label,
+    check_labels,
+    check_real,
+)
 
 
 class TestCheckCount:
@@ -98,13 +106,69 @@ class TestCheckLabels:
         with pytest.raises(ParameterError, match=r"^truth labels must be \+1 or -1; offending values"):
             check_labels("truth labels", [1, bad, -1])
 
-    def test_dataset_and_precision_recall_share_it(self):
-        from stst.bench import precision_recall
+    def test_a_bool_array_is_refused_whole(self):
+        # only a False was refused: True == 1, so [True, True] read as +1 labels
+        with pytest.raises(ParameterError, match=r"^labels must be \+1 or -1, got bools$"):
+            check_labels("labels", np.array([True, True]))
+        with pytest.raises(ParameterError, match=r"^labels must be \+1 or -1, got bools$"):
+            data.Dataset(X=[[1.0], [2.0]], y=[True, True])
+        with pytest.raises(ParameterError, match=r"^truth labels must be \+1 or -1, got bools$"):
+            precision_recall([0.5, 0.2], [True, True])
 
+    def test_dataset_and_precision_recall_share_it(self):
         with pytest.raises(ParameterError, match=r"^labels must be \+1 or -1; offending values \[1.9\]"):
             data.Dataset(X=np.zeros((2, 1)), y=[1.9, -1])
         with pytest.raises(ParameterError, match=r"^truth labels must be \+1 or -1; offending values \[1.9\]"):
             precision_recall([0.5, 0.1], [1.9, -1])
+
+
+# -- numbers spelled as strings ------------------------------------------------
+#
+# A float64 cast reads the string "1.5" as 1.5. Every entry point that takes
+# an array of numbers refuses text through check_real, as it refuses a
+# complex value.
+
+_STRING_NUMBERS = {
+    "coordinate_model": (lambda: predictor.coordinate_model(["1.5", "2"]), "weights"),
+    "coordinate_model-mu": (lambda: predictor.coordinate_model([1.5, 2.0], mu=["0", "0"]), "mu"),
+    "kernel_model": (
+        lambda: predictor.kernel_model([1.0], [["0.5", "1"]], predictor.KernelSpec.rbf(1.0)),
+        "support vectors",
+    ),
+    "full_predict": (
+        lambda: predictor.full_predict(predictor.coordinate_model([1.0, 2.0]), np.array(["1", "2"])),
+        "feature vector",
+    ),
+    "Dataset": (lambda: data.Dataset(X=np.array([["1.5", "2"]]), y=[1]), "features"),
+    "precision_recall": (lambda: precision_recall(["0.5", "0.2"], [1, -1]), "scores"),
+}
+
+
+@pytest.mark.parametrize("entry", _STRING_NUMBERS)
+def test_numbers_spelled_as_strings_are_refused(entry):
+    call, name = _STRING_NUMBERS[entry]
+    with pytest.raises(ParameterError, match=f"^{name} must be real numbers, got dtype <U"):
+        call()
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float32, np.float64])
+def test_check_real_takes_bools_integers_and_floats(dtype):
+    values = np.zeros(2, dtype=dtype)
+    assert check_real("x", values) is values
+
+
+@pytest.mark.parametrize(
+    "dtype, match",
+    [
+        (complex, "^x must be real, got a complex value$"),
+        (str, "^x must be real numbers, got dtype <U1$"),
+        (object, "^x must be real numbers, got dtype object$"),
+        ("M8[s]", r"^x must be real numbers, got dtype datetime64\[s\]$"),
+    ],
+)
+def test_check_real_refuses_the_rest(dtype, match):
+    with pytest.raises(ParameterError, match=match):
+        check_real("x", np.empty(0, dtype=dtype))
 
 
 # -- entry points -------------------------------------------------------------

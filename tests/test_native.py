@@ -13,6 +13,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,70 @@ def test_parse_sparse_uses_the_compiled_parser(monkeypatch):
     assert sum(rows) == 4
     assert ds.y.tolist() == [1, -1, -1, 1]
     assert ds.dense().tolist() == [[0.5, 0, 2.0, 0], [0, 0, 0, 0], [0, 1e-3, 0, -5.0], [0, 0, 0, 7.0]]
+
+
+def parse_lines(text: bytes, base: int = 0) -> tuple:
+    """stst_parse_lines called on text as _parse_block calls it: its result,
+    and the labels, row ends, columns and values it wrote."""
+    rows_out = np.full((2, text.count(b"\n") + 1), -7, dtype=np.int64)
+    cells = text.count(b":")
+    cols, vals = np.full(cells, -7, dtype=np.int64), np.full(cells, -7.0)
+    pointers = [a.ctypes.data for a in (rows_out[0], rows_out[1], cols, vals)]
+    rows = data._text_parser()(text, len(text), base, *pointers)
+    return rows, rows_out[0, : max(rows, 0)].tolist(), rows_out[1, : max(rows, 0)].tolist(), cols, vals
+
+
+GOOD_LINES = ["+1 1:0.5 3:2.0\n", "-1\n", " 0\t2:1e-3  9223372036854775807:-.5E+1 \n"]
+OUTSIDE_THE_SUBSET = {
+    "blank": "\n",
+    "cr": "+1 1:0.5\r\n",
+    "nan": "-1 1:nan\n",
+    "label-2": "2 1:0.5\n",
+    "index-past-int64": "+1 9223372036854775808:1.0\n",
+    "nbsp": "+1\u00a01:0.5\n",
+    "descending": "+1 3:1.0 2:1.0\n",
+}
+
+
+@needs_cc
+class TestParseLines:
+    """stst_parse_lines reads a whole buffer, or refuses it with -1."""
+
+    @pytest.mark.parametrize("last_newline", [True, False])
+    def test_a_whole_buffer_gives_its_rows(self, last_newline):
+        text = "".join(GOOD_LINES).encode()
+        rows, labels, ends, cols, vals = parse_lines(text if last_newline else text[:-1], base=5)
+        assert (rows, labels, ends) == (3, [1, -1, -1], [7, 7, 9])
+        assert cols.tolist() == [0, 2, 1, 2**63 - 2]
+        assert vals.tolist() == [0.5, 2.0, 1e-3, -5.0]
+
+    def test_an_empty_buffer_has_no_rows(self):
+        assert parse_lines(b"")[0] == 0
+
+    @pytest.mark.parametrize("at", [0, 1, 3], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("line", OUTSIDE_THE_SUBSET.values(), ids=OUTSIDE_THE_SUBSET.keys())
+    def test_one_line_outside_the_subset_refuses_the_buffer(self, line, at):
+        lines = list(GOOD_LINES)
+        lines.insert(at, line)
+        assert parse_lines("".join(lines).encode())[0] == -1
+
+
+@needs_cc
+def test_a_block_with_a_line_outside_the_subset_is_read_whole_by_the_reference(monkeypatch):
+    calls = []
+
+    def counted(line, line_no, *buffers):
+        calls.append(line_no)
+        return reference(line, line_no, *buffers)
+
+    reference = data._parse_line
+    monkeypatch.setattr(data, "_parse_line", counted)
+    lines = ["+1 1:0.5\n", "-1 2:1.5\n", "2 1:0.25\n", "0 3:1.0\n", "-1\n"]
+    with pytest.warns(UserWarning, match="^line 3: label '2' mapped by sign to \\+1$"):
+        ds = data.parse_sparse(io.StringIO("".join(lines)))
+    assert calls == [1, 2, 3, 4, 5]
+    assert ds.y.tolist() == [1, -1, 1, -1, -1]
+    assert ds.dense().tolist() == [[0.5, 0, 0], [0, 1.5, 0], [0.25, 0, 0], [0, 0, 1.0], [0, 0, 0]]
 
 
 @needs_cc
@@ -158,13 +223,15 @@ def test_a_failing_compiler_runs_once(tmp_path, monkeypatch):
 
 
 def test_only_native_types_the_helpers():
-    # a helper's functions get their argtypes and restype through the keywords of _native.load
+    # a helper's functions are typed by _native.load, from their C definitions
     typed = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.parent.glob("*.py"))
         if path.name != "_native.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in ("argtypes", "restype")
+        or isinstance(node, ast.Import) and any(alias.name == "ctypes" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "ctypes"
     ]
     assert typed == []
 
@@ -180,27 +247,72 @@ def c_prototypes(source: Path) -> dict:
     }
 
 
-def ctypes_kind(t) -> str:
-    if t is None:
-        return "void"
-    if t in (ctypes.c_void_p, ctypes.c_char_p) or issubclass(t, ctypes._Pointer):
-        return "pointer"
-    return {ctypes.c_double: "double", ctypes.c_int64: "int64_t"}[t]
+KINDS = {None: "void", ctypes.c_void_p: "pointer", ctypes.c_double: "double", ctypes.c_int64: "int64_t"}
 
 
-def test_each_signature_given_to_load_matches_its_c_prototype(monkeypatch):
-    # each accessor's keywords to _native.load, captured with nothing compiled
-    given = {}
-    monkeypatch.setattr(_native, "load", lambda name, **signatures: given.setdefault(name, signatures) and None)
-    for accessor in (predictor._kernels, simulator._kernels, data._text_lib):
-        accessor.__wrapped__()
-    assert sorted(given) == [path.stem for path in C_SOURCES]
-    for name, signatures in given.items():
-        typed = {
-            function: (ctypes_kind(restype), [ctypes_kind(t) for t in argtypes])
-            for function, (argtypes, restype) in signatures.items()
+def kinds(function) -> tuple:
+    """A ctypes function's (result, argument kinds), named as c_prototypes names them."""
+    assert function.argtypes is not None, "left untyped"
+    return KINDS.get(function.restype, repr(function.restype)), [KINDS.get(t, repr(t)) for t in function.argtypes]
+
+
+@needs_cc
+def test_each_function_is_typed_from_its_c_prototype():
+    libraries = {"_sparse_text": data._text_lib(), "_terms": predictor._kernels(), "_walk": simulator._kernels()}
+    assert sorted(libraries) == [path.stem for path in C_SOURCES]
+    for name, lib in libraries.items():
+        assert Path(lib._name).name.startswith(f"{name}-")
+        source = SOURCE.with_name(f"{name}.c")
+        # every stst_ name the source mentions outside its comments
+        text = re.sub(r"/\*.*?\*/", "", source.read_text(encoding="utf-8"), flags=re.S)
+        prototypes = c_prototypes(source)
+        assert sorted(prototypes) == sorted(set(re.findall(r"\b(stst_\w+)\s*\(", text))), name
+        assert {function: kinds(getattr(lib, function)) for function in prototypes} == prototypes, name
+
+
+def test_prototypes_of_const_pointers_split_lines_and_void():
+    snippet = textwrap.dedent("""
+        /* stst_commented(int32_t x) { is not a definition */
+        static int helper(void) { return 0; }
+        int64_t
+        stst_first(const double *const x, const int64_t *rows, int64_t count, // the count
+                   double scale)
+        {
+            return count;
         }
-        assert typed == c_prototypes(SOURCE.with_name(f"{name}.c")), name
+        void stst_second(void)
+        {
+        }
+        double stst_third(char *out) { return 0.0; }
+        int64_t stst_declared(int64_t n);
+    """)
+    assert _native._prototypes(snippet) == {
+        "stst_first": ([ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double], ctypes.c_int64),
+        "stst_second": ([], None),
+        "stst_third": ([ctypes.c_void_p], ctypes.c_double),
+    }
+
+
+@pytest.mark.parametrize(
+    "snippet, declaration",
+    [
+        ("void stst_f(double *x, int32_t n) {}", "int32_t n"),
+        ("int stst_f(double *x) {}", "int"),
+        ("void stst_f(unsigned long n) {}", "unsigned long n"),
+    ],
+)
+def test_an_unknown_c_type_raises(snippet, declaration):
+    with pytest.raises(TypeError, match=f"^stst_f: no ctypes type for the C declaration '{declaration}'$"):
+        _native._prototypes(snippet)
+
+
+def test_load_raises_on_an_unknown_c_type_before_it_compiles(tmp_path, monkeypatch):
+    (tmp_path / "_odd.c").write_text("#include <stdint.h>\nvoid stst_odd(int32_t n)\n{\n}\n")
+    monkeypatch.setattr(_native, "__file__", str(tmp_path / "_native.py"))
+    monkeypatch.setattr(shutil, "which", lambda name: "/no/cc")
+    monkeypatch.setattr(subprocess, "run", refused)
+    with pytest.raises(TypeError, match="^stst_odd: no ctypes type for the C declaration 'int32_t n'$"):
+        _native.load("_odd")
 
 
 END_TO_END = """if True:

@@ -1168,6 +1168,12 @@ class TestSerialization:
             ("coordinate", "theta", np.complex128(1j), "'theta' must be real"),
             ("rbf", "support_vectors", np.full((2, 4), 1 + 1j), "support vectors must be real"),
             ("rbf", "sigma", np.complex128(1.5), "'sigma' must be real"),
+            # numbers spelled as strings, which a float64 cast or float() would read
+            ("coordinate", "weights", np.array(["1.5", "2"]), "^invalid .*weights must be real numbers, got dtype <U"),
+            ("coordinate", "mu", np.array(["0", "0.5"]), "^invalid .*mu must be real numbers, got dtype <U"),
+            ("coordinate", "theta", np.str_("0.25"), "^invalid .*'theta' must be real numbers, got dtype <U"),
+            ("rbf", "support_vectors", np.full((2, 4), "1.5"), "^invalid .*vectors must be real numbers, got dtype <U"),
+            ("rbf", "sigma", np.str_("1.5"), "^invalid .*'sigma' must be real numbers, got dtype <U"),
         ],
     )
     def test_malformed_field_rejected(self, tmp_path, kind, key, value, match):
